@@ -57,8 +57,12 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def resolve_config(cfg: dict, args: argparse.Namespace) -> dict:
-    """Merge CLI overrides into the config and fill defaults."""
+def resolve_config(cfg: dict, args: argparse.Namespace,
+                   min_samples: int = 0) -> dict:
+    """Merge CLI overrides into the config and fill defaults.
+
+    ``min_samples`` is the smallest sample count the command can use.
+    """
     out = dict(cfg)
     if getattr(args, "seed", None) is not None:
         out["seed"] = args.seed
@@ -77,8 +81,8 @@ def resolve_config(cfg: dict, args: argparse.Namespace) -> dict:
         raise ConfigError("P must be an integer >= 2")
     if not isinstance(out["seed"], int) or out["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    if not isinstance(out["samples"], int) or out["samples"] < 0:
-        raise ConfigError("samples must be a nonnegative integer")
+    if not isinstance(out["samples"], int) or out["samples"] < min_samples:
+        raise ConfigError(f"samples must be an integer >= {min_samples}")
     return out
 
 
@@ -160,7 +164,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = resolve_config(load_config(args.config), args)
+    cfg = resolve_config(load_config(args.config), args, min_samples=1)
+    if args.grid < 2:
+        raise ConfigError("--grid must be >= 2")
     inst = build_instance(cfg)
     if cfg["recommender"] == "all":
         raise ConfigError("verify requires a single recommender")
@@ -179,7 +185,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    cfg = resolve_config(load_config(args.config), args)
+    cfg = resolve_config(load_config(args.config), args, min_samples=1)
     inst = build_instance(cfg)
     recommenders = [cfg["recommender"]]
     if cfg["recommender"] == "all":
@@ -274,16 +280,15 @@ def make_parser() -> argparse.ArgumentParser:
         description="Creator-competition equilibrium simulator and verifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
+    def common(p, sampled=True):
+        p.add_argument("--config", required=True, help="JSON config path")
+        if sampled:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--samples", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("check-model", help="audit model assumptions")
-    common(p)
+    common(p, sampled=False)
     p.set_defaults(fn=cmd_check_model)
 
     p = sub.add_parser("sample", help="draw equilibrium contents to CSV")
@@ -297,10 +302,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="UCQ/RE/UW estimates to CSV")
     common(p)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser("describe", help="strategy components as JSON")
-    common(p)
+    common(p, sampled=False)
     p.set_defaults(fn=cmd_describe)
 
     p = sub.add_parser("empirics", help="feed-survey rank analysis")

@@ -69,19 +69,33 @@ class RoundBatch:
         return len(self.winner)
 
 
+def is_eligible(inst: ModelInstance, q, x, ts) -> np.ndarray:
+    """Whether users of type ``ts`` accept content ``(q, x)``: utility at
+    least the outside option, up to ELIGIBILITY_ATOL."""
+    return np.asarray(inst.utility(q, x, ts), dtype=float) >= -ELIGIBILITY_ATOL
+
+
+def eligible_scores(inst: ModelInstance, metric: Metric, q, x, ts) -> np.ndarray:
+    """Metric scores of content ``(q, x)`` for users of type ``ts``, -inf
+    where the user would reject the content (so it never wins)."""
+    scores = np.asarray(metric_score(inst, metric, q, x), dtype=float)
+    return np.where(is_eligible(inst, q, x, ts), scores, -np.inf)
+
+
+def _tie_band(score):
+    return TIE_RTOL * np.maximum(1.0, np.abs(score))
+
+
 def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
                   x: np.ndarray, ts: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Winner column per row of an (n, P) landscape, -1 when nothing qualifies."""
-    u = np.asarray(inst.utility(q, x, ts[:, None]), dtype=float)
-    eligible = u >= -ELIGIBILITY_ATOL
-    scores = np.asarray(metric_score(inst, metric, q, x), dtype=float)
-    masked = np.where(eligible, scores, -np.inf)
+    masked = eligible_scores(inst, metric, q, x, ts[:, None])
     best = masked.max(axis=1)
-    any_eligible = eligible.any(axis=1)
+    any_eligible = best > -np.inf
     safe_best = np.where(any_eligible, best, 0.0)
-    thr = safe_best - TIE_RTOL * np.maximum(1.0, np.abs(safe_best))
-    tied = eligible & (masked >= thr[:, None])
+    # ineligible columns hold -inf and never reach the finite threshold
+    tied = masked >= (safe_best - _tie_band(safe_best))[:, None]
     k = tied.sum(axis=1)
     # uniform choice among tied columns; one uniform per row keeps the
     # stream length independent of the data
@@ -139,38 +153,62 @@ def play_round(inst: ModelInstance, metric: Metric, strategy: MixedStrategy,
     )
 
 
+@dataclass(frozen=True)
+class OpponentPool:
+    """One draw of the opponent landscape for payoff estimates: n samples,
+    each of P-1 opponent contents and one user type.
+
+    The opponents' eligibility-masked scores are computed once, so a payoff
+    evaluation is a few reductions over the (n, P-1) score array with no
+    sampling, and every content evaluated on one pool faces the same draws
+    (common random numbers).
+    """
+
+    inst: ModelInstance
+    metric: Metric
+    user_type: np.ndarray  # (n,)
+    scores: np.ndarray  # (n, P-1), -inf where the user rejects the opponent
+    top: np.ndarray  # (n,) best opponent score per sample
+
+    @classmethod
+    def draw(cls, inst: ModelInstance, metric: Metric,
+             opponent_strategy: MixedStrategy, P: int, n: int,
+             rng: np.random.Generator) -> "OpponentPool":
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if P < 2:
+            raise ValueError("P must be >= 2")
+        opp = opponent_strategy.sample(rng, n * (P - 1)).reshape(n, P - 1, 2)
+        ts = inst.type_space.draw(rng, n)
+        scores = eligible_scores(inst, metric, opp[:, :, 0], opp[:, :, 1],
+                                 ts[:, None])
+        return cls(inst, metric, ts, scores, scores.max(axis=1))
+
+    def payoffs(self, w: Content) -> np.ndarray:
+        """Per-sample payoff of playing ``w``: the probability that it is
+        recommended, minus the deterministic creation cost.
+
+        Content the user rejects, or that an eligible opponent outscores,
+        never wins; ties among eligible argmax contents contribute their
+        exact uniform share.
+        """
+        s0 = float(metric_score(self.inst, self.metric, np.array(w.w_costly),
+                                np.array(w.w_cheap)))
+        band = _tie_band(s0)
+        wins = (is_eligible(self.inst, w.w_costly, w.w_cheap, self.user_type)
+                & (self.top <= s0 + band))
+        tied = (self.scores >= s0 - band).sum(axis=1)
+        share = np.where(wins, 1.0 / (1.0 + tied), 0.0)
+        return share - float(self.inst.cost(w.w_costly, w.w_cheap))
+
+
 def expected_creator_utility(inst: ModelInstance, metric: Metric, w: Content,
                              opponent_strategy: MixedStrategy, P: int, n: int,
                              rng: np.random.Generator) -> MetricEstimate:
-    """Monte Carlo expected payoff of playing ``w`` against P-1 opponents.
-
-    Per sample of opponent draws and user type: the probability that slot 0
-    is recommended (ineligible content never wins; ties among eligible
-    argmax contents contribute their exact uniform share), minus the
-    deterministic creation cost.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if P < 2:
-        raise ValueError("P must be >= 2")
-    opp = opponent_strategy.sample(rng, n * (P - 1)).reshape(n, P - 1, 2)
-    ts = inst.type_space.draw(rng, n)
-    own_eligible = np.asarray(inst.utility(w.w_costly, w.w_cheap, ts),
-                              dtype=float) >= -ELIGIBILITY_ATOL
-    s0 = float(metric_score(inst, metric, np.array(w.w_costly),
-                            np.array(w.w_cheap)))
-    u_opp = np.asarray(inst.utility(opp[:, :, 0], opp[:, :, 1], ts[:, None]),
-                       dtype=float)
-    s_opp = np.asarray(metric_score(inst, metric, opp[:, :, 0], opp[:, :, 1]),
-                       dtype=float)
-    eligible_opp = u_opp >= -ELIGIBILITY_ATOL
-    band = TIE_RTOL * max(1.0, abs(s0))
-    beaten = (eligible_opp & (s_opp > s0 + band)).any(axis=1)
-    tied = (eligible_opp & (s_opp >= s0 - band)).sum(axis=1)
-    share = np.where(own_eligible & ~beaten, 1.0 / (1.0 + tied), 0.0)
-    cost = float(inst.cost(w.w_costly, w.w_cheap))
-    est = MetricEstimate.from_samples(share)
-    return MetricEstimate(est.mean - cost, est.stderr, est.n)
+    """Monte Carlo expected payoff of playing ``w`` against P-1 opponents,
+    on a pool of n fresh opponent and user-type draws."""
+    pool = OpponentPool.draw(inst, metric, opponent_strategy, P, n, rng)
+    return MetricEstimate.from_samples(pool.payoffs(w))
 
 
 ROUND_LOG_FIELDS = ("round", "user_type", "winner", "consumed", "engagement",

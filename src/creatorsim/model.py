@@ -341,6 +341,8 @@ class ModelInstance:
         family = cfg.get("family")
         if "types" not in cfg:
             raise ValueError("model config missing 'types'")
+        if not isinstance(cfg["types"], (list, tuple)):
+            raise ValueError("'types' must be a list of numbers")
         types = TypeSpace.of(cfg["types"])
         gamma = float(cfg.get("gamma", 0.0))
         if family == "linear":

@@ -6,6 +6,11 @@ the curve cost exceeds 1.2, beyond which payoffs are strictly negative)
 and adds the origin. A candidate strategy passes when no grid deviation
 beats the pooled utility of on-support probe points by more than Monte
 Carlo noise allows.
+
+Every candidate and probe is evaluated against one shared pool of opponent
+and user-type draws (common random numbers), so the gap is measured on
+paired samples and its standard error comes from the per-sample
+differences rather than from two independent marginal errors.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import numpy as np
 
 from ._stats import MetricEstimate
 from .equilibrium import MixedStrategy
-from .game import Metric, expected_creator_utility
+from .game import Metric, OpponentPool
+# not called here, but perfbench/spans.py wraps verify.expected_creator_utility
+from .game import expected_creator_utility  # noqa: F401
 from .model import Content, ModelInstance, zero_cost_extent
 
 COST_CAP = 1.2  # deviation curves truncated where creation cost passes this
@@ -30,6 +37,7 @@ class BestResponseReport:
     eq_utility: MetricEstimate
     best_deviation_utility: MetricEstimate
     gap: float
+    combined_stderr: float  # stderr of the per-sample paired gap
     argmax_candidate: Content
     grid_size: int
     samples_per_candidate: int
@@ -37,11 +45,6 @@ class BestResponseReport:
     candidate_utilities: tuple[MetricEstimate, ...]
     probes: tuple[Content, ...]
     probe_utilities: tuple[MetricEstimate, ...]
-
-    @property
-    def combined_stderr(self) -> float:
-        return float(np.hypot(self.best_deviation_utility.stderr,
-                              self.eq_utility.stderr))
 
     def passes(self, abs_tol: float = GAP_ABS_TOL,
                se_mult: float = GAP_SE_MULT) -> bool:
@@ -90,40 +93,48 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
                       n_probes: int = 32) -> BestResponseReport:
     """Estimate the profit of the best grid deviation over on-support play.
 
-    Every candidate (and probe) gets an independent substream and the same
-    sample budget; the equilibrium utility pools all probe estimates.
+    ``n_probes`` probe points are drawn from the strategy, then one pool of
+    ``n_per_candidate`` opponent landscapes and user types; every candidate
+    and probe is scored on that same pool. The equilibrium utility is the
+    probe average, per sample. The gap's standard error is that of the
+    per-sample differences between the argmax candidate's payoff and the
+    probe average; near an equilibrium the two are positively correlated,
+    so it is below the two marginal errors combined. Memory stays
+    O(n_per_candidate * P): only the probe-sum vector is kept, and the
+    argmax candidate is scored again.
     """
     candidates = candidate_deviations(inst, grid_k)
     probe_draws = strategy.sample(rng, n_probes)
     probes = [Content(float(q), float(x)) for q, x in probe_draws]
-    seeds = rng.integers(0, 2 ** 63 - 1, size=len(candidates) + len(probes))
+    pool = OpponentPool.draw(inst, metric, strategy, P, n_per_candidate, rng)
 
-    def estimate(content: Content, seed: int) -> MetricEstimate:
-        sub = np.random.default_rng(seed)
-        return expected_creator_utility(inst, metric, content, strategy, P,
-                                        n_per_candidate, sub)
+    cand_utils = tuple(MetricEstimate.from_samples(pool.payoffs(c))
+                       for c in candidates)
+    probe_sum = np.zeros(n_per_candidate)
+    probe_utils = []
+    for c in probes:
+        payoffs = pool.payoffs(c)
+        probe_sum += payoffs
+        probe_utils.append(MetricEstimate.from_samples(payoffs))
+    eq_samples = probe_sum / len(probes)
+    eq = MetricEstimate.from_samples(eq_samples)
 
-    cand_utils = tuple(estimate(c, seeds[i]) for i, c in enumerate(candidates))
-    probe_utils = tuple(estimate(c, seeds[len(candidates) + i])
-                        for i, c in enumerate(probes))
-
-    eq_mean = float(np.mean([e.mean for e in probe_utils]))
-    eq_se = float(np.sqrt(np.sum([e.stderr ** 2 for e in probe_utils]))
-                  / len(probe_utils))
-    eq = MetricEstimate(eq_mean, eq_se, n_per_candidate * len(probe_utils))
     best_i = int(np.argmax([e.mean for e in cand_utils]))
     best = cand_utils[best_i]
+    paired = MetricEstimate.from_samples(pool.payoffs(candidates[best_i])
+                                         - eq_samples)
     return BestResponseReport(
         eq_utility=eq,
         best_deviation_utility=best,
         gap=best.mean - eq.mean,
+        combined_stderr=paired.stderr,
         argmax_candidate=candidates[best_i],
         grid_size=grid_k,
         samples_per_candidate=n_per_candidate,
         candidates=tuple(candidates),
         candidate_utilities=cand_utils,
         probes=tuple(probes),
-        probe_utilities=probe_utils,
+        probe_utilities=tuple(probe_utils),
     )
 
 

@@ -112,6 +112,39 @@ class TestVerify:
         path, _ = write_config(tmp_path, P=1)
         assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_grid_below_two_exits_two(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, samples=100)
+        assert main(["verify", "--config", str(path), "--grid", "1",
+                     "--out", str(tmp_path)]) == 2
+        assert "--grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "metrics"])
+    def test_zero_samples_exits_two(self, tmp_path, capsys, command):
+        path, _ = write_config(tmp_path, samples=0)
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "samples" in capsys.readouterr().err
+
+    def test_types_string_exits_two(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, types="12", samples=100)
+        assert main(["verify", "--config", str(path), "--grid", "5",
+                     "--out", str(tmp_path)]) == 2
+        assert "types" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--threads", "2"],
+    ["check-model", "--seed", "1"],
+    ["check-model", "--samples", "10"],
+    ["describe", "--seed", "1"],
+    ["describe", "--samples", "10"],
+])
+def test_flags_a_command_ignores_are_rejected(tmp_path, argv):
+    path, _ = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
 
 class TestMetrics:
     def test_all_recommenders_welfare_pattern(self, tmp_path):

@@ -17,6 +17,7 @@ from creatorsim import (
     support_containment,
 )
 from creatorsim.equilibrium import AtomComponent, MixedStrategy
+from creatorsim.game import OpponentPool
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -166,3 +167,44 @@ class TestBestResponseGap:
         payload = json.loads(rep.to_json())
         assert len(payload["candidates"]) == len(payload["candidate_utilities"])
         assert "gap" in payload and "passes" in payload
+
+
+class TestSharedOpponentPool:
+    @pytest.mark.parametrize("grid_k", [2, 10, 60])
+    def test_samples_once_for_probes_and_once_for_pool(self, grid_k, monkeypatch):
+        calls = []
+        original = MixedStrategy.sample
+
+        def spy(self, rng, n):
+            calls.append(n)
+            return original(self, rng, n)
+
+        monkeypatch.setattr(MixedStrategy, "sample", spy)
+        inst = linear(-0.5, 0.3, types=(2.0,))
+        s = engagement_eq_homogeneous(inst, 3)
+        best_response_gap(inst, Metric.ENGAGEMENT, s, 3, grid_k=grid_k,
+                          n_per_candidate=400, rng=np.random.default_rng(0))
+        assert calls == [32, 400 * 2]
+
+    def test_combined_stderr_is_paired_difference_stderr(self):
+        inst = linear(1.0, 0.0, types=(1.0, 1.9))
+        s = engagement_eq_two_types(inst)
+        n = 3000
+        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=20,
+                                n_per_candidate=n, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        probes = [Content(float(q), float(x)) for q, x in s.sample(rng, 32)]
+        pool = OpponentPool.draw(inst, Metric.ENGAGEMENT, s, 2, n, rng)
+        eq = np.mean([pool.payoffs(c) for c in probes], axis=0)
+        diff = pool.payoffs(rep.argmax_candidate) - eq
+        expected = diff.std(ddof=1) / np.sqrt(n)
+        assert rep.combined_stderr == pytest.approx(expected, rel=1e-12)
+        assert rep.gap == pytest.approx(diff.mean(), abs=1e-12)
+
+    def test_paired_stderr_below_marginal_hypot_on_equilibrium(self):
+        inst = linear(1.0, 0.0)
+        s = engagement_eq_homogeneous(inst, 2)
+        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=30,
+                                n_per_candidate=5000, rng=np.random.default_rng(0))
+        marginal = np.hypot(rep.best_deviation_utility.stderr, rep.eq_utility.stderr)
+        assert 0.0 < rep.combined_stderr < marginal
