@@ -5,9 +5,10 @@ Subcommands: ``check-model`` (audit the structural assumptions),
 as JSON), ``verify`` (best-response gap), ``metrics`` (UCQ/RE/UW table),
 ``empirics`` (feed-survey analysis).
 
-Exit codes: 0 success, 2 configuration or validation error, 3 verification
-failure. Identical config and seed give byte-identical outputs in
-single-threaded mode.
+Exit codes: 0 success, 2 configuration or validation error (including a
+non-finite ``metrics`` estimate, which is never written), 3 verification
+failure. Identical config and seed give byte-identical outputs, at any
+``metrics --threads`` count.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,6 +59,11 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true``/``false`` load as bools, which pass ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def resolve_config(cfg: dict, args: argparse.Namespace,
                    min_samples: int = 0) -> dict:
     """Merge CLI overrides into the config and fill defaults.
@@ -77,11 +84,11 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
         raise ConfigError(f"recommender must be one of {RECOMMENDER_CHOICES}")
     if out["equilibrium"] not in EQUILIBRIUM_CHOICES:
         raise ConfigError(f"equilibrium must be one of {EQUILIBRIUM_CHOICES}")
-    if not isinstance(out["P"], int) or out["P"] < 2:
+    if not _is_int(out["P"]) or out["P"] < 2:
         raise ConfigError("P must be an integer >= 2")
-    if not isinstance(out["seed"], int) or out["seed"] < 0:
+    if not _is_int(out["seed"]) or out["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    if not isinstance(out["samples"], int) or out["samples"] < min_samples:
+    if not _is_int(out["samples"]) or out["samples"] < min_samples:
         raise ConfigError(f"samples must be an integer >= {min_samples}")
     return out
 
@@ -190,7 +197,8 @@ def cmd_metrics(args) -> int:
     recommenders = [cfg["recommender"]]
     if cfg["recommender"] == "all":
         recommenders = ["engagement", "investment", "random"]
-    threads = max(1, args.threads)
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     rows = []
     rng = np.random.default_rng(cfg["seed"])
     params = json.dumps({k: cfg[k] for k in ("family", "alpha", "W", "gamma",
@@ -199,10 +207,13 @@ def cmd_metrics(args) -> int:
     for rec in recommenders:
         metric = Metric(rec)
         strategy = resolve_strategy(inst, cfg["P"], cfg["equilibrium"], metric)
-        for name, fn in (("ucq", met.estimate_ucq), ("re", met.estimate_re),
-                         ("uw", met.estimate_uw)):
-            est = fn(inst, metric, strategy, cfg["P"], cfg["samples"], rng,
-                     threads=threads)
+        estimates = met.estimate_round_metrics(inst, metric, strategy, cfg["P"],
+                                               cfg["samples"], rng,
+                                               threads=args.threads)
+        for name, est in estimates.items():
+            if not (math.isfinite(est.mean) and math.isfinite(est.stderr)):
+                raise ConfigError(f"non-finite estimate for {name},{rec}: "
+                                  f"mean={est.mean!r} stderr={est.stderr!r}")
             rows.append((name, rec, params, est))
     buf = io.StringIO()
     buf.write(f"# config: {_config_echo(cfg)}\n")

@@ -102,6 +102,8 @@ class VtDensityComponent:
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"interval masses sum to {mass}, expected 1")
         object.__setattr__(self, "_v_marginal", self._build_v_cdf())
+        object.__setattr__(self, "_los", np.array([iv[0] for iv in self.intervals]))
+        object.__setattr__(self, "_p_low", np.array([iv[3] for iv in self.intervals]))
 
     def _build_v_cdf(self) -> PiecewiseLinearCdf:
         xs = [self.intervals[0][0]]
@@ -119,10 +121,9 @@ class VtDensityComponent:
 
     def sample_vt_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray):
         v = np.asarray(self._v_marginal.ppf(u_main), dtype=float)
-        los = np.array([iv[0] for iv in self.intervals])
-        p_low = np.array([iv[3] for iv in self.intervals])
-        k = np.clip(np.searchsorted(los, v, side="right") - 1, 0, len(self.intervals) - 1)
-        t = np.where(u_aux < p_low[k], self.t_low, self.t_high)
+        k = np.clip(np.searchsorted(self._los, v, side="right") - 1, 0,
+                    len(self.intervals) - 1)
+        t = np.where(u_aux < self._p_low[k], self.t_low, self.t_high)
         return v, t
 
     def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:

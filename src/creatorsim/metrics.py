@@ -2,10 +2,12 @@
 
 Three equilibrium performance measures, all gated by consumption: user
 consumption of quality (winner quality), realized engagement (winner
-engagement score), and user welfare (winner utility). Each has a Monte
-Carlo estimator over simulated rounds; the homogeneous engagement case
-additionally has a closed-form route through the quality CDF and an
-expected-maximum quadrature, which the estimators are tested against.
+engagement score), and user welfare (winner utility). One Monte Carlo pass
+over simulated rounds estimates all three, on a fixed number of spawned
+shards, so the estimates do not depend on the thread count. The
+homogeneous engagement case additionally has a closed-form route through
+the quality CDF and an expected-maximum quadrature, which the estimators
+are tested against.
 """
 
 from __future__ import annotations
@@ -25,51 +27,56 @@ SIMPSON_TOL = 1e-8
 E_LIMIT_TOP = math.exp(1.0 - 1.0 / math.e)  # upper support of the limit cdf
 
 
-def _sharded_estimate(values_of: Callable[[np.random.Generator, int], np.ndarray],
-                      n: int, rng: np.random.Generator,
-                      threads: int = 1) -> MetricEstimate:
-    """Split n samples over spawned substreams and merge stable moments."""
+ROUND_SHARDS = 8  # fixed, so the draws do not depend on the thread count
+ROUND_FIELDS = {"ucq": "quality", "re": "engagement", "uw": "user_utility"}
+
+
+def estimate_round_metrics(inst: ModelInstance, metric: Metric,
+                           strategy: MixedStrategy, P: int, n: int,
+                           rng: np.random.Generator,
+                           threads: int = 1) -> dict[str, MetricEstimate]:
+    """UCQ, RE and UW, keyed by those names, from one pass of n rounds.
+
+    The rounds are split into ``min(ROUND_SHARDS, n)`` shards, each drawn
+    from its own ``rng.spawn`` child. ``threads`` only sets how many shards
+    run at once; their moments are merged in shard order, so the estimates
+    are identical at any thread count.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    shards = max(1, min(threads, n))
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    shards = min(ROUND_SHARDS, n)
     counts = [n // shards + (1 if i < n % shards else 0) for i in range(shards)]
-    seeds = rng.integers(0, 2 ** 63 - 1, size=shards)
-    moments = RunningMoments()
-    if shards == 1:
-        moments.add_samples(values_of(np.random.default_rng(seeds[0]), n))
-    else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            futures = [pool.submit(values_of, np.random.default_rng(s), m)
-                       for s, m in zip(seeds, counts)]
-            for fut in futures:  # fixed merge order keeps runs reproducible
-                moments.add_samples(fut.result())
-    return moments.estimate()
 
+    def shard(sub: np.random.Generator, m: int) -> list[RunningMoments]:
+        batch = simulate_rounds(inst, metric, strategy, P, m, sub)
+        parts = [RunningMoments() for _ in ROUND_FIELDS]
+        for part, field in zip(parts, ROUND_FIELDS.values()):
+            part.add_samples(getattr(batch, field))
+        return parts
 
-def _round_estimator(field: str):
-    def estimator(inst: ModelInstance, metric: Metric, strategy: MixedStrategy,
-                  P: int, n: int, rng: np.random.Generator,
-                  threads: int = 1) -> MetricEstimate:
-        def values(sub: np.random.Generator, m: int) -> np.ndarray:
-            batch = simulate_rounds(inst, metric, strategy, P, m, sub)
-            return getattr(batch, field)
-        return _sharded_estimate(values, n, rng, threads)
-    return estimator
+    totals = [RunningMoments() for _ in ROUND_FIELDS]
+    with ThreadPoolExecutor(max_workers=min(threads, shards)) as pool:
+        for parts in pool.map(shard, rng.spawn(shards), counts):
+            for total, part in zip(totals, parts):
+                total.merge(part)
+    return {name: total.estimate() for name, total in zip(ROUND_FIELDS, totals)}
 
 
 def estimate_ucq(inst, metric, strategy, P, n, rng, threads=1) -> MetricEstimate:
     """User consumption of quality: winner quality when consumed, else 0."""
-    return _round_estimator("quality")(inst, metric, strategy, P, n, rng, threads)
+    return estimate_round_metrics(inst, metric, strategy, P, n, rng, threads)["ucq"]
 
 
 def estimate_re(inst, metric, strategy, P, n, rng, threads=1) -> MetricEstimate:
     """Realized engagement: winner engagement score when consumed, else 0."""
-    return _round_estimator("engagement")(inst, metric, strategy, P, n, rng, threads)
+    return estimate_round_metrics(inst, metric, strategy, P, n, rng, threads)["re"]
 
 
 def estimate_uw(inst, metric, strategy, P, n, rng, threads=1) -> MetricEstimate:
     """User welfare: winner utility when consumed, else 0."""
-    return _round_estimator("user_utility")(inst, metric, strategy, P, n, rng, threads)
+    return estimate_round_metrics(inst, metric, strategy, P, n, rng, threads)["uw"]
 
 
 def investment_engagement_cdf(v) -> np.ndarray:

@@ -180,6 +180,58 @@ class TestMetrics:
         assert main(["metrics", "--config", str(path), "--out", str(out2)]) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
+    def test_byte_identical_across_thread_counts(self, tmp_path):
+        from creatorsim import make_well_separated_types
+        types = list(make_well_separated_types(4, 0.01))
+        path, _ = write_config(tmp_path, types=types, recommender="all",
+                               samples=5000)
+        for t in (1, 2):
+            assert main(["metrics", "--config", str(path), "--threads", str(t),
+                         "--out", str(tmp_path / f"t{t}")]) == 0
+        assert (tmp_path / "t1" / "metrics.csv").read_bytes() \
+            == (tmp_path / "t2" / "metrics.csv").read_bytes()
+
+    def test_one_round_pass_per_recommender(self, tmp_path, monkeypatch):
+        import creatorsim.metrics as met
+        calls = []
+        real = met.simulate_rounds
+
+        def spy(inst, metric, strategy, P, n, rng):
+            calls.append((metric.value, n))  # list.append is atomic across threads
+            return real(inst, metric, strategy, P, n, rng)
+
+        monkeypatch.setattr(met, "simulate_rounds", spy)
+        path, _ = write_config(tmp_path, recommender="all", samples=1001)
+        assert main(["metrics", "--config", str(path), "--threads", "2",
+                     "--out", str(tmp_path)]) == 0
+        rounds = {}
+        for rec, n in calls:
+            rounds[rec] = rounds.get(rec, 0) + n
+        assert rounds == {"engagement": 1001, "investment": 1001, "random": 1001}
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_nonpositive_threads_exits_two(self, tmp_path, capsys, threads):
+        path, _ = write_config(tmp_path, samples=100)
+        assert main(["metrics", "--config", str(path), "--threads", threads,
+                     "--out", str(tmp_path)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("key", ["P", "seed", "samples"])
+    def test_boolean_integer_field_exits_two(self, tmp_path, capsys, key):
+        path, _ = write_config(tmp_path, **{"samples": 100, key: True})
+        assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_non_finite_estimate_exits_two(self, tmp_path, capsys):
+        # utilities of W = 1e308 overflow to inf
+        path, _ = write_config(tmp_path, family="kmr", W=1e308,
+                               recommender="all", samples=2000)
+        assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "non-finite estimate for uw,investment" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
 
 class TestEmpirics:
     def make_data(self, tmp_path, rows):

@@ -12,6 +12,7 @@ from creatorsim import (
     TypeSpace,
     closed_form_ucq_homogeneous,
     engagement_eq_homogeneous,
+    engagement_eq_well_separated,
     estimate_re,
     estimate_ucq,
     estimate_uw,
@@ -20,10 +21,12 @@ from creatorsim import (
     investment_eq,
     ks_distance,
     limit_engagement_cdf,
+    make_well_separated_types,
     random_eq,
 )
 from creatorsim._stats import RunningMoments
-from creatorsim.metrics import E_LIMIT_TOP, homogeneous_quality_cdf
+from creatorsim.metrics import (E_LIMIT_TOP, estimate_round_metrics,
+                                homogeneous_quality_cdf)
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -222,7 +225,36 @@ class TestEstimators:
         four = estimate_ucq(inst, Metric.ENGAGEMENT, s, 2, 20000,
                             np.random.default_rng(8), threads=4)
         assert four.n == one.n == 20000
-        assert abs(four.mean - one.mean) <= 4 * (one.stderr + four.stderr)
+        assert four == one
+
+    @pytest.mark.parametrize("n", [3, 9999])
+    def test_round_metrics_identical_across_threads(self, n):
+        inst = ModelInstance(LinearTwitter(1.0, 0.0),
+                             TypeSpace.of(make_well_separated_types(4, 0.01)))
+        s = engagement_eq_well_separated(inst)
+        one, four = (estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
+                                            np.random.default_rng(9), threads=t)
+                     for t in (1, 4))
+        assert list(one) == ["ucq", "re", "uw"]
+        assert all(est.n == n for est in one.values())
+        assert one == four
+
+    def test_round_metrics_match_single_metric_wrappers(self):
+        inst = linear(1.0, 0.3)
+        s = engagement_eq_homogeneous(inst, 2)
+        both = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, 5000,
+                                      np.random.default_rng(11))
+        for name, fn in (("ucq", estimate_ucq), ("re", estimate_re),
+                         ("uw", estimate_uw)):
+            assert fn(inst, Metric.ENGAGEMENT, s, 2, 5000,
+                      np.random.default_rng(11)) == both[name]
+
+    def test_round_metrics_reject_nonpositive_threads(self):
+        inst = linear(1.0, 0.0)
+        s = random_eq(inst, 2)
+        with pytest.raises(ValueError, match="threads"):
+            estimate_round_metrics(inst, Metric.RANDOM, s, 2, 10,
+                                   np.random.default_rng(0), threads=0)
 
     def test_threads_deterministic_for_fixed_shard_count(self):
         inst = linear(1.0, 0.0)
