@@ -1,5 +1,9 @@
 """Creator-competition simulator under engagement-based recommendation."""
 
+# numpy loads numpy.random lazily, on first use; every Monte Carlo command
+# draws from it, so it is loaded with the package instead of mid-command.
+import numpy.random  # noqa: F401
+
 from ._stats import MetricEstimate
 from .model import (
     AssumptionReport,

@@ -68,5 +68,7 @@ class RunningMoments:
     def estimate(self) -> MetricEstimate:
         if self.n == 0:
             raise ValueError("no samples accumulated")
+        # m2 is a sum of squares, so var is >= 0 or NaN; a NaN (from an inf
+        # sample) must reach the caller, not turn into stderr 0.0
         var = self.m2 / (self.n - 1) if self.n > 1 else 0.0
-        return MetricEstimate(self.mean, math.sqrt(max(0.0, var) / self.n), self.n)
+        return MetricEstimate(self.mean, math.sqrt(var / self.n), self.n)

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import equilibrium as eq
-from . import empirics as emp
 from . import metrics as met
 from .game import Metric
 from .model import ModelInstance, PreconditionError, check_assumptions
@@ -66,9 +65,11 @@ def _is_int(value) -> bool:
 
 def resolve_config(cfg: dict, args: argparse.Namespace,
                    min_samples: int = 0) -> dict:
-    """Merge CLI overrides into the config and fill defaults.
+    """Merge CLI overrides into the config, fill defaults and validate both.
 
-    ``min_samples`` is the smallest sample count the command can use.
+    ``min_samples`` is the smallest sample count the command can use. The
+    command-only options ``--grid`` and ``--threads`` are checked here too,
+    when the command has them.
     """
     out = dict(cfg)
     if getattr(args, "seed", None) is not None:
@@ -90,6 +91,10 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
         raise ConfigError("seed must be a nonnegative integer")
     if not _is_int(out["samples"]) or out["samples"] < min_samples:
         raise ConfigError(f"samples must be an integer >= {min_samples}")
+    if getattr(args, "grid", 2) < 2:
+        raise ConfigError("--grid must be >= 2")
+    if getattr(args, "threads", 1) < 1:
+        raise ConfigError("--threads must be >= 1")
     return out
 
 
@@ -172,8 +177,6 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = resolve_config(load_config(args.config), args, min_samples=1)
-    if args.grid < 2:
-        raise ConfigError("--grid must be >= 2")
     inst = build_instance(cfg)
     if cfg["recommender"] == "all":
         raise ConfigError("verify requires a single recommender")
@@ -197,8 +200,6 @@ def cmd_metrics(args) -> int:
     recommenders = [cfg["recommender"]]
     if cfg["recommender"] == "all":
         recommenders = ["engagement", "investment", "random"]
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     rows = []
     rng = np.random.default_rng(cfg["seed"])
     params = json.dumps({k: cfg[k] for k in ("family", "alpha", "W", "gamma",
@@ -243,6 +244,9 @@ def cmd_describe(args) -> int:
 
 
 def cmd_empirics(args) -> int:
+    # imported here so that only this command pays for loading scipy
+    from . import empirics as emp
+
     try:
         records = emp.load_records(args.data)
     except FileNotFoundError:

@@ -5,6 +5,17 @@ favorites). Favorites are compared on the log scale via ln(1 + favorites),
 which leaves every rank statistic untouched while keeping zero-favorite
 tweets in the data. Angriness plays the role of the gaming coordinate and
 favorites the role of quality.
+
+The survey is held column by column in a :class:`Survey`: feed and genre
+as int8 codes into ``FEEDS`` and ``GENRES``, angriness and favorites as
+int64. ``load_records`` fills the columns in one pass over the CSV rows;
+``TweetRecord`` validates only the rows that fail that pass, so malformed
+rows are reported exactly as the record validator words them. Every
+analysis selects its feed, genre and angriness slice with boolean masks
+over the columns, and also accepts a sequence of ``TweetRecord``, which it
+converts once. Mid-ranks are computed with numpy; scipy is used only for
+the Student t tail (``scipy.special.stdtr``), and the CLI imports this
+module only when the ``empirics`` command runs.
 """
 
 from __future__ import annotations
@@ -13,15 +24,19 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 FEEDS = ("E", "C")
 GENRES = ("P", "NP")
 ANGRINESS_LEVELS = (0, 1, 2, 3, 4)
 CSV_HEADER = ["feed", "genre", "angriness", "favorites"]
+
+_FEED_CODES = {f: i for i, f in enumerate(FEEDS)}
+_GENRE_CODES = {g: i for i, g in enumerate(GENRES)}
+_INT64_MAX = 2 ** 63 - 1
 
 
 class RecordParseError(ValueError):
@@ -56,7 +71,49 @@ class TweetRecord:
             raise ValueError(f"favorites must be >= 0, got {self.favorites!r}")
 
 
-def load_records(path) -> list[TweetRecord]:
+@dataclass(frozen=True, eq=False)
+class Survey:
+    """Validated survey records, one array per CSV column.
+
+    ``feed`` and ``genre`` are int8 indices into ``FEEDS`` and ``GENRES``;
+    ``angriness`` and ``favorites`` are int64. All four have one entry per
+    record, in file order.
+    """
+
+    feed: np.ndarray
+    genre: np.ndarray
+    angriness: np.ndarray
+    favorites: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.feed)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TweetRecord]) -> "Survey":
+        return _survey([(_FEED_CODES[r.feed], _GENRE_CODES[r.genre],
+                         r.angriness, r.favorites) for r in records])
+
+
+def _survey(rows: list[tuple[int, int, int, int]]) -> Survey:
+    table = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    return Survey(feed=table[:, 0].astype(np.int8),
+                  genre=table[:, 1].astype(np.int8),
+                  angriness=np.ascontiguousarray(table[:, 2]),
+                  favorites=np.ascontiguousarray(table[:, 3]))
+
+
+def _row_problem(row: list[str]) -> str:
+    """Why a nonblank row was rejected, in the record validator's words."""
+    if len(row) != 4:
+        return f"expected 4 fields, got {len(row)}"
+    try:
+        TweetRecord(row[0].strip(), row[1].strip(), int(row[2]), int(row[3]))
+    except ValueError as exc:
+        return str(exc)
+    return f"favorites must be <= {_INT64_MAX}, got {int(row[3])!r}"
+
+
+def load_records(path) -> Survey:
     """Parse a record CSV; malformed rows are rejected with line numbers."""
     path = Path(path)
     with open(path, newline="") as fh:
@@ -69,32 +126,46 @@ def load_records(path) -> list[TweetRecord]:
         if [h.strip() for h in header] != CSV_HEADER:
             raise RecordParseError([(1, f"bad header {header!r}, expected "
                                         + ",".join(CSV_HEADER))])
-        records: list[TweetRecord] = []
+        rows: list[tuple[int, int, int, int]] = []
         problems: list[tuple[int, str]] = []
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
             try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                records.append(TweetRecord(
-                    feed=row[0].strip(),
-                    genre=row[1].strip(),
-                    angriness=int(row[2]),
-                    favorites=int(row[3]),
-                ))
-            except ValueError as exc:
-                problems.append((line_no, str(exc)))
+                feed, genre, a, favs = row
+                feed, genre = _FEED_CODES[feed.strip()], _GENRE_CODES[genre.strip()]
+                a, favs = int(a), int(favs)
+                ok = a in ANGRINESS_LEVELS and 0 <= favs <= _INT64_MAX
+            except (ValueError, KeyError):
+                ok = False
+            if ok:
+                rows.append((feed, genre, a, favs))
+            elif row and any(c.strip() for c in row):
+                problems.append((line_no, _row_problem(row)))
     if problems:
         raise RecordParseError(problems)
-    return records
+    return _survey(rows)
+
+
+SurveyData = Union[Survey, Sequence[TweetRecord]]
+
+
+def _as_survey(data: SurveyData) -> Survey:
+    return data if isinstance(data, Survey) else Survey.from_records(data)
+
+
+def _slice_mask(survey: Survey, feed: str, genres: set[str]) -> np.ndarray:
+    if feed not in FEEDS:
+        raise ValueError(f"feed must be one of {FEEDS}")
+    if not genres or not genres.issubset(GENRES):
+        raise ValueError(f"genres must be a nonempty subset of {GENRES}")
+    return ((survey.feed == _FEED_CODES[feed])
+            & np.isin(survey.genre, [_GENRE_CODES[g] for g in genres]))
 
 
 class Ecdf:
     """Right-continuous empirical CDF of a nonempty sample."""
 
-    def __init__(self, values: Iterable[float]):
-        vals = np.sort(np.asarray(list(values), dtype=float))
+    def __init__(self, values: Union[Sequence[float], np.ndarray]):
+        vals = np.sort(np.asarray(values, dtype=float))
         if len(vals) == 0:
             raise ValueError("empirical cdf needs at least one value")
         self.values = vals
@@ -112,28 +183,15 @@ class Ecdf:
         return uniq, np.asarray(self(uniq), dtype=float)
 
 
-def _match(records: Sequence[TweetRecord], feed: str,
-           genres: Iterable[str]) -> list[TweetRecord]:
-    genres = set(genres)
-    if feed not in FEEDS:
-        raise ValueError(f"feed must be one of {FEEDS}")
-    if not genres or not genres.issubset(GENRES):
-        raise ValueError(f"genres must be a nonempty subset of {GENRES}")
-    return [r for r in records if r.feed == feed and r.genre in genres]
-
-
-def log_favorites(records: Sequence[TweetRecord]) -> np.ndarray:
-    return np.log1p(np.asarray([r.favorites for r in records], dtype=float))
-
-
-def conditional_ecdf(records: Sequence[TweetRecord], a: int, feed: str,
+def conditional_ecdf(data: SurveyData, a: int, feed: str,
                      genres: Iterable[str]) -> Ecdf:
     """ECDF of ln(1 + favorites) at one angriness level in one feed slice."""
-    sub = [r for r in _match(records, feed, genres) if r.angriness == a]
-    if not sub:
+    survey, genres = _as_survey(data), set(genres)
+    mask = _slice_mask(survey, feed, genres) & (survey.angriness == a)
+    if not mask.any():
         raise EmptyConditionalError(
-            f"no records with angriness={a}, feed={feed}, genres={sorted(set(genres))}")
-    return Ecdf(log_favorites(sub))
+            f"no records with angriness={a}, feed={feed}, genres={sorted(genres)}")
+    return Ecdf(np.log1p(survey.favorites[mask].astype(float)))
 
 
 @dataclass(frozen=True)
@@ -149,9 +207,9 @@ class DominanceResult:
     missing_levels: tuple[int, ...]
 
 
-def dominance_matrix(records: Sequence[TweetRecord], feed: str,
-                     genres: Iterable[str],
+def dominance_matrix(data: SurveyData, feed: str, genres: Iterable[str],
                      grid: Sequence[float]) -> DominanceResult:
+    survey, genres = _as_survey(data), set(genres)
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
@@ -159,7 +217,7 @@ def dominance_matrix(records: Sequence[TweetRecord], feed: str,
     missing: list[int] = []
     for a in ANGRINESS_LEVELS:
         try:
-            curves[a] = np.asarray(conditional_ecdf(records, a, feed, genres)(grid),
+            curves[a] = np.asarray(conditional_ecdf(survey, a, feed, genres)(grid),
                                    dtype=float)
         except EmptyConditionalError:
             missing.append(a)
@@ -173,8 +231,16 @@ def dominance_matrix(records: Sequence[TweetRecord], feed: str,
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    # average ranks over tie groups, 1-based
-    return sps.rankdata(values, method="average")
+    """1-based ranks, each tie group given its average rank.
+
+    Bit-for-bit ``scipy.stats.rankdata(values, method="average")`` on data
+    without NaN: a group spanning sorted positions start..end-1 gets
+    (start + 1 + end) / 2, an exact half-integer.
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2.0)[inverse]
 
 
 @dataclass(frozen=True)
@@ -184,7 +250,7 @@ class SpearmanResult:
     n: int
 
 
-def spearman_rho(records: Sequence[TweetRecord], feed: str,
+def spearman_rho(data: SurveyData, feed: str,
                  genres: Iterable[str]) -> SpearmanResult:
     """Rank correlation between angriness and favorites in a feed slice.
 
@@ -192,12 +258,13 @@ def spearman_rho(records: Sequence[TweetRecord], feed: str,
     one-sided (positive association) p-value from the t approximation with
     n - 2 degrees of freedom.
     """
-    sub = _match(records, feed, genres)
-    n = len(sub)
+    survey = _as_survey(data)
+    mask = _slice_mask(survey, feed, set(genres))
+    a = survey.angriness[mask].astype(float)
+    favs = survey.favorites[mask].astype(float)
+    n = len(a)
     if n < 3:
         raise ValueError(f"need at least 3 matching records, got {n}")
-    a = np.asarray([r.angriness for r in sub], dtype=float)
-    favs = np.asarray([r.favorites for r in sub], dtype=float)
     if np.all(a == a[0]) or np.all(favs == favs[0]):
         raise ValueError("rank correlation undefined: a coordinate has zero variance")
     ra, rl = _midranks(a), _midranks(favs)
@@ -211,5 +278,6 @@ def spearman_rho(records: Sequence[TweetRecord], feed: str,
         p = 1.0
     else:
         t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = float(sps.t.sf(t_stat, df=n - 2))
+        # the upper tail of Student's t, as scipy.stats.t.sf computes it
+        p = float(special.stdtr(n - 2, -t_stat))
     return SpearmanResult(rho=rho, p_value=p, n=n)

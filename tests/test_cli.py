@@ -1,10 +1,15 @@
+import argparse
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from creatorsim.cli import main
+import creatorsim
+from creatorsim.cli import ConfigError, main, resolve_config
 from creatorsim.verify import support_containment
 from creatorsim.model import ModelInstance
 
@@ -23,6 +28,29 @@ def read_metrics(path):
         lines = [ln for ln in fh if not ln.startswith("#")]
     return {(r["metric"], r["recommender"]): float(r["mean"])
             for r in csv.DictReader(lines)}
+
+
+def test_cli_import_loads_numpy_random_but_no_scipy():
+    # a fresh interpreter: this test process has scipy loaded already
+    src = str(Path(creatorsim.__file__).resolve().parents[1])
+    probe = ("import sys, creatorsim.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+             "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines() == ["[]", "True"]
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("grid", 1, "--grid must be >= 2"),
+    ("threads", 0, "--threads must be >= 1"),
+])
+def test_resolve_config_checks_command_options(option, value, message):
+    args = argparse.Namespace(**{option: value})
+    with pytest.raises(ConfigError, match=message):
+        resolve_config({"family": "linear", "types": [1]}, args)
+    resolve_config({"family": "linear", "types": [1]},
+                   argparse.Namespace(**{option: value + 1}))
 
 
 class TestCheckModel:

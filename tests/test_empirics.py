@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats as sps
 
 from creatorsim.empirics import (
     EmptyConditionalError,
     RecordParseError,
+    Survey,
     TweetRecord,
+    _midranks,
     conditional_ecdf,
     dominance_matrix,
     load_records,
@@ -28,9 +31,17 @@ def rec(feed="E", genre="P", a=0, favs=0):
 
 class TestLoadRecords:
     def test_direct_parse(self, tmp_path):
-        path = write_csv(tmp_path, ["E,P,3,120"])
-        records = load_records(path)
-        assert records == [TweetRecord("E", "P", 3, 120)]
+        path = write_csv(tmp_path, ["E,P,3,120", "C, NP ,0,7"])
+        survey = load_records(path)
+        assert len(survey) == 2
+        assert survey.feed.dtype == np.int8 and survey.genre.dtype == np.int8
+        assert survey.angriness.dtype == np.int64
+        assert survey.favorites.dtype == np.int64
+        # feed and genre are indices into FEEDS = (E, C) and GENRES = (P, NP)
+        assert survey.feed.tolist() == [0, 1]
+        assert survey.genre.tolist() == [0, 1]
+        assert survey.angriness.tolist() == [3, 0]
+        assert survey.favorites.tolist() == [120, 7]
 
     def test_out_of_range_angriness_reports_line(self, tmp_path):
         path = write_csv(tmp_path, ["E,P,3,120", "C,NP,5,10"])
@@ -45,7 +56,29 @@ class TestLoadRecords:
             load_records(path)
 
     def test_empty_file_with_header(self, tmp_path):
-        assert load_records(write_csv(tmp_path, [])) == []
+        survey = load_records(write_csv(tmp_path, []))
+        assert len(survey) == 0
+        for column in (survey.feed, survey.genre, survey.angriness,
+                       survey.favorites):
+            assert column.shape == (0,)
+
+    def test_from_records_matches_parsed_columns(self, tmp_path):
+        survey = load_records(write_csv(tmp_path, ["E,P,3,120", "C,NP,0,7"]))
+        records = Survey.from_records([TweetRecord("E", "P", 3, 120),
+                                       TweetRecord("C", "NP", 0, 7)])
+        for name in ("feed", "genre", "angriness", "favorites"):
+            got, want = getattr(records, name), getattr(survey, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_favorites_beyond_int64_rejected(self, tmp_path):
+        path = write_csv(tmp_path, ["E,P,3,9223372036854775807",
+                                    "E,P,3,9223372036854775808"])
+        with pytest.raises(RecordParseError) as info:
+            load_records(path)
+        assert info.value.problems == [
+            (3, "favorites must be <= 9223372036854775807, "
+                "got 9223372036854775808")]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -60,6 +93,24 @@ class TestLoadRecords:
         path = write_csv(tmp_path, ["X,P,3,120"])
         with pytest.raises(RecordParseError, match="feed"):
             load_records(path)
+
+    def test_every_malformed_kind_reported_in_line_order(self, tmp_path):
+        rows = ["E,P,3,120", "E,P,3", "C,NP,three,4", "X,P,1,2", "E,Q,1,2",
+                "C,NP,5,10", "E,P,2,-1", "", ",,,", "C,P,0,0", "E,NP,1,2,3",
+                "E, P , 4 ,7", "E,P,2,1.5", "  ", "E,NP,-1,0"]
+        with pytest.raises(RecordParseError) as info:
+            load_records(write_csv(tmp_path, rows))
+        assert info.value.problems == [
+            (3, "expected 4 fields, got 3"),
+            (4, "invalid literal for int() with base 10: 'three'"),
+            (5, "feed must be one of ('E', 'C'), got 'X'"),
+            (6, "genre must be one of ('P', 'NP'), got 'Q'"),
+            (7, "angriness must be in 0..4, got 5"),
+            (8, "favorites must be >= 0, got -1"),
+            (12, "expected 4 fields, got 5"),
+            (14, "invalid literal for int() with base 10: '1.5'"),
+            (16, "angriness must be in 0..4, got -1"),
+        ]
 
 
 class TestConditionalEcdf:
@@ -176,10 +227,67 @@ class TestSpearman:
         records = [rec(a=int(x), favs=int(y)) for x, y in zip(a, f)]
         out = spearman_rho(records, "E", ("P",))
         t = out.rho * math.sqrt((out.n - 2) / (1 - out.rho ** 2))
-        assert out.p_value == pytest.approx(float(sps.t.sf(t, out.n - 2)), abs=1e-15)
+        assert out.p_value == float(sps.t.sf(t, out.n - 2))
 
     def test_genre_filtering(self):
         records = [rec(genre="P", a=a, favs=a) for a in range(5)]
         records += [rec(genre="NP", a=a, favs=5 - a) for a in range(5)]
         assert spearman_rho(records, "E", ("P",)).rho == pytest.approx(1.0)
         assert spearman_rho(records, "E", ("NP",)).rho == pytest.approx(-1.0)
+
+
+class TestMidranks:
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=300))
+    def test_matches_scipy_on_tied_integers(self, values):
+        values = np.asarray(values, dtype=float)
+        ranks = _midranks(values)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, sps.rankdata(values, method="average"))
+
+    @given(st.lists(st.sampled_from([-1e300, -2.5, -0.0, 0.0, 1e-300, 7.0]),
+                    min_size=1, max_size=300))
+    def test_matches_scipy_on_tied_floats(self, values):
+        values = np.asarray(values, dtype=float)
+        assert np.array_equal(_midranks(values),
+                              sps.rankdata(values, method="average"))
+
+    def test_matches_scipy_on_large_tied_arrays(self):
+        rng = np.random.default_rng(4)
+        for levels in (1, 2, 5, 50, 10_000):
+            values = rng.integers(0, levels, size=20_000).astype(float)
+            assert np.array_equal(_midranks(values),
+                                  sps.rankdata(values, method="average"))
+
+
+class TestSurveyAndRecordForms:
+    """The record-list and columnar forms of one dataset agree exactly."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = [f"{f},{g},{int(a)},{int(v)}"
+                for f, g, a, v in zip(rng.choice(["E", "C"], 400),
+                                      rng.choice(["P", "NP"], 400),
+                                      rng.integers(0, 5, 400),
+                                      rng.integers(0, 60, 400))]
+        records = [TweetRecord(f, g, int(a), int(v))
+                   for f, g, a, v in (row.split(",") for row in rows)]
+        return records, load_records(write_csv(tmp_path, rows))
+
+    @pytest.mark.parametrize("feed", ["E", "C"])
+    @pytest.mark.parametrize("genres", [("P", "NP"), ("P",), ("NP",)])
+    def test_spearman_identical(self, data, feed, genres):
+        records, survey = data
+        assert spearman_rho(records, feed, genres) == spearman_rho(survey, feed, genres)
+
+    @pytest.mark.parametrize("feed", ["E", "C"])
+    @pytest.mark.parametrize("genres", [("P", "NP"), ("P",), ("NP",)])
+    def test_ecdf_identical(self, data, feed, genres):
+        records, survey = data
+        for a in range(5):
+            from_records = conditional_ecdf(records, a, feed, genres)
+            from_survey = conditional_ecdf(survey, a, feed, genres)
+            assert np.array_equal(from_records.values, from_survey.values)
+            for got, want in zip(from_records.step_points(),
+                                 from_survey.step_points()):
+                assert np.array_equal(got, want)

@@ -53,6 +53,18 @@ class TestEstimateContainers:
         assert est.stderr == pytest.approx(data.std(ddof=1) / math.sqrt(len(data)),
                                            abs=1e-12)
 
+    def test_running_moments_nan_variance_propagates(self):
+        with np.errstate(invalid="ignore"):
+            batch = RunningMoments()
+            batch.add_samples(np.array([1.0, np.inf]))
+            merged = RunningMoments()
+            merged.add_samples(np.array([2.0, 3.0]))
+            merged.merge(batch)
+        for moments in (batch, merged):
+            est = moments.estimate()
+            assert est.mean == np.inf
+            assert math.isnan(est.stderr)
+
 
 class TestClosedFormCdfs:
     def test_investment_engagement_cdf(self):
