@@ -10,7 +10,6 @@ from .model import (
     Content,
     KMR,
     LinearTwitter,
-    LinearityParams,
     ModelInstance,
     PreconditionError,
     TypeSpace,
@@ -18,7 +17,6 @@ from .model import (
 )
 from .equilibrium import (
     MixedStrategy,
-    cheap_marginal_cdf,
     engagement_eq_homogeneous,
     engagement_eq_two_types,
     engagement_eq_well_separated,
@@ -26,9 +24,8 @@ from .equilibrium import (
     make_well_separated_types,
     n_prime,
     random_eq,
-    sample_content,
 )
-from .game import Metric, RoundOutcome, expected_creator_utility, play_round, recommend, simulate_rounds
+from .game import Metric, expected_creator_utility, recommend, simulate_rounds
 from .metrics import (
     closed_form_ucq_homogeneous,
     estimate_re,
@@ -49,17 +46,16 @@ from .verify import (
 
 __all__ = [
     "AssumptionReport", "BestResponseReport", "Content", "KMR",
-    "LinearTwitter", "LinearityParams", "MetricEstimate", "Metric",
-    "MixedStrategy", "ModelInstance", "PreconditionError", "RoundOutcome",
-    "TypeSpace", "best_response_gap", "candidate_deviations",
-    "cheap_marginal_cdf", "check_assumptions", "check_positive_correlation",
+    "LinearTwitter", "MetricEstimate", "Metric", "MixedStrategy",
+    "ModelInstance", "PreconditionError", "TypeSpace", "best_response_gap",
+    "candidate_deviations", "check_assumptions", "check_positive_correlation",
     "closed_form_ucq_homogeneous", "engagement_eq_homogeneous",
     "engagement_eq_two_types", "engagement_eq_well_separated",
     "estimate_re", "estimate_ucq", "estimate_uw", "expected_creator_utility",
     "expected_max_from_cdf", "investment_engagement_cdf", "investment_eq",
     "ks_distance", "limit_engagement_cdf", "make_well_separated_types",
-    "n_prime", "play_round", "random_eq", "recommend", "sample_content",
-    "simulate_rounds", "support_containment",
+    "n_prime", "random_eq", "recommend", "simulate_rounds",
+    "support_containment",
 ]
 
 __version__ = "0.1.0"

@@ -59,10 +59,6 @@ class PiecewiseLinearCdf:
         x = np.where(idx == 0, self.xs[0], x)
         return x if x.ndim else float(x)
 
-    @property
-    def support_max(self) -> float:
-        return float(self.xs[-1])
-
     def breakpoints(self) -> list[tuple[float, float]]:
         return [(float(a), float(b)) for a, b in zip(self.xs, self.ys)]
 

@@ -194,42 +194,6 @@ def conditional_ecdf(data: SurveyData, a: int, feed: str,
     return Ecdf(np.log1p(survey.favorites[mask].astype(float)))
 
 
-@dataclass(frozen=True)
-class DominanceResult:
-    """Pairwise dominance fractions between angriness-conditional ECDFs.
-
-    ``matrix[a, b]`` is the fraction of grid points where the level-a CDF
-    lies at or below the level-b CDF; 1.0 means a dominates b on the grid.
-    Levels with no data are flagged and their rows/columns are NaN.
-    """
-
-    matrix: np.ndarray
-    missing_levels: tuple[int, ...]
-
-
-def dominance_matrix(data: SurveyData, feed: str, genres: Iterable[str],
-                     grid: Sequence[float]) -> DominanceResult:
-    survey, genres = _as_survey(data), set(genres)
-    grid = np.asarray(list(grid), dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    curves: dict[int, np.ndarray] = {}
-    missing: list[int] = []
-    for a in ANGRINESS_LEVELS:
-        try:
-            curves[a] = np.asarray(conditional_ecdf(survey, a, feed, genres)(grid),
-                                   dtype=float)
-        except EmptyConditionalError:
-            missing.append(a)
-    k = len(ANGRINESS_LEVELS)
-    matrix = np.full((k, k), np.nan)
-    for a in ANGRINESS_LEVELS:
-        for b in ANGRINESS_LEVELS:
-            if a in curves and b in curves:
-                matrix[a, b] = float(np.mean(curves[a] <= curves[b] + 1e-12))
-    return DominanceResult(matrix=matrix, missing_levels=tuple(missing))
-
-
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, each tie group given its average rank.
 

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from ._piecewise import PiecewiseLinearCdf, clipped_linear_cdf
-from .model import Content, ModelInstance, PreconditionError, TypeSpace
+from .model import ModelInstance, PreconditionError, TypeSpace
 
 GOLDEN_RATIO_SPLIT = (5.0 - math.sqrt(5.0)) / 2.0  # two-type case 2/3 boundary
 
@@ -219,10 +219,6 @@ class MixedStrategy:
                 out[m] = comp.sample_from_uniforms(u_main[m], u_aux[m])
         return out
 
-    def sample_content(self, rng: np.random.Generator) -> Content:
-        q, x = self.sample(rng, 1)[0]
-        return Content(float(q), float(x))
-
     def cheap_marginal_cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x, dtype=float)
@@ -238,14 +234,6 @@ class MixedStrategy:
                 {"weight": w, **comp.to_dict()} for w, comp in self.components
             ],
         }
-
-
-def sample_content(strategy: MixedStrategy, rng: np.random.Generator) -> Content:
-    return strategy.sample_content(rng)
-
-
-def cheap_marginal_cdf(strategy: MixedStrategy, x):
-    return strategy.cheap_marginal_cdf(x)
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -13,7 +13,6 @@ eligibility and biases every estimate.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -45,16 +44,6 @@ def metric_score(inst: ModelInstance, metric: Metric, w_costly, w_cheap):
 
 
 @dataclass(frozen=True)
-class RoundOutcome:
-    winner: Optional[int]
-    consumed: bool
-    engagement: float
-    quality: float
-    user_utility: float
-    user_type: float
-
-
-@dataclass(frozen=True)
 class RoundBatch:
     """Vectorized outcomes of n independent rounds (winner -1 means none)."""
 
@@ -64,9 +53,6 @@ class RoundBatch:
     engagement: np.ndarray
     quality: np.ndarray
     user_utility: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.winner)
 
 
 def is_eligible(inst: ModelInstance, q, x, ts) -> np.ndarray:
@@ -139,20 +125,6 @@ def simulate_rounds(inst: ModelInstance, metric: Metric, strategy: MixedStrategy
                       engagement=engagement, quality=quality, user_utility=utility)
 
 
-def play_round(inst: ModelInstance, metric: Metric, strategy: MixedStrategy,
-               P: int, rng: np.random.Generator) -> RoundOutcome:
-    batch = simulate_rounds(inst, metric, strategy, P, 1, rng)
-    w = int(batch.winner[0])
-    return RoundOutcome(
-        winner=None if w < 0 else w,
-        consumed=bool(batch.consumed[0]),
-        engagement=float(batch.engagement[0]),
-        quality=float(batch.quality[0]),
-        user_utility=float(batch.user_utility[0]),
-        user_type=float(batch.user_type[0]),
-    )
-
-
 @dataclass(frozen=True)
 class OpponentPool:
     """One draw of the opponent landscape for payoff estimates: n samples,
@@ -210,24 +182,3 @@ def expected_creator_utility(inst: ModelInstance, metric: Metric, w: Content,
     pool = OpponentPool.draw(inst, metric, opponent_strategy, P, n, rng)
     return MetricEstimate.from_samples(pool.payoffs(w))
 
-
-ROUND_LOG_FIELDS = ("round", "user_type", "winner", "consumed", "engagement",
-                    "quality", "user_utility")
-
-
-def write_round_log(path, batch: RoundBatch) -> None:
-    """Round outcomes as CSV, one row per round."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUND_LOG_FIELDS)
-        for i in range(len(batch)):
-            winner = int(batch.winner[i])
-            writer.writerow([
-                i,
-                repr(float(batch.user_type[i])),
-                "" if winner < 0 else winner,
-                int(batch.consumed[i]),
-                repr(float(batch.engagement[i])),
-                repr(float(batch.quality[i])),
-                repr(float(batch.user_utility[i])),
-            ])

@@ -21,16 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 ArrayLike = Union[float, np.ndarray]
-
-# Tolerances shared by the curve solvers: bisection stops at 1e-12 absolute
-# on the search coordinate, with a hard iteration cap.
-BISECT_TOL = 1e-12
-BISECT_MAXITER = 200
 
 
 class PreconditionError(ValueError):
@@ -88,6 +83,20 @@ class TypeSpace:
 
 
 @dataclass(frozen=True)
+class LinearityParams:
+    """Linear induced-cost parameters: ``C^E_t(m) = max(0, a_t (m + s) - 1)``.
+
+    Both built-in families satisfy this with ``a_t = 1 / (1 + t)`` whenever
+    gaming is costless (and, for the linear family, the baseline is 1).
+    """
+
+    shift: float
+
+    def coefficient(self, t: ArrayLike) -> ArrayLike:
+        return 1.0 / (1.0 + np.asarray(t, dtype=float))
+
+
+@dataclass(frozen=True)
 class LinearTwitter:
     """Linear utility with baseline ``alpha``; retweet-style engagement."""
 
@@ -96,8 +105,8 @@ class LinearTwitter:
     name = "linear"
 
     def __post_init__(self) -> None:
-        if not (self.alpha > -1.0):
-            raise ValueError(f"alpha must be > -1, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > -1.0):
+            raise ValueError(f"alpha must be finite and > -1, got {self.alpha}")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
 
@@ -113,6 +122,16 @@ class LinearTwitter:
     def min_investment(self, t: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
         return np.maximum(0.0, w_cheap / t - self.alpha)
 
+    def zero_quality_extent(self, t: float) -> float:
+        """Largest gaming level that type t accepts with zero quality."""
+        return max(0.0, t * self.alpha)
+
+    def linearity_params(self) -> Optional[LinearityParams]:
+        """Shift 1 with costless gaming and unit baseline, else None."""
+        if self.gamma == 0.0 and self.alpha == 1.0:
+            return LinearityParams(shift=1.0)
+        return None
+
 
 @dataclass(frozen=True)
 class KMR:
@@ -127,8 +146,8 @@ class KMR:
     name = "kmr"
 
     def __post_init__(self) -> None:
-        if not (self.W > 0.0):
-            raise ValueError(f"W must be > 0, got {self.W}")
+        if not (math.isfinite(self.W) and self.W > 0.0):
+            raise ValueError(f"W must be finite and > 0, got {self.W}")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
 
@@ -144,38 +163,16 @@ class KMR:
     def min_investment(self, t: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
         return np.maximum(0.0, w_cheap / t - 1.0)
 
+    def zero_quality_extent(self, t: float) -> float:
+        """Largest gaming level that type t accepts with zero quality."""
+        return t
+
+    def linearity_params(self) -> Optional[LinearityParams]:
+        """Shift 0 with costless gaming, for any W; else None."""
+        return LinearityParams(shift=0.0) if self.gamma == 0.0 else None
+
 
 Family = Union[LinearTwitter, KMR]
-
-
-@dataclass(frozen=True)
-class LinearityParams:
-    """Linear induced-cost parameters: ``C^E_t(m) = max(0, a_t (m + s) - 1)``.
-
-    Both built-in families satisfy this with ``a_t = 1 / (1 + t)`` whenever
-    gaming is costless (and, for the linear family, the baseline is 1).
-    """
-
-    shift: float
-
-    def coefficient(self, t: ArrayLike) -> ArrayLike:
-        return 1.0 / (1.0 + np.asarray(t, dtype=float))
-
-
-def _bisect_increasing(fn: Callable[[float], float], target: float,
-                       lo: float, hi: float) -> float:
-    """Smallest x in [lo, hi] with fn(x) >= target, for nondecreasing fn."""
-    if fn(lo) >= target:
-        return lo
-    for _ in range(BISECT_MAXITER):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= BISECT_TOL:
-            break
-    return hi
 
 
 @dataclass(frozen=True)
@@ -187,9 +184,8 @@ class ModelInstance:
 
     def __post_init__(self) -> None:
         # Both built-in families divide by t, so tolerances must be positive.
-        if isinstance(self.family, (LinearTwitter, KMR)):
-            if any(t <= 0.0 for t in self.type_space):
-                raise ValueError("built-in families require all types > 0")
+        if any(t <= 0.0 for t in self.type_space):
+            raise ValueError("built-in families require all types > 0")
 
     @property
     def types(self) -> tuple[float, ...]:
@@ -227,18 +223,10 @@ class ModelInstance:
     def engagement_floor(self, t: float) -> float:
         return float(self.curve_engagement(t, 0.0))
 
-    def zero_quality_extent(self, t: float) -> float:
-        """Largest gaming level that type t accepts with zero quality."""
-        if isinstance(self.family, LinearTwitter):
-            return max(0.0, t * self.family.alpha)
-        if isinstance(self.family, KMR):
-            return t
-        raise TypeError(f"unknown family {self.family!r}")
-
     def curve_cost_polyline(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Breakpoints ``(xs, ys)`` plus tail slope of the curve cost in gaming."""
         gamma = self.family.gamma
-        delta = self.zero_quality_extent(t)
+        delta = self.family.zero_quality_extent(t)
         tail = gamma + 1.0 / t
         if delta > 0.0:
             xs = np.array([0.0, delta])
@@ -250,7 +238,7 @@ class ModelInstance:
 
     def curve_engagement_polyline(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Breakpoints plus tail slope of the curve engagement in gaming."""
-        delta = self.zero_quality_extent(t)
+        delta = self.family.zero_quality_extent(t)
         tail = 1.0 + 1.0 / t
         e0 = self.engagement_floor(t)
         if delta > 0.0:
@@ -263,60 +251,33 @@ class ModelInstance:
 
     def curve_x_for_cost(self, t: float, level: float) -> float:
         """Gaming level at which the curve cost reaches ``level``."""
-        xs, ys, tail = self.curve_cost_polyline(t)
-        return _polyline_crossing(xs, ys, tail, level)
+        return _polyline_inverse(*self.curve_cost_polyline(t), level)
 
     def curve_x_for_engagement(self, t: float, m: ArrayLike) -> ArrayLike:
         """Invert the curve engagement: the gaming level with M^E = m.
 
         Values of ``m`` below the curve minimum are clamped to gaming 0.
         """
-        xs, ys, tail = self.curve_engagement_polyline(t)
-        m = np.asarray(m, dtype=float)
-        x = np.interp(m, ys, xs)
-        beyond = m > ys[-1]
-        x = np.where(beyond, xs[-1] + (m - ys[-1]) / tail, x)
-        return x if x.ndim else float(x)
+        return _polyline_inverse(*self.curve_engagement_polyline(t), m)
 
     def induced_cost(self, t: float, m: float) -> float:
         """Cheapest way to reach engagement ``m`` while eligible for type t.
 
-        Engagement targets below the curve minimum clamp to the curve's
-        starting cost. The optimum lies on the curve, so the search is a
-        bisection over the gaming coordinate.
+        The optimum lies on the curve, at the gaming level whose curve
+        engagement is ``m``; targets below the curve minimum clamp to the
+        curve's starting cost.
         """
-        floor = self.engagement_floor(t)
-        if m <= floor:
-            return float(self.curve_cost(t, 0.0))
-        hi = 1.0
-        while self.curve_engagement(t, hi) < m:
-            hi *= 2.0
-            if hi > 1e18:
-                raise ArithmeticError("engagement target unreachable")
-        x = _bisect_increasing(lambda z: float(self.curve_engagement(t, z)), m, 0.0, hi)
-        return float(self.curve_cost(t, x))
+        return float(self.curve_cost(t, self.curve_x_for_engagement(t, m)))
 
     def linearity_params(self) -> Optional[LinearityParams]:
-        """Parameters making the induced cost linear, if they exist.
-
-        Linear family: only the costless-gaming, unit-baseline setting
-        (gamma = 0, alpha = 1) with shift 1. Watch-time family: any W with
-        gamma = 0, shift 0. Returns None otherwise.
-        """
-        if self.family.gamma != 0.0:
-            return None
-        if isinstance(self.family, LinearTwitter):
-            return LinearityParams(shift=1.0) if self.family.alpha == 1.0 else None
-        if isinstance(self.family, KMR):
-            return LinearityParams(shift=0.0)
-        return None
+        """Parameters making the induced cost linear, or None."""
+        return self.family.linearity_params()
 
     def reparam_to_content(self, v: float, t: float) -> Content:
         """Map a reparameterized engagement level to on-curve content.
 
         The convention is ``v = M^E(w) + s``: the returned content sits on
-        the type-t curve and satisfies ``M^E(w) = v - s``, found by
-        bisection over the gaming coordinate.
+        the type-t curve and satisfies ``M^E(w) = v - s``.
         """
         params = self.linearity_params()
         if params is None:
@@ -327,10 +288,7 @@ class ModelInstance:
         floor = self.engagement_floor(t)
         if m < floor - 1e-12:
             raise ValueError(f"v={v} below the curve minimum {floor + params.shift}")
-        hi = 1.0
-        while self.curve_engagement(t, hi) < m:
-            hi *= 2.0
-        x = _bisect_increasing(lambda z: float(self.curve_engagement(t, z)), m, 0.0, hi)
+        x = self.curve_x_for_engagement(t, m)
         return Content(float(self.min_investment(t, x)), float(x))
 
     @classmethod
@@ -343,43 +301,46 @@ class ModelInstance:
             raise ValueError("model config missing 'types'")
         if not isinstance(cfg["types"], (list, tuple)):
             raise ValueError("'types' must be a list of numbers")
-        types = TypeSpace.of(cfg["types"])
-        gamma = float(cfg.get("gamma", 0.0))
+
+        def number(value, what: str) -> float:
+            # JSON true/false load as bools, which float() reads as 1.0/0.0
+            if isinstance(value, bool):
+                raise ValueError(f"{what} must be a number, got {value!r}")
+            return float(value)
+
+        types = TypeSpace.of(number(t, "'types' entry") for t in cfg["types"])
+        gamma = number(cfg.get("gamma", 0.0), "'gamma'")
         if family == "linear":
             if "alpha" not in cfg:
                 raise ValueError("linear family requires 'alpha'")
-            return cls(LinearTwitter(alpha=float(cfg["alpha"]), gamma=gamma), types)
+            return cls(LinearTwitter(number(cfg["alpha"], "'alpha'"), gamma), types)
         if family == "kmr":
             if "W" not in cfg:
                 raise ValueError("kmr family requires 'W'")
-            return cls(KMR(W=float(cfg["W"]), gamma=gamma), types)
+            return cls(KMR(number(cfg["W"], "'W'"), gamma), types)
         raise ValueError(f"unknown family {family!r} (expected 'linear' or 'kmr')")
 
 
-def _polyline_crossing(xs: np.ndarray, ys: np.ndarray, tail_slope: float,
-                       level: float) -> float:
-    """x at which a nondecreasing polyline (with linear tail) reaches level."""
-    if level <= ys[0]:
-        return float(xs[0])
-    for i in range(1, len(xs)):
-        if level <= ys[i]:
-            frac = (level - ys[i - 1]) / (ys[i] - ys[i - 1])
-            return float(xs[i - 1] + frac * (xs[i] - xs[i - 1]))
-    if tail_slope <= 0.0:
-        raise ValueError("polyline never reaches level")
-    return float(xs[-1] + (level - ys[-1]) / tail_slope)
+def _polyline_inverse(xs: np.ndarray, ys: np.ndarray, tail: float,
+                      level: ArrayLike) -> ArrayLike:
+    """Smallest x at which a nondecreasing polyline, continued past its last
+    breakpoint with slope ``tail``, reaches ``level``; vectorized over level.
+
+    Levels at or below ``ys[0]`` give ``xs[0]``, also on a flat start such as
+    the zero-cost stretch ``ys = [0, 0]``, where ``np.interp`` alone would
+    return the right end.
+    """
+    level = np.asarray(level, dtype=float)
+    x = np.where(level > ys[-1], xs[-1] + (level - ys[-1]) / tail,
+                 np.interp(level, ys, xs))
+    x = np.where(level <= ys[0], xs[0], x)
+    return x if x.ndim else float(x)
 
 
 def zero_cost_extent(inst: ModelInstance, t: float) -> float:
-    """Largest gaming level on the type-t curve that still costs nothing."""
-    xs, ys, _ = inst.curve_cost_polyline(t)
-    if ys[0] > 0.0:
-        return 0.0
-    last = xs[0]
-    for i in range(1, len(xs)):
-        if ys[i] == 0.0:
-            last = xs[i]
-    return float(last)
+    """Largest gaming level on the type-t curve that still costs nothing:
+    the zero-quality stretch when gaming is free, else the origin."""
+    return inst.family.zero_quality_extent(t) if inst.family.gamma == 0.0 else 0.0
 
 
 # Numerical audit of the structural assumptions on (c, u, M^E).

@@ -52,3 +52,29 @@ def grid_min_induced_cost(inst, t, m, x_max=50.0, n=2_000_001) -> float:
     if not feasible.any():
         return math.inf
     return float(np.asarray(inst.cost(q, x), dtype=float)[feasible].min())
+
+
+def brute_force_winners(inst, metric, q, x, ts, uniforms, atol, rtol) -> list[int]:
+    """Recommendation winner per row, one row and one column at a time.
+
+    Row i offers contents ``(q[i][j], x[i][j])`` to a user of type
+    ``ts[i]``. Eligible columns have utility >= -atol; the winner is drawn
+    among the eligible columns whose score is within
+    ``rtol * max(1, |best|)`` of the best, as the floor(u * k)-th of the k
+    tied columns in column order, with ``u = uniforms[i]``. A row with no
+    eligible column gets -1.
+    """
+    winners = []
+    for row_q, row_x, t, u in zip(q, x, ts, uniforms):
+        scores = {}
+        for j, (a, b) in enumerate(zip(row_q, row_x)):
+            if float(inst.utility(a, b, t)) >= -atol:
+                scores[j] = {"engagement": float(inst.engagement(a, b)),
+                             "investment": a, "random": 1.0}[metric]
+        if not scores:
+            winners.append(-1)
+            continue
+        best = max(scores.values())
+        tied = [j for j, s in scores.items() if s >= best - rtol * max(1.0, abs(best))]
+        winners.append(tied[min(int(u * len(tied)), len(tied) - 1)])
+    return winners

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,19 @@ def test_cli_import_loads_numpy_random_but_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.splitlines() == ["[]", "True"]
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/spans.py patches program callables by name; a renamed or
+    # deleted one makes install raise AttributeError. A fresh interpreter,
+    # because install patches the modules for the life of the process.
+    root = Path(creatorsim.__file__).resolve().parents[2]
+    probe = "import spans; spans.install(spans.Tracer()); print('ok')"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], cwd=root / "perfbench",
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.splitlines() == ["ok"]
 
 
 @pytest.mark.parametrize("option, value, message", [
@@ -158,6 +172,27 @@ class TestVerify:
                      "--out", str(tmp_path)]) == 2
         assert "types" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "describe"])
+@pytest.mark.parametrize("overrides, message", [
+    ({"alpha": float("inf")}, "alpha must be finite"),
+    ({"family": "kmr", "W": float("inf")}, "W must be finite"),
+    ({"alpha": True}, "'alpha' must be a number"),
+    ({"family": "kmr", "W": True}, "'W' must be a number"),
+    ({"gamma": False}, "'gamma' must be a number"),
+    ({"types": [0.5, True]}, "'types' entry must be a number"),
+])
+def test_non_finite_or_boolean_model_parameter_exits_two(tmp_path, capsys, command,
+                                                         overrides, message):
+    # json.dumps writes inf as the non-standard Infinity, which json.load reads
+    path, _ = write_config(tmp_path, samples=100, **overrides)
+    argv = [command, "--config", str(path), "--out", str(tmp_path)]
+    if command == "verify":
+        argv += ["--grid", "5"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("*.json")) == [path]
 
 
 @pytest.mark.parametrize("argv", [

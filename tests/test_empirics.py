@@ -12,7 +12,6 @@ from creatorsim.empirics import (
     TweetRecord,
     _midranks,
     conditional_ecdf,
-    dominance_matrix,
     load_records,
     spearman_rho,
 )
@@ -139,32 +138,6 @@ class TestConditionalEcdf:
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         assert curve(float(np.log1p(49))) == pytest.approx(1.0)
-
-
-class TestDominanceMatrix:
-    def grid(self):
-        return np.linspace(0.0, 8.0, 64)
-
-    def test_identical_samples_dominate_both_ways(self):
-        records = []
-        for a in range(5):
-            records += [rec(a=a, favs=f) for f in (1, 5, 20)]
-        out = dominance_matrix(records, "E", ("P", "NP"), self.grid())
-        assert out.missing_levels == ()
-        assert np.allclose(out.matrix, 1.0)
-
-    def test_shifted_level_dominates(self):
-        records = [rec(a=1, favs=f) for f in (1, 3, 9)]
-        records += [rec(a=0, favs=10 * f) for f in (1, 3, 9)]
-        out = dominance_matrix(records, "E", ("P",), self.grid())
-        assert out.matrix[0, 1] == 1.0
-        assert out.matrix[1, 0] < 1.0
-        assert set(out.missing_levels) == {2, 3, 4}
-
-    def test_diagonal_is_one(self):
-        records = [rec(a=a, favs=a + 1) for a in range(5) for _ in range(3)]
-        out = dominance_matrix(records, "E", ("P", "NP"), self.grid())
-        assert np.allclose(np.diag(out.matrix), 1.0)
 
 
 class TestSpearman:

@@ -10,7 +10,6 @@ from creatorsim import (
     ModelInstance,
     PreconditionError,
     TypeSpace,
-    cheap_marginal_cdf,
     engagement_eq_homogeneous,
     engagement_eq_two_types,
     engagement_eq_well_separated,
@@ -19,7 +18,6 @@ from creatorsim import (
     make_well_separated_types,
     n_prime,
     random_eq,
-    sample_content,
     support_containment,
 )
 from creatorsim.equilibrium import (
@@ -312,8 +310,7 @@ class TestStrategyMechanics:
 
     def test_point_mass_sampling(self):
         s = MixedStrategy(((1.0, AtomComponent(0.25, 0.5)),), "pm")
-        w = sample_content(s, np.random.default_rng(0))
-        assert (w.w_costly, w.w_cheap) == (0.25, 0.5)
+        assert s.sample(np.random.default_rng(0), 1).tolist() == [[0.25, 0.5]]
 
     def test_homogeneous_empirical_mean(self):
         inst = linear(0.0, 0.0)

@@ -1,8 +1,8 @@
-import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
     Content,
@@ -12,12 +12,17 @@ from creatorsim import (
     TypeSpace,
     engagement_eq_homogeneous,
     expected_creator_utility,
-    play_round,
     recommend,
     simulate_rounds,
 )
 from creatorsim.equilibrium import AtomComponent, MixedStrategy
-from creatorsim.game import metric_score, write_round_log
+from creatorsim.game import (
+    ELIGIBILITY_ATOL,
+    TIE_RTOL,
+    _pick_winners,
+    metric_score,
+)
+from oracles import brute_force_winners
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -113,19 +118,21 @@ class TestRecommend:
 class TestPlayRound:
     def test_origin_under_random_rec(self):
         inst = linear(1.0)
-        out = play_round(inst, Metric.RANDOM, point_mass(0.0, 0.0), 2,
-                         np.random.default_rng(0))
-        assert out.consumed is True
-        assert out.quality == 0.0
-        assert out.user_utility == 1.0
+        out = simulate_rounds(inst, Metric.RANDOM, point_mass(0.0, 0.0), 2, 1,
+                              np.random.default_rng(0))
+        assert out.consumed.tolist() == [True]
+        assert out.quality.tolist() == [0.0]
+        assert out.user_utility.tolist() == [1.0]
 
     def test_ineligible_point_mass_not_consumed(self):
         inst = linear(1.0)
-        out = play_round(inst, Metric.ENGAGEMENT, point_mass(0.0, 2.0), 2,
-                         np.random.default_rng(0))
-        assert out.consumed is False
-        assert out.winner is None
-        assert out.engagement == 0.0 and out.quality == 0.0 and out.user_utility == 0.0
+        out = simulate_rounds(inst, Metric.ENGAGEMENT, point_mass(0.0, 2.0), 2, 1,
+                              np.random.default_rng(0))
+        assert out.consumed.tolist() == [False]
+        assert out.winner.tolist() == [-1]
+        assert out.engagement.tolist() == [0.0]
+        assert out.quality.tolist() == [0.0]
+        assert out.user_utility.tolist() == [0.0]
 
     def test_equilibrium_support_always_consumed(self):
         inst = linear(1.0, 0.0)
@@ -186,26 +193,78 @@ class TestExpectedCreatorUtility:
         assert est.mean == pytest.approx(1.0 - 2.0)
 
 
-class TestRoundLog:
-    def test_csv_shape_and_values(self, tmp_path):
-        inst = linear(1.0)
-        batch = simulate_rounds(inst, Metric.ENGAGEMENT, point_mass(0.2, 0.1), 2,
-                                5, np.random.default_rng(0))
-        path = tmp_path / "rounds.csv"
-        write_round_log(path, batch)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 5
-        assert set(rows[0]) == {"round", "user_type", "winner", "consumed",
-                                "engagement", "quality", "user_utility"}
-        assert rows[0]["consumed"] == "1"
-        assert float(rows[0]["quality"]) == pytest.approx(0.2)
-
-
 class TestDeterminism:
     def test_play_round_reproducible(self):
         inst = linear(1.0, 0.0)
         s = engagement_eq_homogeneous(inst, 2)
-        a = play_round(inst, Metric.ENGAGEMENT, s, 2, np.random.default_rng(5))
-        b = play_round(inst, Metric.ENGAGEMENT, s, 2, np.random.default_rng(5))
-        assert a == b
+        a = simulate_rounds(inst, Metric.ENGAGEMENT, s, 2, 1, np.random.default_rng(5))
+        b = simulate_rounds(inst, Metric.ENGAGEMENT, s, 2, 1, np.random.default_rng(5))
+        for field in ("user_type", "winner", "consumed", "engagement", "quality",
+                      "user_utility"):
+            assert getattr(a, field).tolist() == getattr(b, field).tolist()
+
+
+def pick(inst, metric, q, x, ts, seed):
+    """_pick_winners and the brute-force oracle on the same uniform stream."""
+    q, x, ts = (np.asarray(a, dtype=float) for a in (q, x, ts))
+    got = _pick_winners(inst, metric, q, x, ts, np.random.default_rng(seed))
+    uniforms = np.random.default_rng(seed).random(len(ts))
+    want = brute_force_winners(inst, metric.value, q.tolist(), x.tolist(),
+                               ts.tolist(), uniforms.tolist(),
+                               ELIGIBILITY_ATOL, TIE_RTOL)
+    return got.tolist(), want
+
+
+class TestPickWinners:
+    # values on a coarse grid, so rows often hold exact ties and contents on
+    # the edge of eligibility (u = q - x / t + 1 = 0)
+    grid = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), P=st.integers(1, 5), n=st.integers(1, 12),
+           metric=st.sampled_from(list(Metric)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_brute_force_oracle(self, data, P, n, metric, seed):
+        inst = linear(1.0, types=(0.5, 1.0, 2.0))
+        q = data.draw(st.lists(st.lists(self.grid, min_size=P, max_size=P),
+                               min_size=n, max_size=n))
+        x = data.draw(st.lists(st.lists(self.grid, min_size=P, max_size=P),
+                               min_size=n, max_size=n))
+        ts = data.draw(st.lists(st.sampled_from(inst.types), min_size=n, max_size=n))
+        got, want = pick(inst, metric, q, x, ts, seed)
+        assert got == want
+
+    def test_eligibility_edge_at_atol(self):
+        # u = -x_excess for content (0, 1 + x_excess) at t = 1
+        inst = linear(1.0)
+        inside, outside = 1.0 + 0.5 * ELIGIBILITY_ATOL, 1.0 + 2.0 * ELIGIBILITY_ATOL
+        got, want = pick(inst, Metric.ENGAGEMENT, [[0.0], [0.0]],
+                         [[inside], [outside]], [1.0, 1.0], 0)
+        assert got == want == [0, -1]
+
+    def test_scores_within_tie_rtol_tie(self):
+        inst = linear(1.0)
+        near, far = 1.0 + 0.5 * TIE_RTOL, 1.0 + 10.0 * TIE_RTOL
+        q = [[1.0, near]] * 200 + [[1.0, far]] * 200
+        got, want = pick(inst, Metric.INVESTMENT, q, [[0.0, 0.0]] * 400,
+                         [1.0] * 400, 3)
+        assert got == want
+        assert set(got[:200]) == {0, 1}
+        assert set(got[200:]) == {1}
+
+    def test_minus_one_when_nothing_eligible(self):
+        inst = linear(1.0, types=(1.0, 2.0))
+        for metric in Metric:
+            got, want = pick(inst, metric, [[0.0, 0.0, 0.5]] * 3,
+                             [[2.5, 5.0, 4.0]] * 3, [1.0, 2.0, 1.0], 1)
+            assert got == want == [-1, -1, -1]
+
+    def test_tie_shares_uniform_in_frequency(self):
+        # three eligible columns tie at the top; the fourth scores lower
+        inst = linear(1.0)
+        n = 30000
+        q = np.tile([0.5, 0.7, 0.7, 0.7], (n, 1))
+        got, want = pick(inst, Metric.INVESTMENT, q, np.zeros((n, 4)), np.ones(n), 9)
+        assert got == want
+        freq = np.bincount(got, minlength=4) / n
+        assert freq[0] == 0.0
+        assert np.all(np.abs(freq[1:] - 1 / 3) < 4 * math.sqrt(2 / 9 / n))

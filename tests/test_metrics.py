@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
     KMR,
@@ -52,6 +53,28 @@ class TestEstimateContainers:
         assert est.mean == pytest.approx(data.mean(), abs=1e-12)
         assert est.stderr == pytest.approx(data.std(ddof=1) / math.sqrt(len(data)),
                                            abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(batches=st.lists(st.lists(st.floats(-1e6, 1e6), max_size=8),
+                            min_size=1, max_size=8),
+           data=st.data())
+    def test_running_moments_merge_order_invariant(self, batches, data):
+        def merged(order):
+            total = RunningMoments()
+            for i in order:
+                part = RunningMoments()
+                part.add_samples(np.array(batches[i], dtype=float))
+                total.merge(part)
+            return total
+
+        ref = merged(range(len(batches)))
+        other = merged(data.draw(st.permutations(range(len(batches)))))
+        values = [v for b in batches for v in b]
+        scale = max([1.0] + [abs(v) for v in values])
+        assert other.n == ref.n == len(values)
+        assert other.mean == pytest.approx(ref.mean, rel=1e-9, abs=1e-12 * scale)
+        assert other.m2 == pytest.approx(
+            ref.m2, rel=1e-9, abs=1e-12 * scale ** 2 * max(1, len(values)))
 
     def test_running_moments_nan_variance_propagates(self):
         with np.errstate(invalid="ignore"):

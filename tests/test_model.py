@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
     KMR,
@@ -51,6 +52,10 @@ class TestDomainTypes:
             LinearTwitter(alpha=1.0, gamma=1.0)
         with pytest.raises(ValueError):
             KMR(W=0.0)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            LinearTwitter(alpha=float("inf"))
+        with pytest.raises(ValueError, match="W must be finite"):
+            KMR(W=float("inf"))
 
     def test_cost_zero_at_origin_exactly(self):
         assert linear(0.3, 0.7).cost(0.0, 0.0) == 0.0
@@ -146,6 +151,58 @@ class TestInducedCost:
                 a_t = float(params.coefficient(t))
                 expected = max(0.0, a_t * (m + params.shift) - 1.0)
                 assert inst.induced_cost(t, m) == pytest.approx(expected, abs=1e-9)
+
+
+def _curve_families():
+    gammas = st.one_of(st.just(0.0), st.floats(0.0, 0.95))
+    return st.one_of(
+        st.builds(LinearTwitter, st.floats(-0.95, 5.0), gammas),
+        st.builds(KMR, st.floats(0.01, 10.0), gammas))
+
+
+class TestCurveInverse:
+    """curve_x_for_engagement and curve_x_for_cost invert the polylines."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=_curve_families(), t=st.floats(0.05, 20.0),
+           above=st.floats(0.0, 50.0), below=st.floats(0.0, 50.0))
+    def test_engagement_round_trip(self, family, t, above, below):
+        inst = ModelInstance(family, TypeSpace.of([t]))
+        floor = inst.engagement_floor(t)
+        x = inst.curve_x_for_engagement(t, floor + above)
+        assert x >= 0.0
+        assert float(inst.curve_engagement(t, x)) == pytest.approx(
+            floor + above, rel=1e-9, abs=1e-9)
+        assert inst.curve_x_for_engagement(t, floor - below) == 0.0
+        both = inst.curve_x_for_engagement(t, np.array([floor - below, floor + above]))
+        assert both.tolist() == [0.0, x]
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=_curve_families(), t=st.floats(0.05, 20.0),
+           above=st.floats(0.0, 50.0), below=st.floats(0.0, 50.0))
+    def test_cost_round_trip(self, family, t, above, below):
+        inst = ModelInstance(family, TypeSpace.of([t]))
+        start = float(inst.curve_cost(t, 0.0))
+        x = inst.curve_x_for_cost(t, start + above)
+        assert x >= 0.0
+        assert float(inst.curve_cost(t, x)) == pytest.approx(
+            start + above, rel=1e-9, abs=1e-9)
+        # at or below the curve start the inverse is the origin, also where
+        # the cost is flat at zero over the zero-quality stretch
+        assert inst.curve_x_for_cost(t, start - below) == 0.0
+
+    @pytest.mark.parametrize("inst, t, m", [
+        (linear(0.6, 0.3, types=(1.5,)), 1.5, 0.5),  # inside the zero-quality stretch
+        (linear(0.6, 0.3, types=(1.5,)), 1.5, 2.5),
+        (linear(-0.4, 0.5, types=(0.8,)), 0.8, 3.0),
+        (kmr(2.0, 0.25, types=(1.2,)), 1.2, 4.0),
+    ])
+    def test_induced_cost_with_costly_gaming_against_grid_oracle(self, inst, t, m):
+        got = inst.induced_cost(t, m)
+        oracle = grid_min_induced_cost(inst, t, m)
+        # the grid step is 2.5e-5 and the curve cost rises at most gamma + 1/t
+        step_cost = (inst.family.gamma + 1.0 / t) * 2.5e-5
+        assert got - 1e-12 <= oracle <= got + step_cost
 
 
 class TestLinearityParams:
