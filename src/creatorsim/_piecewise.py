@@ -45,16 +45,27 @@ class PiecewiseLinearCdf:
         return out if out.ndim else float(out)
 
     def ppf(self, q) -> np.ndarray:
-        """Smallest x with F(x) >= q, vectorized over q in [0, 1]."""
+        """Smallest x with F(x) >= q, vectorized over q in [0, 1].
+
+        The segment is found by comparing q with F at the breakpoints, as
+        ``cdf`` computes it, so rounding in ``q ** (1 / exponent)`` cannot
+        carry q = F(xs[k]) past a flat stretch that starts at xs[k].
+        """
         q = np.asarray(q, dtype=float)
-        target = q ** (1.0 / self.exponent) if self.exponent != 1.0 else q
-        idx = np.searchsorted(self.ys, target, side="left")
+        if self.exponent == 1.0:
+            target, levels = q, self.ys
+        else:
+            target, levels = q ** (1.0 / self.exponent), self.ys ** self.exponent
+        idx = np.searchsorted(levels, q, side="left")
         idx = np.clip(idx, 0, len(self.xs) - 1)
         lo = np.maximum(idx - 1, 0)
         y0, y1 = self.ys[lo], self.ys[idx]
         x0, x1 = self.xs[lo], self.xs[idx]
         rise = y1 - y0
         frac = np.where(rise > 0.0, (target - y0) / np.where(rise > 0.0, rise, 1.0), 0.0)
+        if self.exponent != 1.0:
+            # target may round just outside the segment that levels bracket
+            frac = np.clip(frac, 0.0, 1.0)
         x = x0 + frac * (x1 - x0)
         x = np.where(idx == 0, self.xs[0], x)
         return x if x.ndim else float(x)

@@ -63,6 +63,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _non_finite_key(value, where: str = "") -> str | None:
+    """Path of the first NaN or infinity in a loaded JSON value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where.lstrip(".")
+    children = []
+    if isinstance(value, dict):
+        children = [(f"{where}.{k}", v) for k, v in value.items()]
+    elif isinstance(value, list):
+        children = [(f"{where}[{i}]", v) for i, v in enumerate(value)]
+    for path, child in children:
+        found = _non_finite_key(child, path)
+        if found:
+            return found
+    return None
+
+
 def resolve_config(cfg: dict, args: argparse.Namespace,
                    min_samples: int = 0) -> dict:
     """Merge CLI overrides into the config, fill defaults and validate both.
@@ -91,6 +107,13 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
         raise ConfigError("seed must be a nonnegative integer")
     if not _is_int(out["samples"]) or out["samples"] < min_samples:
         raise ConfigError(f"samples must be an integer >= {min_samples}")
+    if not isinstance(out.get("output", ""), str):
+        raise ConfigError("output must be a string (a directory path)")
+    try:
+        json.dumps(out, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"{_non_finite_key(out)} must be finite: "
+                          "NaN and Infinity are not JSON numbers")
     if getattr(args, "grid", 2) < 2:
         raise ConfigError("--grid must be >= 2")
     if getattr(args, "threads", 1) < 1:

@@ -14,6 +14,7 @@ eligibility and biases every estimate.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -130,17 +131,22 @@ class OpponentPool:
     """One draw of the opponent landscape for payoff estimates: n samples,
     each of P-1 opponent contents and one user type.
 
-    The opponents' eligibility-masked scores are computed once, so a payoff
-    evaluation is a few reductions over the (n, P-1) score array with no
-    sampling, and every content evaluated on one pool faces the same draws
-    (common random numbers).
+    The opponents' eligibility-masked scores are computed once, and the rows
+    are sorted once, by user type and then by best opponent score (``top``).
+    A content with score s0 and tie band b then wins a row of a type that
+    accepts it outright when the row's top is below s0 - b, shares the win
+    with the opponents tied with it when the top is within s0 ± b, and loses
+    otherwise. So scoring a content is two ``searchsorted`` cuts per type
+    plus a look at the rows between them, with no sampling, and every
+    content scored on one pool faces the same draws (common random numbers).
     """
 
     inst: ModelInstance
     metric: Metric
-    user_type: np.ndarray  # (n,)
     scores: np.ndarray  # (n, P-1), -inf where the user rejects the opponent
-    top: np.ndarray  # (n,) best opponent score per sample
+    order: np.ndarray  # (n,) rows sorted by user type, then by top
+    sorted_top: np.ndarray  # (n,) top of each row in ``order``
+    type_start: np.ndarray  # (T+1,) where each type's rows begin in ``order``
 
     @classmethod
     def draw(cls, inst: ModelInstance, metric: Metric,
@@ -152,9 +158,42 @@ class OpponentPool:
             raise ValueError("P must be >= 2")
         opp = opponent_strategy.sample(rng, n * (P - 1)).reshape(n, P - 1, 2)
         ts = inst.type_space.draw(rng, n)
-        scores = eligible_scores(inst, metric, opp[:, :, 0], opp[:, :, 1],
-                                 ts[:, None])
-        return cls(inst, metric, ts, scores, scores.max(axis=1))
+        return cls.of(inst, metric, opp[:, :, 0], opp[:, :, 1], ts)
+
+    @classmethod
+    def of(cls, inst: ModelInstance, metric: Metric, q: np.ndarray,
+           x: np.ndarray, ts: np.ndarray) -> "OpponentPool":
+        """The pool of given opponents: row i holds contents
+        ``(q[i, j], x[i, j])`` facing a user of type ``ts[i]``, which must be
+        one of ``inst.types``."""
+        scores = eligible_scores(inst, metric, q, x, ts[:, None])
+        top = scores.max(axis=1)
+        kind = np.searchsorted(inst.types, ts)
+        order = np.lexsort((top, kind))
+        type_start = np.searchsorted(kind[order], np.arange(len(inst.types) + 1))
+        return cls(inst, metric, scores, order, top[order], type_start)
+
+    def _cuts(self, q: np.ndarray, x: np.ndarray):
+        """Tie floor s0 - band of each content ``(q[i], x[i])`` and, per
+        type, the ``order`` positions ``start <= lo <= hi`` that split the
+        type's rows into outright wins, tie-band rows and losses. Types that
+        reject the content get ``lo = hi = start``: no row of theirs wins."""
+        s0 = np.asarray(metric_score(self.inst, self.metric, q, x), dtype=float)
+        band = _tie_band(s0)
+        floor, ceil = s0 - band, s0 + band
+        accepts = is_eligible(self.inst, q[:, None], x[:, None],
+                              np.asarray(self.inst.types))
+        start = np.broadcast_to(self.type_start[:-1], accepts.shape)
+        lo, hi = np.empty_like(start), np.empty_like(start)
+        for k, (a, b) in enumerate(zip(self.type_start[:-1], self.type_start[1:])):
+            seg = self.sorted_top[a:b]
+            lo[:, k] = a + np.searchsorted(seg, floor, side="left")
+            hi[:, k] = a + np.searchsorted(seg, ceil, side="right")
+        return floor, start, np.where(accepts, lo, start), np.where(accepts, hi, start)
+
+    def _tied(self, lo: int, hi: int, floor: float) -> np.ndarray:
+        """Opponents within the tie band, per row of ``order[lo:hi]``."""
+        return (self.scores[self.order[lo:hi]] >= floor).sum(axis=1)
 
     def payoffs(self, w: Content) -> np.ndarray:
         """Per-sample payoff of playing ``w``: the probability that it is
@@ -164,14 +203,39 @@ class OpponentPool:
         never wins; ties among eligible argmax contents contribute their
         exact uniform share.
         """
-        s0 = float(metric_score(self.inst, self.metric, np.array(w.w_costly),
-                                np.array(w.w_cheap)))
-        band = _tie_band(s0)
-        wins = (is_eligible(self.inst, w.w_costly, w.w_cheap, self.user_type)
-                & (self.top <= s0 + band))
-        tied = (self.scores >= s0 - band).sum(axis=1)
-        share = np.where(wins, 1.0 / (1.0 + tied), 0.0)
+        floor, start, lo, hi = self._cuts(np.array([w.w_costly]),
+                                          np.array([w.w_cheap]))
+        share = np.zeros(len(self.order))
+        for a, l, h in zip(start[0], lo[0], hi[0]):
+            share[self.order[a:l]] = 1.0
+            share[self.order[l:h]] = 1.0 / (1.0 + self._tied(l, h, floor[0]))
         return share - float(self.inst.cost(w.w_costly, w.w_cheap))
+
+    def estimates(self, contents: Sequence[Content]) -> tuple[MetricEstimate, ...]:
+        """``MetricEstimate.from_samples(self.payoffs(w))`` for each content,
+        up to rounding, without a per-sample vector: a row's share is one of
+        1, 1/2, ..., 1/P or 0, so the mean and the centred sum of squares
+        follow from how many rows take each value."""
+        q = np.array([w.w_costly for w in contents], dtype=float)
+        x = np.array([w.w_cheap for w in contents], dtype=float)
+        floor, start, lo, hi = self._cuts(q, x)
+        n, P = len(self.order), self.scores.shape[1] + 1
+        counts = np.zeros((len(q), P))  # rows whose share is 1 / (1 + column)
+        counts[:, 0] = (lo - start).sum(axis=1)
+        tie_counts = {}  # contents with equal scores share their tie-band rows
+        for i, k in zip(*np.nonzero(hi > lo)):
+            key = (int(lo[i, k]), int(hi[i, k]), float(floor[i]))
+            if key not in tie_counts:
+                tie_counts[key] = np.bincount(self._tied(*key), minlength=P)
+            counts[i] += tie_counts[key]
+        shares = 1.0 / (1.0 + np.arange(P))
+        mean = counts @ shares / n
+        m2 = (counts * (shares - mean[:, None]) ** 2).sum(axis=1) \
+            + (n - counts.sum(axis=1)) * mean ** 2
+        stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(len(q))
+        cost = np.asarray(self.inst.cost(q, x), dtype=float)
+        return tuple(MetricEstimate(float(m - c), float(se), n)
+                     for m, c, se in zip(mean, cost, stderr))
 
 
 def expected_creator_utility(inst: ModelInstance, metric: Metric, w: Content,

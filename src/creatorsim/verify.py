@@ -10,7 +10,11 @@ Carlo noise allows.
 Every candidate and probe is evaluated against one shared pool of opponent
 and user-type draws (common random numbers), so the gap is measured on
 paired samples and its standard error comes from the per-sample
-differences rather than from two independent marginal errors.
+differences rather than from two independent marginal errors. The pool is
+sorted once by user type and best opponent score, so a deviation's payoff
+is a rank query: where its score falls among each accepting type's rows.
+Grid candidates are scored from counts of rows per win share, with no
+per-sample vector; only the probes and the argmax candidate build one.
 """
 
 from __future__ import annotations
@@ -95,21 +99,25 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
 
     ``n_probes`` probe points are drawn from the strategy, then one pool of
     ``n_per_candidate`` opponent landscapes and user types; every candidate
-    and probe is scored on that same pool. The equilibrium utility is the
-    probe average, per sample. The gap's standard error is that of the
+    and probe is scored on that same pool. Grid candidates are scored all
+    at once by ``OpponentPool.estimates``: two ``searchsorted`` cuts per
+    user type on the sorted pool, and counts of the rows taking each win
+    share 1, 1/2, ..., 1/P or 0. The equilibrium utility is the probe
+    average, per sample. The gap's standard error is that of the
     per-sample differences between the argmax candidate's payoff and the
     probe average; near an equilibrium the two are positively correlated,
-    so it is below the two marginal errors combined. Memory stays
-    O(n_per_candidate * P): only the probe-sum vector is kept, and the
-    argmax candidate is scored again.
+    so it is below the two marginal errors combined. The argmax candidate
+    is scored again per sample by ``OpponentPool.payoffs``, and that
+    estimate replaces its counted one in the report. Memory stays
+    O(n_per_candidate * P + candidates * P): the pool and its sort order,
+    the probe-sum vector and the per-candidate share counts.
     """
     candidates = candidate_deviations(inst, grid_k)
     probe_draws = strategy.sample(rng, n_probes)
     probes = [Content(float(q), float(x)) for q, x in probe_draws]
     pool = OpponentPool.draw(inst, metric, strategy, P, n_per_candidate, rng)
 
-    cand_utils = tuple(MetricEstimate.from_samples(pool.payoffs(c))
-                       for c in candidates)
+    cand_utils = pool.estimates(candidates)
     probe_sum = np.zeros(n_per_candidate)
     probe_utils = []
     for c in probes:
@@ -120,9 +128,10 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     eq = MetricEstimate.from_samples(eq_samples)
 
     best_i = int(np.argmax([e.mean for e in cand_utils]))
-    best = cand_utils[best_i]
-    paired = MetricEstimate.from_samples(pool.payoffs(candidates[best_i])
-                                         - eq_samples)
+    best_payoffs = pool.payoffs(candidates[best_i])
+    best = MetricEstimate.from_samples(best_payoffs)
+    cand_utils = cand_utils[:best_i] + (best,) + cand_utils[best_i + 1:]
+    paired = MetricEstimate.from_samples(best_payoffs - eq_samples)
     return BestResponseReport(
         eq_utility=eq,
         best_deviation_utility=best,

@@ -78,3 +78,35 @@ def brute_force_winners(inst, metric, q, x, ts, uniforms, atol, rtol) -> list[in
         tied = [j for j, s in scores.items() if s >= best - rtol * max(1.0, abs(best))]
         winners.append(tied[min(int(u * len(tied)), len(tied) - 1)])
     return winners
+
+
+def brute_force_payoffs(inst, metric, q, x, ts, w, atol, rtol) -> list[float]:
+    """Payoff of content ``w = (q0, x0)`` in each row, one row and one
+    opponent at a time.
+
+    Row i pits ``w`` against opponents ``(q[i][j], x[i][j])`` for a user of
+    type ``ts[i]``. Eligible contents have utility >= -atol. With s0 the
+    score of ``w`` and ``band = rtol * max(1, |s0|)``, an eligible ``w``
+    wins nothing when an eligible opponent scores above ``s0 + band``, and
+    otherwise wins ``1 / (1 + k)``, where k eligible opponents score at least
+    ``s0 - band``. The payoff is that share minus the creation cost of ``w``.
+    """
+    q0, x0 = w
+
+    def score(a, b):
+        return {"engagement": float(inst.engagement(a, b)),
+                "investment": a, "random": 1.0}[metric]
+
+    s0 = score(q0, x0)
+    band = rtol * max(1.0, abs(s0))
+    cost = float(inst.cost(q0, x0))
+    out = []
+    for row_q, row_x, t in zip(q, x, ts):
+        share = 0.0
+        if float(inst.utility(q0, x0, t)) >= -atol:
+            rivals = [score(a, b) for a, b in zip(row_q, row_x)
+                      if float(inst.utility(a, b, t)) >= -atol]
+            if all(s <= s0 + band for s in rivals):
+                share = 1.0 / (1 + sum(s >= s0 - band for s in rivals))
+        out.append(share - cost)
+    return out

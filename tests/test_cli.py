@@ -195,6 +195,33 @@ def test_non_finite_or_boolean_model_parameter_exits_two(tmp_path, capsys, comma
     assert list(tmp_path.glob("*.json")) == [path]
 
 
+@pytest.mark.parametrize("command", ["verify", "describe"])
+@pytest.mark.parametrize("note, where", [
+    (float("inf"), "note"),
+    ({"runs": [1.0, float("nan")]}, "note.runs[1]"),
+])
+def test_non_finite_config_value_exits_two(tmp_path, capsys, command, note, where):
+    # an unknown key is echoed into every artifact, which must stay standard JSON
+    path, _ = write_config(tmp_path, samples=100, note=note)
+    argv = [command, "--config", str(path), "--out", str(tmp_path)]
+    if command == "verify":
+        argv += ["--grid", "5"]
+    assert main(argv) == 2
+    assert f"{where} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.json")) == [path]
+
+
+@pytest.mark.parametrize("command", ["check-model", "sample", "describe",
+                                     "verify", "metrics"])
+@pytest.mark.parametrize("output", [5, True])
+def test_non_string_output_exits_two(tmp_path, monkeypatch, capsys, command, output):
+    monkeypatch.chdir(tmp_path)
+    path, _ = write_config(tmp_path, samples=10, output=output)
+    assert main([command, "--config", str(path)]) == 2
+    assert "output must be a string" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--threads", "2"],
     ["check-model", "--seed", "1"],

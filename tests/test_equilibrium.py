@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
     KMR,
@@ -27,6 +28,7 @@ from creatorsim.equilibrium import (
     two_type_case,
     well_separated_weights,
 )
+from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim.metrics import homogeneous_quality_cdf
 
 
@@ -446,3 +448,47 @@ class TestFiniteNEngagementCdf:
         pts = s.sample(np.random.default_rng(40 + N), 100000)
         shifted = np.asarray(inst.engagement(pts[:, 0], pts[:, 1])) + 1.0
         assert ks_distance(shifted, self.finite_cdf(N, 0.01)) <= 0.01
+
+
+@st.composite
+def piecewise_cdfs(draw):
+    """CDFs with an atom at xs[0] (ys[0] > 0) or not, flat gaps (zero-mass
+    segments), exponents other than 1, and breakpoints that round."""
+    k = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.sampled_from([0.1, 0.25, 0.3, 1.0, 1.7]),
+                           min_size=k, max_size=k))
+    masses = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0]),
+                           min_size=k + 1, max_size=k + 1))
+    if sum(masses[1:]) == 0.0:
+        masses[-1] = 1.0
+    xs = draw(st.sampled_from([-0.5, 0.0, 0.3])) + np.cumsum([0.0] + widths)
+    ys = np.cumsum(masses) / sum(masses)
+    ys[-1] = 1.0
+    return PiecewiseLinearCdf(xs, ys, draw(st.sampled_from([1.0, 0.5, 1 / 3, 0.25, 2.0])))
+
+
+class TestPiecewiseLinearCdf:
+    @settings(max_examples=500, deadline=None)
+    @given(cdf=piecewise_cdfs(), qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_ppf_is_monotone_generalised_inverse(self, cdf, qs):
+        q = np.sort(qs)
+        x = cdf.ppf(q)
+        assert np.all(np.diff(x) >= 0.0)
+        # F(ppf(q)) >= q, up to rounding of ppf(q) itself
+        assert np.all(cdf.cdf(x + 1e-12 * np.maximum(1.0, np.abs(x))) >= q)
+
+    @settings(max_examples=500, deadline=None)
+    @given(cdf=piecewise_cdfs())
+    def test_ppf_lands_on_left_end_of_flat_gaps_and_atom(self, cdf):
+        for level in np.unique(cdf.ys):
+            first = int(np.nonzero(cdf.ys == level)[0][0])
+            q = cdf.cdf(cdf.xs[first:first + 1])
+            assert cdf.ppf(q)[0] == pytest.approx(cdf.xs[first], rel=1e-12, abs=1e-12)
+        atom = cdf.cdf(cdf.xs[:1])[0]
+        assert np.all(cdf.ppf(np.linspace(0.0, atom, 7)) == cdf.xs[0])
+
+    def test_tiny_quantile_skips_leading_zero_stretch(self):
+        # q ** 2 underflows to 0, which must not map into the zero-mass [0, 0.1]
+        cdf = PiecewiseLinearCdf(np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.0, 1.0]), 0.5)
+        assert cdf.ppf(1e-300) == 0.1
+        assert cdf.ppf(0.0) == 0.0

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
+    KMR,
     Content,
     LinearTwitter,
+    MetricEstimate,
     Metric,
     ModelInstance,
     TypeSpace,
@@ -19,10 +21,11 @@ from creatorsim.equilibrium import AtomComponent, MixedStrategy
 from creatorsim.game import (
     ELIGIBILITY_ATOL,
     TIE_RTOL,
+    OpponentPool,
     _pick_winners,
     metric_score,
 )
-from oracles import brute_force_winners
+from oracles import brute_force_payoffs, brute_force_winners
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -268,3 +271,64 @@ class TestPickWinners:
         freq = np.bincount(got, minlength=4) / n
         assert freq[0] == 0.0
         assert np.all(np.abs(freq[1:] - 1 / 3) < 4 * math.sqrt(2 / 9 / n))
+
+
+class TestOpponentPoolReductions:
+    # a coarse grid, so rows hold exact ties, scores within TIE_RTOL of each
+    # other or exactly on the edge of the tie band around 1, and contents
+    # just inside or just outside eligibility (u = q - x + 1 at t = 1)
+    q_grid = st.sampled_from([0.0, 0.5, 1.0 - TIE_RTOL, 1.0, 1.0 + 0.5 * TIE_RTOL,
+                              1.0 + TIE_RTOL, 1.5, 2.0, 3.0])
+    x_grid = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.0 + 0.5 * ELIGIBILITY_ATOL,
+                              2.0 + 2.0 * ELIGIBILITY_ATOL, 3.0, 4.0])
+
+    @staticmethod
+    def check(pool, inst, metric, q, x, ts, contents):
+        for w, est in zip(contents, pool.estimates(contents)):
+            payoffs = pool.payoffs(w)
+            assert payoffs.tolist() == brute_force_payoffs(
+                inst, metric.value, q, x, ts, (w.w_costly, w.w_cheap),
+                ELIGIBILITY_ATOL, TIE_RTOL)
+            ref = MetricEstimate.from_samples(payoffs)
+            assert est.n == ref.n == len(ts)
+            assert abs(est.mean - ref.mean) <= 1e-12
+            assert abs(est.stderr - ref.stderr) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), P=st.integers(2, 5), n=st.integers(1, 12),
+           metric=st.sampled_from(list(Metric)),
+           family=st.sampled_from([LinearTwitter(1.0, 0.3), KMR(1.0, 0.3)]),
+           types=st.sets(st.sampled_from([0.5, 1.0, 2.0]), min_size=1))
+    def test_scatter_and_counts_match_oracle(self, data, P, n, metric, family, types):
+        inst = ModelInstance(family, TypeSpace.of(sorted(types)))
+
+        def rows(grid):
+            return data.draw(st.lists(st.lists(grid, min_size=P - 1, max_size=P - 1),
+                                      min_size=n, max_size=n))
+
+        q, x = rows(self.q_grid), rows(self.x_grid)
+        ts = data.draw(st.lists(st.sampled_from(inst.types), min_size=n, max_size=n))
+        contents = data.draw(st.lists(st.builds(Content, self.q_grid, self.x_grid),
+                                      min_size=1, max_size=6))
+        pool = OpponentPool.of(inst, metric, np.array(q), np.array(x), np.array(ts))
+        self.check(pool, inst, metric, q, x, ts, contents)
+
+    def test_single_row_has_zero_stderr(self):
+        inst = linear(1.0, 0.3, types=(1.0, 2.0))
+        q, x, ts = [[1.0, 0.5]], [[0.0, 1.0]], [2.0]
+        contents = [Content(1.0, 0.0), Content(0.0, 0.0), Content(0.0, 4.0)]
+        for metric in Metric:
+            pool = OpponentPool.of(inst, metric, np.array(q), np.array(x), np.array(ts))
+            self.check(pool, inst, metric, q, x, ts, contents)
+            assert [e.stderr for e in pool.estimates(contents)] == [0.0] * 3
+
+    def test_all_ineligible_rows(self):
+        # no opponent is acceptable, so eligible content wins every row alone
+        inst = linear(1.0, 0.0, types=(0.5, 1.0))
+        q, x, ts = [[0.0, 0.5]] * 4, [[3.0, 4.0]] * 4, [0.5, 1.0, 1.0, 0.5]
+        for metric in Metric:
+            pool = OpponentPool.of(inst, metric, np.array(q), np.array(x), np.array(ts))
+            self.check(pool, inst, metric, q, x, ts, [Content(0.0, 0.0)])
+            assert pool.payoffs(Content(0.0, 0.0)).tolist() == [1.0] * 4
+            # acceptable to type 1 only
+            assert pool.payoffs(Content(0.0, 1.0)).tolist() == [0.0, 1.0, 1.0, 0.0]

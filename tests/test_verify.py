@@ -186,6 +186,26 @@ class TestSharedOpponentPool:
                           n_per_candidate=400, rng=np.random.default_rng(0))
         assert calls == [32, 400 * 2]
 
+    @pytest.mark.parametrize("grid_k", [2, 10, 60])
+    def test_candidates_are_count_scored(self, grid_k, monkeypatch):
+        # per-sample payoff vectors only for the probes and the argmax
+        calls = []
+        original = OpponentPool.payoffs
+
+        def spy(self, w):
+            calls.append(w)
+            return original(self, w)
+
+        monkeypatch.setattr(OpponentPool, "payoffs", spy)
+        inst = linear(1.0, 0.0, types=(1.0, 1.9))
+        s = engagement_eq_two_types(inst)
+        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=grid_k,
+                                n_per_candidate=400, rng=np.random.default_rng(0),
+                                n_probes=8)
+        assert len(rep.candidates) == 1 + 2 * grid_k
+        assert len(calls) <= 8 + 1
+        assert calls[-1] == rep.argmax_candidate
+
     def test_combined_stderr_is_paired_difference_stderr(self):
         inst = linear(1.0, 0.0, types=(1.0, 1.9))
         s = engagement_eq_two_types(inst)
