@@ -47,10 +47,14 @@ class ConfigError(ValueError):
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -166,7 +170,11 @@ def _out_dir(args, cfg: dict | None = None) -> Path:
     out = Path(getattr(args, "out", None)
                or (cfg or {}).get("output")
                or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the output directory: "
+                          f"{exc.strerror}")
     return out
 
 
@@ -274,6 +282,12 @@ def cmd_empirics(args) -> int:
         records = emp.load_records(args.data)
     except FileNotFoundError:
         raise ConfigError(f"data file not found: {args.data}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {args.data}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"data file {args.data} is not UTF-8: {exc}")
+    except csv.Error as exc:
+        raise ConfigError(f"data file {args.data} is not readable CSV: {exc}")
     except emp.RecordParseError as exc:
         raise ConfigError(str(exc))
     out = _out_dir(args)

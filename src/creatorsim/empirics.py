@@ -8,11 +8,16 @@ favorites the role of quality.
 
 The survey is held column by column in a :class:`Survey`: feed and genre
 as int8 codes into ``FEEDS`` and ``GENRES``, angriness and favorites as
-int64. ``load_records`` fills the columns in one pass over the CSV rows;
-``TweetRecord`` validates only the rows that fail that pass, so malformed
-rows are reported exactly as the record validator words them. Every
-analysis selects its feed, genre and angriness slice with boolean masks
-over the columns, and also accepts a sequence of ``TweetRecord``, which it
+int64. ``load_records`` reads the file once and builds the columns from
+one numpy scan over its bytes when the file is canonical: LF line ends
+only, unpadded fields, plain digits (the grammar is in its docstring).
+Any other file, CRLF exports such as ``csv.writer``'s default output
+included, goes through a per-row ``csv`` loop over the same bytes, which
+gives the same columns wherever the scan applies; ``TweetRecord``
+validates only the rows that fail that loop, so malformed rows are
+reported exactly as the record validator words them. Every analysis
+selects its feed, genre and angriness slice with boolean masks over the
+columns, and also accepts a sequence of ``TweetRecord``, which it
 converts once. Mid-ranks are computed with numpy; scipy is used only for
 the Student t tail (``scipy.special.stdtr``), and the CLI imports this
 module only when the ``empirics`` command runs.
@@ -21,6 +26,7 @@ module only when the ``empirics`` command runs.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +43,9 @@ CSV_HEADER = ["feed", "genre", "angriness", "favorites"]
 _FEED_CODES = {f: i for i, f in enumerate(FEEDS)}
 _GENRE_CODES = {g: i for i, g in enumerate(GENRES)}
 _INT64_MAX = 2 ** 63 - 1
+_HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
+_MAX_DIGITS = 18  # every 18-digit count fits in int64
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
 class RecordParseError(ValueError):
@@ -114,9 +123,69 @@ def _row_problem(row: list[str]) -> str:
 
 
 def load_records(path) -> Survey:
-    """Parse a record CSV; malformed rows are rejected with line numbers."""
-    path = Path(path)
-    with open(path, newline="") as fh:
+    """Parse a UTF-8 record CSV; malformed rows are rejected with line numbers.
+
+    A canonical file is parsed by one scan over its bytes: the header line
+    is exactly ``feed,genre,angriness,favorites``, and every later line
+    matches ``^(E|C),(P|NP),[0-4],[0-9]{1,18}$`` and ends in ``\n``, or
+    ends the file. Every other file (padded or quoted fields, signs, CR or
+    CRLF line ends, blank lines, favorites of 19 or more digits, non-ASCII
+    bytes, malformed rows) goes through the ``csv`` row loop over the same
+    bytes, which gives the same columns on canonical files.
+    """
+    data = Path(path).read_bytes()
+    survey = _scan(data)
+    return survey if survey is not None else _load_rows(data)
+
+
+def _scan(data: bytes) -> Survey | None:
+    """The columns of a canonical record CSV, or None for any other file."""
+    if not data.startswith(_HEADER_LINE):
+        return None
+    body = np.frombuffer(data, dtype=np.uint8)[len(_HEADER_LINE):]
+    if len(body) == 0:
+        return _survey([])
+    ends = np.flatnonzero(body == ord("\n"))
+    n_digits = np.count_nonzero(body - np.uint8(ord("0")) < 10)
+    if body[-1] != ord("\n"):
+        ends = np.append(ends, len(body))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(body == ord(","))
+    if len(commas) != 3 * len(ends):
+        return None
+    # Row i of the comma triples lies inside line i once its first comma
+    # follows the line start and its last precedes the line end; the
+    # commas being sorted and three per line, each line then holds its own.
+    first, second, third = commas.reshape(-1, 3).T
+    np_genre = second - starts == 4
+    fav_len = ends - third - 1
+    if not (np.array_equal(first, starts + 1)
+            and np.all(np_genre | (second - starts == 3))
+            and np.array_equal(third, second + 2)
+            and fav_len.min() >= 1 and fav_len.max() <= _MAX_DIGITS):
+        return None
+    feed, angriness = body[starts], body[second + 1] - np.uint8(ord("0"))
+    if not (np.all((feed == ord("E")) | (feed == ord("C")))
+            and np.all(body[second - 1] == ord("P"))
+            and np.all(body[starts[np_genre] + 2] == ord("N"))
+            and angriness.max() <= 4
+            # the angriness byte is the only other digit of a line, so this
+            # holds exactly when every favorites byte is a digit
+            and n_digits == len(ends) + fav_len.sum()):
+        return None
+    seg = np.cumsum(fav_len) - fav_len
+    offset = np.arange(fav_len.sum()) - np.repeat(seg, fav_len)
+    digits = body[np.repeat(third + 1, fav_len) + offset] - np.uint8(ord("0"))
+    place = _POW10[np.repeat(fav_len - 1, fav_len) - offset]
+    return Survey(feed=(feed == ord("C")).astype(np.int8),
+                  genre=np_genre.astype(np.int8),
+                  angriness=angriness.astype(np.int64),
+                  favorites=np.add.reduceat(place * digits, seg))
+
+
+def _load_rows(data: bytes) -> Survey:
+    """The row loop: ``csv`` rows, each validated; malformed ones reported."""
+    with io.StringIO(data.decode("utf-8"), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -157,8 +226,10 @@ def _slice_mask(survey: Survey, feed: str, genres: set[str]) -> np.ndarray:
         raise ValueError(f"feed must be one of {FEEDS}")
     if not genres or not genres.issubset(GENRES):
         raise ValueError(f"genres must be a nonempty subset of {GENRES}")
-    return ((survey.feed == _FEED_CODES[feed])
-            & np.isin(survey.genre, [_GENRE_CODES[g] for g in genres]))
+    mask = survey.feed == _FEED_CODES[feed]
+    if len(genres) == 1:
+        mask &= survey.genre == _GENRE_CODES[next(iter(genres))]
+    return mask
 
 
 class Ecdf:
@@ -179,8 +250,9 @@ class Ecdf:
         return out if out.ndim else float(out)
 
     def step_points(self) -> tuple[np.ndarray, np.ndarray]:
-        uniq = np.unique(self.values)
-        return uniq, np.asarray(self(uniq), dtype=float)
+        # the cumulative counts are the right-side ``searchsorted`` ranks
+        uniq, counts = np.unique(self.values, return_counts=True)
+        return uniq, np.cumsum(counts) / len(self.values)
 
 
 def conditional_ecdf(data: SurveyData, a: int, feed: str,

@@ -331,8 +331,15 @@ def _polyline_inverse(xs: np.ndarray, ys: np.ndarray, tail: float,
     return the right end.
     """
     level = np.asarray(level, dtype=float)
-    x = np.where(level > ys[-1], xs[-1] + (level - ys[-1]) / tail,
-                 np.interp(level, ys, xs))
+    inner = np.interp(level, ys, xs)
+    if not np.all(np.isfinite(inner)):
+        # np.interp forms the slope dx/dy, which overflows on a segment that
+        # rises by a subnormal amount; the risen fraction of it does not
+        k = np.clip(np.searchsorted(ys, level) - 1, 0, len(ys) - 2)
+        frac = (level - ys[k]) / (ys[k + 1] - ys[k])
+        inner = np.where(np.isfinite(inner), inner,
+                         xs[k] + frac * (xs[k + 1] - xs[k]))
+    x = np.where(level > ys[-1], xs[-1] + (level - ys[-1]) / tail, inner)
     x = np.where(level <= ys[0], xs[0], x)
     return x if x.ndim else float(x)
 

@@ -222,6 +222,49 @@ def test_non_string_output_exits_two(tmp_path, monkeypatch, capsys, command, out
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+CONFIG_COMMANDS = ["check-model", "sample", "describe", "verify", "metrics"]
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("config, message", [
+    (".", "cannot read config file .: Is a directory"),
+    ("latin1.json", "is not UTF-8"),
+])
+def test_unreadable_config_exits_two(tmp_path, monkeypatch, capsys, command,
+                                     config, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes(b'{"note": "caf\xe9"}')
+    assert main([command, "--config", config, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, where", [
+    *((c, w) for c in CONFIG_COMMANDS for w in ("--out", "below", "output")),
+    ("empirics", "--out"), ("empirics", "below")])
+def test_output_path_not_a_directory_exits_two(tmp_path, capsys, command, where):
+    # "below" asks for a directory inside the file; "output" names the
+    # file in the config instead of on the command line
+    (tmp_path / "taken").write_text("a file")
+    out = tmp_path / "taken" / ("sub" if where == "below" else "")
+    if command == "empirics":
+        data = tmp_path / "records.csv"
+        data.write_text("feed,genre,angriness,favorites\n"
+                        + "".join(f"E,P,{a},{a}\n" for a in range(5)))
+        argv = [command, "--data", str(data)]
+    else:
+        extra = {"output": str(out)} if where == "output" else {}
+        path, _ = write_config(tmp_path, samples=10, **extra)
+        argv = [command, "--config", str(path)]
+        argv += ["--grid", "3"] if command == "verify" else []
+    argv += [] if where == "output" else ["--out", str(out)]
+    assert main(argv) == 2
+    assert (f"cannot use {out} as the output directory"
+            in capsys.readouterr().err)
+    assert (tmp_path / "taken").read_text() == "a file"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--threads", "2"],
     ["check-model", "--seed", "1"],
@@ -359,6 +402,49 @@ class TestEmpirics:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["empirics", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("data, message", [
+        (None, "cannot read data file"),  # a directory
+        (b"feed,genre,angriness,favorites\nE,P,1,\xff\n", "is not UTF-8"),
+        (b"feed,genre,angriness,favorites\nE,P,1," + b"1" * 200_000 + b"\n",
+         "is not readable CSV: field larger than field limit"),
+    ])
+    def test_unreadable_data_exits_two(self, tmp_path, capsys, data, message):
+        path = tmp_path / "records.csv"
+        if data is None:
+            path.mkdir()
+        else:
+            path.write_bytes(data)
+        assert main(["empirics", "--data", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_crlf_survey_piped_through_stdin(self, tmp_path):
+        # the scan declines CRLF, so the row loop parses it; a pipe can be
+        # read only once, so both must work from the same read
+        rows = [f"{f},{g},{a},{a * 7 + i}" for f in ("E", "C")
+                for g in ("P", "NP") for a in range(5) for i in range(3)]
+        lf = self.make_data(tmp_path, rows)
+        assert main(["empirics", "--data", str(lf),
+                     "--out", str(tmp_path / "lf")]) == 0
+        src = str(Path(creatorsim.__file__).resolve().parents[1])
+        run = ("import sys; from creatorsim.cli import main; "
+               "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", run, "empirics", "--data", "/dev/stdin",
+             "--out", str(tmp_path / "crlf")],
+            cwd=src, input=lf.read_bytes().replace(b"\n", b"\r\n"),
+            capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs = sorted(p.name for p in (tmp_path / "lf").iterdir())
+        assert len(outputs) == 31
+        for name in outputs:
+            # table1.csv names the data path
+            assert (tmp_path / "crlf" / name).read_text() == \
+                (tmp_path / "lf" / name).read_text().replace(
+                    f"# data: {lf}\n", "# data: /dev/stdin\n")
 
     def test_malformed_rows_exit_two(self, tmp_path, capsys):
         path = self.make_data(tmp_path, ["E,P,9,1"])

@@ -1,16 +1,22 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from creatorsim.empirics import (
+    FEEDS,
+    GENRES,
     EmptyConditionalError,
     RecordParseError,
     Survey,
     TweetRecord,
+    _load_rows,
     _midranks,
+    _scan,
     conditional_ecdf,
     load_records,
     spearman_rho,
@@ -112,6 +118,130 @@ class TestLoadRecords:
         ]
 
 
+HEADER = b"feed,genre,angriness,favorites"
+
+
+def row_loop(path):
+    return _load_rows(Path(path).read_bytes())
+
+
+def parse_outcome(load, path):
+    """What a loader makes of a file: columns with dtypes, or its error."""
+    try:
+        survey = load(path)
+    except RecordParseError as exc:
+        return ("problems", exc.problems)
+    except UnicodeDecodeError:
+        return ("not utf-8",)
+    return ("survey", [(col.dtype.str, col.tolist()) for col in
+                       (survey.feed, survey.genre, survey.angriness,
+                        survey.favorites)])
+
+
+canonical_favorites = st.one_of(
+    st.integers(0, 99).map(str),
+    st.integers(0, 10 ** 18 - 1).map(str),
+    st.integers(10 ** 17, 10 ** 18 - 1).map(str),  # 18 digits
+    st.sampled_from(["00", "007", "000000000000000000"]))
+canonical_fields = st.tuples(
+    st.sampled_from(FEEDS), st.sampled_from(GENRES),
+    st.integers(0, 4).map(str), canonical_favorites)
+canonical_line = canonical_fields.map(lambda row: ",".join(row).encode())
+# values the row loop accepts or rejects in place of one canonical field;
+# "\udcff" stands for the byte 0xff, which is not UTF-8
+ODD_FIELDS = (
+    ["X", "P", "e", "EC", " E", '"E"', "", "\u00e9", "\udcff"],
+    ["Q", "E", "N", "PP", "EP", "PN", "p", " NP", '"P"', ""],
+    ["5", "7", "9", "A", "-1", "03", " 3", "+3", "", "\u0663"],
+    ["E", "1E", "+4", "-0", "1_0", " 2", "1.5", "", '"22"', '"2\n3"',
+     "\u0663", "\udcff", "2\x00"])
+
+
+@st.composite
+def odd_line(draw, kind):
+    """A canonical line with one field replaced, or a line of another shape."""
+    fields = list(draw(canonical_fields))
+    if kind == "field":
+        i = draw(st.integers(0, 3))
+        fields[i] = draw(st.sampled_from(ODD_FIELDS[i]))
+    elif kind == "long":
+        # 19 digits up to the int64 limit, 19 digits above it, 20 digits
+        fields[3] = str(draw(st.one_of(st.integers(10 ** 18, 2 ** 63 - 1),
+                                       st.integers(2 ** 63, 10 ** 19 - 1),
+                                       st.integers(10 ** 19, 10 ** 20 - 1))))
+    else:
+        return draw(st.sampled_from([
+            b"", b",,,", b"  ", b",".join(f.encode() for f in fields[:3]),
+            b",".join(f.encode() for f in fields + ["1"]),
+            b'"E\nX",P,1,2', b"\xc3,P,1,2"]))
+    return ",".join(fields).encode("utf-8", "surrogateescape")
+
+
+ODD_HEADERS = [b" feed,genre,angriness,favorites", HEADER + b"\r",
+               b"feed, genre,angriness,favorites", b"\xef\xbb\xbf" + HEADER,
+               HEADER + b","]
+SPECIAL_FILES = [b"", HEADER, HEADER + b"\n", HEADER + b"\r\n",
+                 HEADER + b"\n\n"]
+DEPARTURES = (["none"] * 4 + ["field"] * 3
+              + ["long", "shape", "line end", "header", "file"])
+
+
+@st.composite
+def record_files(draw):
+    """A canonical record file with at most one departure from the grammar.
+
+    One departure at a time shows each to the scan on its own, and about a
+    third of the draws stay canonical, so the scan's arithmetic is tested.
+    """
+    departure = draw(st.sampled_from(DEPARTURES))
+    if departure == "file":
+        return draw(st.sampled_from(SPECIAL_FILES))
+    lines = draw(st.lists(canonical_line, max_size=12))
+    if departure in ("field", "long", "shape"):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(odd_line(departure)))
+    header = draw(st.sampled_from(ODD_HEADERS)) if departure == "header" \
+        else HEADER
+    ends = [b"\n"] * (len(lines) + 1)
+    if departure == "line end" and lines:
+        ends[draw(st.integers(1, len(lines)))] = draw(
+            st.sampled_from([b"\r\n", b"\r"]))
+    data = b"".join(line + end for line, end in zip([header] + lines, ends))
+    return data[:-len(ends[-1])] if draw(st.booleans()) else data
+
+
+class TestByteScan:
+    """The byte scan and the row loop read every file the same way."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(record_files())
+    def test_load_records_matches_row_loop(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            path.write_bytes(data)
+            assert parse_outcome(load_records, path) == \
+                parse_outcome(row_loop, path)
+
+    @pytest.mark.parametrize("tail", [b"\n", b""])
+    def test_scan_parses_canonical_files(self, tmp_path, tail):
+        path = tmp_path / "records.csv"
+        path.write_bytes(HEADER + b"\nE,P,0,0\nC,NP,4,999999999999999999\n"
+                         b"E,NP,2,007\nC,P,3,123456789012345678" + tail)
+        survey = _scan(path.read_bytes())
+        assert survey is not None
+        assert parse_outcome(lambda _: survey, path) == \
+            parse_outcome(row_loop, path)
+        assert len(_scan(HEADER + b"\n")) == 0
+
+    @pytest.mark.parametrize("line", [
+        b"E,P,1,2\r", b"E,P,1,1234567890123456789", b"E,P,1,", b" E,P,1,2",
+        b"E,P,1,+2", b"", b",,,", b'"E",P,1,2', b"E,P,1,\xd9\xa3",
+        b"E,P,5,1", b"P,P,1,2", b"E,N,1,2", b"E,EP,1,2", b"E,PN,1,2",
+        b"E,P,1,2E"])
+    def test_scan_leaves_other_files_to_the_row_loop(self, line):
+        assert _scan(HEADER + b"\nE,P,0,1\n" + line + b"\n") is None
+
+
 class TestConditionalEcdf:
     def test_single_zero_favorite_record(self):
         curve = conditional_ecdf([rec(a=2, favs=0)], 2, "E", ("P", "NP"))
@@ -138,6 +268,8 @@ class TestConditionalEcdf:
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         assert curve(float(np.log1p(49))) == pytest.approx(1.0)
+        xs, ys = curve.step_points()
+        assert np.array_equal(ys, curve(xs))
 
 
 class TestSpearman:

@@ -191,6 +191,14 @@ class TestCurveInverse:
         # the cost is flat at zero over the zero-quality stretch
         assert inst.curve_x_for_cost(t, start - below) == 0.0
 
+    def test_cost_inverse_on_a_subnormal_rise(self):
+        # gamma * delta is subnormal, so np.interp's slope dx/dy overflows
+        gamma = 2.225073858507203e-309
+        inst = ModelInstance(LinearTwitter(1.0, gamma), TypeSpace.of([2.0]))
+        x = inst.curve_x_for_cost(2.0, gamma)
+        assert x == 1.0
+        assert float(inst.curve_cost(2.0, x)) == gamma
+
     @pytest.mark.parametrize("inst, t, m", [
         (linear(0.6, 0.3, types=(1.5,)), 1.5, 0.5),  # inside the zero-quality stretch
         (linear(0.6, 0.3, types=(1.5,)), 1.5, 2.5),
