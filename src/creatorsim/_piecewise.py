@@ -44,30 +44,52 @@ class PiecewiseLinearCdf:
         out = base ** self.exponent
         return out if out.ndim else float(out)
 
+    def _segments(self, q: np.ndarray) -> np.ndarray:
+        """Index of the breakpoint ending the segment of each q:
+        ``min(searchsorted(levels, q, "left"), len(xs) - 1)``.
+
+        Every constructor builds at most a handful of breakpoints, so one
+        comparison pass per level beats a binary search per key. Counting the
+        levels at or above q (rather than those below it) sends NaN to the
+        last segment, as ``searchsorted`` does.
+        """
+        levels = self.ys if self.exponent == 1.0 else self.ys ** self.exponent
+        last = len(self.xs) - 1
+        idx = np.full(q.shape, last, dtype=np.min_scalar_type(last))
+        for level in levels[:-1]:
+            idx -= q <= level
+        return idx
+
     def ppf(self, q) -> np.ndarray:
         """Smallest x with F(x) >= q, vectorized over q in [0, 1].
 
         The segment is found by comparing q with F at the breakpoints, as
         ``cdf`` computes it, so rounding in ``q ** (1 / exponent)`` cannot
-        carry q = F(xs[k]) past a flat stretch that starts at xs[k].
+        carry q = F(xs[k]) past a flat stretch that starts at xs[k]. Each
+        segment is then interpolated with its own scalar constants, one
+        segment at a time, with no per-key gather of breakpoints.
         """
         q = np.asarray(q, dtype=float)
-        if self.exponent == 1.0:
-            target, levels = q, self.ys
-        else:
-            target, levels = q ** (1.0 / self.exponent), self.ys ** self.exponent
-        idx = np.searchsorted(levels, q, side="left")
-        idx = np.clip(idx, 0, len(self.xs) - 1)
-        lo = np.maximum(idx - 1, 0)
-        y0, y1 = self.ys[lo], self.ys[idx]
-        x0, x1 = self.xs[lo], self.xs[idx]
-        rise = y1 - y0
-        frac = np.where(rise > 0.0, (target - y0) / np.where(rise > 0.0, rise, 1.0), 0.0)
-        if self.exponent != 1.0:
-            # target may round just outside the segment that levels bracket
-            frac = np.clip(frac, 0.0, 1.0)
-        x = x0 + frac * (x1 - x0)
-        x = np.where(idx == 0, self.xs[0], x)
+        flat_q = q.reshape(-1)
+        idx = self._segments(flat_q)
+        target = flat_q if self.exponent == 1.0 else flat_q ** (1.0 / self.exponent)
+        x = np.full(flat_q.shape, self.xs[0])  # segment 0: the support start
+        frac = np.empty_like(x)
+        for k in range(1, len(self.xs)):
+            y0, x0 = self.ys[k - 1], self.xs[k - 1]
+            rise, run = self.ys[k] - y0, self.xs[k] - x0
+            if rise > 0.0:
+                np.subtract(target, y0, out=frac)
+                frac /= rise
+                if self.exponent != 1.0:
+                    # target may round just outside the segment that levels bracket
+                    np.clip(frac, 0.0, 1.0, out=frac)
+                frac *= run
+                frac += x0
+                np.copyto(x, frac, where=idx == k)
+            else:  # frac = 0: a flat stretch maps to its left end
+                np.copyto(x, x0 + 0.0 * run, where=idx == k)
+        x = x.reshape(q.shape)
         return x if x.ndim else float(x)
 
     def breakpoints(self) -> list[tuple[float, float]]:

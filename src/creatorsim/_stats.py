@@ -46,12 +46,9 @@ class RunningMoments:
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return
-        other = RunningMoments(
-            n=int(values.size),
-            mean=float(values.mean()),
-            m2=float(((values - values.mean()) ** 2).sum()),
-        )
-        self.merge(other)
+        mean = values.mean()
+        self.merge(RunningMoments(n=int(values.size), mean=float(mean),
+                                  m2=float(((values - mean) ** 2).sum())))
 
     def merge(self, other: "RunningMoments") -> None:
         if other.n == 0:

@@ -167,6 +167,9 @@ def _config_echo(cfg: dict) -> str:
 
 
 def _out_dir(args, cfg: dict | None = None) -> Path:
+    """The output directory, created if missing. The config commands call it
+    right after ``resolve_config``, so an unusable path exits before any
+    Monte Carlo runs."""
     out = Path(getattr(args, "out", None)
                or (cfg or {}).get("output")
                or ".")
@@ -178,19 +181,29 @@ def _out_dir(args, cfg: dict | None = None) -> Path:
     return out
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one artifact; a path that cannot take a file is a config error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}")
+
+
 def cmd_check_model(args) -> int:
     cfg = resolve_config(load_config(args.config), args)
+    out = _out_dir(args, cfg)
     inst = build_instance(cfg)
     report = check_assumptions(inst)
     payload = {"config": cfg, "report": report.to_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True)
-    (_out_dir(args, cfg) / "check_model.json").write_text(text + "\n")
+    _write(out / "check_model.json", text + "\n")
     print(text)
     return EXIT_OK if report.all_passed else EXIT_CONFIG
 
 
 def cmd_sample(args) -> int:
     cfg = resolve_config(load_config(args.config), args)
+    out = _out_dir(args, cfg)
     inst = build_instance(cfg)
     metric = Metric(cfg["recommender"]) if cfg["recommender"] != "all" \
         else Metric.ENGAGEMENT
@@ -200,14 +213,15 @@ def cmd_sample(args) -> int:
     draws = strategy.sample(rng, n) if n > 0 else np.empty((0, 2))
     lines = [f"# config: {_config_echo(cfg)}", "w_costly,w_cheap"]
     lines += [f"{repr(float(q))},{repr(float(x))}" for q, x in draws]
-    path = _out_dir(args, cfg) / "samples.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path = out / "samples.csv"
+    _write(path, "\n".join(lines) + "\n")
     print(f"wrote {n} samples to {path}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     cfg = resolve_config(load_config(args.config), args, min_samples=1)
+    out = _out_dir(args, cfg)
     inst = build_instance(cfg)
     if cfg["recommender"] == "all":
         raise ConfigError("verify requires a single recommender")
@@ -219,7 +233,7 @@ def cmd_verify(args) -> int:
                                rng=rng)
     payload = {"config": cfg, "grid": args.grid, "report": report.to_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True)
-    (_out_dir(args, cfg) / "verify.json").write_text(text + "\n")
+    _write(out / "verify.json", text + "\n")
     print(f"gap={report.gap:.6f} stderr={report.combined_stderr:.6f} "
           f"passes={report.passes()}")
     return EXIT_OK if report.passes() else EXIT_VERIFY_FAIL
@@ -227,6 +241,7 @@ def cmd_verify(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = resolve_config(load_config(args.config), args, min_samples=1)
+    out = _out_dir(args, cfg)
     inst = build_instance(cfg)
     recommenders = [cfg["recommender"]]
     if cfg["recommender"] == "all":
@@ -254,8 +269,8 @@ def cmd_metrics(args) -> int:
     for name, rec, params, est in rows:
         writer.writerow([name, rec, params, repr(est.mean), repr(est.stderr),
                          est.n])
-    path = _out_dir(args, cfg) / "metrics.csv"
-    path.write_text(buf.getvalue())
+    path = out / "metrics.csv"
+    _write(path, buf.getvalue())
     print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
 
@@ -263,13 +278,14 @@ def cmd_metrics(args) -> int:
 def cmd_describe(args) -> int:
     """Exact strategy description: component list with CDF breakpoints."""
     cfg = resolve_config(load_config(args.config), args)
+    out = _out_dir(args, cfg)
     inst = build_instance(cfg)
     metric = Metric(cfg["recommender"]) if cfg["recommender"] != "all" \
         else Metric.ENGAGEMENT
     strategy = resolve_strategy(inst, cfg["P"], cfg["equilibrium"], metric)
     payload = {"config": cfg, "strategy": strategy.to_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True)
-    (_out_dir(args, cfg) / "strategy.json").write_text(text + "\n")
+    _write(out / "strategy.json", text + "\n")
     print(text)
     return EXIT_OK
 
@@ -305,7 +321,7 @@ def cmd_empirics(args) -> int:
                 cells += ["", ""]
         lines.append(f"{feed}," + ",".join(cells))
     table_path = out / "table1.csv"
-    table_path.write_text("\n".join(lines) + "\n")
+    _write(table_path, "\n".join(lines) + "\n")
 
     n_files = 0
     for feed in emp.FEEDS:
@@ -319,8 +335,8 @@ def cmd_empirics(args) -> int:
                 body = ["log1p_favorites,cdf"]
                 body += [f"{repr(float(x))},{repr(float(y))}"
                          for x, y in zip(xs, ys)]
-                (out / f"ecdf_f{feed}_G{label}_a{a}.csv").write_text(
-                    "\n".join(body) + "\n")
+                _write(out / f"ecdf_f{feed}_G{label}_a{a}.csv",
+                       "\n".join(body) + "\n")
                 n_files += 1
     print(f"wrote {table_path} and {n_files} ecdf files")
     return EXIT_OK

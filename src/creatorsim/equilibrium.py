@@ -11,6 +11,11 @@ gaming coordinate. Components come in three kinds:
   engagement with a per-interval probability of targeting the lower type,
   mapped back to content through the curves (two-type construction).
 
+Sampling is by inverse transform on three uniforms per content, so the
+random stream does not depend on the draws. A mixture assigns each content
+to a component by counting cumulative weights below its selection uniform,
+and each component samples all of its contents in one call.
+
 Constructors cover: the homogeneous engagement equilibrium for any number
 of creators, the two-type and N-well-separated engagement equilibria for
 two creators under costless gaming and linear induced costs, and the
@@ -206,17 +211,29 @@ class MixedStrategy:
         """n i.i.d. contents as an (n, 2) array of (quality, gaming) rows.
 
         Draws a fixed number of uniforms per content, so the stream is
-        reproducible regardless of which components get selected.
+        reproducible regardless of which components get selected. A draw
+        takes the component whose cumulative weight first exceeds its
+        selection uniform, or the last one if rounding leaves the uniform
+        past them all.
         """
         u_sel, u_main, u_aux = rng.random((3, n))
+        if len(self.components) == 1:
+            return self.components[0][1].sample_from_uniforms(u_main, u_aux)
+        # cum is nondecreasing, so this count is searchsorted(cum, u_sel,
+        # "right") clipped to the last component
         cum = np.cumsum([w for w, _ in self.components])
-        idx = np.searchsorted(cum, u_sel, side="right")
-        idx = np.clip(idx, 0, len(self.components) - 1)
+        idx = np.zeros(n, dtype=np.min_scalar_type(len(cum)))
+        for level in cum[:-1]:
+            idx += level <= u_sel
         out = np.empty((n, 2))
+        # each (quality, gaming) row moves as one 16-byte item: numpy's
+        # fancy assignment of two-column rows is several times slower
+        pairs = out.view(np.complex128)[:, 0]
         for k, (_, comp) in enumerate(self.components):
-            m = idx == k
-            if m.any():
-                out[m] = comp.sample_from_uniforms(u_main[m], u_aux[m])
+            rows = np.flatnonzero(idx == k)
+            if rows.size:
+                drawn = comp.sample_from_uniforms(u_main[rows], u_aux[rows])
+                pairs[rows] = drawn.view(np.complex128)[:, 0]
         return out
 
     def cheap_marginal_cdf(self, x):

@@ -9,6 +9,12 @@ Equilibrium supports sit exactly on the zero-utility curves, so the
 eligibility indicator is evaluated with a small absolute tolerance; without
 it, roundoff in the curve quality flips on-support content in and out of
 eligibility and biases every estimate.
+
+A batch of rounds is an (n, P) landscape with n large and P a handful, so
+the round kernel works one creator column at a time: the best score, the
+count of tied columns and the chosen winner are built from P elementwise
+passes, and the winner's content is taken from the flat draws by one
+gather. Reductions along the short axis would cost far more per row.
 """
 
 from __future__ import annotations
@@ -77,21 +83,31 @@ def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
                   x: np.ndarray, ts: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Winner column per row of an (n, P) landscape, -1 when nothing qualifies."""
-    masked = eligible_scores(inst, metric, q, x, ts[:, None])
-    best = masked.max(axis=1)
+    cols = eligible_scores(inst, metric, q, x, ts[:, None]).T
+    best = cols[0]
+    for col in cols[1:]:
+        best = np.maximum(best, col)
     any_eligible = best > -np.inf
     safe_best = np.where(any_eligible, best, 0.0)
-    # ineligible columns hold -inf and never reach the finite threshold
-    tied = masked >= (safe_best - _tie_band(safe_best))[:, None]
-    k = tied.sum(axis=1)
+    # ineligible columns hold -inf and never reach the finite floor
+    floor = safe_best - _tie_band(safe_best)
+    tied = [col >= floor for col in cols]
+    k = np.zeros(len(ts), dtype=np.intp)
+    for hit in tied:
+        k += hit
     # uniform choice among tied columns; one uniform per row keeps the
     # stream length independent of the data
     r = np.minimum((rng.random(len(ts)) * np.maximum(k, 1)).astype(np.int64),
                    np.maximum(k - 1, 0))
-    ranks = np.cumsum(tied, axis=1)
-    chosen = tied & (ranks == (r + 1)[:, None])
-    winner = chosen.argmax(axis=1)
-    return np.where(any_eligible, winner, -1)
+    # the winner is the first column whose running tied count reaches r + 1,
+    # so its index is the number of columns whose running count is <= r
+    seen = np.zeros_like(k)
+    winner = np.zeros_like(k)
+    for hit in tied:
+        seen += hit
+        winner += seen <= r
+    winner[~any_eligible] = -1
+    return winner
 
 
 def recommend(inst: ModelInstance, metric: Metric, landscape: Sequence[Content],
@@ -115,13 +131,17 @@ def simulate_rounds(inst: ModelInstance, metric: Metric, strategy: MixedStrategy
     ts = inst.type_space.draw(rng, n)
     winner = _pick_winners(inst, metric, q, x, ts, rng)
     consumed = winner >= 0
-    rows = np.arange(n)
-    safe = np.where(consumed, winner, 0)
-    wq = q[rows, safe]
-    wx = x[rows, safe]
-    quality = np.where(consumed, wq, 0.0)
-    engagement = np.where(consumed, np.asarray(inst.engagement(wq, wx), dtype=float), 0.0)
-    utility = np.where(consumed, np.asarray(inst.utility(wq, wx, ts), dtype=float), 0.0)
+    # the winner's content, or column 0's where nothing is consumed, taken
+    # from the flat (n * P, 2) draws
+    won = draws.reshape(n * P, 2).take(
+        np.arange(0, n * P, P) + np.maximum(winner, 0), axis=0)
+    wq, wx = won[:, 0], won[:, 1]
+    engagement = np.asarray(inst.engagement(wq, wx), dtype=float)
+    utility = np.asarray(inst.utility(wq, wx, ts), dtype=float)
+    quality = wq.copy()
+    idle = ~consumed
+    for value in (quality, engagement, utility):
+        value[idle] = 0.0
     return RoundBatch(user_type=ts, winner=winner, consumed=consumed,
                       engagement=engagement, quality=quality, user_utility=utility)
 

@@ -4,7 +4,9 @@ Three equilibrium performance measures, all gated by consumption: user
 consumption of quality (winner quality), realized engagement (winner
 engagement score), and user welfare (winner utility). One Monte Carlo pass
 over simulated rounds estimates all three, on a fixed number of spawned
-shards, so the estimates do not depend on the thread count. The
+shards, so the estimates do not depend on the thread count. Each shard is
+one ``simulate_rounds`` batch (sampling, then the column-by-column winner
+kernel of ``game``) reduced to three ``RunningMoments``. The
 homogeneous engagement case additionally has a closed-form route through
 the quality CDF and an expected-maximum quadrature, which the estimators
 are tested against.

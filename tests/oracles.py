@@ -110,3 +110,46 @@ def brute_force_payoffs(inst, metric, q, x, ts, w, atol, rtol) -> list[float]:
                 share = 1.0 / (1 + sum(s >= s0 - band for s in rivals))
         out.append(share - cost)
     return out
+
+
+def mask_mixture_sample(strategy, rng, n):
+    """``strategy.sample(rng, n)`` with one boolean mask per component.
+
+    The component of draw i is ``searchsorted(cum, u_sel[i], "right")``,
+    clipped to the last component, over the cumulative weights ``cum``; each
+    component's rows are selected, sampled and scattered back by a mask.
+    """
+    import numpy as np
+
+    u_sel, u_main, u_aux = rng.random((3, n))
+    cum = np.cumsum([w for w, _ in strategy.components])
+    idx = np.clip(np.searchsorted(cum, u_sel, side="right"), 0,
+                  len(strategy.components) - 1)
+    out = np.empty((n, 2))
+    for k, (_, comp) in enumerate(strategy.components):
+        m = idx == k
+        if m.any():
+            out[m] = comp.sample_from_uniforms(u_main[m], u_aux[m])
+    return out
+
+
+def searchsorted_ppf(cdf, q):
+    """``cdf.ppf(q)`` for a ``PiecewiseLinearCdf``, by a binary search of
+    the breakpoint levels and a per-key gather of the segment ends."""
+    import numpy as np
+
+    q = np.asarray(q, dtype=float)
+    if cdf.exponent == 1.0:
+        target, levels = q, cdf.ys
+    else:
+        target, levels = q ** (1.0 / cdf.exponent), cdf.ys ** cdf.exponent
+    idx = np.clip(np.searchsorted(levels, q, side="left"), 0, len(cdf.xs) - 1)
+    lo = np.maximum(idx - 1, 0)
+    y0, y1 = cdf.ys[lo], cdf.ys[idx]
+    x0, x1 = cdf.xs[lo], cdf.xs[idx]
+    rise = y1 - y0
+    frac = np.where(rise > 0.0, (target - y0) / np.where(rise > 0.0, rise, 1.0), 0.0)
+    if cdf.exponent != 1.0:
+        frac = np.clip(frac, 0.0, 1.0)
+    x = np.where(idx == 0, cdf.xs[0], x0 + frac * (x1 - x0))
+    return x if x.ndim else float(x)

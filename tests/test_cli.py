@@ -265,6 +265,45 @@ def test_output_path_not_a_directory_exits_two(tmp_path, capsys, command, where)
     assert (tmp_path / "taken").read_text() == "a file"
 
 
+@pytest.mark.parametrize("command", ["verify", "metrics"])
+def test_unusable_out_exits_before_monte_carlo(tmp_path, monkeypatch, capsys,
+                                               command):
+    def spy(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the output path was checked")
+
+    monkeypatch.setattr("creatorsim.cli.best_response_gap", spy)
+    monkeypatch.setattr("creatorsim.metrics.estimate_round_metrics", spy)
+    (tmp_path / "taken").write_text("a file")
+    path, _ = write_config(tmp_path, samples=10)
+    assert main([command, "--config", str(path), "--out",
+                 str(tmp_path / "taken")]) == 2
+    assert "as the output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("check-model", "check_model.json"), ("sample", "samples.csv"),
+    ("describe", "strategy.json"), ("verify", "verify.json"),
+    ("metrics", "metrics.csv"), ("empirics", "table1.csv"),
+    ("empirics", "ecdf_fE_Gall_a0.csv")])
+def test_directory_in_artifact_place_exits_two(tmp_path, capsys, command,
+                                               artifact):
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    if command == "empirics":
+        data = tmp_path / "records.csv"
+        data.write_text("feed,genre,angriness,favorites\n"
+                        + "".join(f"E,P,{a},{a}\n" for a in range(5)))
+        argv = [command, "--data", str(data)]
+    else:
+        path, _ = write_config(tmp_path, samples=10)
+        argv = [command, "--config", str(path)]
+        argv += ["--grid", "3"] if command == "verify" else []
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out / artifact}: Is a directory" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--threads", "2"],
     ["check-model", "--seed", "1"],

@@ -30,6 +30,7 @@ from creatorsim.equilibrium import (
 )
 from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim.metrics import homogeneous_quality_cdf
+from oracles import mask_mixture_sample, searchsorted_ppf
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -348,6 +349,51 @@ class TestStrategyMechanics:
         b = s.sample(np.random.default_rng(123), 500)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("build", [
+        *(pytest.param(lambda N=N: engagement_eq_well_separated(ModelInstance(
+            LinearTwitter(1.0, 0.0), make_well_separated_types(N, 0.01))),
+            id=f"well_separated_N{N}") for N in (2, 3, 4, 5)),
+        *(pytest.param(lambda r=r: engagement_eq_two_types(two_type_instance(r)),
+                       id=f"two_type_case{two_type_case(r)}") for r in (2.0, 1.45, 1.2)),
+        pytest.param(lambda: random_eq(linear(-0.75), 2), id="random_two_atoms"),
+        pytest.param(lambda: investment_eq(linear(-0.5), 2), id="investment_atom"),
+        pytest.param(lambda: engagement_eq_homogeneous(linear(-0.5, 0.3, types=(2.0,)), 3),
+                     id="homogeneous_P3_atom"),
+        pytest.param(lambda: MixedStrategy(((0.5, AtomComponent(0.1, 0.0)),
+                                            (0.0, AtomComponent(0.2, 0.0)),
+                                            (0.5, AtomComponent(0.3, 0.0))), "zero weight"),
+                     id="zero_weight_component"),
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 7, 5000])
+    def test_sample_bytes_equal_mask_oracle(self, build, n):
+        s = build()
+        for seed in (0, 1):
+            got = s.sample(np.random.default_rng(seed), n)
+            want = mask_mixture_sample(s, np.random.default_rng(seed), n)
+            assert got.shape == (n, 2)
+            assert got.tobytes() == want.tobytes()
+
+    def test_component_choice_at_cumulative_weights(self):
+        # selection uniforms on, just below and just above each cumulative
+        # weight, and past a total that rounds short of 1
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, shape):
+                return self.u
+
+        weights = (0.25, 0.0, 0.5, 0.25 - 1e-13)
+        s = MixedStrategy(tuple((w, AtomComponent(float(k), 0.0))
+                                for k, w in enumerate(weights)), "edges")
+        cum = np.cumsum(weights)
+        u_sel = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+                                [0.0, 1.0 - 1e-14]])
+        u = np.stack([u_sel, np.full_like(u_sel, 0.5), np.full_like(u_sel, 0.5)])
+        got = s.sample(Fixed(u), u_sel.size)
+        assert got.tobytes() == mask_mixture_sample(s, Fixed(u), u_sel.size).tobytes()
+        assert got[-1, 0] == 3.0
+
     def test_serialization_roundtrips_through_json(self):
         strategies = [
             engagement_eq_homogeneous(linear(-0.5, 0.5), 2),
@@ -486,6 +532,26 @@ class TestPiecewiseLinearCdf:
             assert cdf.ppf(q)[0] == pytest.approx(cdf.xs[first], rel=1e-12, abs=1e-12)
         atom = cdf.cdf(cdf.xs[:1])[0]
         assert np.all(cdf.ppf(np.linspace(0.0, atom, 7)) == cdf.xs[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(cdf=piecewise_cdfs(), qs=st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_segments_and_ppf_match_searchsorted(self, cdf, qs):
+        levels = cdf.ys if cdf.exponent == 1.0 else cdf.ys ** cdf.exponent
+        on_levels = np.concatenate([levels, np.nextafter(levels, 0.0),
+                                    np.nextafter(levels, 2.0), cdf.ys, [0.0, 1.0]])
+        q = np.concatenate([qs, on_levels[(on_levels >= 0.0) & (on_levels <= 1.0)]])
+        want = np.minimum(np.searchsorted(levels, q, side="left"), len(cdf.xs) - 1)
+        assert np.array_equal(cdf._segments(q), want)
+        assert np.array_equal(cdf._segments(q[:, None]), want[:, None])
+        assert cdf._segments(np.asarray(q[0])).shape == ()
+        assert cdf._segments(np.asarray(q[0])) == want[0]
+        q = np.append(q, np.nan)
+        assert cdf.ppf(q).tobytes() == searchsorted_ppf(cdf, q).tobytes()
+        grid = q[: q.size // 2 * 2].reshape(2, -1)
+        assert cdf.ppf(grid).shape == grid.shape
+        assert cdf.ppf(grid).tobytes() == searchsorted_ppf(cdf, grid).tobytes()
+        for scalar in (0.0, 1.0, float(q[0])):
+            assert repr(cdf.ppf(scalar)) == repr(searchsorted_ppf(cdf, scalar))
 
     def test_tiny_quantile_skips_leading_zero_stretch(self):
         # q ** 2 underflows to 0, which must not map into the zero-mass [0, 0.1]
