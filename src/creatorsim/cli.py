@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import io
 import json
 import math
@@ -385,8 +387,39 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _hold_heap() -> None:
+    """Keep freed heap memory in the process for the next shard to reuse.
+
+    By default glibc serves each Monte Carlo shard's multi-megabyte arrays
+    with fresh ``mmap`` calls, or trims them off the heap top, and so hands
+    them back to the kernel when they are freed; the next shard faults the
+    pages in again. On a 2-vCPU x86-64 VM a 300 000-round ``metrics`` run
+    with every recommender took about 25 000 minor faults and 40 ms of
+    system time that way, against under 2 000 faults and under 10 ms with
+    this setting. Serving blocks below 32 MiB from the heap and trimming
+    its top only past 64 MiB lets later shards reuse the pages. The setting
+    is process-wide and glibc-only; where ``mallopt`` is missing nothing
+    changes. It moves no draw, so no output changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    _hold_heap()
     try:
         return args.fn(args)
     except ConfigError as exc:

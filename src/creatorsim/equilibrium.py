@@ -124,22 +124,30 @@ class VtDensityComponent:
         ys[-1] = 1.0
         return PiecewiseLinearCdf(np.array(xs), np.array(ys))
 
-    def sample_vt_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray):
+    def _v_and_low(self, u_main: np.ndarray, u_aux: np.ndarray):
+        """Engagement v of each draw and whether it targets the lower type.
+
+        The interval of v is ``searchsorted(los, v, "right") - 1`` clipped
+        to the intervals, found by counting the interval starts above v:
+        there are only two or three intervals, so a comparison pass per
+        start beats a binary search per key.
+        """
         v = np.asarray(self._v_marginal.ppf(u_main), dtype=float)
-        k = np.clip(np.searchsorted(self._los, v, side="right") - 1, 0,
-                    len(self.intervals) - 1)
-        t = np.where(u_aux < self._p_low[k], self.t_low, self.t_high)
-        return v, t
+        last = len(self.intervals) - 1
+        k = np.full(v.shape, last, dtype=np.min_scalar_type(last))
+        for lo in self._los[1:]:
+            k -= v < lo
+        return v, u_aux < self._p_low.take(k)
 
     def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:
-        v, t = self.sample_vt_from_uniforms(u_main, u_aux)
+        v, low = self._v_and_low(u_main, u_aux)
         out = np.empty((v.size, 2))
-        for tv in (self.t_low, self.t_high):
-            m = t == tv
-            if m.any():
-                x = np.asarray(self.inst.curve_x_for_engagement(tv, v[m] - self.shift))
-                out[m, 1] = x
-                out[m, 0] = self.inst.min_investment(tv, x)
+        for tv, rows in ((self.t_low, np.flatnonzero(low)),
+                         (self.t_high, np.flatnonzero(~low))):
+            if rows.size:
+                x = np.asarray(self.inst.curve_x_for_engagement(tv, v[rows] - self.shift))
+                out[rows, 1] = x
+                out[rows, 0] = self.inst.min_investment(tv, x)
         return out
 
     def cheap_cdf(self, x):

@@ -3,18 +3,21 @@
 Three equilibrium performance measures, all gated by consumption: user
 consumption of quality (winner quality), realized engagement (winner
 engagement score), and user welfare (winner utility). One Monte Carlo pass
-over simulated rounds estimates all three, on a fixed number of spawned
-shards, so the estimates do not depend on the thread count. Each shard is
-one ``simulate_rounds`` batch (sampling, then the column-by-column winner
-kernel of ``game``) reduced to three ``RunningMoments``. The
-homogeneous engagement case additionally has a closed-form route through
-the quality CDF and an expected-maximum quadrature, which the estimators
-are tested against.
+over simulated rounds estimates all three, on spawned shards of at most
+``ROUND_ROWS`` rounds whose boundaries depend only on the round count, so
+the estimates do not depend on the thread count. Each shard is one
+``simulate_rounds`` batch (sampling, then the column-by-column winner
+kernel of ``game``) reduced to three ``RunningMoments`` before the next
+starts, so the memory a pass holds grows with the number of workers and
+``ROUND_ROWS``, not with the round count. The homogeneous engagement case
+additionally has a closed-form route through the quality CDF and an
+expected-maximum quadrature, which the estimators are tested against.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +32,8 @@ SIMPSON_TOL = 1e-8
 E_LIMIT_TOP = math.exp(1.0 - 1.0 / math.e)  # upper support of the limit cdf
 
 
-ROUND_SHARDS = 8  # fixed, so the draws do not depend on the thread count
+# most rounds in one shard; fixed, so the draws do not depend on the thread count
+ROUND_ROWS = 16384
 ROUND_FIELDS = {"ucq": "quality", "re": "engagement", "uw": "user_utility"}
 
 
@@ -39,16 +43,18 @@ def estimate_round_metrics(inst: ModelInstance, metric: Metric,
                            threads: int = 1) -> dict[str, MetricEstimate]:
     """UCQ, RE and UW, keyed by those names, from one pass of n rounds.
 
-    The rounds are split into ``min(ROUND_SHARDS, n)`` shards, each drawn
-    from its own ``rng.spawn`` child. ``threads`` only sets how many shards
-    run at once; their moments are merged in shard order, so the estimates
-    are identical at any thread count.
+    The rounds are split as evenly as possible into ``ceil(n / ROUND_ROWS)``
+    shards of at most ``ROUND_ROWS`` rounds, each drawn from its own
+    ``rng.spawn`` child. ``threads`` only sets how many shards run at once
+    (never more than the shards or the CPUs); their moments are merged in
+    shard order, so the estimates are identical at any thread count. The
+    arrays alive at once take O(workers * ROUND_ROWS * P) memory.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    shards = min(ROUND_SHARDS, n)
+    shards = (n + ROUND_ROWS - 1) // ROUND_ROWS
     counts = [n // shards + (1 if i < n % shards else 0) for i in range(shards)]
 
     def shard(sub: np.random.Generator, m: int) -> list[RunningMoments]:
@@ -59,7 +65,8 @@ def estimate_round_metrics(inst: ModelInstance, metric: Metric,
         return parts
 
     totals = [RunningMoments() for _ in ROUND_FIELDS]
-    with ThreadPoolExecutor(max_workers=min(threads, shards)) as pool:
+    workers = min(threads, shards, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for parts in pool.map(shard, rng.spawn(shards), counts):
             for total, part in zip(totals, parts):
                 total.merge(part)

@@ -153,3 +153,22 @@ def searchsorted_ppf(cdf, q):
         frac = np.clip(frac, 0.0, 1.0)
     x = np.where(idx == 0, cdf.xs[0], x0 + frac * (x1 - x0))
     return x if x.ndim else float(x)
+
+
+def mask_vt_sample(comp, u_main, u_aux):
+    """``VtDensityComponent.sample_from_uniforms`` by a binary search of the
+    interval starts and one boolean mask per target type."""
+    import numpy as np
+
+    v = np.asarray(comp._v_marginal.ppf(u_main), dtype=float)
+    k = np.clip(np.searchsorted(comp._los, v, side="right") - 1, 0,
+                len(comp.intervals) - 1)
+    t = np.where(u_aux < comp._p_low[k], comp.t_low, comp.t_high)
+    out = np.empty((v.size, 2))
+    for tv in (comp.t_low, comp.t_high):
+        m = t == tv
+        if m.any():
+            x = np.asarray(comp.inst.curve_x_for_engagement(tv, v[m] - comp.shift))
+            out[m, 1] = x
+            out[m, 0] = comp.inst.min_investment(tv, x)
+    return out

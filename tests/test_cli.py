@@ -354,14 +354,17 @@ class TestMetrics:
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         from creatorsim import make_well_separated_types
+        from creatorsim.metrics import ROUND_ROWS
         types = list(make_well_separated_types(4, 0.01))
+        # three shards per recommender, so merging order is exercised
         path, _ = write_config(tmp_path, types=types, recommender="all",
-                               samples=5000)
-        for t in (1, 2):
+                               samples=2 * ROUND_ROWS + 1)
+        for t in (1, 2, 4):
             assert main(["metrics", "--config", str(path), "--threads", str(t),
                          "--out", str(tmp_path / f"t{t}")]) == 0
-        assert (tmp_path / "t1" / "metrics.csv").read_bytes() \
-            == (tmp_path / "t2" / "metrics.csv").read_bytes()
+        want = (tmp_path / "t1" / "metrics.csv").read_bytes()
+        for t in (2, 4):
+            assert (tmp_path / f"t{t}" / "metrics.csv").read_bytes() == want
 
     def test_one_round_pass_per_recommender(self, tmp_path, monkeypatch):
         import creatorsim.metrics as met
@@ -373,13 +376,59 @@ class TestMetrics:
             return real(inst, metric, strategy, P, n, rng)
 
         monkeypatch.setattr(met, "simulate_rounds", spy)
-        path, _ = write_config(tmp_path, recommender="all", samples=1001)
+        samples = 2 * met.ROUND_ROWS + 1001
+        path, _ = write_config(tmp_path, recommender="all", samples=samples)
         assert main(["metrics", "--config", str(path), "--threads", "2",
                      "--out", str(tmp_path)]) == 0
         rounds = {}
         for rec, n in calls:
             rounds[rec] = rounds.get(rec, 0) + n
-        assert rounds == {"engagement": 1001, "investment": 1001, "random": 1001}
+        assert rounds == {"engagement": samples, "investment": samples,
+                          "random": samples}
+        assert len(calls) == 9
+        assert all(n <= met.ROUND_ROWS for _, n in calls)
+
+    def test_heap_setting_calls_mallopt_once(self, tmp_path, monkeypatch):
+        import creatorsim.cli as cli
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc)
+        cli._hold_heap.cache_clear()
+        path, _ = write_config(tmp_path, samples=100)
+        try:
+            for _ in range(2):
+                assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 0
+        finally:
+            cli._hold_heap.cache_clear()
+        assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20),
+                         (cli.M_TRIM_THRESHOLD, 64 << 20)]
+
+    @pytest.mark.parametrize("libc", ["no_mallopt", "no_library"])
+    def test_runs_where_mallopt_is_missing(self, tmp_path, monkeypatch, libc):
+        import creatorsim.cli as cli
+
+        def cdll(name):
+            if libc == "no_library":
+                raise OSError("no such library")
+            return object()
+
+        path, _ = write_config(tmp_path, recommender="all", samples=3000)
+        assert main(["metrics", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._hold_heap.cache_clear()
+        try:
+            assert main(["metrics", "--config", str(path),
+                         "--out", str(tmp_path / "b")]) == 0
+        finally:
+            cli._hold_heap.cache_clear()
+        assert (tmp_path / "b" / "metrics.csv").read_bytes() \
+            == (tmp_path / "a" / "metrics.csv").read_bytes()
 
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_nonpositive_threads_exits_two(self, tmp_path, capsys, threads):

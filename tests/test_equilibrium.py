@@ -30,7 +30,7 @@ from creatorsim.equilibrium import (
 )
 from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim.metrics import homogeneous_quality_cdf
-from oracles import mask_mixture_sample, searchsorted_ppf
+from oracles import mask_mixture_sample, mask_vt_sample, searchsorted_ppf
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -154,9 +154,9 @@ class TestTwoTypes:
         inst = two_type_instance(ratio)
         s = engagement_eq_two_types(inst)
         comp = s.components[0][1]
-        v, t = comp.sample_vt_from_uniforms(*np.random.default_rng(5).random((2, 60000)))
-        frac = (t == inst.types[0]).mean()
-        se = math.sqrt(frac * (1 - frac) / len(t))
+        _, low = comp._v_and_low(*np.random.default_rng(5).random((2, 60000)))
+        frac = low.mean()
+        se = math.sqrt(frac * (1 - frac) / len(low))
         assert abs(frac - (2.0 - ratio)) <= 3 * se
 
     @pytest.mark.parametrize("ratio", [2.0, 1.45, 1.2])
@@ -165,6 +165,31 @@ class TestTwoTypes:
         s = engagement_eq_two_types(inst)
         pts = s.sample(np.random.default_rng(6), 20000)
         assert support_containment(pts, inst, 1e-9) == []
+
+    @pytest.mark.parametrize("ratio,family", [(1.2, "linear"), (1.45, "linear"),
+                                              (2.0, "linear"), (1.5, "kmr")])
+    @pytest.mark.parametrize("n", [0, 1, 7, 5000])
+    def test_sample_bytes_equal_mask_oracle(self, ratio, family, n):
+        comp = engagement_eq_two_types(two_type_instance(ratio, family)).components[0][1]
+        for seed in (0, 1):
+            u_main, u_aux = np.random.default_rng(seed).random((2, n))
+            got = comp.sample_from_uniforms(u_main, u_aux)
+            assert got.shape == (n, 2)
+            assert got.tobytes() == mask_vt_sample(comp, u_main, u_aux).tobytes()
+
+    @pytest.mark.parametrize("ratio", [1.2, 1.45])
+    def test_sample_at_interval_starts(self, ratio):
+        # main uniforms that land on, just below and just above each interval
+        # start, with type uniforms on and around each interval's p_low
+        comp = engagement_eq_two_types(two_type_instance(ratio)).components[0][1]
+        levels = comp._v_marginal.cdf(comp._los)
+        u_main = np.concatenate([levels, np.nextafter(levels, 0.0),
+                                 np.nextafter(levels, 1.0)])
+        p_low = np.array([iv[3] for iv in comp.intervals])
+        u_aux = np.concatenate([p_low, np.nextafter(p_low, 0.0), np.nextafter(p_low, 1.0)])
+        u_main, u_aux = (a.ravel() for a in np.meshgrid(u_main, u_aux))
+        got = comp.sample_from_uniforms(u_main, u_aux)
+        assert got.tobytes() == mask_vt_sample(comp, u_main, u_aux).tobytes()
 
     def test_case1_matches_well_separated_representation(self):
         # ratio 1.5 sits in both constructions; their gaming marginals agree

@@ -26,7 +26,7 @@ from creatorsim import (
     random_eq,
 )
 from creatorsim._stats import RunningMoments
-from creatorsim.metrics import (E_LIMIT_TOP, estimate_round_metrics,
+from creatorsim.metrics import (E_LIMIT_TOP, ROUND_ROWS, estimate_round_metrics,
                                 homogeneous_quality_cdf)
 
 
@@ -262,7 +262,7 @@ class TestEstimators:
         assert four.n == one.n == 20000
         assert four == one
 
-    @pytest.mark.parametrize("n", [3, 9999])
+    @pytest.mark.parametrize("n", [3, 9999, 2 * ROUND_ROWS + 5])
     def test_round_metrics_identical_across_threads(self, n):
         inst = ModelInstance(LinearTwitter(1.0, 0.0),
                              TypeSpace.of(make_well_separated_types(4, 0.01)))
@@ -283,6 +283,40 @@ class TestEstimators:
                          ("uw", estimate_uw)):
             assert fn(inst, Metric.ENGAGEMENT, s, 2, 5000,
                       np.random.default_rng(11)) == both[name]
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (64, 5), (None, 1)])
+    def test_worker_pool_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+        import threading
+
+        import creatorsim.metrics as met
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        inst = linear(1.0, 0.0)
+        s = engagement_eq_homogeneous(inst, 2)
+        n = 4 * ROUND_ROWS + 1
+        want = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
+                                      np.random.default_rng(3))
+        monkeypatch.setattr(met, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(met.os, "cpu_count", lambda: cpus)
+        before = threading.active_count()
+        got = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
+                                     np.random.default_rng(3), threads=10**6)
+        assert threading.active_count() == before
+        assert pools == [workers]
+        assert got == want
 
     def test_round_metrics_reject_nonpositive_threads(self):
         inst = linear(1.0, 0.0)
