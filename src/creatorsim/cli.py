@@ -29,7 +29,7 @@ from . import equilibrium as eq
 from . import metrics as met
 from .game import Metric
 from .model import ModelInstance, PreconditionError, check_assumptions
-from .verify import best_response_gap
+from .verify import best_response_gap, failure_summary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -238,7 +238,10 @@ def cmd_verify(args) -> int:
     _write(out / "verify.json", text + "\n")
     print(f"gap={report.gap:.6f} stderr={report.combined_stderr:.6f} "
           f"passes={report.passes()}")
-    return EXIT_OK if report.passes() else EXIT_VERIFY_FAIL
+    if not report.passes():
+        print(failure_summary(inst, report), file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    return EXIT_OK
 
 
 def cmd_metrics(args) -> int:

@@ -152,13 +152,16 @@ class OpponentPool:
     each of P-1 opponent contents and one user type.
 
     The opponents' eligibility-masked scores are computed once, and the rows
-    are sorted once, by user type and then by best opponent score (``top``).
-    A content with score s0 and tie band b then wins a row of a type that
-    accepts it outright when the row's top is below s0 - b, shares the win
-    with the opponents tied with it when the top is within s0 ± b, and loses
-    otherwise. So scoring a content is two ``searchsorted`` cuts per type
-    plus a look at the rows between them, with no sampling, and every
-    content scored on one pool faces the same draws (common random numbers).
+    are sorted once, by user type and then by best opponent score (``top``):
+    one argsort of the tops, then a stable radix argsort of the small-integer
+    type index. Rows with equal type and top may land in any order, which no
+    result depends on. A content with score s0 and tie band b then wins a row
+    of a type that accepts it outright when the row's top is below s0 - b,
+    shares the win with the opponents tied with it when the top is within
+    s0 ± b, and loses otherwise. So scoring a content is two ``searchsorted``
+    cuts per type plus a look at the rows between them, with no sampling, and
+    every content scored on one pool faces the same draws (common random
+    numbers).
     """
 
     inst: ModelInstance
@@ -187,10 +190,16 @@ class OpponentPool:
         ``(q[i, j], x[i, j])`` facing a user of type ``ts[i]``, which must be
         one of ``inst.types``."""
         scores = eligible_scores(inst, metric, q, x, ts[:, None])
-        top = scores.max(axis=1)
-        kind = np.searchsorted(inst.types, ts)
-        order = np.lexsort((top, kind))
-        type_start = np.searchsorted(kind[order], np.arange(len(inst.types) + 1))
+        cols = scores.T
+        top = cols[0]
+        for col in cols[1:]:
+            top = np.maximum(top, col)
+        kind = np.searchsorted(inst.types, ts).astype(
+            np.min_scalar_type(len(inst.types)))
+        order = np.argsort(top)
+        order = order[np.argsort(kind[order], kind="stable")]
+        type_start = np.searchsorted(
+            kind[order], np.arange(len(inst.types) + 1, dtype=kind.dtype))
         return cls(inst, metric, scores, order, top[order], type_start)
 
     def _cuts(self, q: np.ndarray, x: np.ndarray):
@@ -215,24 +224,37 @@ class OpponentPool:
         """Opponents within the tie band, per row of ``order[lo:hi]``."""
         return (self.scores[self.order[lo:hi]] >= floor).sum(axis=1)
 
-    def payoffs(self, w: Content) -> np.ndarray:
-        """Per-sample payoff of playing ``w``: the probability that it is
-        recommended, minus the deterministic creation cost.
+    def payoffs(self, contents: Sequence[Content]) -> np.ndarray:
+        """Per-sample payoff of playing each of ``contents``, summed over the
+        contents in order: for one content, the probability that it is
+        recommended minus its deterministic creation cost.
 
         Content the user rejects, or that an eligible opponent outscores,
         never wins; ties among eligible argmax contents contribute their
-        exact uniform share.
+        exact uniform share. Each content's payoffs are built in ``order``
+        and added to the running sum there, so every sample sums the same
+        terms in the same order as adding the contents' vectors one by one;
+        one permutation at the end restores the pool's row order. Memory is
+        two n-vectors, whatever the number of contents.
         """
-        floor, start, lo, hi = self._cuts(np.array([w.w_costly]),
-                                          np.array([w.w_cheap]))
-        share = np.zeros(len(self.order))
-        for a, l, h in zip(start[0], lo[0], hi[0]):
-            share[self.order[a:l]] = 1.0
-            share[self.order[l:h]] = 1.0 / (1.0 + self._tied(l, h, floor[0]))
-        return share - float(self.inst.cost(w.w_costly, w.w_cheap))
+        q = np.array([w.w_costly for w in contents], dtype=float)
+        x = np.array([w.w_cheap for w in contents], dtype=float)
+        floor, start, lo, hi = self._cuts(q, x)
+        cost = np.asarray(self.inst.cost(q, x), dtype=float)
+        total = np.zeros(len(self.order))
+        share = np.empty_like(total)
+        for i in range(len(q)):
+            share.fill(0.0)
+            for a, l, h in zip(start[i], lo[i], hi[i]):
+                share[a:l] = 1.0
+                share[l:h] = 1.0 / (1.0 + self._tied(l, h, floor[i]))
+            share -= cost[i]
+            total += share
+        share[self.order] = total
+        return share
 
     def estimates(self, contents: Sequence[Content]) -> tuple[MetricEstimate, ...]:
-        """``MetricEstimate.from_samples(self.payoffs(w))`` for each content,
+        """``MetricEstimate.from_samples(self.payoffs([w]))`` for each content,
         up to rounding, without a per-sample vector: a row's share is one of
         1, 1/2, ..., 1/P or 0, so the mean and the centred sum of squares
         follow from how many rows take each value."""
@@ -264,5 +286,5 @@ def expected_creator_utility(inst: ModelInstance, metric: Metric, w: Content,
     """Monte Carlo expected payoff of playing ``w`` against P-1 opponents,
     on a pool of n fresh opponent and user-type draws."""
     pool = OpponentPool.draw(inst, metric, opponent_strategy, P, n, rng)
-    return MetricEstimate.from_samples(pool.payoffs(w))
+    return MetricEstimate.from_samples(pool.payoffs([w]))
 

@@ -13,8 +13,10 @@ paired samples and its standard error comes from the per-sample
 differences rather than from two independent marginal errors. The pool is
 sorted once by user type and best opponent score, so a deviation's payoff
 is a rank query: where its score falls among each accepting type's rows.
-Grid candidates are scored from counts of rows per win share, with no
-per-sample vector; only the probes and the argmax candidate build one.
+Grid candidates and probes are scored from counts of rows per win share,
+with no per-sample vector. Per-sample vectors are built only for the probe
+average, from one set of rank cuts for all probes, and for the argmax
+candidate; they give the paired gap stderr.
 """
 
 from __future__ import annotations
@@ -84,10 +86,10 @@ def candidate_deviations(inst: ModelInstance, grid_k: int) -> list[Content]:
         raise ValueError("grid_k must be >= 2")
     out = [Content(0.0, 0.0)]
     for t in inst.types:
-        x_lo = zero_cost_extent(inst, t)
-        x_hi = inst.curve_x_for_cost(t, COST_CAP)
-        for x in np.linspace(x_lo, x_hi, grid_k):
-            out.append(Content(float(inst.min_investment(t, x)), float(x)))
+        x = np.linspace(zero_cost_extent(inst, t), inst.curve_x_for_cost(t, COST_CAP),
+                        grid_k)
+        q = np.asarray(inst.min_investment(t, x), dtype=float)
+        out.extend(map(Content, q.tolist(), x.tolist()))
     return out
 
 
@@ -99,18 +101,19 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
 
     ``n_probes`` probe points are drawn from the strategy, then one pool of
     ``n_per_candidate`` opponent landscapes and user types; every candidate
-    and probe is scored on that same pool. Grid candidates are scored all
-    at once by ``OpponentPool.estimates``: two ``searchsorted`` cuts per
-    user type on the sorted pool, and counts of the rows taking each win
-    share 1, 1/2, ..., 1/P or 0. The equilibrium utility is the probe
-    average, per sample. The gap's standard error is that of the
-    per-sample differences between the argmax candidate's payoff and the
-    probe average; near an equilibrium the two are positively correlated,
-    so it is below the two marginal errors combined. The argmax candidate
-    is scored again per sample by ``OpponentPool.payoffs``, and that
-    estimate replaces its counted one in the report. Memory stays
+    and probe is scored on that same pool. Candidates and probes are scored
+    by ``OpponentPool.estimates``: two ``searchsorted`` cuts per user type
+    on the sorted pool, and counts of the rows taking each win share 1,
+    1/2, ..., 1/P or 0. The equilibrium utility is the probe average, per
+    sample, which ``OpponentPool.payoffs`` sums over all probes from one
+    call's cuts. The gap's standard error is that of the per-sample
+    differences between the argmax candidate's payoff and the probe
+    average; near an equilibrium the two are positively correlated, so it
+    is below the two marginal errors combined. The argmax candidate is
+    scored again per sample by ``OpponentPool.payoffs``, and that estimate
+    replaces its counted one in the report. Memory stays
     O(n_per_candidate * P + candidates * P): the pool and its sort order,
-    the probe-sum vector and the per-candidate share counts.
+    the probe-sum and share vectors and the per-candidate share counts.
     """
     candidates = candidate_deviations(inst, grid_k)
     probe_draws = strategy.sample(rng, n_probes)
@@ -118,17 +121,11 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     pool = OpponentPool.draw(inst, metric, strategy, P, n_per_candidate, rng)
 
     cand_utils = pool.estimates(candidates)
-    probe_sum = np.zeros(n_per_candidate)
-    probe_utils = []
-    for c in probes:
-        payoffs = pool.payoffs(c)
-        probe_sum += payoffs
-        probe_utils.append(MetricEstimate.from_samples(payoffs))
-    eq_samples = probe_sum / len(probes)
+    eq_samples = pool.payoffs(probes) / len(probes)
     eq = MetricEstimate.from_samples(eq_samples)
 
     best_i = int(np.argmax([e.mean for e in cand_utils]))
-    best_payoffs = pool.payoffs(candidates[best_i])
+    best_payoffs = pool.payoffs([candidates[best_i]])
     best = MetricEstimate.from_samples(best_payoffs)
     cand_utils = cand_utils[:best_i] + (best,) + cand_utils[best_i + 1:]
     paired = MetricEstimate.from_samples(best_payoffs - eq_samples)
@@ -143,8 +140,23 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
         candidates=tuple(candidates),
         candidate_utilities=cand_utils,
         probes=tuple(probes),
-        probe_utilities=tuple(probe_utils),
+        probe_utilities=pool.estimates(probes),
     )
+
+
+def failure_summary(inst: ModelInstance, report: BestResponseReport) -> str:
+    """One line naming the deviation that beats on-support play: its
+    content, the type curve it was gridded on (or the origin) and the gap
+    as a multiple of the paired ``combined_stderr``."""
+    i = report.candidates.index(report.argmax_candidate)
+    where = ("the origin" if i == 0
+             else f"the type {inst.types[(i - 1) // report.grid_size]:g} curve")
+    q, x = report.argmax_candidate.as_tuple()
+    se = report.combined_stderr
+    ratio = f"{report.gap / se:.1f}" if se > 0.0 else "inf"
+    return (f"verify failed: deviation (q={q:.6g}, x={x:.6g}) on {where} beats "
+            f"on-support play by gap={report.gap:.6f}, {ratio} x "
+            f"combined_stderr={se:.6f}")
 
 
 def check_positive_correlation(samples: np.ndarray, tol: float) -> list[tuple[int, int]]:

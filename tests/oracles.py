@@ -1,7 +1,10 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent brute-force oracles used by the test suite, and reference
+versions of code that a faster implementation replaced.
 
-These deliberately avoid the library's own code paths (and scipy's
-correlation routines) so that agreement is evidence, not tautology.
+The brute-force oracles deliberately avoid the library's own code paths
+(and scipy's correlation routines) so that agreement is evidence, not
+tautology. The reference versions reuse the library around the one step
+they replace, so a test can require equal results bit for bit.
 """
 
 from __future__ import annotations
@@ -172,3 +175,89 @@ def mask_vt_sample(comp, u_main, u_aux):
             out[m, 1] = x
             out[m, 0] = comp.inst.min_investment(tv, x)
     return out
+
+
+def lexsort_pool(inst, metric, q, x, ts):
+    """``OpponentPool.of`` with the row top taken by a reduction along the
+    short axis and the rows ordered by one ``np.lexsort`` of (top, type
+    index)."""
+    import numpy as np
+    from creatorsim.game import OpponentPool, eligible_scores
+
+    scores = eligible_scores(inst, metric, q, x, ts[:, None])
+    top = scores.max(axis=1)
+    kind = np.searchsorted(inst.types, ts)
+    order = np.lexsort((top, kind))
+    type_start = np.searchsorted(kind[order], np.arange(len(inst.types) + 1))
+    return OpponentPool(inst, metric, scores, order, top[order], type_start)
+
+
+def scatter_payoffs(pool, w):
+    """Per-sample payoff of content ``w`` on ``pool``, from its own rank cuts,
+    scattered to the pool's rows by ``order`` one type at a time."""
+    import numpy as np
+
+    floor, start, lo, hi = pool._cuts(np.array([w.w_costly]), np.array([w.w_cheap]))
+    share = np.zeros(len(pool.order))
+    for a, l, h in zip(start[0], lo[0], hi[0]):
+        share[pool.order[a:l]] = 1.0
+        share[pool.order[l:h]] = 1.0 / (1.0 + pool._tied(l, h, floor[0]))
+    return share - float(pool.inst.cost(w.w_costly, w.w_cheap))
+
+
+def loop_candidate_deviations(inst, grid_k):
+    """``candidate_deviations`` with one scalar ``min_investment`` call and
+    one ``Content`` per grid point."""
+    import numpy as np
+    from creatorsim.model import Content, zero_cost_extent
+    from creatorsim.verify import COST_CAP
+
+    out = [Content(0.0, 0.0)]
+    for t in inst.types:
+        x_lo = zero_cost_extent(inst, t)
+        x_hi = inst.curve_x_for_cost(t, COST_CAP)
+        for x in np.linspace(x_lo, x_hi, grid_k):
+            out.append(Content(float(inst.min_investment(t, x)), float(x)))
+    return out
+
+
+def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
+                           rng, n_probes=32):
+    """``best_response_gap`` on the same draws, with the candidates built by
+    ``loop_candidate_deviations``, the pool by ``lexsort_pool``, and each
+    probe scored per sample by ``scatter_payoffs``: the probe vectors are
+    added up one by one and each probe's estimate is taken from its
+    vector."""
+    import numpy as np
+    from creatorsim._stats import MetricEstimate
+    from creatorsim.model import Content
+    from creatorsim.verify import BestResponseReport
+
+    candidates = loop_candidate_deviations(inst, grid_k)
+    probes = [Content(float(q), float(x)) for q, x in strategy.sample(rng, n_probes)]
+    n = n_per_candidate
+    opp = strategy.sample(rng, n * (P - 1)).reshape(n, P - 1, 2)
+    ts = inst.type_space.draw(rng, n)
+    pool = lexsort_pool(inst, metric, opp[:, :, 0], opp[:, :, 1], ts)
+
+    cand_utils = pool.estimates(candidates)
+    probe_sum = np.zeros(n)
+    probe_utils = []
+    for c in probes:
+        payoffs = scatter_payoffs(pool, c)
+        probe_sum += payoffs
+        probe_utils.append(MetricEstimate.from_samples(payoffs))
+    eq_samples = probe_sum / len(probes)
+    eq = MetricEstimate.from_samples(eq_samples)
+
+    best_i = int(np.argmax([e.mean for e in cand_utils]))
+    best_payoffs = scatter_payoffs(pool, candidates[best_i])
+    best = MetricEstimate.from_samples(best_payoffs)
+    cand_utils = cand_utils[:best_i] + (best,) + cand_utils[best_i + 1:]
+    paired = MetricEstimate.from_samples(best_payoffs - eq_samples)
+    return BestResponseReport(
+        eq_utility=eq, best_deviation_utility=best, gap=best.mean - eq.mean,
+        combined_stderr=paired.stderr, argmax_candidate=candidates[best_i],
+        grid_size=grid_k, samples_per_candidate=n, candidates=tuple(candidates),
+        candidate_utilities=cand_utils, probes=tuple(probes),
+        probe_utilities=tuple(probe_utils))

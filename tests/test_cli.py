@@ -137,12 +137,21 @@ class TestVerify:
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["report"]["passes"] is True
 
-    def test_mismatched_equilibrium_exits_three(self, tmp_path):
+    def test_mismatched_equilibrium_exits_three(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, gamma=0.5, samples=8000,
                                equilibrium="investment",
                                recommender="engagement")
         assert main(["verify", "--config", str(path), "--grid", "40",
                      "--out", str(tmp_path)]) == 3
+        # one stderr line names the winning deviation, its curve and the
+        # gap in units of the paired stderr
+        err = capsys.readouterr().err.splitlines()
+        report = json.loads((tmp_path / "verify.json").read_text())["report"]
+        q, x = report["argmax_candidate"]
+        gap, se = report["gap"], report["combined_stderr"]
+        assert err == [f"verify failed: deviation (q={q:.6g}, x={x:.6g}) on the "
+                       f"type 1 curve beats on-support play by gap={gap:.6f}, "
+                       f"{gap / se:.1f} x combined_stderr={se:.6f}"]
 
     def test_incompatible_equilibrium_is_config_error(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, types=[1, 2],

@@ -13,7 +13,12 @@ from creatorsim import (
     ModelInstance,
     TypeSpace,
     engagement_eq_homogeneous,
+    engagement_eq_two_types,
+    engagement_eq_well_separated,
     expected_creator_utility,
+    investment_eq,
+    make_well_separated_types,
+    random_eq,
     recommend,
     simulate_rounds,
 )
@@ -23,9 +28,10 @@ from creatorsim.game import (
     TIE_RTOL,
     OpponentPool,
     _pick_winners,
+    is_eligible,
     metric_score,
 )
-from oracles import brute_force_payoffs, brute_force_winners
+from oracles import brute_force_payoffs, brute_force_winners, lexsort_pool
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -273,6 +279,40 @@ class TestPickWinners:
         assert np.all(np.abs(freq[1:] - 1 / 3) < 4 * math.sqrt(2 / 9 / n))
 
 
+def constructions(family):
+    """Every equilibrium constructor that accepts ``family``, on one type
+    and, where the induced costs are linear, on two and four types."""
+    one = ModelInstance(family, TypeSpace.of([1.5]))
+    out = [(one, engagement_eq_homogeneous(one, P)) for P in (2, 3)]
+    out += [(one, investment_eq(one, 2)), (one, random_eq(one, 3))]
+    if family.linearity_params() is not None:
+        two = ModelInstance(family, TypeSpace.of([1.0, 1.9]))
+        four = ModelInstance(family, make_well_separated_types(4, 0.01))
+        out += [(two, engagement_eq_two_types(two)),
+                (four, engagement_eq_well_separated(four))]
+    return out
+
+
+class TestEligibilityAtScale:
+    # ELIGIBILITY_ATOL is absolute, while KMR's utility is W * t times the
+    # curve slack: a large W magnifies any roundoff in the curve quality
+    @pytest.mark.parametrize("family", [
+        *(KMR(W, g) for W in (1.0, 1e6, 1e12) for g in (0.0, 0.3)),
+        *(LinearTwitter(a, g) for a in (-0.5, 1.0, 1e3, 1e6) for g in (0.0, 0.3)),
+    ], ids=repr)
+    def test_constructed_draws_are_eligible_for_their_curve(self, family):
+        for inst, strategy in constructions(family):
+            pts = strategy.sample(np.random.default_rng(0), 100_000)
+            q, x = pts[:, 0], pts[:, 1]
+            types = np.asarray(inst.types)
+            # a draw sits on the curve whose minimum investment at its gaming
+            # level is nearest its quality; the origin is the opt-out point
+            off = np.abs(q[:, None] - inst.min_investment(types, x[:, None]))
+            t = types[off.argmin(axis=1)]
+            opt_out = (q == 0.0) & (x == 0.0)
+            assert np.all(is_eligible(inst, q, x, t) | opt_out), strategy.descriptor
+
+
 class TestOpponentPoolReductions:
     # a coarse grid, so rows hold exact ties, scores within TIE_RTOL of each
     # other or exactly on the edge of the tie band around 1, and contents
@@ -284,15 +324,20 @@ class TestOpponentPoolReductions:
 
     @staticmethod
     def check(pool, inst, metric, q, x, ts, contents):
+        total = np.zeros(len(ts))
         for w, est in zip(contents, pool.estimates(contents)):
-            payoffs = pool.payoffs(w)
-            assert payoffs.tolist() == brute_force_payoffs(
-                inst, metric.value, q, x, ts, (w.w_costly, w.w_cheap),
-                ELIGIBILITY_ATOL, TIE_RTOL)
+            want = brute_force_payoffs(inst, metric.value, q, x, ts,
+                                       (w.w_costly, w.w_cheap),
+                                       ELIGIBILITY_ATOL, TIE_RTOL)
+            payoffs = pool.payoffs([w])
+            assert payoffs.tolist() == want
+            total += np.array(want)
             ref = MetricEstimate.from_samples(payoffs)
             assert est.n == ref.n == len(ts)
             assert abs(est.mean - ref.mean) <= 1e-12
             assert abs(est.stderr - ref.stderr) <= 1e-12
+        # several contents at once: the per-sample sum, in the same order
+        assert pool.payoffs(contents).tolist() == total.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), P=st.integers(2, 5), n=st.integers(1, 12),
@@ -329,6 +374,59 @@ class TestOpponentPoolReductions:
         for metric in Metric:
             pool = OpponentPool.of(inst, metric, np.array(q), np.array(x), np.array(ts))
             self.check(pool, inst, metric, q, x, ts, [Content(0.0, 0.0)])
-            assert pool.payoffs(Content(0.0, 0.0)).tolist() == [1.0] * 4
+            assert pool.payoffs([Content(0.0, 0.0)]).tolist() == [1.0] * 4
             # acceptable to type 1 only
-            assert pool.payoffs(Content(0.0, 1.0)).tolist() == [0.0, 1.0, 1.0, 0.0]
+            assert pool.payoffs([Content(0.0, 1.0)]).tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
+def estimate_bits(estimates):
+    return [(e.mean.hex(), e.stderr.hex(), e.n) for e in estimates]
+
+
+class TestOpponentPoolOrder:
+    # coarse grids, so many rows share their top, and gaming levels that
+    # every type rejects, so whole rows score -inf; past 256 types the type
+    # index no longer fits in a byte
+    q_grid = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    x_grid = st.sampled_from([0.0, 1.0, 3.0, 50.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), T=st.one_of(st.integers(1, 4), st.integers(250, 300)),
+           P=st.integers(2, 4), n=st.integers(1, 60),
+           metric=st.sampled_from(list(Metric)))
+    def test_any_order_by_type_then_top_gives_same_results(self, data, T, P, n,
+                                                          metric):
+        inst = ModelInstance(LinearTwitter(1.0, 0.3),
+                             TypeSpace.of(np.linspace(0.5, 3.5, T)))
+
+        def rows(grid):
+            return np.array(data.draw(st.lists(
+                st.lists(grid, min_size=P - 1, max_size=P - 1),
+                min_size=n, max_size=n)))
+
+        q, x = rows(self.q_grid), rows(self.x_grid)
+        ts = np.array(data.draw(st.lists(st.sampled_from(inst.types),
+                                         min_size=n, max_size=n)))
+        contents = data.draw(st.lists(st.builds(Content, self.q_grid, self.x_grid),
+                                      min_size=1, max_size=4))
+        pool = OpponentPool.of(inst, metric, q, x, ts)
+
+        assert sorted(pool.order.tolist()) == list(range(n))
+        assert pool.type_start[0] == 0 and pool.type_start[-1] == n
+        for k, (a, b) in enumerate(zip(pool.type_start[:-1], pool.type_start[1:])):
+            top = pool.sorted_top[a:b]
+            assert np.all(top[:-1] <= top[1:])
+            assert np.all(ts[pool.order[a:b]] == inst.types[k])
+
+        payoffs = pool.payoffs(contents)
+        estimates = estimate_bits(pool.estimates(contents))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        shuffled = OpponentPool.of(inst, metric, q[perm], x[perm], ts[perm])
+        assert estimate_bits(shuffled.estimates(contents)) == estimates
+        assert shuffled.payoffs(contents).tobytes() == payoffs[perm].tobytes()
+
+        ref = lexsort_pool(inst, metric, q, x, ts)
+        assert ref.sorted_top.tobytes() == pool.sorted_top.tobytes()
+        assert ref.type_start.tolist() == pool.type_start.tolist()
+        assert estimate_bits(ref.estimates(contents)) == estimates
+        assert ref.payoffs(contents).tobytes() == payoffs.tobytes()

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
+    KMR,
     Content,
     LinearTwitter,
     Metric,
@@ -12,12 +16,15 @@ from creatorsim import (
     check_positive_correlation,
     engagement_eq_homogeneous,
     engagement_eq_two_types,
+    engagement_eq_well_separated,
     investment_eq,
     make_well_separated_types,
+    random_eq,
     support_containment,
 )
 from creatorsim.equilibrium import AtomComponent, MixedStrategy
 from creatorsim.game import OpponentPool
+from oracles import loop_best_response_gap, loop_candidate_deviations
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -51,6 +58,20 @@ class TestCandidateDeviations:
         cands = candidate_deviations(inst, 10)
         pts = np.array([[c.w_costly, c.w_cheap] for c in cands])
         assert support_containment(pts, inst, 1e-9) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(kmr=st.booleans(), alpha=st.sampled_from([-0.5, 1.0]),
+           gamma=st.sampled_from([0.0, 0.3]), grid_k=st.integers(2, 200),
+           types=st.sets(st.floats(0.2, 5.0), min_size=1, max_size=4))
+    def test_matches_scalar_loop_bitwise(self, kmr, alpha, gamma, grid_k, types):
+        family = KMR(1.0, gamma) if kmr else LinearTwitter(alpha, gamma)
+        inst = ModelInstance(family, TypeSpace.of(sorted(types)))
+
+        def bits(cands):
+            return [(c.w_costly.hex(), c.w_cheap.hex()) for c in cands]
+
+        assert bits(candidate_deviations(inst, grid_k)) == \
+            bits(loop_candidate_deviations(inst, grid_k))
 
 
 class TestPositiveCorrelation:
@@ -192,9 +213,9 @@ class TestSharedOpponentPool:
         calls = []
         original = OpponentPool.payoffs
 
-        def spy(self, w):
-            calls.append(w)
-            return original(self, w)
+        def spy(self, contents):
+            calls.append(list(contents))
+            return original(self, contents)
 
         monkeypatch.setattr(OpponentPool, "payoffs", spy)
         inst = linear(1.0, 0.0, types=(1.0, 1.9))
@@ -203,8 +224,8 @@ class TestSharedOpponentPool:
                                 n_per_candidate=400, rng=np.random.default_rng(0),
                                 n_probes=8)
         assert len(rep.candidates) == 1 + 2 * grid_k
-        assert len(calls) <= 8 + 1
-        assert calls[-1] == rep.argmax_candidate
+        assert sum(map(len, calls)) <= 8 + 1
+        assert calls == [list(rep.probes), [rep.argmax_candidate]]
 
     def test_combined_stderr_is_paired_difference_stderr(self):
         inst = linear(1.0, 0.0, types=(1.0, 1.9))
@@ -215,8 +236,8 @@ class TestSharedOpponentPool:
         rng = np.random.default_rng(7)
         probes = [Content(float(q), float(x)) for q, x in s.sample(rng, 32)]
         pool = OpponentPool.draw(inst, Metric.ENGAGEMENT, s, 2, n, rng)
-        eq = np.mean([pool.payoffs(c) for c in probes], axis=0)
-        diff = pool.payoffs(rep.argmax_candidate) - eq
+        eq = np.mean([pool.payoffs([c]) for c in probes], axis=0)
+        diff = pool.payoffs([rep.argmax_candidate]) - eq
         expected = diff.std(ddof=1) / np.sqrt(n)
         assert rep.combined_stderr == pytest.approx(expected, rel=1e-12)
         assert rep.gap == pytest.approx(diff.mean(), abs=1e-12)
@@ -228,3 +249,45 @@ class TestSharedOpponentPool:
                                 n_per_candidate=5000, rng=np.random.default_rng(0))
         marginal = np.hypot(rep.best_deviation_utility.stderr, rep.eq_utility.stderr)
         assert 0.0 < rep.combined_stderr < marginal
+
+
+ORACLE_CASES = {
+    # the benchmark's two certify cases
+    "two_type_ratio_1.45": (linear(1.0, 0.0, types=(1.0, 1.9)), Metric.ENGAGEMENT,
+                            2, engagement_eq_two_types),
+    "homogeneous_atom_P3": (linear(-0.5, 0.3, types=(2.0,)), Metric.ENGAGEMENT, 3,
+                            lambda inst: engagement_eq_homogeneous(inst, 3)),
+    "homogeneous_atom_P2": (linear(-0.3, 0.1, types=(1.5,)), Metric.ENGAGEMENT, 2,
+                            lambda inst: engagement_eq_homogeneous(inst, 2)),
+    "homogeneous_atom_P4": (linear(-0.3, 0.1, types=(1.5,)), Metric.ENGAGEMENT, 4,
+                            lambda inst: engagement_eq_homogeneous(inst, 4)),
+    "kmr_two_type": (ModelInstance(KMR(1.0, 0.0), TypeSpace.of([1.0, 1.6])),
+                     Metric.ENGAGEMENT, 2, engagement_eq_two_types),
+    "investment": (linear(-0.5, 0.3, types=(2.0,)), Metric.INVESTMENT, 2,
+                   lambda inst: investment_eq(inst, 2)),
+    # two atoms and one score for all: every eligible row ties
+    "random_ties": (linear(-0.5, 0.0, types=(2.0,)), Metric.RANDOM, 3,
+                    lambda inst: random_eq(inst, 3)),
+    "well_separated_N4": (ModelInstance(LinearTwitter(1.0, 0.0),
+                                        make_well_separated_types(4, 0.01)),
+                          Metric.ENGAGEMENT, 2, engagement_eq_well_separated),
+}
+
+
+class TestMatchesLoopOracle:
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_report_bitwise_but_probe_utilities(self, case, seed):
+        inst, metric, P, build = ORACLE_CASES[case]
+        strategy = build(inst)
+        args = (inst, metric, strategy, P, 50, 4000)
+        got = best_response_gap(*args, rng=np.random.default_rng(seed)).to_dict()
+        want = loop_best_response_gap(*args, rng=np.random.default_rng(seed)).to_dict()
+        # probe utilities are counted estimates now, equal up to rounding
+        got_probes, want_probes = got.pop("probe_utilities"), want.pop("probe_utilities")
+        for a, b in zip(got_probes, want_probes, strict=True):
+            assert a["n"] == b["n"]
+            assert abs(a["mean"] - b["mean"]) <= 1e-12
+            assert abs(a["stderr"] - b["stderr"]) <= 1e-12
+        # float repr round-trips, so equal JSON text is equal bits
+        assert json.dumps(got) == json.dumps(want)
