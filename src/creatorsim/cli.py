@@ -6,9 +6,9 @@ as JSON), ``verify`` (best-response gap), ``metrics`` (UCQ/RE/UW table),
 ``empirics`` (feed-survey analysis).
 
 Exit codes: 0 success, 2 configuration or validation error (including a
-non-finite ``metrics`` estimate, which is never written), 3 verification
-failure. Identical config and seed give byte-identical outputs, at any
-``metrics --threads`` count.
+non-finite ``metrics`` estimate or ``verify`` report, which is never
+written), 3 verification failure. Identical config and seed give
+byte-identical outputs, at any ``metrics --threads`` count.
 """
 
 from __future__ import annotations
@@ -234,12 +234,18 @@ def cmd_verify(args) -> int:
                                grid_k=args.grid, n_per_candidate=cfg["samples"],
                                rng=rng)
     payload = {"config": cfg, "grid": args.grid, "report": report.to_dict()}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        # one compact line: any indent would force the pure-Python encoder
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"non-finite value at {_non_finite_key(payload)}: "
+                          "verify.json not written")
     _write(out / "verify.json", text + "\n")
     print(f"gap={report.gap:.6f} stderr={report.combined_stderr:.6f} "
           f"passes={report.passes()}")
     if not report.passes():
-        print(failure_summary(inst, report), file=sys.stderr)
+        print(failure_summary(report), file=sys.stderr)
         return EXIT_VERIFY_FAIL
     return EXIT_OK
 

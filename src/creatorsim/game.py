@@ -161,7 +161,9 @@ class OpponentPool:
     s0 ± b, and loses otherwise. So scoring a content is two ``searchsorted``
     cuts per type plus a look at the rows between them, with no sampling, and
     every content scored on one pool faces the same draws (common random
-    numbers).
+    numbers). Contents come in as an (m, 2) array of (q, x) rows, and
+    ``estimates`` answers with mean and stderr arrays over the pool's n
+    samples, so scoring a grid builds no per-content object.
     """
 
     inst: ModelInstance
@@ -224,10 +226,11 @@ class OpponentPool:
         """Opponents within the tie band, per row of ``order[lo:hi]``."""
         return (self.scores[self.order[lo:hi]] >= floor).sum(axis=1)
 
-    def payoffs(self, contents: Sequence[Content]) -> np.ndarray:
-        """Per-sample payoff of playing each of ``contents``, summed over the
-        contents in order: for one content, the probability that it is
-        recommended minus its deterministic creation cost.
+    def payoffs(self, contents: np.ndarray) -> np.ndarray:
+        """Per-sample payoff of playing each ``(q, x)`` row of the (m, 2)
+        array ``contents``, summed over the rows in order: for one content,
+        the probability that it is recommended minus its deterministic
+        creation cost.
 
         Content the user rejects, or that an eligible opponent outscores,
         never wins; ties among eligible argmax contents contribute their
@@ -237,8 +240,7 @@ class OpponentPool:
         one permutation at the end restores the pool's row order. Memory is
         two n-vectors, whatever the number of contents.
         """
-        q = np.array([w.w_costly for w in contents], dtype=float)
-        x = np.array([w.w_cheap for w in contents], dtype=float)
+        q, x = np.asarray(contents, dtype=float).T
         floor, start, lo, hi = self._cuts(q, x)
         cost = np.asarray(self.inst.cost(q, x), dtype=float)
         total = np.zeros(len(self.order))
@@ -253,13 +255,14 @@ class OpponentPool:
         share[self.order] = total
         return share
 
-    def estimates(self, contents: Sequence[Content]) -> tuple[MetricEstimate, ...]:
-        """``MetricEstimate.from_samples(self.payoffs([w]))`` for each content,
+    def estimates(self, contents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and stderr arrays of the payoff of each ``(q, x)`` row of the
+        (m, 2) array ``contents``, all over the pool's n samples. Row i
+        equals ``MetricEstimate.from_samples(self.payoffs(contents[i:i + 1]))``
         up to rounding, without a per-sample vector: a row's share is one of
         1, 1/2, ..., 1/P or 0, so the mean and the centred sum of squares
         follow from how many rows take each value."""
-        q = np.array([w.w_costly for w in contents], dtype=float)
-        x = np.array([w.w_cheap for w in contents], dtype=float)
+        q, x = np.asarray(contents, dtype=float).T
         floor, start, lo, hi = self._cuts(q, x)
         n, P = len(self.order), self.scores.shape[1] + 1
         counts = np.zeros((len(q), P))  # rows whose share is 1 / (1 + column)
@@ -275,9 +278,7 @@ class OpponentPool:
         m2 = (counts * (shares - mean[:, None]) ** 2).sum(axis=1) \
             + (n - counts.sum(axis=1)) * mean ** 2
         stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(len(q))
-        cost = np.asarray(self.inst.cost(q, x), dtype=float)
-        return tuple(MetricEstimate(float(m - c), float(se), n)
-                     for m, c, se in zip(mean, cost, stderr))
+        return mean - np.asarray(self.inst.cost(q, x), dtype=float), stderr
 
 
 def expected_creator_utility(inst: ModelInstance, metric: Metric, w: Content,
@@ -286,5 +287,5 @@ def expected_creator_utility(inst: ModelInstance, metric: Metric, w: Content,
     """Monte Carlo expected payoff of playing ``w`` against P-1 opponents,
     on a pool of n fresh opponent and user-type draws."""
     pool = OpponentPool.draw(inst, metric, opponent_strategy, P, n, rng)
-    return MetricEstimate.from_samples(pool.payoffs([w]))
+    return MetricEstimate.from_samples(pool.payoffs(np.array([w.as_tuple()])))
 

@@ -16,13 +16,14 @@ is a rank query: where its score falls among each accepting type's rows.
 Grid candidates and probes are scored from counts of rows per win share,
 with no per-sample vector. Per-sample vectors are built only for the probe
 average, from one set of rank cuts for all probes, and for the argmax
-candidate; they give the paired gap stderr.
+candidate; they give the paired gap stderr. Candidates, probes and their
+estimates stay (q, x) and mean/stderr arrays from the grid to the report,
+with no per-candidate object.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass
 import numpy as np
 
@@ -38,58 +39,94 @@ GAP_ABS_TOL = 0.02
 GAP_SE_MULT = 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BestResponseReport:
+    """A best-response search, held as arrays.
+
+    ``candidates`` is the (1 + T * grid_size, 2) array of
+    ``candidate_deviations``: the origin, then ``grid_size`` points on the
+    curve of each of the T ``types``. ``probes`` is the (n_probes, 2) array
+    of on-support draws. The ``*_mean`` and ``*_stderr`` arrays hold each
+    row's payoff estimate, all over the same ``samples_per_candidate`` pool
+    samples. Row ``argmax_index`` of the candidates is the best deviation;
+    its estimate is the per-sample one, ``best_deviation_utility``.
+    """
+
+    types: tuple[float, ...]
     eq_utility: MetricEstimate
     best_deviation_utility: MetricEstimate
     gap: float
     combined_stderr: float  # stderr of the per-sample paired gap
-    argmax_candidate: Content
+    argmax_index: int
     grid_size: int
     samples_per_candidate: int
-    candidates: tuple[Content, ...]
-    candidate_utilities: tuple[MetricEstimate, ...]
-    probes: tuple[Content, ...]
-    probe_utilities: tuple[MetricEstimate, ...]
+    candidates: np.ndarray
+    candidate_mean: np.ndarray
+    candidate_stderr: np.ndarray
+    probes: np.ndarray
+    probe_mean: np.ndarray
+    probe_stderr: np.ndarray
 
     def passes(self, abs_tol: float = GAP_ABS_TOL,
                se_mult: float = GAP_SE_MULT) -> bool:
         return self.gap <= max(abs_tol, se_mult * self.combined_stderr)
 
+    def curves(self) -> list[dict]:
+        """Best grid point of each type curve: the type ``t``, the point
+        ``best`` as ``[q, x]``, its ``mean`` and ``stderr`` as in
+        ``candidate_mean``/``candidate_stderr`` and its ``gap``, the mean
+        minus ``eq_utility.mean``. O(T) beyond one argmax over the grid."""
+        k = self.grid_size
+        best = (1 + k * np.arange(len(self.types))
+                + self.candidate_mean[1:].reshape(-1, k).argmax(axis=1))
+        mean = self.candidate_mean[best]
+        return [{"t": t, "best": point, "mean": m, "stderr": se, "gap": g}
+                for t, point, m, se, g in zip(
+                    self.types, self.candidates[best].tolist(), mean.tolist(),
+                    self.candidate_stderr[best].tolist(),
+                    (mean - self.eq_utility.mean).tolist())]
+
     def to_dict(self) -> dict:
+        n = self.samples_per_candidate
+
+        def utilities(mean, stderr):
+            return [{"mean": m, "stderr": se, "n": n}
+                    for m, se in zip(mean.tolist(), stderr.tolist())]
+
         return {
             "eq_utility": self.eq_utility.to_dict(),
             "best_deviation_utility": self.best_deviation_utility.to_dict(),
             "gap": self.gap,
             "combined_stderr": self.combined_stderr,
             "passes": self.passes(),
-            "argmax_candidate": list(self.argmax_candidate.as_tuple()),
+            "argmax_candidate": self.candidates[self.argmax_index].tolist(),
             "grid_size": self.grid_size,
-            "samples_per_candidate": self.samples_per_candidate,
-            "candidates": [list(c.as_tuple()) for c in self.candidates],
-            "candidate_utilities": [e.to_dict() for e in self.candidate_utilities],
-            "probes": [list(c.as_tuple()) for c in self.probes],
-            "probe_utilities": [e.to_dict() for e in self.probe_utilities],
+            "samples_per_candidate": n,
+            "candidates": self.candidates.tolist(),
+            "candidate_utilities": utilities(self.candidate_mean,
+                                             self.candidate_stderr),
+            "probes": self.probes.tolist(),
+            "probe_utilities": utilities(self.probe_mean, self.probe_stderr),
+            "curves": self.curves(),
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
-
-def candidate_deviations(inst: ModelInstance, grid_k: int) -> list[Content]:
-    """The origin plus K points along each type curve up to the cost cap.
+def candidate_deviations(inst: ModelInstance, grid_k: int) -> np.ndarray:
+    """The origin, then K points along each type curve up to the cost cap,
+    as a (1 + T * K, 2) array of (q, x) rows.
 
     Grids start where the curve cost first becomes positive; anything
     cheaper on the curve is cost-free and already represented.
     """
     if grid_k < 2:
         raise ValueError("grid_k must be >= 2")
-    out = [Content(0.0, 0.0)]
-    for t in inst.types:
+    out = np.zeros((1 + len(inst.types) * grid_k, 2))
+    for i, t in enumerate(inst.types):
         x = np.linspace(zero_cost_extent(inst, t), inst.curve_x_for_cost(t, COST_CAP),
                         grid_k)
-        q = np.asarray(inst.min_investment(t, x), dtype=float)
-        out.extend(map(Content, q.tolist(), x.tolist()))
+        curve = out[1 + i * grid_k:1 + (i + 1) * grid_k]
+        curve[:, 0] = inst.min_investment(t, x)
+        curve[:, 1] = x
     return out
 
 
@@ -116,42 +153,45 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     the probe-sum and share vectors and the per-candidate share counts.
     """
     candidates = candidate_deviations(inst, grid_k)
-    probe_draws = strategy.sample(rng, n_probes)
-    probes = [Content(float(q), float(x)) for q, x in probe_draws]
+    probes = strategy.sample(rng, n_probes)
     pool = OpponentPool.draw(inst, metric, strategy, P, n_per_candidate, rng)
 
-    cand_utils = pool.estimates(candidates)
+    cand_mean, cand_stderr = pool.estimates(candidates)
     eq_samples = pool.payoffs(probes) / len(probes)
     eq = MetricEstimate.from_samples(eq_samples)
 
-    best_i = int(np.argmax([e.mean for e in cand_utils]))
-    best_payoffs = pool.payoffs([candidates[best_i]])
+    best_i = int(np.argmax(cand_mean))
+    best_payoffs = pool.payoffs(candidates[best_i:best_i + 1])
     best = MetricEstimate.from_samples(best_payoffs)
-    cand_utils = cand_utils[:best_i] + (best,) + cand_utils[best_i + 1:]
+    cand_mean[best_i], cand_stderr[best_i] = best.mean, best.stderr
     paired = MetricEstimate.from_samples(best_payoffs - eq_samples)
+    probe_mean, probe_stderr = pool.estimates(probes)
     return BestResponseReport(
+        types=inst.types,
         eq_utility=eq,
         best_deviation_utility=best,
         gap=best.mean - eq.mean,
         combined_stderr=paired.stderr,
-        argmax_candidate=candidates[best_i],
+        argmax_index=best_i,
         grid_size=grid_k,
         samples_per_candidate=n_per_candidate,
-        candidates=tuple(candidates),
-        candidate_utilities=cand_utils,
-        probes=tuple(probes),
-        probe_utilities=pool.estimates(probes),
+        candidates=candidates,
+        candidate_mean=cand_mean,
+        candidate_stderr=cand_stderr,
+        probes=probes,
+        probe_mean=probe_mean,
+        probe_stderr=probe_stderr,
     )
 
 
-def failure_summary(inst: ModelInstance, report: BestResponseReport) -> str:
+def failure_summary(report: BestResponseReport) -> str:
     """One line naming the deviation that beats on-support play: its
     content, the type curve it was gridded on (or the origin) and the gap
     as a multiple of the paired ``combined_stderr``."""
-    i = report.candidates.index(report.argmax_candidate)
+    i = report.argmax_index
     where = ("the origin" if i == 0
-             else f"the type {inst.types[(i - 1) // report.grid_size]:g} curve")
-    q, x = report.argmax_candidate.as_tuple()
+             else f"the type {report.types[(i - 1) // report.grid_size]:g} curve")
+    q, x = report.candidates[i].tolist()
     se = report.combined_stderr
     ratio = f"{report.gap / se:.1f}" if se > 0.0 else "inf"
     return (f"verify failed: deviation (q={q:.6g}, x={x:.6g}) on {where} beats "

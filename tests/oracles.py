@@ -240,7 +240,8 @@ def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
     ts = inst.type_space.draw(rng, n)
     pool = lexsort_pool(inst, metric, opp[:, :, 0], opp[:, :, 1], ts)
 
-    cand_utils = pool.estimates(candidates)
+    cand_points = np.array([c.as_tuple() for c in candidates])
+    cand_mean, cand_stderr = pool.estimates(cand_points)
     probe_sum = np.zeros(n)
     probe_utils = []
     for c in probes:
@@ -250,14 +251,17 @@ def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
     eq_samples = probe_sum / len(probes)
     eq = MetricEstimate.from_samples(eq_samples)
 
-    best_i = int(np.argmax([e.mean for e in cand_utils]))
+    best_i = int(np.argmax(cand_mean))
     best_payoffs = scatter_payoffs(pool, candidates[best_i])
     best = MetricEstimate.from_samples(best_payoffs)
-    cand_utils = cand_utils[:best_i] + (best,) + cand_utils[best_i + 1:]
+    cand_mean[best_i], cand_stderr[best_i] = best.mean, best.stderr
     paired = MetricEstimate.from_samples(best_payoffs - eq_samples)
     return BestResponseReport(
-        eq_utility=eq, best_deviation_utility=best, gap=best.mean - eq.mean,
-        combined_stderr=paired.stderr, argmax_candidate=candidates[best_i],
-        grid_size=grid_k, samples_per_candidate=n, candidates=tuple(candidates),
-        candidate_utilities=cand_utils, probes=tuple(probes),
-        probe_utilities=tuple(probe_utils))
+        types=inst.types, eq_utility=eq, best_deviation_utility=best,
+        gap=best.mean - eq.mean, combined_stderr=paired.stderr,
+        argmax_index=best_i, grid_size=grid_k, samples_per_candidate=n,
+        candidates=cand_points, candidate_mean=cand_mean,
+        candidate_stderr=cand_stderr,
+        probes=np.array([c.as_tuple() for c in probes]),
+        probe_mean=np.array([e.mean for e in probe_utils]),
+        probe_stderr=np.array([e.stderr for e in probe_utils]))

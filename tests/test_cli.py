@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import creatorsim
 from creatorsim.cli import ConfigError, main, resolve_config
-from creatorsim.verify import support_containment
+from creatorsim.verify import best_response_gap, support_containment
 from creatorsim.model import ModelInstance
 
 
@@ -175,12 +176,60 @@ class TestVerify:
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "samples" in capsys.readouterr().err
 
+    def test_non_finite_report_exits_two_and_writes_nothing(self, tmp_path,
+                                                            monkeypatch, capsys):
+        def nan_report(*args, **kwargs):
+            report = best_response_gap(*args, **kwargs)
+            mean = report.candidate_mean.copy()
+            mean[3] = np.nan
+            return dataclasses.replace(report, candidate_mean=mean)
+
+        monkeypatch.setattr("creatorsim.cli.best_response_gap", nan_report)
+        path, _ = write_config(tmp_path, samples=500)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--grid", "5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite value at report.candidate_utilities[3].mean: "
+            "verify.json not written"]
+        assert list(out.iterdir()) == []
+
     def test_types_string_exits_two(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, types="12", samples=100)
         assert main(["verify", "--config", str(path), "--grid", "5",
                      "--out", str(tmp_path)]) == 2
         assert "types" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
+
+
+# the benchmark's two certify cases, with their candidate plus probe counts
+# at grid 200 and 32 probes
+CERTIFY_CASES = {
+    "two_type": ({"family": "linear", "alpha": 1.0, "gamma": 0.0,
+                  "types": [1.0, 1.9], "P": 2, "equilibrium": "two_type"}, 433),
+    "homogeneous_P3": ({"family": "linear", "alpha": -0.5, "gamma": 0.3,
+                        "types": [2.0], "P": 3, "equilibrium": "homogeneous"}, 233),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFY_CASES))
+def test_verify_json_is_one_deterministic_finite_line(tmp_path, case):
+    overrides, points = CERTIFY_CASES[case]
+    path, _ = write_config(tmp_path, samples=2000, seed=5, **overrides)
+    texts = []
+    for run in ("first", "rerun"):
+        assert main(["verify", "--config", str(path), "--grid", "200",
+                     "--out", str(tmp_path / run)]) == 0
+        texts.append((tmp_path / run / "verify.json").read_bytes())
+    assert texts[0] == texts[1]
+    text = texts[0].decode()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert "NaN" not in text and "Infinity" not in text
+    report = json.loads(text)["report"]
+    assert len(report["candidates"]) + len(report["probes"]) == points
+    assert len(report["candidate_utilities"]) == len(report["candidates"])
+    assert len(report["probe_utilities"]) == len(report["probes"])
+    assert [c["t"] for c in report["curves"]] == overrides["types"]
 
 
 @pytest.mark.parametrize("command", ["verify", "describe"])

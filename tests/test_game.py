@@ -324,20 +324,22 @@ class TestOpponentPoolReductions:
 
     @staticmethod
     def check(pool, inst, metric, q, x, ts, contents):
+        points = np.array([w.as_tuple() for w in contents])
         total = np.zeros(len(ts))
-        for w, est in zip(contents, pool.estimates(contents)):
+        mean, stderr = pool.estimates(points)
+        assert mean.shape == stderr.shape == (len(contents),)
+        for i, w in enumerate(contents):
             want = brute_force_payoffs(inst, metric.value, q, x, ts,
-                                       (w.w_costly, w.w_cheap),
-                                       ELIGIBILITY_ATOL, TIE_RTOL)
-            payoffs = pool.payoffs([w])
+                                       w.as_tuple(), ELIGIBILITY_ATOL, TIE_RTOL)
+            payoffs = pool.payoffs(points[i:i + 1])
             assert payoffs.tolist() == want
             total += np.array(want)
             ref = MetricEstimate.from_samples(payoffs)
-            assert est.n == ref.n == len(ts)
-            assert abs(est.mean - ref.mean) <= 1e-12
-            assert abs(est.stderr - ref.stderr) <= 1e-12
+            assert len(pool.order) == ref.n == len(ts)
+            assert abs(mean[i] - ref.mean) <= 1e-12
+            assert abs(stderr[i] - ref.stderr) <= 1e-12
         # several contents at once: the per-sample sum, in the same order
-        assert pool.payoffs(contents).tolist() == total.tolist()
+        assert pool.payoffs(points).tolist() == total.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), P=st.integers(2, 5), n=st.integers(1, 12),
@@ -365,7 +367,8 @@ class TestOpponentPoolReductions:
         for metric in Metric:
             pool = OpponentPool.of(inst, metric, np.array(q), np.array(x), np.array(ts))
             self.check(pool, inst, metric, q, x, ts, contents)
-            assert [e.stderr for e in pool.estimates(contents)] == [0.0] * 3
+            points = np.array([w.as_tuple() for w in contents])
+            assert pool.estimates(points)[1].tolist() == [0.0] * 3
 
     def test_all_ineligible_rows(self):
         # no opponent is acceptable, so eligible content wins every row alone
@@ -374,13 +377,14 @@ class TestOpponentPoolReductions:
         for metric in Metric:
             pool = OpponentPool.of(inst, metric, np.array(q), np.array(x), np.array(ts))
             self.check(pool, inst, metric, q, x, ts, [Content(0.0, 0.0)])
-            assert pool.payoffs([Content(0.0, 0.0)]).tolist() == [1.0] * 4
+            assert pool.payoffs(np.array([[0.0, 0.0]])).tolist() == [1.0] * 4
             # acceptable to type 1 only
-            assert pool.payoffs([Content(0.0, 1.0)]).tolist() == [0.0, 1.0, 1.0, 0.0]
+            assert pool.payoffs(np.array([[0.0, 1.0]])).tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
 def estimate_bits(estimates):
-    return [(e.mean.hex(), e.stderr.hex(), e.n) for e in estimates]
+    mean, stderr = estimates
+    return [(m.hex(), se.hex()) for m, se in zip(mean.tolist(), stderr.tolist())]
 
 
 class TestOpponentPoolOrder:
@@ -407,8 +411,8 @@ class TestOpponentPoolOrder:
         q, x = rows(self.q_grid), rows(self.x_grid)
         ts = np.array(data.draw(st.lists(st.sampled_from(inst.types),
                                          min_size=n, max_size=n)))
-        contents = data.draw(st.lists(st.builds(Content, self.q_grid, self.x_grid),
-                                      min_size=1, max_size=4))
+        contents = np.array(data.draw(st.lists(st.tuples(self.q_grid, self.x_grid),
+                                               min_size=1, max_size=4)))
         pool = OpponentPool.of(inst, metric, q, x, ts)
 
         assert sorted(pool.order.tolist()) == list(range(n))

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
     KMR,
-    Content,
     LinearTwitter,
     Metric,
     ModelInstance,
@@ -24,6 +23,7 @@ from creatorsim import (
 )
 from creatorsim.equilibrium import AtomComponent, MixedStrategy
 from creatorsim.game import OpponentPool
+from creatorsim.verify import failure_summary
 from oracles import loop_best_response_gap, loop_candidate_deviations
 
 
@@ -35,11 +35,11 @@ class TestCandidateDeviations:
     def test_homogeneous_grid_span(self):
         inst = linear(1.0, 0.0)
         cands = candidate_deviations(inst, 3)
-        assert cands[0] == Content(0.0, 0.0)
-        assert len(cands) == 4
-        gaming = [c.w_cheap for c in cands[1:]]
+        assert cands[0].tolist() == [0.0, 0.0]
+        assert cands.shape == (4, 2)
+        gaming = cands[1:, 1].tolist()
         assert gaming == pytest.approx([1.0, 1.6, 2.2])
-        assert [c.w_costly for c in cands[1:]] == pytest.approx([0.0, 0.6, 1.2])
+        assert cands[1:, 0].tolist() == pytest.approx([0.0, 0.6, 1.2])
 
     def test_two_type_count(self):
         inst = linear(1.0, 0.0, types=(1.0, 3.0))
@@ -51,13 +51,12 @@ class TestCandidateDeviations:
     def test_costly_gaming_grid_starts_at_zero(self):
         inst = linear(1.0, 0.5)
         cands = candidate_deviations(inst, 2)
-        assert cands[1].w_cheap == 0.0
+        assert cands[1, 1] == 0.0
 
     def test_candidates_lie_on_curves(self):
         inst = linear(-0.5, 0.3, types=(0.7, 2.0))
         cands = candidate_deviations(inst, 10)
-        pts = np.array([[c.w_costly, c.w_cheap] for c in cands])
-        assert support_containment(pts, inst, 1e-9) == []
+        assert support_containment(cands, inst, 1e-9) == []
 
     @settings(max_examples=150, deadline=None)
     @given(kmr=st.booleans(), alpha=st.sampled_from([-0.5, 1.0]),
@@ -67,11 +66,11 @@ class TestCandidateDeviations:
         family = KMR(1.0, gamma) if kmr else LinearTwitter(alpha, gamma)
         inst = ModelInstance(family, TypeSpace.of(sorted(types)))
 
-        def bits(cands):
-            return [(c.w_costly.hex(), c.w_cheap.hex()) for c in cands]
+        def bits(rows):
+            return [(q.hex(), x.hex()) for q, x in rows]
 
-        assert bits(candidate_deviations(inst, grid_k)) == \
-            bits(loop_candidate_deviations(inst, grid_k))
+        assert bits(candidate_deviations(inst, grid_k).tolist()) == \
+            bits(c.as_tuple() for c in loop_candidate_deviations(inst, grid_k))
 
 
 class TestPositiveCorrelation:
@@ -155,8 +154,7 @@ class TestBestResponseGap:
         s = engagement_eq_homogeneous(inst, 2)
         rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=20,
                                 n_per_candidate=20000, rng=np.random.default_rng(3))
-        means = np.array([e.mean for e in rep.probe_utilities])
-        ses = np.array([e.stderr for e in rep.probe_utilities])
+        means, ses = rep.probe_mean, rep.probe_stderr
         spread = np.abs(means - means.mean())
         assert np.all(spread <= 3 * np.maximum(ses, 1e-4) + 1e-3)
 
@@ -180,14 +178,37 @@ class TestBestResponseGap:
         assert abs(rep.eq_utility.mean - expected) <= 3 * rep.eq_utility.stderr + 2e-3
 
     def test_report_serializes(self):
-        import json
         inst = linear(1.0, 0.0)
         s = engagement_eq_homogeneous(inst, 2)
         rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=5,
                                 n_per_candidate=500, rng=np.random.default_rng(6))
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(rep.to_dict()))
         assert len(payload["candidates"]) == len(payload["candidate_utilities"])
         assert "gap" in payload and "passes" in payload
+
+    def test_curves_give_each_curve_best_and_hold_the_argmax(self):
+        # two atoms, one on each curve, that a type 1.9 curve deviation beats
+        inst = linear(1.0, 0.0, types=(1.0, 1.9))
+        s = MixedStrategy(((0.5, AtomComponent(0.6, 1.6)),
+                           (0.5, AtomComponent(0.2, 2.28))), "two atoms")
+        k = 60
+        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=k,
+                                n_per_candidate=5000, rng=np.random.default_rng(2))
+        assert not rep.passes()
+        assert " on the type 1.9 curve " in failure_summary(rep)
+        payload = rep.to_dict()
+        curves = payload["curves"]
+        assert [c["t"] for c in curves] == [1.0, 1.9]
+        for j, curve in enumerate(curves):
+            i = 1 + j * k + int(np.argmax(rep.candidate_mean[1 + j * k:1 + (j + 1) * k]))
+            assert curve["best"] == payload["candidates"][i]
+            assert curve["mean"] == payload["candidate_utilities"][i]["mean"]
+            assert curve["stderr"] == payload["candidate_utilities"][i]["stderr"]
+            assert curve["gap"] == curve["mean"] - rep.eq_utility.mean
+        assert curves[1]["best"] == payload["argmax_candidate"]
+        assert curves[1]["mean"] == rep.best_deviation_utility.mean
+        assert curves[1]["gap"] == rep.gap
+        assert curves[0]["mean"] < curves[1]["mean"]
 
 
 class TestSharedOpponentPool:
@@ -214,7 +235,7 @@ class TestSharedOpponentPool:
         original = OpponentPool.payoffs
 
         def spy(self, contents):
-            calls.append(list(contents))
+            calls.append(np.array(contents).tolist())
             return original(self, contents)
 
         monkeypatch.setattr(OpponentPool, "payoffs", spy)
@@ -225,7 +246,8 @@ class TestSharedOpponentPool:
                                 n_probes=8)
         assert len(rep.candidates) == 1 + 2 * grid_k
         assert sum(map(len, calls)) <= 8 + 1
-        assert calls == [list(rep.probes), [rep.argmax_candidate]]
+        best = rep.candidates[rep.argmax_index]
+        assert calls == [rep.probes.tolist(), [best.tolist()]]
 
     def test_combined_stderr_is_paired_difference_stderr(self):
         inst = linear(1.0, 0.0, types=(1.0, 1.9))
@@ -234,10 +256,11 @@ class TestSharedOpponentPool:
         rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=20,
                                 n_per_candidate=n, rng=np.random.default_rng(7))
         rng = np.random.default_rng(7)
-        probes = [Content(float(q), float(x)) for q, x in s.sample(rng, 32)]
+        probes = s.sample(rng, 32)
         pool = OpponentPool.draw(inst, Metric.ENGAGEMENT, s, 2, n, rng)
-        eq = np.mean([pool.payoffs([c]) for c in probes], axis=0)
-        diff = pool.payoffs([rep.argmax_candidate]) - eq
+        eq = np.mean([pool.payoffs(probes[i:i + 1]) for i in range(32)], axis=0)
+        i = rep.argmax_index
+        diff = pool.payoffs(rep.candidates[i:i + 1]) - eq
         expected = diff.std(ddof=1) / np.sqrt(n)
         assert rep.combined_stderr == pytest.approx(expected, rel=1e-12)
         assert rep.gap == pytest.approx(diff.mean(), abs=1e-12)
