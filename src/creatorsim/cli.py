@@ -186,7 +186,9 @@ def _out_dir(args, cfg: dict | None = None) -> Path:
 def _write(path: Path, text: str) -> None:
     """Write one artifact; a path that cannot take a file is a config error."""
     try:
-        path.write_text(text)
+        # surrogateescape gives back the bytes of a path argument that the
+        # locale could not decode, as in the ``# data:`` line
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}")
 
@@ -214,7 +216,7 @@ def cmd_sample(args) -> int:
     n = cfg["samples"]
     draws = strategy.sample(rng, n) if n > 0 else np.empty((0, 2))
     lines = [f"# config: {_config_echo(cfg)}", "w_costly,w_cheap"]
-    lines += [f"{repr(float(q))},{repr(float(x))}" for q, x in draws]
+    lines += [f"{q!r},{x!r}" for q, x in draws.tolist()]
     path = out / "samples.csv"
     _write(path, "\n".join(lines) + "\n")
     print(f"wrote {n} samples to {path}")
@@ -344,8 +346,8 @@ def cmd_empirics(args) -> int:
                     continue
                 xs, ys = curve.step_points()
                 body = ["log1p_favorites,cdf"]
-                body += [f"{repr(float(x))},{repr(float(y))}"
-                         for x, y in zip(xs, ys)]
+                body += [f"{x!r},{y!r}"
+                         for x, y in zip(xs.tolist(), ys.tolist())]
                 _write(out / f"ecdf_f{feed}_G{label}_a{a}.csv",
                        "\n".join(body) + "\n")
                 n_files += 1
@@ -353,46 +355,65 @@ def cmd_empirics(args) -> int:
     return EXIT_OK
 
 
-def make_parser() -> argparse.ArgumentParser:
+def _config_options(p, sampled=True) -> None:
+    p.add_argument("--config", required=True, help="JSON config path")
+    if sampled:
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--out", default=None, help="output directory")
+
+
+def _unsampled_options(p) -> None:
+    _config_options(p, sampled=False)
+
+
+def _verify_options(p) -> None:
+    _config_options(p)
+    p.add_argument("--grid", type=int, default=200, help="points per curve")
+
+
+def _metrics_options(p) -> None:
+    _config_options(p)
+    p.add_argument("--threads", type=int, default=1)
+
+
+def _empirics_options(p) -> None:
+    p.add_argument("--data", required=True, help="records CSV path")
+    p.add_argument("--out", default=None)
+
+
+# name, help, option adder, handler; ``main`` looks the handler up by name
+# when it runs, so a wrapped or patched ``cmd_*`` is the one called
+COMMANDS = (
+    ("check-model", "audit model assumptions", _unsampled_options,
+     "cmd_check_model"),
+    ("sample", "draw equilibrium contents to CSV", _config_options, "cmd_sample"),
+    ("verify", "best-response gap certification", _verify_options, "cmd_verify"),
+    ("metrics", "UCQ/RE/UW estimates to CSV", _metrics_options, "cmd_metrics"),
+    ("describe", "strategy components as JSON", _unsampled_options,
+     "cmd_describe"),
+    ("empirics", "feed-survey rank analysis", _empirics_options, "cmd_empirics"),
+)
+HANDLERS = {name: handler for name, _, _, handler in COMMANDS}
+
+
+@functools.cache
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone.
+
+    Built once per process for each ``command``. A one-command parser
+    still names every subcommand in its usage line, so its help and errors
+    are the full parser's byte for byte; the full one serves ``-h`` and a
+    missing or unknown subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="creatorsim",
         description="Creator-competition equilibrium simulator and verifier")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, sampled=True):
-        p.add_argument("--config", required=True, help="JSON config path")
-        if sampled:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-
-    p = sub.add_parser("check-model", help="audit model assumptions")
-    common(p, sampled=False)
-    p.set_defaults(fn=cmd_check_model)
-
-    p = sub.add_parser("sample", help="draw equilibrium contents to CSV")
-    common(p)
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("verify", help="best-response gap certification")
-    common(p)
-    p.add_argument("--grid", type=int, default=200, help="points per curve")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("metrics", help="UCQ/RE/UW estimates to CSV")
-    common(p)
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(fn=cmd_metrics)
-
-    p = sub.add_parser("describe", help="strategy components as JSON")
-    common(p, sampled=False)
-    p.set_defaults(fn=cmd_describe)
-
-    p = sub.add_parser("empirics", help="feed-survey rank analysis")
-    p.add_argument("--data", required=True, help="records CSV path")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_empirics)
-
+    metavar = None if command is None else "{" + ",".join(HANDLERS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_options, _ in COMMANDS:
+        if command in (None, name):
+            add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -427,10 +448,12 @@ def _hold_heap() -> None:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in HANDLERS else None
+    args = make_parser(command).parse_args(argv)
     _hold_heap()
     try:
-        return args.fn(args)
+        return globals()[HANDLERS[args.command]](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

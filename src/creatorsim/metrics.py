@@ -65,12 +65,19 @@ def estimate_round_metrics(inst: ModelInstance, metric: Metric,
         return parts
 
     totals = [RunningMoments() for _ in ROUND_FIELDS]
-    workers = min(threads, shards, os.cpu_count() or 1)
+    workers = min(threads, shards, _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for parts in pool.map(shard, rng.spawn(shards), counts):
             for total, part in zip(totals, parts):
                 total.merge(part)
     return {name: total.estimate() for name, total in zip(ROUND_FIELDS, totals)}
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset``, a cpuset container), else every CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def estimate_ucq(inst, metric, strategy, P, n, rng, threads=1) -> MetricEstimate:

@@ -376,6 +376,82 @@ def test_flags_a_command_ignores_are_rejected(tmp_path, argv):
     assert exc.value.code == 2
 
 
+class TestParser:
+    """``main`` parses with a cached parser holding only the named command."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return out, err, exc.value.code
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["verify", "-h"], ["empirics", "--help"],
+        [], ["bogus"],
+        ["verify"], ["verify", "--threads", "2"],
+        ["metrics", "--grid", "3"], ["metrics", "--threads", "x"],
+        ["check-model", "--seed", "1"], ["describe", "--samples", "3"],
+        ["sample", "--config", "c.json", "extra"],
+        ["empirics", "--data"], ["verify", "--grid", "2.5"],
+    ], ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_help_and_errors_match_the_full_parser(self, capsys, argv):
+        import creatorsim.cli as cli
+        # main parses an argv that starts with a command with that command's
+        # parser alone
+        full = self.outcome(cli.make_parser().parse_args, argv, capsys)
+        assert self.outcome(main, argv, capsys) == full
+
+    def test_later_call_keeps_no_earlier_option(self, tmp_path):
+        import creatorsim.cli as cli
+        path, _ = write_config(tmp_path, samples=20)
+        argv = ["sample", "--config", str(path), "--out"]
+        cli.make_parser.cache_clear()
+        assert main(argv + [str(tmp_path / "first")]) == 0
+        assert main(argv + [str(tmp_path / "with"), "--seed", "9",
+                            "--samples", "7"]) == 0
+        assert main(argv + [str(tmp_path / "second")]) == 0
+        want = (tmp_path / "first" / "samples.csv").read_bytes()
+        assert (tmp_path / "second" / "samples.csv").read_bytes() == want
+        assert want.count(b"\n") == 22
+        assert (tmp_path / "with" / "samples.csv").read_bytes().count(b"\n") == 9
+
+    def test_parser_built_once_for_repeated_command(self, tmp_path, monkeypatch):
+        import creatorsim.cli as cli
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.make_parser.cache_clear()
+        path, _ = write_config(tmp_path, samples=50)
+        argv = ["verify", "--config", str(path), "--grid", "3",
+                "--out", str(tmp_path)]
+        try:
+            assert main(argv) == 0
+            first = list(built)
+            assert main(argv) == 0
+        finally:
+            cli.make_parser.cache_clear()
+        # the top-level parser and the verify subparser, once
+        assert first == ["creatorsim", "creatorsim verify"]
+        assert built == first
+
+    def test_patched_handler_runs_after_first_call(self, tmp_path, monkeypatch):
+        import creatorsim.cli as cli
+        path, _ = write_config(tmp_path, samples=50)
+        argv = ["verify", "--config", str(path), "--grid", "3",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args) or 7)
+        assert main(argv) == 7
+        assert [a.grid for a in seen] == [3]
+
+
 class TestMetrics:
     def test_all_recommenders_welfare_pattern(self, tmp_path):
         path, _ = write_config(tmp_path, recommender="all", samples=20000)
@@ -591,6 +667,24 @@ class TestEmpirics:
             assert (tmp_path / "crlf" / name).read_text() == \
                 (tmp_path / "lf" / name).read_text().replace(
                     f"# data: {lf}\n", "# data: /dev/stdin\n")
+
+    def test_undecodable_data_path_under_c_locale(self, tmp_path):
+        # the C locale decodes the path's non-ASCII bytes to surrogates;
+        # table1.csv's "# data:" line must hold the original bytes
+        rows = [f"{f},P,{a},{a}" for f in ("E", "C") for a in range(5)]
+        data = self.make_data(tmp_path, rows).rename(tmp_path / "sürvey.csv")
+        src = str(Path(creatorsim.__file__).resolve().parents[1])
+        run = ("import sys; from creatorsim.cli import main; "
+               "sys.exit(main(sys.argv[1:]))")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-c", run, "empirics", "--data", str(data),
+             "--out", str(tmp_path / "out")],
+            cwd=src, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        table = (tmp_path / "out" / "table1.csv").read_bytes()
+        assert table.splitlines()[0] == b"# data: " + os.fsencode(data)
 
     def test_malformed_rows_exit_two(self, tmp_path, capsys):
         path = self.make_data(tmp_path, ["E,P,9,1"])

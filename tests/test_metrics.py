@@ -284,8 +284,12 @@ class TestEstimators:
             assert fn(inst, Metric.ENGAGEMENT, s, 2, 5000,
                       np.random.default_rng(11)) == both[name]
 
-    @pytest.mark.parametrize("cpus,workers", [(3, 3), (64, 5), (None, 1)])
-    def test_worker_pool_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+    # affinity None: a platform without os.sched_getaffinity
+    @pytest.mark.parametrize("cpus,affinity,workers", [
+        (3, None, 3), (64, None, 5), (None, None, 1), (64, {0}, 1)],
+        ids=["3-3", "64-5", "None-1", "64-pinned_to_1-1"])
+    def test_worker_pool_capped_at_cpu_count(self, monkeypatch, cpus, affinity,
+                                             workers):
         import threading
 
         import creatorsim.metrics as met
@@ -311,6 +315,11 @@ class TestEstimators:
                                       np.random.default_rng(3))
         monkeypatch.setattr(met, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(met.os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(met.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(met.os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
         before = threading.active_count()
         got = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
                                      np.random.default_rng(3), threads=10**6)
