@@ -25,7 +25,7 @@ from .equilibrium import (
     n_prime,
     random_eq,
 )
-from .game import Metric, expected_creator_utility, recommend, simulate_rounds
+from .game import Metric, expected_creator_utility, simulate_rounds
 from .metrics import (
     closed_form_ucq_homogeneous,
     estimate_re,
@@ -54,7 +54,7 @@ __all__ = [
     "estimate_re", "estimate_ucq", "estimate_uw", "expected_creator_utility",
     "expected_max_from_cdf", "investment_engagement_cdf", "investment_eq",
     "ks_distance", "limit_engagement_cdf", "make_well_separated_types",
-    "n_prime", "random_eq", "recommend", "simulate_rounds",
+    "n_prime", "random_eq", "simulate_rounds",
     "support_containment",
 ]
 

@@ -7,8 +7,8 @@ as JSON), ``verify`` (best-response gap), ``metrics`` (UCQ/RE/UW table),
 
 Exit codes: 0 success, 2 configuration or validation error (including a
 non-finite ``metrics`` estimate or ``verify`` report, which is never
-written), 3 verification failure. Identical config and seed give
-byte-identical outputs, at any ``metrics --threads`` count.
+written, and a failed allocation), 3 verification failure. Identical
+config and seed give byte-identical outputs, at any ``--threads`` count.
 """
 
 from __future__ import annotations
@@ -456,6 +456,9 @@ def main(argv=None) -> int:
         return globals()[HANDLERS[args.command]](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -130,8 +130,9 @@ def load_records(path) -> Survey:
     matches ``^(E|C),(P|NP),[0-4],[0-9]{1,18}$`` and ends in ``\n``, or
     ends the file. Every other file (padded or quoted fields, signs, CR or
     CRLF line ends, blank lines, favorites of 19 or more digits, non-ASCII
-    bytes, malformed rows) goes through the ``csv`` row loop over the same
-    bytes, which gives the same columns on canonical files.
+    bytes such as a leading UTF-8 byte-order mark, malformed rows) goes
+    through the ``csv`` row loop over the same bytes, which gives the same
+    columns on canonical files.
     """
     data = Path(path).read_bytes()
     survey = _scan(data)
@@ -185,7 +186,7 @@ def _scan(data: bytes) -> Survey | None:
 
 def _load_rows(data: bytes) -> Survey:
     """The row loop: ``csv`` rows, each validated; malformed ones reported."""
-    with io.StringIO(data.decode("utf-8"), newline="") as fh:
+    with io.StringIO(data.decode("utf-8-sig"), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

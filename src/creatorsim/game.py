@@ -3,7 +3,10 @@
 The platform restricts to content the arriving user would accept (utility
 at least the outside option), picks the metric argmax among those with
 uniform tie-breaking, and recommends nothing when no content qualifies.
-Creator payoff is the win indicator minus the creation cost.
+The tied are the contents within ``TIE_RTOL * max(1, |best|)`` of the
+row's best eligible score ``best``; the round kernel and the payoff pool
+both take this floor from ``_tie_floor``. Creator payoff is the win
+indicator minus the creation cost.
 
 Equilibrium supports sit exactly on the zero-utility curves, so the
 eligibility indicator is evaluated with a small absolute tolerance; without
@@ -22,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .model import Content, ModelInstance
 
 TIE_RTOL = 1e-12  # scores this close (relative) count as tied
 ELIGIBILITY_ATOL = 1e-9  # u >= -atol counts as acceptable to the user
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class Metric(str, enum.Enum):
@@ -75,8 +78,10 @@ def eligible_scores(inst: ModelInstance, metric: Metric, q, x, ts) -> np.ndarray
     return np.where(is_eligible(inst, q, x, ts), scores, -np.inf)
 
 
-def _tie_band(score):
-    return TIE_RTOL * np.maximum(1.0, np.abs(score))
+def _tie_floor(best):
+    """Lowest score tied with a row's best eligible score ``best``; the band
+    is capped at a finite value, so the floor is nondecreasing up to ±inf."""
+    return best - TIE_RTOL * np.minimum(np.maximum(1.0, np.abs(best)), _FLOAT_MAX)
 
 
 def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
@@ -87,10 +92,8 @@ def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
     best = cols[0]
     for col in cols[1:]:
         best = np.maximum(best, col)
-    any_eligible = best > -np.inf
-    safe_best = np.where(any_eligible, best, 0.0)
-    # ineligible columns hold -inf and never reach the finite floor
-    floor = safe_best - _tie_band(safe_best)
+    # ineligible columns (-inf) tie only where none is eligible: winner -1 below
+    floor = _tie_floor(best)
     tied = [col >= floor for col in cols]
     k = np.zeros(len(ts), dtype=np.intp)
     for hit in tied:
@@ -106,19 +109,8 @@ def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
     for hit in tied:
         seen += hit
         winner += seen <= r
-    winner[~any_eligible] = -1
+    winner[best == -np.inf] = -1
     return winner
-
-
-def recommend(inst: ModelInstance, metric: Metric, landscape: Sequence[Content],
-              t: float, rng: np.random.Generator) -> Optional[int]:
-    """Index of the recommended creator, or None if no content is eligible."""
-    if len(landscape) == 0:
-        raise ValueError("landscape must be nonempty")
-    q = np.array([[w.w_costly for w in landscape]])
-    x = np.array([[w.w_cheap for w in landscape]])
-    winner = int(_pick_winners(inst, metric, q, x, np.array([float(t)]), rng)[0])
-    return None if winner < 0 else winner
 
 
 def simulate_rounds(inst: ModelInstance, metric: Metric, strategy: MixedStrategy,
@@ -155,15 +147,16 @@ class OpponentPool:
     are sorted once, by user type and then by best opponent score (``top``):
     one argsort of the tops, then a stable radix argsort of the small-integer
     type index. Rows with equal type and top may land in any order, which no
-    result depends on. A content with score s0 and tie band b then wins a row
-    of a type that accepts it outright when the row's top is below s0 - b,
-    shares the win with the opponents tied with it when the top is within
-    s0 ± b, and loses otherwise. So scoring a content is two ``searchsorted``
-    cuts per type plus a look at the rows between them, with no sampling, and
-    every content scored on one pool faces the same draws (common random
-    numbers). Contents come in as an (m, 2) array of (q, x) rows, and
-    ``estimates`` answers with mean and stderr arrays over the pool's n
-    samples, so scoring a grid builds no per-content object.
+    result depends on. Each row's floor ``_tie_floor(top)`` is sorted too,
+    as ``_tie_floor`` is nondecreasing. A content with score s0 then wins a
+    row of a type that accepts it outright when the top is below
+    ``_tie_floor(s0)``, ties when s0 is at least the row's floor, and loses
+    otherwise. So scoring a content is two ``searchsorted`` cuts per type,
+    on the tops and on the floors, plus a look at the rows between them,
+    with no sampling, and every content scored on one pool faces the same
+    draws (common random numbers). Contents come in as an (m, 2) array of
+    (q, x) rows, and ``estimates`` answers with mean and stderr arrays over
+    the pool's n samples, so scoring a grid builds no per-content object.
     """
 
     inst: ModelInstance
@@ -171,6 +164,7 @@ class OpponentPool:
     scores: np.ndarray  # (n, P-1), -inf where the user rejects the opponent
     order: np.ndarray  # (n,) rows sorted by user type, then by top
     sorted_top: np.ndarray  # (n,) top of each row in ``order``
+    sorted_floor: np.ndarray  # (n,) ``_tie_floor`` of each entry of sorted_top
     type_start: np.ndarray  # (T+1,) where each type's rows begin in ``order``
 
     @classmethod
@@ -202,29 +196,30 @@ class OpponentPool:
         order = order[np.argsort(kind[order], kind="stable")]
         type_start = np.searchsorted(
             kind[order], np.arange(len(inst.types) + 1, dtype=kind.dtype))
-        return cls(inst, metric, scores, order, top[order], type_start)
+        top = top[order]
+        return cls(inst, metric, scores, order, top, _tie_floor(top), type_start)
 
     def _cuts(self, q: np.ndarray, x: np.ndarray):
-        """Tie floor s0 - band of each content ``(q[i], x[i])`` and, per
-        type, the ``order`` positions ``start <= lo <= hi`` that split the
-        type's rows into outright wins, tie-band rows and losses. Types that
-        reject the content get ``lo = hi = start``: no row of theirs wins."""
+        """Tie floor of each content ``(q[i], x[i])`` and, per type, the
+        ``order`` positions ``start <= lo <= hi`` that split the type's rows
+        into outright wins, tie-band rows and losses. Types that reject the
+        content get ``lo = hi = start``: no row of theirs wins."""
         s0 = np.asarray(metric_score(self.inst, self.metric, q, x), dtype=float)
-        band = _tie_band(s0)
-        floor, ceil = s0 - band, s0 + band
+        floor = _tie_floor(s0)
         accepts = is_eligible(self.inst, q[:, None], x[:, None],
                               np.asarray(self.inst.types))
         start = np.broadcast_to(self.type_start[:-1], accepts.shape)
         lo, hi = np.empty_like(start), np.empty_like(start)
         for k, (a, b) in enumerate(zip(self.type_start[:-1], self.type_start[1:])):
-            seg = self.sorted_top[a:b]
-            lo[:, k] = a + np.searchsorted(seg, floor, side="left")
-            hi[:, k] = a + np.searchsorted(seg, ceil, side="right")
+            lo[:, k] = a + np.searchsorted(self.sorted_top[a:b], floor, side="left")
+            hi[:, k] = a + np.searchsorted(self.sorted_floor[a:b], s0, side="right")
         return floor, start, np.where(accepts, lo, start), np.where(accepts, hi, start)
 
     def _tied(self, lo: int, hi: int, floor: float) -> np.ndarray:
-        """Opponents within the tie band, per row of ``order[lo:hi]``."""
-        return (self.scores[self.order[lo:hi]] >= floor).sum(axis=1)
+        """Opponents tied with a content of floor ``floor`` per row of
+        ``order[lo:hi]``: those at or above the larger of it and the row's."""
+        cut = np.maximum(self.sorted_floor[lo:hi], floor)
+        return (self.scores[self.order[lo:hi]] >= cut[:, None]).sum(axis=1)
 
     def payoffs(self, contents: np.ndarray) -> np.ndarray:
         """Per-sample payoff of playing each ``(q, x)`` row of the (m, 2)

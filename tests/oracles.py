@@ -57,6 +57,21 @@ def grid_min_induced_cost(inst, t, m, x_max=50.0, n=2_000_001) -> float:
     return float(np.asarray(inst.cost(q, x), dtype=float)[feasible].min())
 
 
+def _brute_force_tied(inst, metric, row_q, row_x, t, atol, rtol) -> list[int]:
+    """Columns of one row that tie for the win, in column order: the
+    eligible columns (utility >= -atol) whose score is within
+    ``rtol * max(1, |best|)`` of the best eligible score."""
+    scores = {}
+    for j, (a, b) in enumerate(zip(row_q, row_x)):
+        if float(inst.utility(a, b, t)) >= -atol:
+            scores[j] = {"engagement": float(inst.engagement(a, b)),
+                         "investment": a, "random": 1.0}[metric]
+    if not scores:
+        return []
+    best = max(scores.values())
+    return [j for j, s in scores.items() if s >= best - rtol * max(1.0, abs(best))]
+
+
 def brute_force_winners(inst, metric, q, x, ts, uniforms, atol, rtol) -> list[int]:
     """Recommendation winner per row, one row and one column at a time.
 
@@ -69,49 +84,27 @@ def brute_force_winners(inst, metric, q, x, ts, uniforms, atol, rtol) -> list[in
     """
     winners = []
     for row_q, row_x, t, u in zip(q, x, ts, uniforms):
-        scores = {}
-        for j, (a, b) in enumerate(zip(row_q, row_x)):
-            if float(inst.utility(a, b, t)) >= -atol:
-                scores[j] = {"engagement": float(inst.engagement(a, b)),
-                             "investment": a, "random": 1.0}[metric]
-        if not scores:
-            winners.append(-1)
-            continue
-        best = max(scores.values())
-        tied = [j for j, s in scores.items() if s >= best - rtol * max(1.0, abs(best))]
-        winners.append(tied[min(int(u * len(tied)), len(tied) - 1)])
+        tied = _brute_force_tied(inst, metric, row_q, row_x, t, atol, rtol)
+        winners.append(tied[min(int(u * len(tied)), len(tied) - 1)] if tied else -1)
     return winners
 
 
 def brute_force_payoffs(inst, metric, q, x, ts, w, atol, rtol) -> list[float]:
-    """Payoff of content ``w = (q0, x0)`` in each row, one row and one
-    opponent at a time.
+    """Payoff of content ``w = (q0, x0)`` in each row: its exact share of
+    the win as column 0 under ``brute_force_winners``' rule, minus its
+    creation cost.
 
     Row i pits ``w`` against opponents ``(q[i][j], x[i][j])`` for a user of
-    type ``ts[i]``. Eligible contents have utility >= -atol. With s0 the
-    score of ``w`` and ``band = rtol * max(1, |s0|)``, an eligible ``w``
-    wins nothing when an eligible opponent scores above ``s0 + band``, and
-    otherwise wins ``1 / (1 + k)``, where k eligible opponents score at least
-    ``s0 - band``. The payoff is that share minus the creation cost of ``w``.
+    type ``ts[i]``. With k columns tied for the win, ``w`` wins ``1 / k``
+    when it is one of them and nothing otherwise.
     """
     q0, x0 = w
-
-    def score(a, b):
-        return {"engagement": float(inst.engagement(a, b)),
-                "investment": a, "random": 1.0}[metric]
-
-    s0 = score(q0, x0)
-    band = rtol * max(1.0, abs(s0))
     cost = float(inst.cost(q0, x0))
     out = []
     for row_q, row_x, t in zip(q, x, ts):
-        share = 0.0
-        if float(inst.utility(q0, x0, t)) >= -atol:
-            rivals = [score(a, b) for a, b in zip(row_q, row_x)
-                      if float(inst.utility(a, b, t)) >= -atol]
-            if all(s <= s0 + band for s in rivals):
-                share = 1.0 / (1 + sum(s >= s0 - band for s in rivals))
-        out.append(share - cost)
+        tied = _brute_force_tied(inst, metric, [q0, *row_q], [x0, *row_x], t,
+                                 atol, rtol)
+        out.append((1.0 / len(tied) if 0 in tied else 0.0) - cost)
     return out
 
 
@@ -179,17 +172,18 @@ def mask_vt_sample(comp, u_main, u_aux):
 
 def lexsort_pool(inst, metric, q, x, ts):
     """``OpponentPool.of`` with the row top taken by a reduction along the
-    short axis and the rows ordered by one ``np.lexsort`` of (top, type
-    index)."""
+    short axis, the rows ordered by one ``np.lexsort`` of (top, type index)
+    and the row floors taken before the sort."""
     import numpy as np
-    from creatorsim.game import OpponentPool, eligible_scores
+    from creatorsim.game import OpponentPool, _tie_floor, eligible_scores
 
     scores = eligible_scores(inst, metric, q, x, ts[:, None])
     top = scores.max(axis=1)
     kind = np.searchsorted(inst.types, ts)
     order = np.lexsort((top, kind))
     type_start = np.searchsorted(kind[order], np.arange(len(inst.types) + 1))
-    return OpponentPool(inst, metric, scores, order, top[order], type_start)
+    return OpponentPool(inst, metric, scores, order, top[order],
+                        _tie_floor(top)[order], type_start)
 
 
 def scatter_payoffs(pool, w):

@@ -202,6 +202,23 @@ class TestVerify:
         assert not (tmp_path / "verify.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "10000000000000"],
+    ["verify", "--grid", "10000000000000"],
+    ["sample", "--samples", "10000000000000"],
+])
+def test_allocation_failure_exits_two_with_one_line(tmp_path, capsys, argv):
+    # each run asks numpy for one array of over 2**47 bytes, which fails at
+    # once under any overcommit setting
+    path, _ = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: Unable to allocate")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 # the benchmark's two certify cases, with their candidate plus probe counts
 # at grid 200 and 32 probes
 CERTIFY_CASES = {
@@ -667,6 +684,25 @@ class TestEmpirics:
             assert (tmp_path / "crlf" / name).read_text() == \
                 (tmp_path / "lf" / name).read_text().replace(
                     f"# data: {lf}\n", "# data: /dev/stdin\n")
+
+    def test_byte_order_mark_gives_same_outputs(self, tmp_path):
+        # spreadsheets' "CSV UTF-8" starts with EF BB BF; the scan declines
+        # it and the row loop must read past it to the header
+        rows = [f"{f},{g},{a},{a * 5 + i}" for f in ("E", "C")
+                for g in ("P", "NP") for a in range(5) for i in range(3)]
+        plain = self.make_data(tmp_path, rows)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for data, out in ((plain, "plain"), (bom, "bom")):
+            assert main(["empirics", "--data", str(data),
+                         "--out", str(tmp_path / out)]) == 0
+        outputs = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert len(outputs) == 31
+        assert sorted(p.name for p in (tmp_path / "bom").iterdir()) == outputs
+        for name in outputs:
+            assert (tmp_path / "bom" / name).read_text() == \
+                (tmp_path / "plain" / name).read_text().replace(
+                    f"# data: {plain}\n", f"# data: {bom}\n")
 
     def test_undecodable_data_path_under_c_locale(self, tmp_path):
         # the C locale decodes the path's non-ASCII bytes to surrogates;

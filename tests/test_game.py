@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from creatorsim import (
     KMR,
@@ -19,7 +19,6 @@ from creatorsim import (
     investment_eq,
     make_well_separated_types,
     random_eq,
-    recommend,
     simulate_rounds,
 )
 from creatorsim.equilibrium import AtomComponent, MixedStrategy
@@ -28,6 +27,7 @@ from creatorsim.game import (
     TIE_RTOL,
     OpponentPool,
     _pick_winners,
+    _tie_floor,
     is_eligible,
     metric_score,
 )
@@ -55,63 +55,53 @@ class TestMetricScores:
 
 
 class TestRecommend:
+    # one-row landscapes through the round kernel and the brute-force oracle
     def test_investment_argmax(self):
-        inst = linear(1.0)
-        got = recommend(inst, Metric.INVESTMENT,
-                        [Content(1.0, 0.0), Content(0.5, 0.0)], 1.0,
-                        np.random.default_rng(0))
-        assert got == 0
+        got, want = pick(linear(1.0), Metric.INVESTMENT, [[1.0, 0.5]],
+                         [[0.0, 0.0]], [1.0], 0)
+        assert got == want == [0]
 
     def test_engagement_hand_scored(self):
-        inst = linear(1.0)
-        got = recommend(inst, Metric.ENGAGEMENT,
-                        [Content(0.5, 0.4), Content(0.8, 0.0)], 1.0,
-                        np.random.default_rng(0))
-        assert got == 0  # scores 0.9 vs 0.8, both eligible
+        got, want = pick(linear(1.0), Metric.ENGAGEMENT, [[0.5, 0.8]],
+                         [[0.4, 0.0]], [1.0], 0)
+        assert got == want == [0]  # scores 0.9 vs 0.8, both eligible
 
     def test_none_when_nothing_eligible(self):
-        inst = linear(1.0)
         for metric in Metric:
-            got = recommend(inst, metric, [Content(0.0, 5.0)], 1.0,
-                            np.random.default_rng(0))
-            assert got is None
+            got, want = pick(linear(1.0), metric, [[0.0]], [[5.0]], [1.0], 0)
+            assert got == want == [-1]
 
     def test_empty_landscape_rejected(self):
         with pytest.raises(ValueError):
-            recommend(linear(1.0), Metric.RANDOM, [], 1.0, np.random.default_rng(0))
+            simulate_rounds(linear(1.0), Metric.RANDOM, point_mass(0.0, 0.0), 0, 1,
+                            np.random.default_rng(0))
 
     def test_single_eligible_creator_always_wins(self):
-        inst = linear(1.0)
         for seed in range(5):
-            assert recommend(inst, Metric.ENGAGEMENT, [Content(0.1, 0.2)], 1.0,
-                             np.random.default_rng(seed)) == 0
+            got, want = pick(linear(1.0), Metric.ENGAGEMENT, [[0.1]], [[0.2]],
+                             [1.0], seed)
+            assert got == want == [0]
 
     def test_eligible_low_score_beats_ineligible_high_score(self):
-        inst = linear(1.0)
-        got = recommend(inst, Metric.ENGAGEMENT,
-                        [Content(0.0, 0.0), Content(0.0, 5.0)], 1.0,
-                        np.random.default_rng(0))
-        assert got == 0
+        got, want = pick(linear(1.0), Metric.ENGAGEMENT, [[0.0, 0.0]],
+                         [[0.0, 5.0]], [1.0], 0)
+        assert got == want == [0]
 
     def test_uniform_tie_breaking(self):
-        inst = linear(1.0)
-        rng = np.random.default_rng(42)
-        landscape = [Content(0.0, 0.0), Content(0.0, 0.0), Content(0.0, 0.0)]
-        counts = np.zeros(3)
         n = 6000
-        for _ in range(n):
-            counts[recommend(inst, Metric.RANDOM, landscape, 1.0, rng)] += 1
+        got, want = pick(linear(1.0), Metric.RANDOM, np.zeros((n, 3)),
+                         np.zeros((n, 3)), np.ones(n), 42)
+        assert got == want
+        counts = np.bincount(got, minlength=3)
         assert np.all(np.abs(counts / n - 1 / 3) < 4 * math.sqrt(2 / 9 / n))
 
     def test_argmax_invariant_under_increasing_score_transform(self, monkeypatch):
         import creatorsim.game as game_mod
         inst = linear(1.0, types=(0.5, 1.0, 3.0))
         rng = np.random.default_rng(7)
-        landscapes = [[Content(float(q), float(x)) for q, x in rng.uniform(0, 2, (3, 2))]
-                      for _ in range(200)]
-        ts = rng.choice(inst.types, size=len(landscapes))
-        base = [recommend(inst, Metric.ENGAGEMENT, lc, t, np.random.default_rng(i))
-                for i, (lc, t) in enumerate(zip(landscapes, ts))]
+        pts = rng.uniform(0, 2, (200, 3, 2))
+        ts = rng.choice(inst.types, size=len(pts))
+        base, _ = pick(inst, Metric.ENGAGEMENT, pts[..., 0], pts[..., 1], ts, 0)
         original = game_mod.metric_score
 
         def warped(inst_, metric, q, x):
@@ -119,8 +109,8 @@ class TestRecommend:
             return np.exp(2.0 * np.asarray(s, dtype=float)) + 3.0
 
         monkeypatch.setattr(game_mod, "metric_score", warped)
-        warped_winners = [recommend(inst, Metric.ENGAGEMENT, lc, t, np.random.default_rng(i))
-                          for i, (lc, t) in enumerate(zip(landscapes, ts))]
+        warped_winners, _ = pick(inst, Metric.ENGAGEMENT, pts[..., 0], pts[..., 1],
+                                 ts, 0)
         assert warped_winners == base
 
 
@@ -380,6 +370,94 @@ class TestOpponentPoolReductions:
             assert pool.payoffs(np.array([[0.0, 0.0]])).tolist() == [1.0] * 4
             # acceptable to type 1 only
             assert pool.payoffs(np.array([[0.0, 1.0]])).tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
+class TestOneTieRule:
+    # the pool pays a content its exact share of the win as column 0 under
+    # the round kernel's rule: ties are measured from the row's best score
+    q_grid = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 1e3])
+    x_grid = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+
+    @staticmethod
+    def column0_shares(inst, metric, q, x, ts, w):
+        """Column 0's share of the win per row under ``brute_force_winners``,
+        with ``w`` prepended as column 0: the fraction of 12 evenly spread
+        uniforms that pick it, exact for up to 4 tied columns."""
+        u = ((np.arange(12) + 0.5) / 12).tolist()
+        shares = []
+        for row_q, row_x, t in zip(q, x, ts):
+            wins = brute_force_winners(inst, metric.value, [[w[0], *row_q]] * 12,
+                                       [[w[1], *row_x]] * 12, [t] * 12, u,
+                                       ELIGIBILITY_ATOL, TIE_RTOL)
+            shares.append(wins.count(0) / 12)
+        return shares
+
+    def check(self, inst, metric, q, x, ts, w):
+        pool = OpponentPool.of(inst, metric, np.array(q, dtype=float),
+                               np.array(x, dtype=float), np.array(ts, dtype=float))
+        shares = self.column0_shares(inst, metric, q, x, ts, w)
+        cost = float(inst.cost(*w))
+        # payoff + cost == share, written as the pool computes it
+        assert pool.payoffs(np.array([w])).tolist() == [s - cost for s in shares]
+        mean, _ = pool.estimates(np.array([w]))
+        assert abs(mean[0] - (sum(shares) / len(shares) - cost)) <= 1e-12
+        return shares
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), P=st.integers(2, 4), n=st.integers(1, 8),
+           metric=st.sampled_from(list(Metric)),
+           family=st.sampled_from([LinearTwitter(1.0, 0.3), KMR(1.0, 0.3)]),
+           types=st.sets(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3))
+    def test_pool_pays_column0_share_on_near_tie_chains(self, data, P, n, metric,
+                                                         family, types):
+        inst = ModelInstance(family, TypeSpace.of(sorted(types)))
+        w = (data.draw(self.q_grid), data.draw(self.x_grid))
+        s0 = float(metric_score(inst, metric, w[0], w[1]))
+        band = TIE_RTOL * max(1.0, abs(s0))
+        # an opponent is an atom on the grid or sits on the chain
+        # s0 + k * 0.45 * band, reached by moving w's quality
+        chain = st.builds(lambda k: (w[0] + k * 0.45 * band, w[1]), st.integers(-3, 3))
+        opponent = st.one_of(st.tuples(self.q_grid, self.x_grid), chain)
+        rows = data.draw(st.lists(st.lists(opponent, min_size=P - 1, max_size=P - 1),
+                                  min_size=n, max_size=n))
+        q = [[a for a, _ in row] for row in rows]
+        x = [[b for _, b in row] for row in rows]
+        ts = data.draw(st.lists(st.sampled_from(inst.types), min_size=n, max_size=n))
+        self.check(inst, metric, q, x, ts, w)
+        # the round kernel plays the same rows by the same rule
+        got, want = pick(inst, metric, [[w[0], *r] for r in q],
+                         [[w[1], *r] for r in x], ts, 0)
+        assert got == want
+
+    def test_near_tie_chain_shares_with_the_higher_opponent_only(self):
+        # scores 0.5 and 0.5 ± 0.9e-12 with band 1e-12: the floor of the
+        # row's best, 0.5 + 0.9e-12, admits the content and the higher
+        # opponent but not the lower one
+        inst = linear(1.0)
+        q = [[0.5 + 0.9e-12, 0.5 - 0.9e-12]]
+        assert self.check(inst, Metric.INVESTMENT, q, [[0.0, 0.0]], [1.0],
+                          (0.5, 0.0)) == [0.5]
+        n = 20000
+        got, want = pick(inst, Metric.INVESTMENT, [[0.5, *q[0]]] * n,
+                         np.zeros((n, 3)), np.ones(n), 11)
+        assert got == want
+        freq = np.bincount(got, minlength=3) / n
+        assert freq[2] == 0.0
+        assert abs(freq[0] - 0.5) < 4 * math.sqrt(0.25 / n)
+
+    finite_or_inf = st.floats(allow_nan=False, allow_infinity=True)
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=finite_or_inf, b=finite_or_inf)
+    @example(a=-math.inf, b=math.inf)
+    def test_tie_floor_nondecreasing(self, a, b):
+        lo, hi = sorted((a, b))
+        with np.errstate(over="ignore"):  # the floor of -max is -inf
+            f_lo, f_hi = _tie_floor(np.array([lo, hi])).tolist()
+        assert f_lo <= f_hi
+        for score, floor in ((lo, f_lo), (hi, f_hi)):
+            # at most the score, and ±inf map to themselves
+            assert floor <= score and (floor == score or not math.isinf(score))
 
 
 def estimate_bits(estimates):
