@@ -11,7 +11,8 @@ kernel of ``game``) reduced to three ``RunningMoments`` before the next
 starts, so the memory a pass holds grows with the number of workers and
 ``ROUND_ROWS``, not with the round count. The homogeneous engagement case
 additionally has a closed-form route through the quality CDF and an
-expected-maximum quadrature, which the estimators are tested against.
+expected-maximum integral by a fixed Gauss-Legendre rule per CDF panel,
+which the estimators are tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,12 +29,14 @@ from .equilibrium import MixedStrategy
 from .game import Metric, simulate_rounds
 from .model import ModelInstance
 
-SIMPSON_TOL = 1e-8
+QUAD_NODES = 64  # Gauss-Legendre nodes per panel of expected_max_from_cdf
 E_LIMIT_TOP = math.exp(1.0 - 1.0 / math.e)  # upper support of the limit cdf
 
 
 # most rounds in one shard; fixed, so the draws do not depend on the thread count
 ROUND_ROWS = 16384
+# shard generators spawned at once; bounds what a pass builds ahead of its rounds
+SPAWN_GROUP = 64
 ROUND_FIELDS = {"ucq": "quality", "re": "engagement", "uw": "user_utility"}
 
 
@@ -45,20 +48,24 @@ def estimate_round_metrics(inst: ModelInstance, metric: Metric,
 
     The rounds are split as evenly as possible into ``ceil(n / ROUND_ROWS)``
     shards of at most ``ROUND_ROWS`` rounds, each drawn from its own
-    ``rng.spawn`` child. ``threads`` only sets how many shards run at once
-    (never more than the shards or the CPUs); their moments are merged in
-    shard order, so the estimates are identical at any thread count. The
-    arrays alive at once take O(workers * ROUND_ROWS * P) memory.
+    ``rng.spawn`` child. The children are spawned ``SPAWN_GROUP`` at a time
+    as the pass reaches them; ``SeedSequence`` numbers children in spawn
+    order, so the draws equal those of one ``rng.spawn(shards)`` call.
+    ``threads`` only sets how many shards run at once (never more than the
+    shards or the CPUs); their moments are merged in shard order, so the
+    estimates are identical at any thread count. The arrays alive at once
+    take O(workers * ROUND_ROWS * P) memory.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     shards = (n + ROUND_ROWS - 1) // ROUND_ROWS
-    counts = [n // shards + (1 if i < n % shards else 0) for i in range(shards)]
+    size, extra = divmod(n, shards)
 
-    def shard(sub: np.random.Generator, m: int) -> list[RunningMoments]:
-        batch = simulate_rounds(inst, metric, strategy, P, m, sub)
+    def shard(i: int, sub: np.random.Generator) -> list[RunningMoments]:
+        batch = simulate_rounds(inst, metric, strategy, P,
+                                size + (i < extra), sub)
         parts = [RunningMoments() for _ in ROUND_FIELDS]
         for part, field in zip(parts, ROUND_FIELDS.values()):
             part.add_samples(getattr(batch, field))
@@ -67,9 +74,11 @@ def estimate_round_metrics(inst: ModelInstance, metric: Metric,
     totals = [RunningMoments() for _ in ROUND_FIELDS]
     workers = min(threads, shards, _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for parts in pool.map(shard, rng.spawn(shards), counts):
-            for total, part in zip(totals, parts):
-                total.merge(part)
+        for start in range(0, shards, SPAWN_GROUP):
+            group = range(start, min(start + SPAWN_GROUP, shards))
+            for parts in pool.map(shard, group, rng.spawn(len(group))):
+                for total, part in zip(totals, parts):
+                    total.merge(part)
     return {name: total.estimate() for name, total in zip(ROUND_FIELDS, totals)}
 
 
@@ -120,26 +129,16 @@ def limit_engagement_cdf(v, eps: float = 0.0) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
-
-
 def expected_max_from_cdf(cdf: Callable, P: int, upper: float,
-                          tol: float = SIMPSON_TOL,
                           breakpoints: Sequence[float] = ()) -> float:
     """E[max of P i.i.d. draws] for a nonnegative variable with the given CDF.
 
-    Integrates 1 - F(v)^P over [0, upper] by adaptive Simpson, splitting
-    panels at the supplied CDF breakpoints so kinks do not stall the
-    refinement. The CDF must be nondecreasing and reach 1 by ``upper``.
+    Integrates 1 - F(v)^P over [0, upper] with a ``QUAD_NODES``-point
+    Gauss-Legendre rule on each panel between the supplied CDF breakpoints.
+    The rule never evaluates a panel end, so an atom at a breakpoint does
+    not bias it, and it is exact wherever 1 - F^P is a polynomial of degree
+    below ``2 * QUAD_NODES`` on each panel (a piecewise-linear F with P <=
+    127). The CDF must be nondecreasing and reach 1 by ``upper``.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -155,22 +154,16 @@ def expected_max_from_cdf(cdf: Callable, P: int, upper: float,
     if fvals[-1] < 1.0 - 1e-9:
         raise ValueError(f"cdf reaches only {fvals[-1]} at upper={upper}")
 
-    def integrand(v):
-        return 1.0 - float(np.asarray(cdf(v), dtype=float)) ** P
+    # imported on first use: loading numpy.polynomial would add about 3 ms to
+    # every CLI start, and no command integrates
+    from numpy.polynomial.legendre import leggauss
 
+    x, w = leggauss(QUAD_NODES)
     panels = np.unique(np.clip(np.asarray([0.0, upper, *breakpoints], dtype=float),
                                0.0, upper))
-    total = 0.0
-    for a, b in zip(panels, panels[1:]):
-        if b - a <= 1e-15:
-            continue
-        fa, fb = integrand(a), integrand(b)
-        m = 0.5 * (a + b)
-        fm = integrand(m)
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        total += _adaptive_simpson(integrand, a, b, fa, fm, fb, whole,
-                                   tol * (b - a) / upper, depth=48)
-    return total
+    half = 0.5 * np.diff(panels)[:, None]
+    v = 0.5 * (panels[:-1] + panels[1:])[:, None] + half * x
+    return float(np.sum(half * w * (1.0 - np.asarray(cdf(v), dtype=float) ** P)))
 
 
 def homogeneous_quality_cdf(alpha: float, gamma: float, t: float,
@@ -212,14 +205,12 @@ def closed_form_ucq_homogeneous(alpha: float, gamma: float, t: float,
     return expected_max_from_cdf(cdf, P, top, breakpoints=brk)
 
 
-def ks_distance(samples: np.ndarray, cdf: Callable,
-                cdf_left: Optional[Callable] = None) -> float:
+def ks_distance(samples: np.ndarray, cdf: Callable) -> float:
     """One-sample Kolmogorov-Smirnov distance, atom-aware.
 
     Compares the empirical CDF against ``cdf`` at each sample point and
-    against the CDF's left limits just below each point (``cdf_left``
-    defaults to evaluating a hair below, which is exact for piecewise
-    Lipschitz CDFs).
+    against the CDF's left limits, evaluated a hair below each point, which
+    is exact for piecewise Lipschitz CDFs.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     n = len(xs)
@@ -230,10 +221,7 @@ def ks_distance(samples: np.ndarray, cdf: Callable,
     emp_right = cum / n
     emp_left = (cum - counts) / n
     f_right = np.asarray(cdf(uniq), dtype=float)
-    if cdf_left is None:
-        shift = 1e-9 * np.maximum(1.0, np.abs(uniq))
-        f_left = np.asarray(cdf(uniq - shift), dtype=float)
-    else:
-        f_left = np.asarray(cdf_left(uniq), dtype=float)
+    shift = 1e-9 * np.maximum(1.0, np.abs(uniq))
+    f_left = np.asarray(cdf(uniq - shift), dtype=float)
     return float(max(np.abs(emp_right - f_right).max(),
                      np.abs(emp_left - f_left).max()))

@@ -67,9 +67,8 @@ class BestResponseReport:
     probe_mean: np.ndarray
     probe_stderr: np.ndarray
 
-    def passes(self, abs_tol: float = GAP_ABS_TOL,
-               se_mult: float = GAP_SE_MULT) -> bool:
-        return self.gap <= max(abs_tol, se_mult * self.combined_stderr)
+    def passes(self) -> bool:
+        return self.gap <= max(GAP_ABS_TOL, GAP_SE_MULT * self.combined_stderr)
 
     def curves(self) -> list[dict]:
         """Best grid point of each type curve: the type ``t``, the point

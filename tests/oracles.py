@@ -108,6 +108,32 @@ def brute_force_payoffs(inst, metric, q, x, ts, w, atol, rtol) -> list[float]:
     return out
 
 
+def exact_expected_max(cdf, P) -> float:
+    """E[max of P i.i.d. draws] from a ``PiecewiseLinearCdf`` with
+    ``xs[0] >= 0``, by the antiderivative of 1 - F^P on each linear piece.
+
+    With k = P * exponent, a piece from (x0, y0) to (x1, y1) holds
+    (x1 - x0) * (1 - (y1^(k+1) - y0^(k+1)) / ((k + 1) * (y1 - y0))). When
+    y0 > y1 / 2 the difference quotient is taken as
+    y0^k * expm1((k + 1) * log1p(d)) / d with d = (y1 - y0) / y0, which
+    does not cancel as y1 - y0 shrinks.
+    """
+    xs = [float(x) for x in cdf.xs]
+    ys = [float(y) for y in cdf.ys]
+    k = P * float(cdf.exponent)
+    total = xs[0]  # F = 0 below the support
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if y1 == y0:
+            mean_power = y0 ** k
+        elif y0 <= 0.5 * y1:
+            mean_power = (y1 ** (k + 1) - y0 ** (k + 1)) / ((k + 1) * (y1 - y0))
+        else:
+            d = (y1 - y0) / y0
+            mean_power = y0 ** k * math.expm1((k + 1) * math.log1p(d)) / ((k + 1) * d)
+        total += (x1 - x0) * (1.0 - mean_power)
+    return total
+
+
 def mask_mixture_sample(strategy, rng, n):
     """``strategy.sample(rng, n)`` with one boolean mask per component.
 

@@ -25,9 +25,11 @@ from creatorsim import (
     make_well_separated_types,
     random_eq,
 )
+from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim._stats import RunningMoments
 from creatorsim.metrics import (E_LIMIT_TOP, ROUND_ROWS, estimate_round_metrics,
                                 homogeneous_quality_cdf)
+from oracles import exact_expected_max
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -133,6 +135,33 @@ class TestExpectedMax:
                                     E_LIMIT_TOP, breakpoints=(1.0, E_LIMIT_TOP))
         assert got < 5.0 / 3.0
         assert got == pytest.approx(1.616, abs=2e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 5), atom=st.booleans(),
+           P=st.integers(2, 8), linear_power=st.booleans())
+    def test_piecewise_linear_matches_exact_antiderivative(self, data, k, atom,
+                                                           P, linear_power):
+        # 2-6 breakpoints, flat stretches allowed, an atom at xs[0] or not
+        widths = data.draw(st.lists(st.floats(1e-3, 3.0), min_size=k, max_size=k))
+        rises = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                                   min_size=k, max_size=k))
+        if sum(rises) == 0.0:
+            rises[-1] = 1.0
+        head = data.draw(st.floats(1e-3, 2.0)) if atom else 0.0
+        ys = np.cumsum([head, *rises]) / (head + sum(rises))
+        ys[-1] = 1.0
+        xs = data.draw(st.floats(0.0, 2.0)) + np.cumsum([0.0, *widths])
+        cdf = PiecewiseLinearCdf(xs, ys, 1.0 if linear_power else 1.0 / (P - 1))
+        got = expected_max_from_cdf(cdf.cdf, P, xs[-1], breakpoints=xs)
+        # exact for a polynomial integrand; a fractional power is smooth
+        # enough between breakpoints for 64 nodes to reach 1e-9
+        tol = (1e-13 if linear_power else 1e-9) * max(1.0, xs[-1])
+        assert abs(got - exact_expected_max(cdf, P)) <= tol
+
+    def test_atom_at_panel_end_is_exact(self):
+        cdf = PiecewiseLinearCdf([0.5, 1.0], [0.001, 1.0])
+        got = expected_max_from_cdf(cdf.cdf, 2, 1.0, breakpoints=cdf.xs)
+        assert abs(got - exact_expected_max(cdf, 2)) <= 1e-15
 
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError, match="monotone"):
@@ -326,6 +355,45 @@ class TestEstimators:
         assert threading.active_count() == before
         assert pools == [workers]
         assert got == want
+
+    def test_shard_generators_spawned_in_groups(self, monkeypatch):
+        import creatorsim.metrics as met
+
+        class SpawnSpy:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, []
+
+            def spawn(self, k):
+                self.calls.append(k)
+                return self.rng.spawn(k)
+
+        monkeypatch.setattr(met, "ROUND_ROWS", 4)
+        inst = linear(1.0, 0.0)
+        s = engagement_eq_homogeneous(inst, 2)
+        n = 4 * (2 * met.SPAWN_GROUP + 10) + 3
+        spy = SpawnSpy(np.random.default_rng(5))
+        got = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n, spy)
+        assert max(spy.calls) <= 64
+        assert sum(spy.calls) == -(-n // 4)
+        assert got == estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
+                                             np.random.default_rng(5))
+
+    def test_grouped_spawn_matches_one_spawn(self, monkeypatch):
+        import creatorsim.metrics as met
+
+        monkeypatch.setattr(met, "ROUND_ROWS", 4)
+        inst = linear(1.0, 0.0)
+        s = engagement_eq_homogeneous(inst, 2)
+        n = 4 * (2 * met.SPAWN_GROUP + 10) + 3  # three groups, uneven shards
+        got = []
+        for group in (met.SPAWN_GROUP, 10**9):
+            monkeypatch.setattr(met, "SPAWN_GROUP", group)
+            for threads in (1, 2):
+                got.append(estimate_round_metrics(
+                    inst, Metric.ENGAGEMENT, s, 2, n, np.random.default_rng(6),
+                    threads=threads))
+        assert all(est.n == n for est in got[0].values())
+        assert got[1:] == got[:1] * 3
 
     def test_round_metrics_reject_nonpositive_threads(self):
         inst = linear(1.0, 0.0)
