@@ -60,36 +60,68 @@ class PiecewiseLinearCdf:
             idx -= q <= level
         return idx
 
+    def _rise(self, target: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+        """x on the rising segment k for every key, into ``out``.
+
+        The target is first clipped into the segment. That leaves the
+        segment's own keys as they are, but for rounding in the target when
+        the exponent is not 1, and keeps every other key's x finite. At
+        exponent 1 the last segment is clipped from below only, so q past
+        ``ys[-1]`` extrapolates.
+        """
+        y0, x0 = self.ys[k - 1], self.xs[k - 1]
+        if k == len(self.xs) - 1 and self.exponent == 1.0:
+            np.maximum(target, y0, out=out)
+        else:
+            np.clip(target, y0, self.ys[k], out=out)
+        out -= y0
+        out /= self.ys[k] - y0
+        out *= self.xs[k] - x0
+        out += x0
+        return out
+
     def ppf(self, q) -> np.ndarray:
         """Smallest x with F(x) >= q, vectorized over q in [0, 1].
 
         The segment is found by comparing q with F at the breakpoints, as
         ``cdf`` computes it, so rounding in ``q ** (1 / exponent)`` cannot
         carry q = F(xs[k]) past a flat stretch that starts at xs[k]. Each
-        segment is then interpolated with its own scalar constants, one
-        segment at a time, with no per-key gather of breakpoints.
+        rising segment is then interpolated on every key by ``_rise``, and
+        each key keeps its own segment's x by exact 0/1 products: the bits
+        of each segment's x, read as integers, times whether the key lies in
+        that segment, summed. Integer products carry -0.0 and NaN through
+        unchanged, and no key takes a data-dependent branch.
+
+        At exponent 1 a key of segment 0 (q <= ys[0]) clips to ys[0] on a
+        rising segment 1 and lands on xs[0] exactly, unless xs[0] is -0.0,
+        so segment 1 takes those keys too; a CDF with one rising segment
+        then needs no selection at all.
         """
         q = np.asarray(q, dtype=float)
         flat_q = q.reshape(-1)
-        idx = self._segments(flat_q)
         target = flat_q if self.exponent == 1.0 else flat_q ** (1.0 / self.exponent)
-        x = np.full(flat_q.shape, self.xs[0])  # segment 0: the support start
-        frac = np.empty_like(x)
-        for k in range(1, len(self.xs)):
-            y0, x0 = self.ys[k - 1], self.xs[k - 1]
-            rise, run = self.ys[k] - y0, self.xs[k] - x0
-            if rise > 0.0:
-                np.subtract(target, y0, out=frac)
-                frac /= rise
-                if self.exponent != 1.0:
-                    # target may round just outside the segment that levels bracket
-                    np.clip(frac, 0.0, 1.0, out=frac)
-                frac *= run
-                frac += x0
-                np.copyto(x, frac, where=idx == k)
-            else:  # frac = 0: a flat stretch maps to its left end
-                np.copyto(x, x0 + 0.0 * run, where=idx == k)
-        x = x.reshape(q.shape)
+        x = np.empty_like(flat_q)
+        last = len(self.xs) - 1
+        merged = (self.exponent == 1.0 and last > 0 and self.ys[1] > self.ys[0]
+                  and not np.signbit(self.xs[0]))
+        if merged and last == 1:
+            x = self._rise(target, 1, x).reshape(q.shape)
+            return x if x.ndim else float(x)
+        idx = self._segments(flat_q)
+        if merged:
+            bits = np.zeros(flat_q.shape, dtype=np.int64)
+        else:  # segment 0: the support start
+            bits = np.multiply(idx == 0, self.xs[:1].view(np.int64))
+        for k in range(1, last + 1):
+            if self.ys[k] > self.ys[k - 1]:
+                picked = self._rise(target, k, x).view(np.int64)
+                picked *= (idx <= 1) if merged and k == 1 else (idx == k)
+                bits += picked
+            else:  # a flat stretch maps to its left end
+                x0 = self.xs[k - 1]
+                word = np.float64(x0 + 0.0 * (self.xs[k] - x0)).view(np.int64)
+                bits += word * (idx == k)
+        x = bits.view(float).reshape(q.shape)
         return x if x.ndim else float(x)
 
     def breakpoints(self) -> list[tuple[float, float]]:

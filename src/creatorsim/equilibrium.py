@@ -72,7 +72,9 @@ class CurveComponent:
 
     def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:
         x = np.asarray(self.cheap.ppf(u_main), dtype=float)
-        q = np.where(x > 0.0, self.inst.min_investment(self.t, x), 0.0)
+        # the curve's quality is finite and never negative, so the product
+        # is it or +0.0 exactly, without a data-dependent select
+        q = self.inst.min_investment(self.t, x) * (x > 0.0)
         return np.column_stack([q, x])
 
     def cheap_cdf(self, x):
@@ -142,12 +144,15 @@ class VtDensityComponent:
     def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:
         v, low = self._v_and_low(u_main, u_aux)
         out = np.empty((v.size, 2))
+        # each (quality, gaming) row moves as one 16-byte item, as in
+        # MixedStrategy.sample: two strided column scatters cost more
+        pairs = out.view(np.complex128)[:, 0]
         for tv, rows in ((self.t_low, np.flatnonzero(low)),
                          (self.t_high, np.flatnonzero(~low))):
             if rows.size:
                 x = np.asarray(self.inst.curve_x_for_engagement(tv, v[rows] - self.shift))
-                out[rows, 1] = x
-                out[rows, 0] = self.inst.min_investment(tv, x)
+                drawn = np.column_stack([self.inst.min_investment(tv, x), x])
+                pairs[rows] = drawn.view(np.complex128)[:, 0]
         return out
 
     def cheap_cdf(self, x):

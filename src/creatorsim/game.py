@@ -18,6 +18,11 @@ the round kernel works one creator column at a time: the best score, the
 count of tied columns and the chosen winner are built from P elementwise
 passes, and the winner's content is taken from the flat draws by one
 gather. Reductions along the short axis would cost far more per row.
+
+The payoff pool sorts its opponent rows once, so a content wins, ties or
+loses on whole runs of rows between rank cuts. Sums over many contents are
+built once per run between all their cuts and expanded, and only rows in a
+tie band, where the share varies from row to row, are visited one by one.
 """
 
 from __future__ import annotations
@@ -156,7 +161,9 @@ class OpponentPool:
     with no sampling, and every content scored on one pool faces the same
     draws (common random numbers). Contents come in as an (m, 2) array of
     (q, x) rows, and ``estimates`` answers with mean and stderr arrays over
-    the pool's n samples, so scoring a grid builds no per-content object.
+    the pool's n samples, so scoring a grid builds no per-content object;
+    ``payoffs`` answers with the per-sample sum over the contents, built
+    per segment between their cuts.
     """
 
     inst: ModelInstance
@@ -229,26 +236,50 @@ class OpponentPool:
 
         Content the user rejects, or that an eligible opponent outscores,
         never wins; ties among eligible argmax contents contribute their
-        exact uniform share. Each content's payoffs are built in ``order``
-        and added to the running sum there, so every sample sums the same
-        terms in the same order as adding the contents' vectors one by one;
-        one permutation at the end restores the pool's row order. Memory is
-        two n-vectors, whatever the number of contents.
+        exact uniform share. The type starts and every content's cuts split
+        ``order`` into elementary segments, on each of which every content
+        wins outright, ties or loses throughout. Outside tie bands a
+        content's share is 1 or 0 on the whole segment, so each segment's
+        sum is built once, content by content, and ``np.repeat`` expands
+        it. Only rows inside some content's tie band are summed row by row,
+        with each band's tied counts computed once, as in ``estimates``.
+        Either way every sample sums the same terms in the same order as
+        adding the contents' vectors one by one; one permutation at the end
+        restores the pool's row order. Memory is O(n + m * segments) plus
+        one share vector per distinct tie band.
         """
         q, x = np.asarray(contents, dtype=float).T
-        floor, start, lo, hi = self._cuts(q, x)
+        floor, _, lo, hi = self._cuts(q, x)
         cost = np.asarray(self.inst.cost(q, x), dtype=float)
-        total = np.zeros(len(self.order))
-        share = np.empty_like(total)
-        for i in range(len(q)):
-            share.fill(0.0)
-            for a, l, h in zip(start[i], lo[i], hi[i]):
-                share[a:l] = 1.0
-                share[l:h] = 1.0 / (1.0 + self._tied(l, h, floor[i]))
-            share -= cost[i]
-            total += share
-        share[self.order] = total
-        return share
+        cuts = np.sort(np.concatenate([self.type_start, lo.ravel(), hi.ravel()]))
+        begin, length = cuts[:-1], np.diff(cuts)
+        kind = np.minimum(np.searchsorted(self.type_start, begin, side="right") - 1,
+                          len(self.type_start) - 2)
+        seg_lo, seg_hi = lo[:, kind], hi[:, kind]
+        value = (begin < seg_lo) - cost[:, None]  # share 1 or 0, minus the cost
+        total = np.zeros(len(begin))
+        for row in value:
+            total += row
+        sums = np.repeat(total, length)
+        band = (seg_lo <= begin) & (begin < seg_hi)
+        shares = {}  # tie-band shares, by (lo, hi, floor) as in estimates
+        for seg in np.flatnonzero(band.any(axis=0) & (length > 0)):
+            a, b, k = int(begin[seg]), int(cuts[seg + 1]), kind[seg]
+            acc = sums[a:b]
+            acc.fill(0.0)
+            tied = np.empty_like(acc)
+            for i in range(len(q)):
+                if not band[i, seg]:
+                    acc += value[i, seg]
+                    continue
+                key = (int(lo[i, k]), int(hi[i, k]), float(floor[i]))
+                if key not in shares:
+                    shares[key] = 1.0 / (1.0 + self._tied(*key))
+                np.subtract(shares[key][a - key[0]:b - key[0]], cost[i], out=tied)
+                acc += tied
+        out = np.empty_like(sums)
+        out[self.order] = sums
+        return out
 
     def estimates(self, contents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and stderr arrays of the payoff of each ``(q, x)`` row of the

@@ -225,6 +225,29 @@ def scatter_payoffs(pool, w):
     return share - float(pool.inst.cost(w.w_costly, w.w_cheap))
 
 
+def row_loop_payoffs(pool, contents):
+    """``pool.payoffs(contents)`` built one content at a time: each
+    content's share vector is filled over all n rows in ``order``, minus its
+    cost, and added to a running total, which one permutation puts back in
+    the pool's row order."""
+    import numpy as np
+
+    q, x = np.asarray(contents, dtype=float).T
+    floor, start, lo, hi = pool._cuts(q, x)
+    cost = np.asarray(pool.inst.cost(q, x), dtype=float)
+    total = np.zeros(len(pool.order))
+    share = np.empty_like(total)
+    for i in range(len(q)):
+        share.fill(0.0)
+        for a, l, h in zip(start[i], lo[i], hi[i]):
+            share[a:l] = 1.0
+            share[l:h] = 1.0 / (1.0 + pool._tied(l, h, floor[i]))
+        share -= cost[i]
+        total += share
+    share[pool.order] = total
+    return share
+
+
 def loop_candidate_deviations(inst, grid_k):
     """``candidate_deviations`` with one scalar ``min_investment`` call and
     one ``Content`` per grid point."""

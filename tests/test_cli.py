@@ -12,6 +12,7 @@ import pytest
 
 import creatorsim
 from creatorsim.cli import ConfigError, main, resolve_config
+from creatorsim.equilibrium import make_well_separated_types
 from creatorsim.verify import best_response_gap, support_containment
 from creatorsim.model import ModelInstance
 
@@ -43,6 +44,38 @@ def test_cli_import_loads_numpy_random_but_no_scipy():
                          capture_output=True, text=True, timeout=120).stdout
     # numpy.polynomial (about 3 ms) is imported by expected_max_from_cdf only
     assert out.splitlines() == ["[]", "True", "False"]
+
+
+def test_verify_and_metrics_import_nothing_mid_command(tmp_path):
+    # a fresh interpreter runs the benchmark's verify and metrics commands
+    # at its sizes; a module first imported inside a command costs every
+    # run (np.unique's first call imports numpy.ma, 11-14 ms on a 2-vCPU
+    # VM). argparse's gettext loads locale and _locale when the parser is
+    # built.
+    src = str(Path(creatorsim.__file__).resolve().parents[1])
+    two, _ = write_config(tmp_path, "two.json", types=[1.0, 1.9],
+                          equilibrium="two_type", samples=15000, seed=1)
+    hom, _ = write_config(tmp_path, "hom.json", alpha=-0.5, gamma=0.3,
+                          types=[2.0], P=3, equilibrium="homogeneous",
+                          samples=15000, seed=2)
+    met, _ = write_config(tmp_path, "met.json",
+                          types=list(make_well_separated_types(4, 0.01)),
+                          recommender="all", samples=300000, seed=3)
+    probe = ("import json, sys, creatorsim.cli as cli; "
+             "two, hom, met, out = sys.argv[1:]; "
+             "before = set(sys.modules); "
+             "codes = [cli.main(['verify', '--config', c, '--grid', '200', "
+             "'--out', out]) for c in (two, hom)]; "
+             "codes += [cli.main(['metrics', '--config', met, '--threads', t, "
+             "'--out', out]) for t in ('2', '1')]; "
+             "print(json.dumps([codes, sorted(set(sys.modules) - before)]), "
+             "file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe, str(two), str(hom),
+                           str(met), str(tmp_path / "out")], cwd=src,
+                          check=True, capture_output=True, text=True, timeout=300)
+    codes, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert set(loaded) <= {"locale", "_locale"}
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

@@ -578,6 +578,69 @@ class TestPiecewiseLinearCdf:
         for scalar in (0.0, 1.0, float(q[0])):
             assert repr(cdf.ppf(scalar)) == repr(searchsorted_ppf(cdf, scalar))
 
+    @staticmethod
+    def ppf_matches_oracle(cdf, q):
+        """ppf(q), after checking its bytes against the binary-search oracle
+        with overflow and invalid operations raised, not warned."""
+        want = searchsorted_ppf(cdf, q)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = cdf.ppf(q)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.5, 2.0])
+    def test_ppf_subnormal_rise(self, exponent):
+        # a segment that rises by the smallest subnormal: dividing any key
+        # outside it by that rise overflows, and inf * 0 would then be NaN
+        tiny = 5e-324
+        cdf = PiecewiseLinearCdf([0.0, 1.0, 3.0], [0.0, tiny, 1.0], exponent)
+        levels = cdf.ys ** exponent
+        q = np.concatenate([[0.0, tiny, 2 * tiny, 1e-300, 1e-10, 0.5, 1.0],
+                            levels, np.nextafter(levels, 1.0)])
+        x = self.ppf_matches_oracle(cdf, q)
+        assert np.all(np.isfinite(x))
+        assert cdf.ppf(1.0) == 3.0
+
+    def test_ppf_negative_breakpoints_and_signed_zero(self):
+        cdfs = [
+            PiecewiseLinearCdf([-0.0, 1.0], [0.3, 1.0]),  # an atom at -0.0
+            # a flat stretch from -1 to -0.0, then a rise
+            PiecewiseLinearCdf([-2.0, -1.0, -0.0, 1.5], [0.0, 0.4, 0.4, 1.0]),
+            PiecewiseLinearCdf([-3.0, -0.0, 0.0, 2.0], [0.1, 0.5, 0.7, 1.0], 0.5),
+            # -0.0 after +0.0 passes the nondecreasing check
+            PiecewiseLinearCdf([0.0, -0.0, 1.0], [0.5, 0.6, 1.0]),
+            PiecewiseLinearCdf([-4.0, -1.0], [0.25, 1.0], 2.0),
+        ]
+        for cdf in cdfs:
+            levels = cdf.ys ** cdf.exponent
+            q = np.concatenate([[0.0, -0.0, 0.05, 0.2, 0.45, 0.55, 0.9, 1.0],
+                                levels, np.nextafter(levels, 0.0),
+                                np.nextafter(levels, 1.0)])
+            self.ppf_matches_oracle(cdf, q[(q >= 0.0) & (q <= 1.0)])
+        atom = cdfs[0]
+        # the atom's keys keep the support start's sign
+        assert np.all(np.signbit(atom.ppf(np.array([0.0, 0.1, 0.3]))))
+        assert math.copysign(1.0, atom.ppf(0.2)) == -1.0
+        assert atom.ppf(0.65) == pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.5])
+    def test_ppf_nan_stays_nan(self, exponent):
+        cdf = PiecewiseLinearCdf([0.0, 1.0, 1.0, 2.0], [0.2, 0.5, 0.6, 1.0], exponent)
+        x = self.ppf_matches_oracle(cdf, np.array([np.nan, 0.3, np.nan, 1.0]))
+        assert np.isnan(x[[0, 2]]).all() and np.isfinite(x[[1, 3]]).all()
+        assert math.isnan(cdf.ppf(math.nan))
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.5, 1 / 3])
+    def test_ppf_on_each_level(self, exponent):
+        # an atom at 0.5, a rise, a gap from 1 to 2 and a last rise: a key
+        # exactly on F at a breakpoint takes that segment's right end, or
+        # the left end of the gap that starts there
+        cdf = PiecewiseLinearCdf([0.5, 1.0, 2.0, 3.0], [0.2, 0.6, 0.6, 1.0], exponent)
+        levels = cdf.cdf(cdf.xs)
+        x = self.ppf_matches_oracle(cdf, levels)
+        assert x.tolist() == [0.5, 1.0, 1.0, 3.0]
+        assert np.all(cdf.cdf(x) >= levels)
+
     def test_tiny_quantile_skips_leading_zero_stretch(self):
         # q ** 2 underflows to 0, which must not map into the zero-mass [0, 0.1]
         cdf = PiecewiseLinearCdf(np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.0, 1.0]), 0.5)

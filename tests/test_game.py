@@ -31,7 +31,12 @@ from creatorsim.game import (
     is_eligible,
     metric_score,
 )
-from oracles import brute_force_payoffs, brute_force_winners, lexsort_pool
+from oracles import (
+    brute_force_payoffs,
+    brute_force_winners,
+    lexsort_pool,
+    row_loop_payoffs,
+)
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -370,6 +375,91 @@ class TestOpponentPoolReductions:
             assert pool.payoffs(np.array([[0.0, 0.0]])).tolist() == [1.0] * 4
             # acceptable to type 1 only
             assert pool.payoffs(np.array([[0.0, 1.0]])).tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
+class TestPayoffsBySegment:
+    # payoffs sums whole segments between cuts and walks rows only in tie
+    # bands; the row-by-row loop it replaced must agree bit for bit
+
+    @staticmethod
+    def contents(strategy, m, seed):
+        """m contents: draws of the strategy, with the origin and a point
+        that no type accepts mixed in."""
+        drawn = strategy.sample(np.random.default_rng(seed), m)
+        drawn[1::7] = (0.0, 0.0)
+        drawn[3::11] = (0.0, 50.0)
+        return drawn
+
+    @staticmethod
+    def pools():
+        two = linear(1.0, 0.0, types=(1.0, 1.9))
+        hom = linear(-0.5, 0.3, types=(2.0,))
+        # a 71 % atom at the origin, which type 2 rejects
+        p3 = engagement_eq_homogeneous(hom, 3)
+        # atoms at the origin and at (0.5, 0), which type 2 accepts
+        atoms = random_eq(hom, 3)
+        return {
+            "random_two_type": (two, Metric.RANDOM, engagement_eq_two_types(two), 2),
+            "random_homogeneous": (hom, Metric.RANDOM, p3, 3),
+            "random_eq": (hom, Metric.RANDOM, atoms, 3),
+            "rejected_atom": (hom, Metric.ENGAGEMENT, p3, 3),
+            "eligible_atoms": (hom, Metric.ENGAGEMENT, atoms, 3),
+            "two_type": (two, Metric.ENGAGEMENT, engagement_eq_two_types(two), 2),
+        }
+
+    @pytest.mark.parametrize("m", [0, 1, 32, 200])
+    @pytest.mark.parametrize("case", ["random_two_type", "random_homogeneous",
+                                      "random_eq", "rejected_atom",
+                                      "eligible_atoms", "two_type"])
+    def test_matches_row_loop_oracle(self, case, m):
+        inst, metric, strategy, P = self.pools()[case]
+        pool = OpponentPool.draw(inst, metric, strategy, P, 3000,
+                                 np.random.default_rng(4))
+        contents = self.contents(strategy, m, 5)
+        got = pool.payoffs(contents)
+        assert got.shape == (3000,)
+        assert got.tobytes() == row_loop_payoffs(pool, contents).tobytes()
+        if m and case not in ("rejected_atom", "two_type"):
+            # these pools put rows in some content's tie band
+            _, _, lo, hi = pool._cuts(*contents.T)
+            assert np.any(hi > lo)
+
+    def test_random_metric_ties_every_eligible_row(self):
+        # under RANDOM every opponent scores 1: an eligible content ties with
+        # every row that has an eligible opponent
+        inst, metric, strategy, P = self.pools()["random_homogeneous"]
+        pool = OpponentPool.draw(inst, metric, strategy, P, 3000,
+                                 np.random.default_rng(6))
+        _, _, lo, hi = pool._cuts(np.ones(1), np.zeros(1))
+        assert hi[0, 0] == 3000
+        assert hi[0, 0] - lo[0, 0] == np.count_nonzero(pool.sorted_top > -np.inf) > 0
+        won = 1.0 - float(inst.cost(1.0, 0.0))
+        payoffs = pool.payoffs(np.array([[1.0, 0.0]]))
+        assert np.all(payoffs[pool.order[lo[0, 0]:]] < won)
+        assert np.all(payoffs[pool.order[:lo[0, 0]]] == won)
+
+    # coarse grids: many contents share or overlap tie bands with different
+    # floors, and some rows hold scores within TIE_RTOL of a band's edge
+    grid = st.tuples(TestOpponentPoolReductions.q_grid,
+                     TestOpponentPoolReductions.x_grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), P=st.integers(2, 4), n=st.integers(1, 40),
+           metric=st.sampled_from(list(Metric)),
+           types=st.sets(st.sampled_from([0.5, 1.0, 2.0]), min_size=1))
+    def test_overlapping_tie_bands_match_row_loop(self, data, P, n, metric, types):
+        inst = linear(1.0, 0.3, types=sorted(types))
+        rows = data.draw(st.lists(st.lists(self.grid, min_size=P - 1, max_size=P - 1),
+                                  min_size=n, max_size=n))
+        q = np.array([[a for a, _ in row] for row in rows])
+        x = np.array([[b for _, b in row] for row in rows])
+        ts = np.array(data.draw(st.lists(st.sampled_from(inst.types),
+                                         min_size=n, max_size=n)))
+        contents = np.array(data.draw(st.lists(self.grid, max_size=40)),
+                            dtype=float).reshape(-1, 2)
+        pool = OpponentPool.of(inst, metric, q, x, ts)
+        assert (pool.payoffs(contents).tobytes()
+                == row_loop_payoffs(pool, contents).tobytes())
 
 
 class TestOneTieRule:
