@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._frozen import Frozen
 
-@dataclass(frozen=True)
-class PiecewiseLinearCdf:
+
+class PiecewiseLinearCdf(Frozen):
     """CDF of the form F(x) = base(x) ** exponent.
 
     ``base`` is the nondecreasing piecewise-linear interpolant of
@@ -17,15 +16,9 @@ class PiecewiseLinearCdf:
     gaps in the support; the inverse maps into them at their left endpoint.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    exponent: float = 1.0
-
-    def __post_init__(self) -> None:
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+    def __init__(self, xs, ys, exponent: float = 1.0) -> None:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or len(xs) == 0:
             raise ValueError("xs and ys must be equal-length 1-d arrays")
         if np.any(np.diff(xs) < 0) or np.any(np.diff(ys) < -1e-15):
@@ -34,8 +27,9 @@ class PiecewiseLinearCdf:
             raise ValueError("base must reach 1 at the last breakpoint")
         if ys[0] < -1e-15:
             raise ValueError("base must be nonnegative")
-        if self.exponent <= 0.0:
+        if exponent <= 0.0:
             raise ValueError("exponent must be positive")
+        self.__dict__.update(xs=xs, ys=ys, exponent=exponent)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

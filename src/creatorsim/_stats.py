@@ -3,24 +3,28 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 
-@dataclass(frozen=True)
-class MetricEstimate:
-    """Monte Carlo mean with its standard error and sample count."""
 
-    mean: float
-    stderr: float
-    n: int
+class MetricEstimate(Frozen):
+    """Monte Carlo mean with its standard error and sample count; two
+    estimates are equal when all three are."""
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, mean: float, stderr: float, n: int) -> None:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.stderr < 0.0:
+        if stderr < 0.0:
             raise ValueError("stderr must be >= 0")
+        self.__dict__.update(mean=mean, stderr=stderr, n=n)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not MetricEstimate:
+            return NotImplemented
+        return (self.mean, self.stderr, self.n) == (other.mean, other.stderr,
+                                                    other.n)
 
     @classmethod
     def from_samples(cls, values: np.ndarray) -> "MetricEstimate":
@@ -34,13 +38,11 @@ class MetricEstimate:
         return {"mean": self.mean, "stderr": self.stderr, "n": self.n}
 
 
-@dataclass
 class RunningMoments:
     """Count/mean/M2 accumulator; merges are order-insensitive up to fp error."""
 
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
+    def __init__(self, n: int = 0, mean: float = 0.0, m2: float = 0.0) -> None:
+        self.n, self.mean, self.m2 = n, mean, m2
 
     def add_samples(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)

@@ -28,12 +28,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 from scipy import special
+
+from ._frozen import Frozen
 
 FEEDS = ("E", "C")
 GENRES = ("P", "NP")
@@ -62,26 +63,22 @@ class EmptyConditionalError(ValueError):
     """No records match the requested conditional."""
 
 
-@dataclass(frozen=True)
-class TweetRecord:
-    feed: str
-    genre: str
-    angriness: int
-    favorites: int
-
-    def __post_init__(self) -> None:
-        if self.feed not in FEEDS:
-            raise ValueError(f"feed must be one of {FEEDS}, got {self.feed!r}")
-        if self.genre not in GENRES:
-            raise ValueError(f"genre must be one of {GENRES}, got {self.genre!r}")
-        if self.angriness not in ANGRINESS_LEVELS:
-            raise ValueError(f"angriness must be in 0..4, got {self.angriness!r}")
-        if self.favorites < 0:
-            raise ValueError(f"favorites must be >= 0, got {self.favorites!r}")
+class TweetRecord(Frozen):
+    def __init__(self, feed: str, genre: str, angriness: int,
+                 favorites: int) -> None:
+        if feed not in FEEDS:
+            raise ValueError(f"feed must be one of {FEEDS}, got {feed!r}")
+        if genre not in GENRES:
+            raise ValueError(f"genre must be one of {GENRES}, got {genre!r}")
+        if angriness not in ANGRINESS_LEVELS:
+            raise ValueError(f"angriness must be in 0..4, got {angriness!r}")
+        if favorites < 0:
+            raise ValueError(f"favorites must be >= 0, got {favorites!r}")
+        self.__dict__.update(feed=feed, genre=genre, angriness=angriness,
+                             favorites=favorites)
 
 
-@dataclass(frozen=True, eq=False)
-class Survey:
+class Survey(Frozen):
     """Validated survey records, one array per CSV column.
 
     ``feed`` and ``genre`` are int8 indices into ``FEEDS`` and ``GENRES``;
@@ -89,10 +86,10 @@ class Survey:
     record, in file order.
     """
 
-    feed: np.ndarray
-    genre: np.ndarray
-    angriness: np.ndarray
-    favorites: np.ndarray
+    def __init__(self, feed: np.ndarray, genre: np.ndarray,
+                 angriness: np.ndarray, favorites: np.ndarray) -> None:
+        self.__dict__.update(feed=feed, genre=genre, angriness=angriness,
+                             favorites=favorites)
 
     def __len__(self) -> int:
         return len(self.feed)
@@ -280,11 +277,18 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ((2 * ends - counts + 1) / 2.0)[inverse]
 
 
-@dataclass(frozen=True)
-class SpearmanResult:
-    rho: float
-    p_value: float
-    n: int
+class SpearmanResult(Frozen):
+    """Rank correlation, its one-sided p-value and the slice size; two
+    results are equal when all three are."""
+
+    def __init__(self, rho: float, p_value: float, n: int) -> None:
+        self.__dict__.update(rho=rho, p_value=p_value, n=n)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SpearmanResult:
+            return NotImplemented
+        return (self.rho, self.p_value, self.n) == (other.rho, other.p_value,
+                                                    other.n)
 
 
 def spearman_rho(data: SurveyData, feed: str,

@@ -25,23 +25,22 @@ investment and random-recommendation baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from ._frozen import Frozen
 from ._piecewise import PiecewiseLinearCdf, clipped_linear_cdf
 from .model import ModelInstance, PreconditionError, TypeSpace
 
 GOLDEN_RATIO_SPLIT = (5.0 - math.sqrt(5.0)) / 2.0  # two-type case 2/3 boundary
 
 
-@dataclass(frozen=True)
-class AtomComponent:
+class AtomComponent(Frozen):
     """Point mass at one content."""
 
-    w_costly: float
-    w_cheap: float
+    def __init__(self, w_costly: float, w_cheap: float) -> None:
+        self.__dict__.update(w_costly=w_costly, w_cheap=w_cheap)
 
     def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:
         out = np.empty((u_main.size, 2))
@@ -58,17 +57,16 @@ class AtomComponent:
         return {"kind": "atom", "content": [self.w_costly, self.w_cheap]}
 
 
-@dataclass(frozen=True)
-class CurveComponent:
+class CurveComponent(Frozen):
     """Gaming marginal on one type's minimum-investment curve.
 
     Quality is the curve value for positive gaming; the possible atom at
     gaming 0 is the zero-effort content (0, 0).
     """
 
-    inst: ModelInstance
-    t: float
-    cheap: PiecewiseLinearCdf
+    def __init__(self, inst: ModelInstance, t: float,
+                 cheap: PiecewiseLinearCdf) -> None:
+        self.__dict__.update(inst=inst, t=t, cheap=cheap)
 
     def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:
         x = np.asarray(self.cheap.ppf(u_main), dtype=float)
@@ -89,28 +87,25 @@ class CurveComponent:
         }
 
 
-@dataclass(frozen=True)
-class VtDensityComponent:
+class VtDensityComponent(Frozen):
     """Piecewise-constant density over reparameterized engagement v.
 
-    Each interval carries a constant density and a constant probability of
-    targeting the lower type; a draw (v, t) maps to the unique on-curve
-    content with engagement v - shift.
+    Each interval ``(lo, hi, density, p_low)`` carries a constant density
+    and a constant probability ``p_low`` of targeting the lower type; a
+    draw (v, t) maps to the unique on-curve content with engagement
+    v - shift.
     """
 
-    inst: ModelInstance
-    t_low: float
-    t_high: float
-    shift: float
-    intervals: tuple[tuple[float, float, float, float], ...]  # (lo, hi, density, p_low)
-
-    def __post_init__(self) -> None:
-        mass = sum(d * (hi - lo) for lo, hi, d, _ in self.intervals)
+    def __init__(self, inst: ModelInstance, t_low: float, t_high: float,
+                 shift: float, intervals: tuple[tuple[float, ...], ...]) -> None:
+        mass = sum(d * (hi - lo) for lo, hi, d, _ in intervals)
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"interval masses sum to {mass}, expected 1")
-        object.__setattr__(self, "_v_marginal", self._build_v_cdf())
-        object.__setattr__(self, "_los", np.array([iv[0] for iv in self.intervals]))
-        object.__setattr__(self, "_p_low", np.array([iv[3] for iv in self.intervals]))
+        self.__dict__.update(inst=inst, t_low=t_low, t_high=t_high,
+                             shift=shift, intervals=intervals)
+        self.__dict__.update(_v_marginal=self._build_v_cdf(),
+                             _los=np.array([iv[0] for iv in intervals]),
+                             _p_low=np.array([iv[3] for iv in intervals]))
 
     def _build_v_cdf(self) -> PiecewiseLinearCdf:
         xs = [self.intervals[0][0]]
@@ -180,11 +175,11 @@ class VtDensityComponent:
         }
 
 
-@dataclass(frozen=True)
-class QualityComponent:
+class QualityComponent(Frozen):
     """Quality marginal with no gaming (baseline equilibria)."""
 
-    quality: PiecewiseLinearCdf
+    def __init__(self, quality: PiecewiseLinearCdf) -> None:
+        self.__dict__.update(quality=quality)
 
     def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:
         q = np.asarray(self.quality.ppf(u_main), dtype=float)
@@ -206,19 +201,17 @@ class QualityComponent:
 Component = Union[AtomComponent, CurveComponent, VtDensityComponent, QualityComponent]
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(Frozen):
     """Samplable, CDF-queryable mixture over content."""
 
-    components: tuple[tuple[float, Component], ...]
-    descriptor: str
-
-    def __post_init__(self) -> None:
-        weights = [w for w, _ in self.components]
+    def __init__(self, components: tuple[tuple[float, Component], ...],
+                 descriptor: str) -> None:
+        weights = [w for w, _ in components]
         if any(w < 0.0 for w in weights):
             raise ValueError("component weights must be nonnegative")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"component weights sum to {sum(weights)}, expected 1")
+        self.__dict__.update(components=components, descriptor=descriptor)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. contents as an (n, 2) array of (quality, gaming) rows.

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 from ._stats import MetricEstimate
 from .equilibrium import MixedStrategy
 from .model import Content, ModelInstance
@@ -58,16 +58,15 @@ def metric_score(inst: ModelInstance, metric: Metric, w_costly, w_cheap):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-@dataclass(frozen=True)
-class RoundBatch:
+class RoundBatch(Frozen):
     """Vectorized outcomes of n independent rounds (winner -1 means none)."""
 
-    user_type: np.ndarray
-    winner: np.ndarray
-    consumed: np.ndarray
-    engagement: np.ndarray
-    quality: np.ndarray
-    user_utility: np.ndarray
+    def __init__(self, user_type: np.ndarray, winner: np.ndarray,
+                 consumed: np.ndarray, engagement: np.ndarray,
+                 quality: np.ndarray, user_utility: np.ndarray) -> None:
+        self.__dict__.update(user_type=user_type, winner=winner,
+                             consumed=consumed, engagement=engagement,
+                             quality=quality, user_utility=user_utility)
 
 
 def is_eligible(inst: ModelInstance, q, x, ts) -> np.ndarray:
@@ -143,8 +142,7 @@ def simulate_rounds(inst: ModelInstance, metric: Metric, strategy: MixedStrategy
                       engagement=engagement, quality=quality, user_utility=utility)
 
 
-@dataclass(frozen=True)
-class OpponentPool:
+class OpponentPool(Frozen):
     """One draw of the opponent landscape for payoff estimates: n samples,
     each of P-1 opponent contents and one user type.
 
@@ -163,16 +161,21 @@ class OpponentPool:
     (q, x) rows, and ``estimates`` answers with mean and stderr arrays over
     the pool's n samples, so scoring a grid builds no per-content object;
     ``payoffs`` answers with the per-sample sum over the contents, built
-    per segment between their cuts.
+    per segment between their cuts, and ``payoffs_and_estimates`` with
+    both from one set of cuts.
     """
 
-    inst: ModelInstance
-    metric: Metric
-    scores: np.ndarray  # (n, P-1), -inf where the user rejects the opponent
-    order: np.ndarray  # (n,) rows sorted by user type, then by top
-    sorted_top: np.ndarray  # (n,) top of each row in ``order``
-    sorted_floor: np.ndarray  # (n,) ``_tie_floor`` of each entry of sorted_top
-    type_start: np.ndarray  # (T+1,) where each type's rows begin in ``order``
+    def __init__(self, inst: ModelInstance, metric: Metric,
+                 scores: np.ndarray, order: np.ndarray, sorted_top: np.ndarray,
+                 sorted_floor: np.ndarray, type_start: np.ndarray) -> None:
+        # scores: (n, P-1), -inf where the user rejects the opponent
+        # order: (n,) rows sorted by user type, then by top
+        # sorted_top: (n,) top of each row in ``order``
+        # sorted_floor: (n,) ``_tie_floor`` of each entry of sorted_top
+        # type_start: (T+1,) where each type's rows begin in ``order``
+        self.__dict__.update(inst=inst, metric=metric, scores=scores,
+                             order=order, sorted_top=sorted_top,
+                             sorted_floor=sorted_floor, type_start=type_start)
 
     @classmethod
     def draw(cls, inst: ModelInstance, metric: Metric,
@@ -249,7 +252,36 @@ class OpponentPool:
         one share vector per distinct tie band.
         """
         q, x = np.asarray(contents, dtype=float).T
-        floor, _, lo, hi = self._cuts(q, x)
+        return self._sums(q, x, *self._cuts(q, x), {})
+
+    def estimates(self, contents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and stderr arrays of the payoff of each ``(q, x)`` row of the
+        (m, 2) array ``contents``, all over the pool's n samples. Row i
+        equals ``MetricEstimate.from_samples(self.payoffs(contents[i:i + 1]))``
+        up to rounding, without a per-sample vector: a row's share is one of
+        1, 1/2, ..., 1/P or 0, so the mean and the centred sum of squares
+        follow from how many rows take each value."""
+        q, x = np.asarray(contents, dtype=float).T
+        return self._counted(q, x, *self._cuts(q, x), {})
+
+    def payoffs_and_estimates(self, contents: np.ndarray):
+        """``payoffs(contents)`` followed by the mean and stderr arrays of
+        ``estimates(contents)``, all from one set of cuts, with each tie
+        band's tied counts computed once for both."""
+        q, x = np.asarray(contents, dtype=float).T
+        cut, bands = self._cuts(q, x), {}
+        return (self._sums(q, x, *cut, bands), *self._counted(q, x, *cut, bands))
+
+    def _tied_once(self, key: tuple[int, int, float], bands: dict) -> np.ndarray:
+        """``_tied(*key)`` for the tie band ``key = (lo, hi, floor)``, kept
+        in ``bands`` so that each band is counted once: contents with equal
+        scores share their tie-band rows."""
+        if key not in bands:
+            bands[key] = self._tied(*key)
+        return bands[key]
+
+    def _sums(self, q, x, floor, start, lo, hi, bands: dict) -> np.ndarray:
+        """``payoffs`` of the contents ``(q, x)`` from their ``_cuts``."""
         cost = np.asarray(self.inst.cost(q, x), dtype=float)
         cuts = np.sort(np.concatenate([self.type_start, lo.ravel(), hi.ravel()]))
         begin, length = cuts[:-1], np.diff(cuts)
@@ -262,7 +294,7 @@ class OpponentPool:
             total += row
         sums = np.repeat(total, length)
         band = (seg_lo <= begin) & (begin < seg_hi)
-        shares = {}  # tie-band shares, by (lo, hi, floor) as in estimates
+        shares = {}  # tie-band shares, by (lo, hi, floor)
         for seg in np.flatnonzero(band.any(axis=0) & (length > 0)):
             a, b, k = int(begin[seg]), int(cuts[seg + 1]), kind[seg]
             acc = sums[a:b]
@@ -274,30 +306,25 @@ class OpponentPool:
                     continue
                 key = (int(lo[i, k]), int(hi[i, k]), float(floor[i]))
                 if key not in shares:
-                    shares[key] = 1.0 / (1.0 + self._tied(*key))
+                    shares[key] = 1.0 / (1.0 + self._tied_once(key, bands))
                 np.subtract(shares[key][a - key[0]:b - key[0]], cost[i], out=tied)
                 acc += tied
         out = np.empty_like(sums)
         out[self.order] = sums
         return out
 
-    def estimates(self, contents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and stderr arrays of the payoff of each ``(q, x)`` row of the
-        (m, 2) array ``contents``, all over the pool's n samples. Row i
-        equals ``MetricEstimate.from_samples(self.payoffs(contents[i:i + 1]))``
-        up to rounding, without a per-sample vector: a row's share is one of
-        1, 1/2, ..., 1/P or 0, so the mean and the centred sum of squares
-        follow from how many rows take each value."""
-        q, x = np.asarray(contents, dtype=float).T
-        floor, start, lo, hi = self._cuts(q, x)
+    def _counted(self, q, x, floor, start, lo, hi,
+                 bands: dict) -> tuple[np.ndarray, np.ndarray]:
+        """``estimates`` of the contents ``(q, x)`` from their ``_cuts``."""
         n, P = len(self.order), self.scores.shape[1] + 1
         counts = np.zeros((len(q), P))  # rows whose share is 1 / (1 + column)
         counts[:, 0] = (lo - start).sum(axis=1)
-        tie_counts = {}  # contents with equal scores share their tie-band rows
+        tie_counts = {}  # tie-band share counts, by (lo, hi, floor)
         for i, k in zip(*np.nonzero(hi > lo)):
             key = (int(lo[i, k]), int(hi[i, k]), float(floor[i]))
             if key not in tie_counts:
-                tie_counts[key] = np.bincount(self._tied(*key), minlength=P)
+                tie_counts[key] = np.bincount(self._tied_once(key, bands),
+                                              minlength=P)
             counts[i] += tie_counts[key]
         shares = 1.0 / (1.0 + np.arange(P))
         mean = counts @ shares / n

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,13 +73,58 @@ def estimate_round_metrics(inst: ModelInstance, metric: Metric,
 
     totals = [RunningMoments() for _ in ROUND_FIELDS]
     workers = min(threads, shards, _usable_cpus())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, shards, SPAWN_GROUP):
-            group = range(start, min(start + SPAWN_GROUP, shards))
-            for parts in pool.map(shard, group, rng.spawn(len(group))):
-                for total, part in zip(totals, parts):
-                    total.merge(part)
+    for start in range(0, shards, SPAWN_GROUP):
+        group = range(start, min(start + SPAWN_GROUP, shards))
+        for parts in _map_in_order(shard, list(zip(group, rng.spawn(len(group)))),
+                                   workers):
+            for total, part in zip(totals, parts):
+                total.merge(part)
     return {name: total.estimate() for name, total in zip(ROUND_FIELDS, totals)}
+
+
+def _map_in_order(fn: Callable, calls: list[tuple], workers: int) -> list:
+    """``[fn(*args) for args in calls]``, run ``workers`` calls at a time.
+
+    This thread and ``workers - 1`` started threads each take the next call
+    not yet started, until none is left or a call has raised; one worker
+    thus runs the calls inline. Once every started thread has joined, the
+    exception of the first call in order that raised is raised again here.
+    If a thread cannot start, or this thread is interrupted, the started
+    threads finish the call they hold, take no other and are joined before
+    the exception leaves.
+    """
+    results = [None] * len(calls)
+    failed: dict[int, BaseException] = {}
+    stop = threading.Event()  # no call starts once it is set
+    lock = threading.Lock()
+    pending = iter(range(len(calls)))
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(*calls[i])
+            except BaseException as exc:  # raised again below
+                failed[i] = exc
+                stop.set()
+
+    started = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            started.append(thread)
+        work()
+    finally:
+        stop.set()  # the started threads end after the call they hold
+        for thread in started:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _usable_cpus() -> int:

@@ -20,10 +20,11 @@ of the zero-utility curves used by the heterogeneous-user equilibria.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 from typing import Iterable, Optional, Union
 
 import numpy as np
+
+from ._frozen import Frozen
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -32,37 +33,30 @@ class PreconditionError(ValueError):
     """An operation's structural preconditions are not met."""
 
 
-@dataclass(frozen=True)
-class Content:
+class Content(Frozen):
     """A creator action: quality effort and gaming effort."""
 
-    w_costly: float
-    w_cheap: float
-
-    def __post_init__(self) -> None:
-        for name in ("w_costly", "w_cheap"):
-            v = getattr(self, name)
+    def __init__(self, w_costly: float, w_cheap: float) -> None:
+        for name, v in (("w_costly", w_costly), ("w_cheap", w_cheap)):
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+        self.__dict__.update(w_costly=w_costly, w_cheap=w_cheap)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.w_costly, self.w_cheap)
 
 
-@dataclass(frozen=True)
-class TypeSpace:
+class TypeSpace(Frozen):
     """Finite set of user tolerances, drawn uniformly at round time."""
 
-    types: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        ts = self.types
-        if len(ts) == 0:
+    def __init__(self, types: tuple[float, ...]) -> None:
+        if len(types) == 0:
             raise ValueError("type space must be nonempty")
-        if any(not math.isfinite(t) or t < 0.0 for t in ts):
+        if any(not math.isfinite(t) or t < 0.0 for t in types):
             raise ValueError("types must be finite and >= 0")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if any(b <= a for a, b in zip(types, types[1:])):
             raise ValueError("types must be strictly increasing")
+        self.__dict__.update(types=types)
 
     @classmethod
     def of(cls, types: Iterable[float]) -> "TypeSpace":
@@ -82,33 +76,34 @@ class TypeSpace:
         return np.asarray(self.types, dtype=float)[idx]
 
 
-@dataclass(frozen=True)
-class LinearityParams:
+class LinearityParams(Frozen):
     """Linear induced-cost parameters: ``C^E_t(m) = max(0, a_t (m + s) - 1)``.
 
     Both built-in families satisfy this with ``a_t = 1 / (1 + t)`` whenever
     gaming is costless (and, for the linear family, the baseline is 1).
     """
 
-    shift: float
+    def __init__(self, shift: float) -> None:
+        self.__dict__.update(shift=shift)
 
     def coefficient(self, t: ArrayLike) -> ArrayLike:
         return 1.0 / (1.0 + np.asarray(t, dtype=float))
 
 
-@dataclass(frozen=True)
-class LinearTwitter:
+class LinearTwitter(Frozen):
     """Linear utility with baseline ``alpha``; retweet-style engagement."""
 
-    alpha: float
-    gamma: float = 0.0
     name = "linear"
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > -1.0):
-            raise ValueError(f"alpha must be finite and > -1, got {self.alpha}")
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
+    def __init__(self, alpha: float, gamma: float = 0.0) -> None:
+        if not (math.isfinite(alpha) and alpha > -1.0):
+            raise ValueError(f"alpha must be finite and > -1, got {alpha}")
+        if not (0.0 <= gamma < 1.0):
+            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+        self.__dict__.update(alpha=alpha, gamma=gamma)
+
+    def __repr__(self) -> str:
+        return f"LinearTwitter(alpha={self.alpha!r}, gamma={self.gamma!r})"
 
     def utility(self, w_costly: ArrayLike, w_cheap: ArrayLike, t: ArrayLike) -> ArrayLike:
         return w_costly - w_cheap / t + self.alpha
@@ -133,23 +128,24 @@ class LinearTwitter:
         return None
 
 
-@dataclass(frozen=True)
-class KMR:
+class KMR(Frozen):
     """Watch-time model: span/moreishness reparameterized to content space.
 
     ``W`` is the per-step outside option; the user type ``t`` plays the role
     of the shifted value ratio, so utility scales by ``W * t``.
     """
 
-    W: float
-    gamma: float = 0.0
     name = "kmr"
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.W) and self.W > 0.0):
-            raise ValueError(f"W must be finite and > 0, got {self.W}")
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
+    def __init__(self, W: float, gamma: float = 0.0) -> None:
+        if not (math.isfinite(W) and W > 0.0):
+            raise ValueError(f"W must be finite and > 0, got {W}")
+        if not (0.0 <= gamma < 1.0):
+            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+        self.__dict__.update(W=W, gamma=gamma)
+
+    def __repr__(self) -> str:
+        return f"KMR(W={self.W!r}, gamma={self.gamma!r})"
 
     def utility(self, w_costly: ArrayLike, w_cheap: ArrayLike, t: ArrayLike) -> ArrayLike:
         return self.W * t * (w_costly - w_cheap / t + 1.0)
@@ -175,17 +171,14 @@ class KMR:
 Family = Union[LinearTwitter, KMR]
 
 
-@dataclass(frozen=True)
-class ModelInstance:
+class ModelInstance(Frozen):
     """A model family together with its finite type space."""
 
-    family: Family
-    type_space: TypeSpace
-
-    def __post_init__(self) -> None:
+    def __init__(self, family: Family, type_space: TypeSpace) -> None:
         # Both built-in families divide by t, so tolerances must be positive.
-        if any(t <= 0.0 for t in self.type_space):
+        if any(t <= 0.0 for t in type_space):
             raise ValueError("built-in families require all types > 0")
+        self.__dict__.update(family=family, type_space=type_space)
 
     @property
     def types(self) -> tuple[float, ...]:
@@ -352,17 +345,16 @@ def zero_cost_extent(inst: ModelInstance, t: float) -> float:
 
 # Numerical audit of the structural assumptions on (c, u, M^E).
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    worst_point: Optional[tuple[float, float]] = None
+class CheckResult(Frozen):
+    def __init__(self, name: str, passed: bool, detail: str,
+                 worst_point: Optional[tuple[float, float]] = None) -> None:
+        self.__dict__.update(name=name, passed=passed, detail=detail,
+                             worst_point=worst_point)
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[CheckResult, ...]
+class AssumptionReport(Frozen):
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
+        self.__dict__.update(checks=checks)
 
     @property
     def all_passed(self) -> bool:
@@ -374,7 +366,8 @@ class AssumptionReport:
     def to_dict(self) -> dict:
         return {
             "all_passed": self.all_passed,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail,
+                        "worst_point": c.worst_point} for c in self.checks],
         }
 
 

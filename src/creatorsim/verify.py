@@ -24,9 +24,9 @@ with no per-candidate object.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 import numpy as np
 
+from ._frozen import Frozen
 from ._stats import MetricEstimate
 from .equilibrium import MixedStrategy
 from .game import Metric, OpponentPool
@@ -39,8 +39,7 @@ GAP_ABS_TOL = 0.02
 GAP_SE_MULT = 4.0
 
 
-@dataclass(frozen=True, eq=False)
-class BestResponseReport:
+class BestResponseReport(Frozen):
     """A best-response search, held as arrays.
 
     ``candidates`` is the (1 + T * grid_size, 2) array of
@@ -52,20 +51,22 @@ class BestResponseReport:
     its estimate is the per-sample one, ``best_deviation_utility``.
     """
 
-    types: tuple[float, ...]
-    eq_utility: MetricEstimate
-    best_deviation_utility: MetricEstimate
-    gap: float
-    combined_stderr: float  # stderr of the per-sample paired gap
-    argmax_index: int
-    grid_size: int
-    samples_per_candidate: int
-    candidates: np.ndarray
-    candidate_mean: np.ndarray
-    candidate_stderr: np.ndarray
-    probes: np.ndarray
-    probe_mean: np.ndarray
-    probe_stderr: np.ndarray
+    def __init__(self, types: tuple[float, ...], eq_utility: MetricEstimate,
+                 best_deviation_utility: MetricEstimate, gap: float,
+                 combined_stderr: float, argmax_index: int, grid_size: int,
+                 samples_per_candidate: int, candidates: np.ndarray,
+                 candidate_mean: np.ndarray, candidate_stderr: np.ndarray,
+                 probes: np.ndarray, probe_mean: np.ndarray,
+                 probe_stderr: np.ndarray) -> None:
+        # combined_stderr: stderr of the per-sample paired gap
+        self.__dict__.update(
+            types=types, eq_utility=eq_utility,
+            best_deviation_utility=best_deviation_utility, gap=gap,
+            combined_stderr=combined_stderr, argmax_index=argmax_index,
+            grid_size=grid_size, samples_per_candidate=samples_per_candidate,
+            candidates=candidates, candidate_mean=candidate_mean,
+            candidate_stderr=candidate_stderr, probes=probes,
+            probe_mean=probe_mean, probe_stderr=probe_stderr)
 
     def passes(self) -> bool:
         return self.gap <= max(GAP_ABS_TOL, GAP_SE_MULT * self.combined_stderr)
@@ -141,8 +142,9 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     by ``OpponentPool.estimates``: two ``searchsorted`` cuts per user type
     on the sorted pool, and counts of the rows taking each win share 1,
     1/2, ..., 1/P or 0. The equilibrium utility is the probe average, per
-    sample, which ``OpponentPool.payoffs`` sums over all probes from one
-    call's cuts. The gap's standard error is that of the per-sample
+    sample, which ``OpponentPool.payoffs_and_estimates`` sums over all
+    probes from the cuts and tied counts that also give the probes'
+    estimates. The gap's standard error is that of the per-sample
     differences between the argmax candidate's payoff and the probe
     average; near an equilibrium the two are positively correlated, so it
     is below the two marginal errors combined. The argmax candidate is
@@ -156,7 +158,8 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     pool = OpponentPool.draw(inst, metric, strategy, P, n_per_candidate, rng)
 
     cand_mean, cand_stderr = pool.estimates(candidates)
-    eq_samples = pool.payoffs(probes) / len(probes)
+    probe_sum, probe_mean, probe_stderr = pool.payoffs_and_estimates(probes)
+    eq_samples = probe_sum / len(probes)
     eq = MetricEstimate.from_samples(eq_samples)
 
     best_i = int(np.argmax(cand_mean))
@@ -164,7 +167,6 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     best = MetricEstimate.from_samples(best_payoffs)
     cand_mean[best_i], cand_stderr[best_i] = best.mean, best.stderr
     paired = MetricEstimate.from_samples(best_payoffs - eq_samples)
-    probe_mean, probe_stderr = pool.estimates(probes)
     return BestResponseReport(
         types=inst.types,
         eq_utility=eq,

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +12,8 @@ import pytest
 import creatorsim
 from creatorsim.cli import ConfigError, main, resolve_config
 from creatorsim.equilibrium import make_well_separated_types
-from creatorsim.verify import best_response_gap, support_containment
+from creatorsim.verify import (BestResponseReport, best_response_gap,
+                               support_containment)
 from creatorsim.model import ModelInstance
 
 
@@ -76,6 +76,47 @@ def test_verify_and_metrics_import_nothing_mid_command(tmp_path):
     codes, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
     assert set(loaded) <= {"locale", "_locale"}
+
+
+def test_cli_start_up_generates_no_code_and_leaves_no_old_collection(tmp_path):
+    # a fresh interpreter imports the CLI, then runs the benchmark's verify
+    # and metrics commands at its sizes. Frozen dataclasses would generate
+    # their methods with exec at import, and concurrent.futures brings in
+    # logging and queue. Collecting the import's young objects at its end
+    # keeps a generation-1 or -2 collection, which would scan them all, out
+    # of these commands.
+    src = str(Path(creatorsim.__file__).resolve().parents[1])
+    two, _ = write_config(tmp_path, "two.json", types=[1.0, 1.9],
+                          equilibrium="two_type", samples=15000, seed=1)
+    hom, _ = write_config(tmp_path, "hom.json", alpha=-0.5, gamma=0.3,
+                          types=[2.0], P=3, equilibrium="homogeneous",
+                          samples=15000, seed=2)
+    met, _ = write_config(tmp_path, "met.json",
+                          types=list(make_well_separated_types(4, 0.01)),
+                          recommender="all", samples=300000, seed=3)
+    probe = """if True:
+        import gc, json, sys
+        import creatorsim.cli as cli
+        loaded = [m for m in ("dataclasses", "concurrent.futures", "logging",
+                              "queue") if m in sys.modules]
+        two, hom, met, out = sys.argv[1:]
+        old = []
+        gc.callbacks.append(lambda phase, info: phase == "start"
+                            and info["generation"] > 0
+                            and old.append(info["generation"]))
+        codes = [cli.main(["verify", "--config", c, "--grid", "200",
+                           "--out", out]) for c in (two, hom)]
+        codes += [cli.main(["metrics", "--config", met, "--threads", t,
+                            "--out", out]) for t in ("2", "1")]
+        print(json.dumps([loaded, codes, old]), file=sys.stderr)
+    """
+    proc = subprocess.run([sys.executable, "-c", probe, str(two), str(hom),
+                           str(met), str(tmp_path / "out")], cwd=src,
+                          check=True, capture_output=True, text=True, timeout=300)
+    loaded, codes, old = json.loads(proc.stderr.splitlines()[-1])
+    assert loaded == []
+    assert codes == [0, 0, 0, 0]
+    assert old == []
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
@@ -217,7 +258,7 @@ class TestVerify:
             report = best_response_gap(*args, **kwargs)
             mean = report.candidate_mean.copy()
             mean[3] = np.nan
-            return dataclasses.replace(report, candidate_mean=mean)
+            return BestResponseReport(**{**vars(report), "candidate_mean": mean})
 
         monkeypatch.setattr("creatorsim.cli.best_response_gap", nan_report)
         path, _ = write_config(tmp_path, samples=500)
@@ -630,6 +671,27 @@ class TestMetrics:
         assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
+
+    def test_shard_memory_error_exits_two_with_one_line(self, tmp_path,
+                                                        monkeypatch, capsys):
+        import threading
+
+        import creatorsim.metrics as met
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        monkeypatch.setattr(met, "simulate_rounds", no_memory)
+        monkeypatch.setattr(met, "_usable_cpus", lambda: 2)
+        path, _ = write_config(tmp_path, samples=3 * met.ROUND_ROWS)
+        out = tmp_path / "out"
+        before = threading.active_count()
+        assert main(["metrics", "--config", str(path), "--threads", "2",
+                     "--out", str(out)]) == 2
+        assert threading.active_count() == before
+        assert capsys.readouterr().err.splitlines() == [
+            "error: not enough memory: Unable to allocate 1.00 TiB for an array"]
+        assert list(out.iterdir()) == []
 
     def test_non_finite_estimate_exits_two(self, tmp_path, capsys):
         # utilities of W = 1e308 overflow to inf

@@ -424,6 +424,29 @@ class TestPayoffsBySegment:
             _, _, lo, hi = pool._cuts(*contents.T)
             assert np.any(hi > lo)
 
+    @pytest.mark.parametrize("case", ["random_two_type", "random_homogeneous",
+                                      "random_eq", "eligible_atoms"])
+    def test_one_pass_counts_each_tie_band_once(self, case, monkeypatch):
+        # payoffs_and_estimates gives payoffs and estimates bit for bit, and
+        # shares each tie band's tied counts between the two
+        inst, metric, strategy, P = self.pools()[case]
+        pool = OpponentPool.draw(inst, metric, strategy, P, 3000,
+                                 np.random.default_rng(4))
+        contents = self.contents(strategy, 32, 5)
+        keys = []
+        original = OpponentPool._tied
+
+        def spy(self, lo, hi, floor):
+            keys.append((lo, hi, floor))
+            return original(self, lo, hi, floor)
+
+        monkeypatch.setattr(OpponentPool, "_tied", spy)
+        sums, mean, stderr = pool.payoffs_and_estimates(contents)
+        assert keys and len(keys) == len(set(keys))
+        assert sums.tobytes() == pool.payoffs(contents).tobytes()
+        assert estimate_bits((mean, stderr)) == estimate_bits(
+            pool.estimates(contents))
+
     def test_random_metric_ties_every_eligible_row(self):
         # under RANDOM every opponent scores 1: an eligible content ties with
         # every row that has an eligible opponent

@@ -322,27 +322,19 @@ class TestEstimators:
         import threading
 
         import creatorsim.metrics as met
-        pools = []
+        started = []
+        start = threading.Thread.start
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *args):
-                return map(fn, *args)
+        def spy(thread):
+            started.append(thread)
+            start(thread)
 
         inst = linear(1.0, 0.0)
         s = engagement_eq_homogeneous(inst, 2)
         n = 4 * ROUND_ROWS + 1
         want = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
                                       np.random.default_rng(3))
-        monkeypatch.setattr(met, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(threading.Thread, "start", spy)
         monkeypatch.setattr(met.os, "cpu_count", lambda: cpus)
         if affinity is None:
             monkeypatch.delattr(met.os, "sched_getaffinity", raising=False)
@@ -353,7 +345,81 @@ class TestEstimators:
         got = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
                                      np.random.default_rng(3), threads=10**6)
         assert threading.active_count() == before
-        assert pools == [workers]
+        # the calling thread is one of the workers, so one runs inline
+        assert len(started) == workers - 1
+        assert got == want
+
+    def test_shard_exception_propagates_after_every_thread_joined(
+            self, monkeypatch):
+        import threading
+
+        import creatorsim.metrics as met
+        calls = []
+        simulate = met.simulate_rounds
+
+        def failing(inst, metric, strategy, P, n, rng):
+            calls.append(n)
+            if len(calls) == 2:
+                raise RuntimeError("shard failed")
+            return simulate(inst, metric, strategy, P, n, rng)
+
+        monkeypatch.setattr(met, "ROUND_ROWS", 100)
+        monkeypatch.setattr(met, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(met, "simulate_rounds", failing)
+        inst = linear(1.0, 0.0)
+        s = engagement_eq_homogeneous(inst, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="shard failed"):
+            estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, 5000,
+                                   np.random.default_rng(0), threads=2)
+        assert threading.active_count() == before
+        assert len(calls) < 50  # the workers stop taking shards after it
+
+    def test_thread_that_cannot_start_stops_the_others(self, monkeypatch):
+        import threading
+
+        import creatorsim.metrics as met
+        start = threading.Thread.start
+        started = []
+
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(met, "ROUND_ROWS", 100)
+        monkeypatch.setattr(met, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        inst = linear(1.0, 0.0)
+        s = engagement_eq_homogeneous(inst, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, 5000,
+                                   np.random.default_rng(0), threads=3)
+        assert len(started) == 1
+        assert threading.active_count() == before
+
+    def test_many_workers_with_fast_switching_match_one(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a
+        # shard lost, run twice or merged out of order changes the estimates
+        import sys
+
+        import creatorsim.metrics as met
+        monkeypatch.setattr(met, "ROUND_ROWS", 16)
+        monkeypatch.setattr(met, "_usable_cpus", lambda: 8)
+        inst = linear(1.0, 0.0)
+        s = engagement_eq_homogeneous(inst, 2)
+        n = 16 * 150 + 7  # three spawn groups
+        want = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
+                                      np.random.default_rng(12))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
+                                         np.random.default_rng(12), threads=8)
+        finally:
+            sys.setswitchinterval(interval)
         assert got == want
 
     def test_shard_generators_spawned_in_groups(self, monkeypatch):

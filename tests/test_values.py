@@ -1,0 +1,91 @@
+"""The package's value classes are read-only once built, and
+``MetricEstimate`` compares by value."""
+
+import numpy as np
+import pytest
+
+from creatorsim._stats import MetricEstimate
+from creatorsim.empirics import SpearmanResult, Survey, TweetRecord
+from creatorsim.equilibrium import (
+    engagement_eq_homogeneous,
+    engagement_eq_two_types,
+    investment_eq,
+    random_eq,
+)
+from creatorsim.game import Metric, OpponentPool, simulate_rounds
+from creatorsim.model import (
+    KMR,
+    Content,
+    LinearTwitter,
+    ModelInstance,
+    TypeSpace,
+    check_assumptions,
+)
+from creatorsim.verify import best_response_gap
+
+ONE = ModelInstance(LinearTwitter(1.0, 0.0), TypeSpace.of([1.0]))
+TWO = ModelInstance(LinearTwitter(1.0, 0.0), TypeSpace.of([1.0, 1.9]))
+
+
+def component(strategy):
+    return strategy.components[0][1]
+
+
+# a builder of each value class and one of its fields
+VALUES = {
+    "ModelInstance": (lambda: TWO, "family"),
+    "TypeSpace": (lambda: TWO.type_space, "types"),
+    "LinearTwitter": (lambda: LinearTwitter(0.5, 0.2), "alpha"),
+    "KMR": (lambda: KMR(2.0, 0.1), "W"),
+    "Content": (lambda: Content(1.0, 2.0), "w_cheap"),
+    "LinearityParams": (lambda: TWO.linearity_params(), "shift"),
+    "AtomComponent": (lambda: component(random_eq(ONE, 2)), "w_costly"),
+    "CurveComponent": (lambda: component(engagement_eq_homogeneous(ONE, 2)), "t"),
+    "VtDensityComponent": (lambda: component(engagement_eq_two_types(TWO)),
+                           "intervals"),
+    "QualityComponent": (lambda: component(investment_eq(ONE, 2)), "quality"),
+    "MixedStrategy": (lambda: engagement_eq_two_types(TWO), "components"),
+    "PiecewiseLinearCdf": (
+        lambda: component(engagement_eq_homogeneous(ONE, 2)).cheap, "xs"),
+    "OpponentPool": (lambda: OpponentPool.draw(
+        TWO, Metric.ENGAGEMENT, engagement_eq_two_types(TWO), 2, 50,
+        np.random.default_rng(0)), "order"),
+    "RoundBatch": (lambda: simulate_rounds(
+        TWO, Metric.ENGAGEMENT, engagement_eq_two_types(TWO), 2, 20,
+        np.random.default_rng(0)), "winner"),
+    "MetricEstimate": (lambda: MetricEstimate(1.0, 0.5, 3), "mean"),
+    "BestResponseReport": (lambda: best_response_gap(
+        TWO, Metric.ENGAGEMENT, engagement_eq_two_types(TWO), 2, 3, 100,
+        np.random.default_rng(0)), "gap"),
+    "AssumptionReport": (lambda: check_assumptions(ONE, grid_n=3), "checks"),
+    "CheckResult": (lambda: check_assumptions(ONE, grid_n=3).checks[0], "passed"),
+    "TweetRecord": (lambda: TweetRecord("E", "P", 1, 2), "favorites"),
+    "Survey": (lambda: Survey.from_records([TweetRecord("C", "NP", 0, 5)]),
+               "feed"),
+    "SpearmanResult": (lambda: SpearmanResult(0.5, 0.1, 10), "rho"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_fields_cannot_be_set_or_deleted(name):
+    make, field = VALUES[name]
+    value = make()
+    assert type(value).__name__ == name
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.not_a_field = 1
+    assert getattr(value, field) is before
+    assert not hasattr(value, "not_a_field")
+
+
+def test_metric_estimate_compares_by_value():
+    a = MetricEstimate(1.0, 0.5, 3)
+    assert a == MetricEstimate(1.0, 0.5, 3)
+    assert a != MetricEstimate(1.0, 0.5, 4)
+    assert a != MetricEstimate(1.0, 0.25, 3)
+    assert a != MetricEstimate(2.0, 0.5, 3)
+    assert a != (1.0, 0.5, 3)

@@ -232,13 +232,13 @@ class TestSharedOpponentPool:
     def test_candidates_are_count_scored(self, grid_k, monkeypatch):
         # per-sample payoff vectors only for the probes and the argmax
         calls = []
-        original = OpponentPool.payoffs
+        original = OpponentPool._sums
 
-        def spy(self, contents):
-            calls.append(np.array(contents).tolist())
-            return original(self, contents)
+        def spy(self, q, x, *cuts):
+            calls.append(np.column_stack([q, x]).tolist())
+            return original(self, q, x, *cuts)
 
-        monkeypatch.setattr(OpponentPool, "payoffs", spy)
+        monkeypatch.setattr(OpponentPool, "_sums", spy)
         inst = linear(1.0, 0.0, types=(1.0, 1.9))
         s = engagement_eq_two_types(inst)
         rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=grid_k,
