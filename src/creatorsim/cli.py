@@ -5,6 +5,12 @@ Subcommands: ``check-model`` (audit the structural assumptions),
 as JSON), ``verify`` (best-response gap), ``metrics`` (UCQ/RE/UW table),
 ``empirics`` (feed-survey analysis).
 
+A plain argv is read from the option table without building a parser: a
+command, then ``--flag value`` pairs, each flag one of the command's options
+spelled in full, each value not starting with ``-`` and converting with the
+option's type, every required option given. argparse reads any other argv,
+and gives all help and error text.
+
 Exit codes: 0 success, 2 configuration or validation error (including a
 non-finite ``metrics`` estimate or ``verify`` report, which is never
 written, and a failed allocation), 3 verification failure. Identical
@@ -125,6 +131,17 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
         raise ConfigError("--grid must be >= 2")
     if getattr(args, "threads", 1) < 1:
         raise ConfigError("--threads must be >= 1")
+    # numpy describes no array past np.intp's largest byte count; the widest
+    # hold 3 draws per creator for each sample, or a column per type or win
+    # share for each grid point of the T curves
+    entries, P = np.iinfo(np.intp).max // 8, out["P"]
+    T = len(out["types"]) if isinstance(out.get("types"), list) else 1
+    too_big = "for this config: numpy cannot hold larger arrays"
+    if hasattr(args, "samples") and out["samples"] > entries // (3 * P):
+        raise ConfigError(f"samples must be at most {entries // (3 * P)} {too_big}")
+    if getattr(args, "grid", 2) > (entries // max(P, T) - 1) // T:
+        raise ConfigError(f"--grid must be at most "
+                          f"{(entries // max(P, T) - 1) // T} {too_big}")
     return out
 
 
@@ -149,6 +166,9 @@ def resolve_strategy(inst: ModelInstance, P: int, choice: str,
             choice = "two_type"
         else:
             choice = "well_separated"
+    if choice in ("two_type", "well_separated") and P != 2:
+        raise ConfigError(f"equilibrium '{choice}' not applicable: it is "
+                          f"constructed for P = 2 creators, not P = {P}")
     try:
         if choice == "homogeneous":
             return eq.engagement_eq_homogeneous(inst, P)
@@ -356,46 +376,33 @@ def cmd_empirics(args) -> int:
     return EXIT_OK
 
 
-def _config_options(p, sampled=True) -> None:
-    p.add_argument("--config", required=True, help="JSON config path")
-    if sampled:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
+# An option is (flag, type, default, help); REQUIRED as the default makes
+# it required. ``--flag`` is stored under ``flag``.
+REQUIRED = object()
+CONFIG = ("--config", str, REQUIRED, "JSON config path")
+SEED = ("--seed", int, None, None)
+SAMPLES = ("--samples", int, None, None)
+OUT = ("--out", str, None, "output directory")
 
-
-def _unsampled_options(p) -> None:
-    _config_options(p, sampled=False)
-
-
-def _verify_options(p) -> None:
-    _config_options(p)
-    p.add_argument("--grid", type=int, default=200, help="points per curve")
-
-
-def _metrics_options(p) -> None:
-    _config_options(p)
-    p.add_argument("--threads", type=int, default=1)
-
-
-def _empirics_options(p) -> None:
-    p.add_argument("--data", required=True, help="records CSV path")
-    p.add_argument("--out", default=None)
-
-
-# name, help, option adder, handler; ``main`` looks the handler up by name
-# when it runs, so a wrapped or patched ``cmd_*`` is the one called
+# name, help, options, handler; ``main`` looks the handler up by name when
+# it runs, so a wrapped or patched ``cmd_*`` is the one called
 COMMANDS = (
-    ("check-model", "audit model assumptions", _unsampled_options,
-     "cmd_check_model"),
-    ("sample", "draw equilibrium contents to CSV", _config_options, "cmd_sample"),
-    ("verify", "best-response gap certification", _verify_options, "cmd_verify"),
-    ("metrics", "UCQ/RE/UW estimates to CSV", _metrics_options, "cmd_metrics"),
-    ("describe", "strategy components as JSON", _unsampled_options,
-     "cmd_describe"),
-    ("empirics", "feed-survey rank analysis", _empirics_options, "cmd_empirics"),
+    ("check-model", "audit model assumptions", (CONFIG, OUT), "cmd_check_model"),
+    ("sample", "draw equilibrium contents to CSV", (CONFIG, SEED, SAMPLES, OUT),
+     "cmd_sample"),
+    ("verify", "best-response gap certification",
+     (CONFIG, SEED, SAMPLES, OUT, ("--grid", int, 200, "points per curve")),
+     "cmd_verify"),
+    ("metrics", "UCQ/RE/UW estimates to CSV",
+     (CONFIG, SEED, SAMPLES, OUT, ("--threads", int, 1, None)), "cmd_metrics"),
+    ("describe", "strategy components as JSON", (CONFIG, OUT), "cmd_describe"),
+    ("empirics", "feed-survey rank analysis",
+     (("--data", str, REQUIRED, "records CSV path"), ("--out", str, None, None)),
+     "cmd_empirics"),
 )
 HANDLERS = {name: handler for name, _, _, handler in COMMANDS}
+OPTIONS = {name: {opt[0]: opt for opt in options}
+           for name, _, options, _ in COMMANDS}
 
 
 @functools.cache
@@ -412,10 +419,35 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Creator-competition equilibrium simulator and verifier")
     metavar = None if command is None else "{" + ",".join(HANDLERS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, add_options, _ in COMMANDS:
+    for name, help_text, options, _ in COMMANDS:
         if command in (None, name):
-            add_options(sub.add_parser(name, help=help_text))
+            p = sub.add_parser(name, help=help_text)
+            for flag, kind, default, text in options:
+                p.add_argument(flag, type=kind, required=default is REQUIRED,
+                               default=None if default is REQUIRED else default,
+                               help=text)
     return parser
+
+
+def read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """``make_parser().parse_args(argv)`` for a plain argv (module
+    docstring), building no parser; None for any other argv. A repeated
+    flag keeps its last value, as in argparse."""
+    options = OPTIONS.get(argv[0]) if argv else None
+    if options is None or len(argv) % 2 == 0:
+        return None
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in options or value.startswith("-"):
+            return None
+        try:
+            given[flag] = options[flag][1](value)
+        except ValueError:
+            return None
+    if any(d is REQUIRED and f not in given for f, _, d, _ in options.values()):
+        return None
+    return argparse.Namespace(command=argv[0], **{
+        f[2:]: given.get(f, d) for f, _, d, _ in options.values()})
 
 
 # glibc mallopt parameters (malloc.h)
@@ -450,8 +482,10 @@ def _hold_heap() -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in HANDLERS else None
-    args = make_parser(command).parse_args(argv)
+    args = read_plain(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in HANDLERS else None
+        args = make_parser(command).parse_args(argv)
     _hold_heap()
     try:
         return globals()[HANDLERS[args.command]](args)

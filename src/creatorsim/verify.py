@@ -87,12 +87,8 @@ class BestResponseReport(Frozen):
                     (mean - self.eq_utility.mean).tolist())]
 
     def to_dict(self) -> dict:
-        n = self.samples_per_candidate
-
-        def utilities(mean, stderr):
-            return [{"mean": m, "stderr": se, "n": n}
-                    for m, se in zip(mean.tolist(), stderr.tolist())]
-
+        """JSON values; the utilities are ``{"mean": [...], "stderr": [...]}``
+        columns in the row order of ``candidates`` and ``probes``."""
         return {
             "eq_utility": self.eq_utility.to_dict(),
             "best_deviation_utility": self.best_deviation_utility.to_dict(),
@@ -101,12 +97,13 @@ class BestResponseReport(Frozen):
             "passes": self.passes(),
             "argmax_candidate": self.candidates[self.argmax_index].tolist(),
             "grid_size": self.grid_size,
-            "samples_per_candidate": n,
+            "samples_per_candidate": self.samples_per_candidate,
             "candidates": self.candidates.tolist(),
-            "candidate_utilities": utilities(self.candidate_mean,
-                                             self.candidate_stderr),
+            "candidate_utilities": {"mean": self.candidate_mean.tolist(),
+                                    "stderr": self.candidate_stderr.tolist()},
             "probes": self.probes.tolist(),
-            "probe_utilities": utilities(self.probe_mean, self.probe_stderr),
+            "probe_utilities": {"mean": self.probe_mean.tolist(),
+                                "stderr": self.probe_stderr.tolist()},
             "curves": self.curves(),
         }
 

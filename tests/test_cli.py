@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import creatorsim
+import creatorsim.cli as cli
 from creatorsim.cli import ConfigError, main, resolve_config
 from creatorsim.equilibrium import make_well_separated_types
 from creatorsim.verify import (BestResponseReport, best_response_gap,
@@ -50,8 +54,8 @@ def test_verify_and_metrics_import_nothing_mid_command(tmp_path):
     # a fresh interpreter runs the benchmark's verify and metrics commands
     # at its sizes; a module first imported inside a command costs every
     # run (np.unique's first call imports numpy.ma, 11-14 ms on a 2-vCPU
-    # VM). argparse's gettext loads locale and _locale when the parser is
-    # built.
+    # VM). These argvs are plain, so no parser is built and argparse's
+    # gettext never loads locale.
     src = str(Path(creatorsim.__file__).resolve().parents[1])
     two, _ = write_config(tmp_path, "two.json", types=[1.0, 1.9],
                           equilibrium="two_type", samples=15000, seed=1)
@@ -75,7 +79,7 @@ def test_verify_and_metrics_import_nothing_mid_command(tmp_path):
                           check=True, capture_output=True, text=True, timeout=300)
     codes, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
-    assert set(loaded) <= {"locale", "_locale"}
+    assert loaded == []
 
 
 def test_cli_start_up_generates_no_code_and_leaves_no_old_collection(tmp_path):
@@ -266,7 +270,7 @@ class TestVerify:
         assert main(["verify", "--config", str(path), "--grid", "5",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: non-finite value at report.candidate_utilities[3].mean: "
+            "error: non-finite value at report.candidate_utilities.mean[3]: "
             "verify.json not written"]
         assert list(out.iterdir()) == []
 
@@ -295,6 +299,45 @@ def test_allocation_failure_exits_two_with_one_line(tmp_path, capsys, argv):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["verify", "--samples", str(2**62)], {}),
+    (["verify", "--grid", str(2**62)], {}),
+    (["sample", "--samples", str(2**62)], {}),
+    (["verify"], {"samples": 2**62}),
+    (["sample"], {"samples": 2**62}),
+])
+def test_size_numpy_cannot_hold_exits_two_with_one_line(tmp_path, capsys, argv,
+                                                        config):
+    # past np.intp's largest byte count numpy raises ValueError rather than
+    # MemoryError; the size is rejected with the config, before the output
+    # directory is made or anything is allocated
+    path, _ = write_config(tmp_path, **config)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("numpy cannot hold larger arrays\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["describe", "metrics", "verify"])
+@pytest.mark.parametrize("types, equilibrium", [
+    ([1.0, 1.9], "auto"), ([1.0, 1.9], "two_type"),
+    (list(make_well_separated_types(3, 0.01)), "auto"),
+    (list(make_well_separated_types(3, 0.01)), "well_separated"),
+])
+def test_two_creator_construction_at_other_P_exits_two(tmp_path, capsys, command,
+                                                       types, equilibrium):
+    path, _ = write_config(tmp_path, types=types, P=3, equilibrium=equilibrium,
+                           samples=100)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "not applicable" in err[0] and "P = 2 creators, not P = 3" in err[0]
+    assert list(out.iterdir()) == []
+
+
 # the benchmark's two certify cases, with their candidate plus probe counts
 # at grid 200 and 32 probes
 CERTIFY_CASES = {
@@ -320,8 +363,9 @@ def test_verify_json_is_one_deterministic_finite_line(tmp_path, case):
     assert "NaN" not in text and "Infinity" not in text
     report = json.loads(text)["report"]
     assert len(report["candidates"]) + len(report["probes"]) == points
-    assert len(report["candidate_utilities"]) == len(report["candidates"])
-    assert len(report["probe_utilities"]) == len(report["probes"])
+    for column in ("mean", "stderr"):
+        assert len(report["candidate_utilities"][column]) == len(report["candidates"])
+        assert len(report["probe_utilities"][column]) == len(report["probes"])
     assert [c["t"] for c in report["curves"]] == overrides["types"]
 
 
@@ -510,7 +554,6 @@ class TestParser:
         assert (tmp_path / "with" / "samples.csv").read_bytes().count(b"\n") == 9
 
     def test_parser_built_once_for_repeated_command(self, tmp_path, monkeypatch):
-        import creatorsim.cli as cli
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -521,17 +564,53 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         cli.make_parser.cache_clear()
         path, _ = write_config(tmp_path, samples=50)
-        argv = ["verify", "--config", str(path), "--grid", "3",
-                "--out", str(tmp_path)]
+        plain = ["verify", "--config", str(path), "--grid", "3",
+                 "--out", str(tmp_path)]
+        # an abbreviated flag is not plain: argparse reads it
+        other = ["verify", "--conf", str(path), "--grid", "3",
+                 "--out", str(tmp_path)]
         try:
-            assert main(argv) == 0
+            assert main(plain) == 0
+            assert built == []
+            assert main(other) == 0
             first = list(built)
-            assert main(argv) == 0
+            assert main(other) == 0
         finally:
             cli.make_parser.cache_clear()
         # the top-level parser and the verify subparser, once
         assert first == ["creatorsim", "creatorsim verify"]
         assert built == first
+
+    # every flag and some near misses, and values that int() or argparse
+    # read in their own ways; a command, a required flag and up to three
+    # more pairs make about one argv in nine plain
+    FLAGS = [*sorted({flag for opts in cli.OPTIONS.values() for flag in opts}),
+             "--conf", "--gri", "--grid=3", "-h", "--"]
+    VALUES = ["verify", "5", "-5", "", "2.5", "1_0", "x", "--out"]
+    COMMAND_PAIRS = st.tuples(
+        st.sampled_from(list(cli.HANDLERS)),
+        st.lists(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+                 max_size=3),
+        st.sampled_from(["--config", "--data"]), st.sampled_from(VALUES),
+    ).map(lambda c: [c[0], c[2], c[3], *(t for pair in c[1] for t in pair)])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        COMMAND_PAIRS,
+        st.lists(st.sampled_from([*cli.HANDLERS, "bogus", "--help", *FLAGS,
+                                  *VALUES]), max_size=8)))
+    def test_plain_reader_gives_the_full_parsers_namespace(self, argv):
+        plain = cli.read_plain(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                full = cli.make_parser().parse_args(argv)
+        except SystemExit:
+            full = None
+        # None sends the argv to argparse; anything else must be its answer
+        if plain is not None:
+            assert full is not None
+            assert list(vars(plain).items()) == list(vars(full).items())
 
     def test_patched_handler_runs_after_first_call(self, tmp_path, monkeypatch):
         import creatorsim.cli as cli
