@@ -131,6 +131,10 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
         raise ConfigError("--grid must be >= 2")
     if getattr(args, "threads", 1) < 1:
         raise ConfigError("--threads must be >= 1")
+    if out.get("types") == []:
+        # the model would reject it too, but only after the output
+        # directory is made, and the --grid cap below divides by T
+        raise ConfigError("type space must be nonempty")
     # numpy describes no array past np.intp's largest byte count; the widest
     # hold 3 draws per creator for each sample, or a column per type or win
     # share for each grid point of the T curves
@@ -235,7 +239,7 @@ def cmd_sample(args) -> int:
     strategy = resolve_strategy(inst, cfg["P"], cfg["equilibrium"], metric)
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["samples"]
-    draws = strategy.sample(rng, n) if n > 0 else np.empty((0, 2))
+    draws = strategy.sample(rng, n)
     lines = [f"# config: {_config_echo(cfg)}", "w_costly,w_cheap"]
     lines += [f"{q!r},{x!r}" for q, x in draws.tolist()]
     path = out / "samples.csv"

@@ -11,10 +11,13 @@ gaming coordinate. Components come in three kinds:
   engagement with a per-interval probability of targeting the lower type,
   mapped back to content through the curves (two-type construction).
 
-Sampling is by inverse transform on three uniforms per content, so the
-random stream does not depend on the draws. A mixture assigns each content
-to a component by counting cumulative weights below its selection uniform,
-and each component samples all of its contents in one call.
+Sampling is by inverse transform on three uniforms per content: a
+selection, a main and an auxiliary uniform. The generator always ends where
+``rng.random((3, n))`` would leave it, so the random stream does not depend
+on the draws, but a row of uniforms that no component reads is skipped
+rather than made. A mixture assigns each content to a component by counting
+cumulative weights below its selection uniform, and each component samples
+all of its contents in one call.
 
 Constructors cover: the homogeneous engagement equilibrium for any number
 of creators, the two-type and N-well-separated engagement equilibria for
@@ -36,14 +39,48 @@ from .model import ModelInstance, PreconditionError, TypeSpace
 GOLDEN_RATIO_SPLIT = (5.0 - math.sqrt(5.0)) / 2.0  # two-type case 2/3 boundary
 
 
+# each double of Generator.random is one 64-bit step of these generators
+_ADVANCE_BY_DOUBLES = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _uniform_row(rng: np.random.Generator, n: int, read: bool):
+    """``rng.random(n)`` if ``read``; else None, with ``rng`` left where
+    that call would leave it but no double made.
+
+    PCG64 and PCG64DXSM jump with ``advance(n)``, which with the state
+    bookkeeping takes a few microseconds against about 100 us to make 32 768
+    doubles on a 2-vCPU x86-64 VM. ``advance`` also drops the 32-bit half
+    that a small-range ``integers`` draw can leave pending, which doubles
+    never use, so it is put back. Any other generator draws the row and
+    drops it: MT19937 and SFC64 have no ``advance``, and Philox's counts
+    blocks of four outputs.
+    """
+    bg = getattr(rng, "bit_generator", None)
+    if read or type(bg) not in _ADVANCE_BY_DOUBLES:
+        row = rng.random(n)
+        return row if read else None
+    if n:
+        before = bg.state
+        bg.advance(n)
+        if before["has_uint32"]:
+            after = bg.state
+            after.update(has_uint32=before["has_uint32"], uinteger=before["uinteger"])
+            bg.state = after
+    return None
+
+
 class AtomComponent(Frozen):
     """Point mass at one content."""
+
+    # the uniforms sample_from_uniforms uses; MixedStrategy.sample makes
+    # only the rows some component reads
+    reads = ()
 
     def __init__(self, w_costly: float, w_cheap: float) -> None:
         self.__dict__.update(w_costly=w_costly, w_cheap=w_cheap)
 
-    def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:
-        out = np.empty((u_main.size, 2))
+    def sample_from_uniforms(self, n: int, u_main=None, u_aux=None) -> np.ndarray:
+        out = np.empty((n, 2))
         out[:, 0] = self.w_costly
         out[:, 1] = self.w_cheap
         return out
@@ -64,11 +101,13 @@ class CurveComponent(Frozen):
     gaming 0 is the zero-effort content (0, 0).
     """
 
+    reads = ("u_main",)
+
     def __init__(self, inst: ModelInstance, t: float,
                  cheap: PiecewiseLinearCdf) -> None:
         self.__dict__.update(inst=inst, t=t, cheap=cheap)
 
-    def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:
+    def sample_from_uniforms(self, n: int, u_main: np.ndarray, u_aux=None) -> np.ndarray:
         x = np.asarray(self.cheap.ppf(u_main), dtype=float)
         # the curve's quality is finite and never negative, so the product
         # is it or +0.0 exactly, without a data-dependent select
@@ -95,6 +134,8 @@ class VtDensityComponent(Frozen):
     draw (v, t) maps to the unique on-curve content with engagement
     v - shift.
     """
+
+    reads = ("u_main", "u_aux")
 
     def __init__(self, inst: ModelInstance, t_low: float, t_high: float,
                  shift: float, intervals: tuple[tuple[float, ...], ...]) -> None:
@@ -136,7 +177,8 @@ class VtDensityComponent(Frozen):
             k -= v < lo
         return v, u_aux < self._p_low.take(k)
 
-    def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:
+    def sample_from_uniforms(self, n: int, u_main: np.ndarray,
+                             u_aux: np.ndarray) -> np.ndarray:
         v, low = self._v_and_low(u_main, u_aux)
         out = np.empty((v.size, 2))
         # each (quality, gaming) row moves as one 16-byte item, as in
@@ -178,10 +220,12 @@ class VtDensityComponent(Frozen):
 class QualityComponent(Frozen):
     """Quality marginal with no gaming (baseline equilibria)."""
 
+    reads = ("u_main",)
+
     def __init__(self, quality: PiecewiseLinearCdf) -> None:
         self.__dict__.update(quality=quality)
 
-    def sample_from_uniforms(self, u_main: np.ndarray, u_aux: np.ndarray) -> np.ndarray:
+    def sample_from_uniforms(self, n: int, u_main: np.ndarray, u_aux=None) -> np.ndarray:
         q = np.asarray(self.quality.ppf(u_main), dtype=float)
         return np.column_stack([q, np.zeros_like(q)])
 
@@ -216,18 +260,25 @@ class MixedStrategy(Frozen):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. contents as an (n, 2) array of (quality, gaming) rows.
 
-        Draws a fixed number of uniforms per content, so the stream is
-        reproducible regardless of which components get selected. A draw
-        takes the component whose cumulative weight first exceeds its
-        selection uniform, or the last one if rounding leaves the uniform
-        past them all.
+        The uniforms are the rows ``u_sel, u_main, u_aux`` of
+        ``rng.random((3, n))``, and ``rng`` ends in the state that call
+        leaves, whichever components get selected. Only the rows some
+        component reads are made, each with the same bits as in that block:
+        ``u_sel`` when there are several components, and ``u_main`` and
+        ``u_aux`` as the components' ``reads`` declare; ``_uniform_row``
+        skips the others. A draw takes the component whose cumulative
+        weight first exceeds its selection uniform, or the last one if
+        rounding leaves the uniform past them all.
         """
-        u_sel, u_main, u_aux = rng.random((3, n))
-        if len(self.components) == 1:
-            return self.components[0][1].sample_from_uniforms(u_main, u_aux)
+        comps = self.components
+        reads = {name for _, comp in comps for name in comp.reads}
+        u_sel = _uniform_row(rng, n, len(comps) > 1)
+        u = {name: _uniform_row(rng, n, name in reads) for name in ("u_main", "u_aux")}
+        if len(comps) == 1:
+            return comps[0][1].sample_from_uniforms(n, **u)
         # cum is nondecreasing, so this count is searchsorted(cum, u_sel,
         # "right") clipped to the last component
-        cum = np.cumsum([w for w, _ in self.components])
+        cum = np.cumsum([w for w, _ in comps])
         idx = np.zeros(n, dtype=np.min_scalar_type(len(cum)))
         for level in cum[:-1]:
             idx += level <= u_sel
@@ -235,10 +286,11 @@ class MixedStrategy(Frozen):
         # each (quality, gaming) row moves as one 16-byte item: numpy's
         # fancy assignment of two-column rows is several times slower
         pairs = out.view(np.complex128)[:, 0]
-        for k, (_, comp) in enumerate(self.components):
+        for k, (_, comp) in enumerate(comps):
             rows = np.flatnonzero(idx == k)
             if rows.size:
-                drawn = comp.sample_from_uniforms(u_main[rows], u_aux[rows])
+                drawn = comp.sample_from_uniforms(
+                    rows.size, **{name: u[name][rows] for name in comp.reads})
                 pairs[rows] = drawn.view(np.complex128)[:, 0]
         return out
 

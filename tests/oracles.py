@@ -151,7 +151,7 @@ def mask_mixture_sample(strategy, rng, n):
     for k, (_, comp) in enumerate(strategy.components):
         m = idx == k
         if m.any():
-            out[m] = comp.sample_from_uniforms(u_main[m], u_aux[m])
+            out[m] = comp.sample_from_uniforms(int(m.sum()), u_main[m], u_aux[m])
     return out
 
 

@@ -421,6 +421,15 @@ CONFIG_COMMANDS = ["check-model", "sample", "describe", "verify", "metrics"]
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_empty_type_list_exits_two(tmp_path, capsys, command):
+    path, _ = write_config(tmp_path, types=[], samples=10)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: type space must be nonempty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
 @pytest.mark.parametrize("config, message", [
     (".", "cannot read config file .: Is a directory"),
     ("latin1.json", "is not UTF-8"),

@@ -37,6 +37,13 @@ def linear(alpha, gamma=0.0, types=(1.0,)):
     return ModelInstance(LinearTwitter(alpha, gamma), TypeSpace.of(types))
 
 
+def same_state(a, b):
+    """Bit generator states equal, comparing array entries by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 def two_type_instance(ratio, family="linear"):
     # a_t = 1/(1+t); fix t1 and solve t2 so that a1/a2 == ratio
     if family == "linear":
@@ -173,7 +180,7 @@ class TestTwoTypes:
         comp = engagement_eq_two_types(two_type_instance(ratio, family)).components[0][1]
         for seed in (0, 1):
             u_main, u_aux = np.random.default_rng(seed).random((2, n))
-            got = comp.sample_from_uniforms(u_main, u_aux)
+            got = comp.sample_from_uniforms(n, u_main, u_aux)
             assert got.shape == (n, 2)
             assert got.tobytes() == mask_vt_sample(comp, u_main, u_aux).tobytes()
 
@@ -188,7 +195,7 @@ class TestTwoTypes:
         p_low = np.array([iv[3] for iv in comp.intervals])
         u_aux = np.concatenate([p_low, np.nextafter(p_low, 0.0), np.nextafter(p_low, 1.0)])
         u_main, u_aux = (a.ravel() for a in np.meshgrid(u_main, u_aux))
-        got = comp.sample_from_uniforms(u_main, u_aux)
+        got = comp.sample_from_uniforms(u_main.size, u_main, u_aux)
         assert got.tobytes() == mask_vt_sample(comp, u_main, u_aux).tobytes()
 
     def test_case1_matches_well_separated_representation(self):
@@ -331,6 +338,25 @@ class TestRandom:
         assert (comp.w_costly, comp.w_cheap) == (0.0, 0.0)
 
 
+# every sampler kind: curve mixtures, (v, t) densities, atoms, a quality
+# CDF, a curve with an atom and a zero-weight component
+STRATEGY_BUILDS = [
+    *(pytest.param(lambda N=N: engagement_eq_well_separated(ModelInstance(
+        LinearTwitter(1.0, 0.0), make_well_separated_types(N, 0.01))),
+        id=f"well_separated_N{N}") for N in (2, 3, 4, 5)),
+    *(pytest.param(lambda r=r: engagement_eq_two_types(two_type_instance(r)),
+                   id=f"two_type_case{two_type_case(r)}") for r in (2.0, 1.45, 1.2)),
+    pytest.param(lambda: random_eq(linear(-0.75), 2), id="random_two_atoms"),
+    pytest.param(lambda: investment_eq(linear(-0.5), 2), id="investment_atom"),
+    pytest.param(lambda: engagement_eq_homogeneous(linear(-0.5, 0.3, types=(2.0,)), 3),
+                 id="homogeneous_P3_atom"),
+    pytest.param(lambda: MixedStrategy(((0.5, AtomComponent(0.1, 0.0)),
+                                        (0.0, AtomComponent(0.2, 0.0)),
+                                        (0.5, AtomComponent(0.3, 0.0))), "zero weight"),
+                 id="zero_weight_component"),
+]
+
+
 class TestStrategyMechanics:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -374,21 +400,7 @@ class TestStrategyMechanics:
         b = s.sample(np.random.default_rng(123), 500)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("build", [
-        *(pytest.param(lambda N=N: engagement_eq_well_separated(ModelInstance(
-            LinearTwitter(1.0, 0.0), make_well_separated_types(N, 0.01))),
-            id=f"well_separated_N{N}") for N in (2, 3, 4, 5)),
-        *(pytest.param(lambda r=r: engagement_eq_two_types(two_type_instance(r)),
-                       id=f"two_type_case{two_type_case(r)}") for r in (2.0, 1.45, 1.2)),
-        pytest.param(lambda: random_eq(linear(-0.75), 2), id="random_two_atoms"),
-        pytest.param(lambda: investment_eq(linear(-0.5), 2), id="investment_atom"),
-        pytest.param(lambda: engagement_eq_homogeneous(linear(-0.5, 0.3, types=(2.0,)), 3),
-                     id="homogeneous_P3_atom"),
-        pytest.param(lambda: MixedStrategy(((0.5, AtomComponent(0.1, 0.0)),
-                                            (0.0, AtomComponent(0.2, 0.0)),
-                                            (0.5, AtomComponent(0.3, 0.0))), "zero weight"),
-                     id="zero_weight_component"),
-    ])
+    @pytest.mark.parametrize("build", STRATEGY_BUILDS)
     @pytest.mark.parametrize("n", [0, 1, 7, 5000])
     def test_sample_bytes_equal_mask_oracle(self, build, n):
         s = build()
@@ -398,15 +410,40 @@ class TestStrategyMechanics:
             assert got.shape == (n, 2)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("build", STRATEGY_BUILDS)
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+        np.random.SFC64], ids=lambda bg: bg.__name__)
+    @pytest.mark.parametrize("n", [0, 1, 7, 5000])
+    def test_sample_leaves_the_stream_of_a_three_row_block(self, build, bit_generator, n):
+        # the oracle draws rng.random((3, n)); sample makes only the rows its
+        # components read but must end in the same state, even with the
+        # 32-bit half a small integers draw leaves pending (MT19937 makes
+        # 32-bit outputs and keeps none)
+        s = build()
+        got, want = (np.random.Generator(bit_generator(11)) for _ in range(2))
+        for rng in (got, want):
+            rng.integers(0, 3, size=1)
+        assert got.bit_generator.state.get("has_uint32", 1) == 1
+        drawn = s.sample(got, n)
+        assert drawn.tobytes() == mask_mixture_sample(s, want, n).tobytes()
+        assert same_state(got.bit_generator.state, want.bit_generator.state)
+        assert got.integers(0, 3, size=5).tolist() == want.integers(0, 3, size=5).tolist()
+        assert got.random(3).tobytes() == want.random(3).tobytes()
+
     def test_component_choice_at_cumulative_weights(self):
         # selection uniforms on, just below and just above each cumulative
         # weight, and past a total that rounds short of 1
         class Fixed:
+            # hands out successive rows of u, as many as size asks for
             def __init__(self, u):
-                self.u = u
+                self.u, self.next = u, 0
 
-            def random(self, shape):
-                return self.u
+            def random(self, size):
+                k = np.prod(size) // self.u.shape[1]
+                rows = self.u[self.next:self.next + k]
+                self.next += k
+                return rows.reshape(size)
 
         weights = (0.25, 0.0, 0.5, 0.25 - 1e-13)
         s = MixedStrategy(tuple((w, AtomComponent(float(k), 0.0))
