@@ -143,7 +143,7 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
     too_big = "for this config: numpy cannot hold larger arrays"
     if hasattr(args, "samples") and out["samples"] > entries // (3 * P):
         raise ConfigError(f"samples must be at most {entries // (3 * P)} {too_big}")
-    if getattr(args, "grid", 2) > (entries // max(P, T) - 1) // T:
+    if hasattr(args, "grid") and args.grid > (entries // max(P, T) - 1) // T:
         raise ConfigError(f"--grid must be at most "
                           f"{(entries // max(P, T) - 1) // T} {too_big}")
     return out

@@ -7,17 +7,22 @@ gaming coordinate. Components come in three kinds:
 * an atom at a fixed content point,
 * a curve component: a CDF over the gaming coordinate whose quality is
   pinned to the minimum-investment curve of one user type,
-* a (v, t) density: a piecewise-constant density over reparameterized
-  engagement with a per-interval probability of targeting the lower type,
-  mapped back to content through the curves (two-type construction).
+* a quality component: a CDF over quality with no gaming (the baselines).
 
-Sampling is by inverse transform on three uniforms per content: a
-selection, a main and an auxiliary uniform. The generator always ends where
-``rng.random((3, n))`` would leave it, so the random stream does not depend
-on the draws, but a row of uniforms that no component reads is skipped
-rather than made. A mixture assigns each content to a component by counting
-cumulative weights below its selection uniform, and each component samples
-all of its contents in one call.
+The equilibria with several types are mixtures of curve components. The
+paper states the two-type one as a density over reparameterized engagement
+v with a per-interval probability of targeting the lower type; each type's
+support starts at its curve's zero-quality kink, where curve engagement
+becomes linear in gaming, so each type's share of that density is a
+piecewise-linear CDF in gaming on its own curve.
+
+Sampling is by inverse transform on a selection and a main uniform per
+content. The generator always ends where ``rng.random((3, n))`` would leave
+it, so the random stream does not depend on the draws: the third row of
+that block is never made, and neither is a row that no component reads. A
+mixture assigns each content to a component by counting cumulative weights
+below its selection uniform, and each component samples all of its
+contents in one call.
 
 Constructors cover: the homogeneous engagement equilibrium for any number
 of creators, the two-type and N-well-separated engagement equilibria for
@@ -72,14 +77,14 @@ def _uniform_row(rng: np.random.Generator, n: int, read: bool):
 class AtomComponent(Frozen):
     """Point mass at one content."""
 
-    # the uniforms sample_from_uniforms uses; MixedStrategy.sample makes
-    # only the rows some component reads
-    reads = ()
+    # whether sample_from_uniforms reads u_main; MixedStrategy.sample makes
+    # that row only if some component does
+    reads = False
 
     def __init__(self, w_costly: float, w_cheap: float) -> None:
         self.__dict__.update(w_costly=w_costly, w_cheap=w_cheap)
 
-    def sample_from_uniforms(self, n: int, u_main=None, u_aux=None) -> np.ndarray:
+    def sample_from_uniforms(self, n: int, u_main=None) -> np.ndarray:
         out = np.empty((n, 2))
         out[:, 0] = self.w_costly
         out[:, 1] = self.w_cheap
@@ -101,13 +106,13 @@ class CurveComponent(Frozen):
     gaming 0 is the zero-effort content (0, 0).
     """
 
-    reads = ("u_main",)
+    reads = True
 
     def __init__(self, inst: ModelInstance, t: float,
                  cheap: PiecewiseLinearCdf) -> None:
         self.__dict__.update(inst=inst, t=t, cheap=cheap)
 
-    def sample_from_uniforms(self, n: int, u_main: np.ndarray, u_aux=None) -> np.ndarray:
+    def sample_from_uniforms(self, n: int, u_main: np.ndarray) -> np.ndarray:
         x = np.asarray(self.cheap.ppf(u_main), dtype=float)
         # the curve's quality is finite and never negative, so the product
         # is it or +0.0 exactly, without a data-dependent select
@@ -126,106 +131,15 @@ class CurveComponent(Frozen):
         }
 
 
-class VtDensityComponent(Frozen):
-    """Piecewise-constant density over reparameterized engagement v.
-
-    Each interval ``(lo, hi, density, p_low)`` carries a constant density
-    and a constant probability ``p_low`` of targeting the lower type; a
-    draw (v, t) maps to the unique on-curve content with engagement
-    v - shift.
-    """
-
-    reads = ("u_main", "u_aux")
-
-    def __init__(self, inst: ModelInstance, t_low: float, t_high: float,
-                 shift: float, intervals: tuple[tuple[float, ...], ...]) -> None:
-        mass = sum(d * (hi - lo) for lo, hi, d, _ in intervals)
-        if abs(mass - 1.0) > 1e-9:
-            raise ValueError(f"interval masses sum to {mass}, expected 1")
-        self.__dict__.update(inst=inst, t_low=t_low, t_high=t_high,
-                             shift=shift, intervals=intervals)
-        self.__dict__.update(_v_marginal=self._build_v_cdf(),
-                             _los=np.array([iv[0] for iv in intervals]),
-                             _p_low=np.array([iv[3] for iv in intervals]))
-
-    def _build_v_cdf(self) -> PiecewiseLinearCdf:
-        xs = [self.intervals[0][0]]
-        ys = [0.0]
-        acc = 0.0
-        for lo, hi, d, _ in self.intervals:
-            if lo > xs[-1] + 1e-15:  # support gap
-                xs.append(lo)
-                ys.append(acc)
-            acc += d * (hi - lo)
-            xs.append(hi)
-            ys.append(min(1.0, acc))
-        ys[-1] = 1.0
-        return PiecewiseLinearCdf(np.array(xs), np.array(ys))
-
-    def _v_and_low(self, u_main: np.ndarray, u_aux: np.ndarray):
-        """Engagement v of each draw and whether it targets the lower type.
-
-        The interval of v is ``searchsorted(los, v, "right") - 1`` clipped
-        to the intervals, found by counting the interval starts above v:
-        there are only two or three intervals, so a comparison pass per
-        start beats a binary search per key.
-        """
-        v = np.asarray(self._v_marginal.ppf(u_main), dtype=float)
-        last = len(self.intervals) - 1
-        k = np.full(v.shape, last, dtype=np.min_scalar_type(last))
-        for lo in self._los[1:]:
-            k -= v < lo
-        return v, u_aux < self._p_low.take(k)
-
-    def sample_from_uniforms(self, n: int, u_main: np.ndarray,
-                             u_aux: np.ndarray) -> np.ndarray:
-        v, low = self._v_and_low(u_main, u_aux)
-        out = np.empty((v.size, 2))
-        # each (quality, gaming) row moves as one 16-byte item, as in
-        # MixedStrategy.sample: two strided column scatters cost more
-        pairs = out.view(np.complex128)[:, 0]
-        for tv, rows in ((self.t_low, np.flatnonzero(low)),
-                         (self.t_high, np.flatnonzero(~low))):
-            if rows.size:
-                x = np.asarray(self.inst.curve_x_for_engagement(tv, v[rows] - self.shift))
-                drawn = np.column_stack([self.inst.min_investment(tv, x), x])
-                pairs[rows] = drawn.view(np.complex128)[:, 0]
-        return out
-
-    def cheap_cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for tv, is_low in ((self.t_low, True), (self.t_high, False)):
-            cut = np.asarray(self.inst.curve_engagement(tv, np.maximum(x, 0.0)),
-                             dtype=float) + self.shift
-            for lo, hi, d, p_low in self.intervals:
-                p = p_low if is_low else 1.0 - p_low
-                if p <= 0.0:
-                    continue
-                width = np.clip(np.minimum(cut, hi) - lo, 0.0, hi - lo)
-                out = out + d * p * width
-        out = np.where(x < 0.0, 0.0, np.minimum(out, 1.0))
-        return out if out.ndim else float(out)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "vt_density",
-            "t_low": self.t_low,
-            "t_high": self.t_high,
-            "shift": self.shift,
-            "intervals": [list(iv) for iv in self.intervals],
-        }
-
-
 class QualityComponent(Frozen):
     """Quality marginal with no gaming (baseline equilibria)."""
 
-    reads = ("u_main",)
+    reads = True
 
     def __init__(self, quality: PiecewiseLinearCdf) -> None:
         self.__dict__.update(quality=quality)
 
-    def sample_from_uniforms(self, n: int, u_main: np.ndarray, u_aux=None) -> np.ndarray:
+    def sample_from_uniforms(self, n: int, u_main: np.ndarray) -> np.ndarray:
         q = np.asarray(self.quality.ppf(u_main), dtype=float)
         return np.column_stack([q, np.zeros_like(q)])
 
@@ -242,7 +156,7 @@ class QualityComponent(Frozen):
         }
 
 
-Component = Union[AtomComponent, CurveComponent, VtDensityComponent, QualityComponent]
+Component = Union[AtomComponent, CurveComponent, QualityComponent]
 
 
 class MixedStrategy(Frozen):
@@ -260,22 +174,22 @@ class MixedStrategy(Frozen):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. contents as an (n, 2) array of (quality, gaming) rows.
 
-        The uniforms are the rows ``u_sel, u_main, u_aux`` of
+        The uniforms ``u_sel`` and ``u_main`` are the first two rows of
         ``rng.random((3, n))``, and ``rng`` ends in the state that call
-        leaves, whichever components get selected. Only the rows some
-        component reads are made, each with the same bits as in that block:
-        ``u_sel`` when there are several components, and ``u_main`` and
-        ``u_aux`` as the components' ``reads`` declare; ``_uniform_row``
-        skips the others. A draw takes the component whose cumulative
+        leaves, whichever components get selected. A row is made, with the
+        same bits as in that block, only if it is read: ``u_sel`` when there
+        are several components, ``u_main`` when some component's ``reads``
+        says so. ``_uniform_row`` skips the others and the third row, which
+        no component reads. A draw takes the component whose cumulative
         weight first exceeds its selection uniform, or the last one if
         rounding leaves the uniform past them all.
         """
         comps = self.components
-        reads = {name for _, comp in comps for name in comp.reads}
         u_sel = _uniform_row(rng, n, len(comps) > 1)
-        u = {name: _uniform_row(rng, n, name in reads) for name in ("u_main", "u_aux")}
+        u_main = _uniform_row(rng, n, any(comp.reads for _, comp in comps))
+        _uniform_row(rng, n, False)
         if len(comps) == 1:
-            return comps[0][1].sample_from_uniforms(n, **u)
+            return comps[0][1].sample_from_uniforms(n, u_main)
         # cum is nondecreasing, so this count is searchsorted(cum, u_sel,
         # "right") clipped to the last component
         cum = np.cumsum([w for w, _ in comps])
@@ -290,7 +204,7 @@ class MixedStrategy(Frozen):
             rows = np.flatnonzero(idx == k)
             if rows.size:
                 drawn = comp.sample_from_uniforms(
-                    rows.size, **{name: u[name][rows] for name in comp.reads})
+                    rows.size, u_main[rows] if comp.reads else None)
                 pairs[rows] = drawn.view(np.complex128)[:, 0]
         return out
 
@@ -419,12 +333,12 @@ def two_type_case(ratio: float) -> int:
     return 3
 
 
-def engagement_eq_two_types(inst: ModelInstance) -> MixedStrategy:
-    """Two-creator engagement equilibrium for two arbitrary types.
+def _two_type_intervals(inst: ModelInstance) -> tuple[int, tuple[tuple[float, ...], ...]]:
+    """The paper's two-type equilibrium: its case and its density table.
 
-    Built in the reparameterized space: a piecewise-constant density over
-    v = M^E + s together with the per-interval probability that the draw
-    targets the lower (less tolerant) type.
+    Each interval ``(lo, hi, density, p_low)`` of reparameterized engagement
+    v = M^E + s carries a constant density and a constant probability
+    ``p_low`` that the draw targets the lower (less tolerant) type.
     """
     _require(len(inst.type_space) == 2, "construction requires exactly two types")
     a = _linear_coefficients(inst)
@@ -456,12 +370,42 @@ def engagement_eq_two_types(inst: ModelInstance) -> MixedStrategy:
         )
     # at case boundaries an interval can degenerate to (rounding-level
     # negative) width; drop it rather than feeding decreasing breakpoints in
-    intervals = tuple(iv for iv in intervals
-                      if iv[1] - iv[0] > 1e-14 * max(1.0, abs(iv[1])))
+    return case, tuple(iv for iv in intervals
+                       if iv[1] - iv[0] > 1e-14 * max(1.0, abs(iv[1])))
+
+
+def engagement_eq_two_types(inst: ModelInstance) -> MixedStrategy:
+    """Two-creator engagement equilibrium for two arbitrary types.
+
+    A mixture of one curve component per type. A type's weight is its share
+    of the paper's (v, t) density, and its component is the conditional
+    v-CDF mapped to gaming on its curve: each type's intervals start at or
+    past 1/a_t, the curve's zero-quality kink, beyond which curve
+    engagement is linear in gaming, so the v-CDF's breakpoints map to
+    those of an exponent-1 CDF in gaming.
+    """
+    case, intervals = _two_type_intervals(inst)
     shift = inst.linearity_params().shift
-    comp = VtDensityComponent(inst, inst.types[0], inst.types[1], shift, intervals)
-    return MixedStrategy(((1.0, comp),),
-                         descriptor=f"engagement_two_type_case{case}(ratio={r:.4f})")
+    comps = []
+    for t, low in zip(inst.types, (True, False)):
+        # this type's share of each interval; the ones it keeps are contiguous
+        parts = [(lo, hi, d * (p if low else 1.0 - p)) for lo, hi, d, p in intervals]
+        parts = [(lo, hi, d) for lo, hi, d in parts if d > 0.0]
+        if parts:
+            vs = np.array([parts[0][0]] + [hi for _, hi, _ in parts])
+            mass = np.cumsum([0.0] + [d * (hi - lo) for lo, hi, d in parts])
+            ys = mass / mass[-1]
+            ys[-1] = 1.0
+            cdf = PiecewiseLinearCdf(inst.curve_x_for_engagement(t, vs - shift), ys)
+            comps.append((float(mass[-1]), CurveComponent(inst, t, cdf)))
+    total = sum(w for w, _ in comps)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"interval masses sum to {total}, expected 1")
+    # the last weight takes the rounding, so the weights sum to 1
+    comps[-1] = (1.0 - sum(w for w, _ in comps[:-1]), comps[-1][1])
+    a = _linear_coefficients(inst)
+    return MixedStrategy(tuple(comps), descriptor=f"engagement_two_type_case{case}"
+                         f"(ratio={float(a[0]) / float(a[1]):.4f})")
 
 
 def _baseline_preconditions(inst: ModelInstance) -> float:
@@ -511,7 +455,13 @@ def opt_out_probability(kappa: float, P: int) -> float:
         return 0.0
 
     def poly(nu: float) -> float:
-        return sum(nu ** i for i in range(P)) - P * kappa
+        if nu <= 0.0:
+            total = 1.0
+        elif nu >= 1.0:
+            total = float(P)
+        else:  # sum(nu^i, i < P) in closed form: P terms would cost O(P)
+            total = -math.expm1(P * math.log(nu)) / (1.0 - nu)
+        return total - P * kappa
 
     lo, hi = 0.0, 1.0
     if poly(hi) <= 0.0:

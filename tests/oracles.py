@@ -143,7 +143,7 @@ def mask_mixture_sample(strategy, rng, n):
     """
     import numpy as np
 
-    u_sel, u_main, u_aux = rng.random((3, n))
+    u_sel, u_main, _ = rng.random((3, n))
     cum = np.cumsum([w for w, _ in strategy.components])
     idx = np.clip(np.searchsorted(cum, u_sel, side="right"), 0,
                   len(strategy.components) - 1)
@@ -151,7 +151,7 @@ def mask_mixture_sample(strategy, rng, n):
     for k, (_, comp) in enumerate(strategy.components):
         m = idx == k
         if m.any():
-            out[m] = comp.sample_from_uniforms(int(m.sum()), u_main[m], u_aux[m])
+            out[m] = comp.sample_from_uniforms(int(m.sum()), u_main[m])
     return out
 
 
@@ -177,23 +177,22 @@ def searchsorted_ppf(cdf, q):
     return x if x.ndim else float(x)
 
 
-def mask_vt_sample(comp, u_main, u_aux):
-    """``VtDensityComponent.sample_from_uniforms`` by a binary search of the
-    interval starts and one boolean mask per target type."""
+def two_type_cheap_cdf(inst, intervals, t, low, x):
+    """Mass that the paper's two-type (v, t) density puts on type ``t`` at
+    gaming at most ``x``: the integral over ``v <= M^E + s`` of each
+    interval ``(lo, hi, density, p_low)``'s density times p_low for the
+    lower type, or times 1 - p_low for the higher one. Gaming x on the
+    type-t curve has v = curve engagement + s."""
     import numpy as np
 
-    v = np.asarray(comp._v_marginal.ppf(u_main), dtype=float)
-    k = np.clip(np.searchsorted(comp._los, v, side="right") - 1, 0,
-                len(comp.intervals) - 1)
-    t = np.where(u_aux < comp._p_low[k], comp.t_low, comp.t_high)
-    out = np.empty((v.size, 2))
-    for tv in (comp.t_low, comp.t_high):
-        m = t == tv
-        if m.any():
-            x = np.asarray(comp.inst.curve_x_for_engagement(tv, v[m] - comp.shift))
-            out[m, 1] = x
-            out[m, 0] = comp.inst.min_investment(tv, x)
-    return out
+    x = np.asarray(x, dtype=float)
+    shift = inst.linearity_params().shift
+    cut = np.asarray(inst.curve_engagement(t, np.maximum(x, 0.0)), dtype=float) + shift
+    out = np.zeros_like(x)
+    for lo, hi, d, p_low in intervals:
+        p = p_low if low else 1.0 - p_low
+        out = out + d * p * np.clip(np.minimum(cut, hi) - lo, 0.0, hi - lo)
+    return np.where(x < 0.0, 0.0, out)
 
 
 def lexsort_pool(inst, metric, q, x, ts):

@@ -320,6 +320,28 @@ def test_size_numpy_cannot_hold_exits_two_with_one_line(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["describe", "check-model"])
+def test_commands_without_grid_are_not_held_to_its_cap(tmp_path, command):
+    # the --grid cap shrinks with P and is -1 at P = 2**60; a command with no
+    # --grid option must not be held to it
+    path, _ = write_config(tmp_path, P=2**60)
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == 1
+
+
+def test_verify_grid_past_its_cap_exits_two(tmp_path, capsys):
+    path, _ = write_config(tmp_path)
+    cap = np.iinfo(np.intp).max // 8 // 2 - 1  # P = 2 creators, one type
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--grid", str(cap + 1),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: --grid must be at most {cap} for this "
+                                       "config: numpy cannot hold larger arrays\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["describe", "metrics", "verify"])
 @pytest.mark.parametrize("types, equilibrium", [
     ([1.0, 1.9], "auto"), ([1.0, 1.9], "two_type"),

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,13 +25,14 @@ from creatorsim import (
 from creatorsim.equilibrium import (
     AtomComponent,
     MixedStrategy,
+    _two_type_intervals,
     opt_out_probability,
     two_type_case,
     well_separated_weights,
 )
 from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim.metrics import homogeneous_quality_cdf
-from oracles import mask_mixture_sample, mask_vt_sample, searchsorted_ppf
+from oracles import mask_mixture_sample, searchsorted_ppf, two_type_cheap_cdf
 
 
 def linear(alpha, gamma=0.0, types=(1.0,)):
@@ -53,6 +55,12 @@ def two_type_instance(ratio, family="linear"):
     t1 = 0.01
     t2 = ratio * (1.0 + t1) - 1.0
     return ModelInstance(KMR(1.0, 0.0), TypeSpace.of([t1, t2]))
+
+
+# coefficient ratios a1/a2 in each two-type case, on and around the case
+# boundaries (1.5 and the golden split) and near the ends
+TWO_TYPE_RATIOS = [1.0 + 1e-7, 1.05, 1.2, (5 - math.sqrt(5)) / 2, 1.382, 1.45,
+                   1.5 - 1e-7, 1.5, 1.5 + 1e-7, 2.0, 50.0]
 
 
 class TestNPrime:
@@ -158,13 +166,43 @@ class TestTwoTypes:
 
     @pytest.mark.parametrize("ratio", [1.45, 1.2])
     def test_low_type_marginal(self, ratio):
+        # a draw on the low curve has quality max(0, x/t1 - 1); one on the
+        # high curve (x >= t2) has x/t2 - 1, lower by at least t2/t1 - 1
         inst = two_type_instance(ratio)
         s = engagement_eq_two_types(inst)
-        comp = s.components[0][1]
-        _, low = comp._v_and_low(*np.random.default_rng(5).random((2, 60000)))
+        pts = s.sample(np.random.default_rng(5), 60000)
+        low = np.abs(pts[:, 0] - inst.min_investment(inst.types[0], pts[:, 1])) <= 1e-9
         frac = low.mean()
         se = math.sqrt(frac * (1 - frac) / len(low))
         assert abs(frac - (2.0 - ratio)) <= 3 * se
+
+    @pytest.mark.parametrize("family", ["linear", "kmr"])
+    @pytest.mark.parametrize("ratio", TWO_TYPE_RATIOS)
+    def test_weights_are_the_type_shares(self, ratio, family):
+        s = engagement_eq_two_types(two_type_instance(ratio, family))
+        assert [comp.to_dict()["kind"] for _, comp in s.components] == ["curve", "curve"]
+        weights = [w for w, _ in s.components]
+        assert weights[1] == 1.0 - weights[0]
+        low = 0.5 if ratio >= 1.5 else 2.0 - ratio
+        assert weights[0] == pytest.approx(low, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["linear", "kmr"])
+    @pytest.mark.parametrize("ratio", TWO_TYPE_RATIOS)
+    def test_components_match_the_density_oracle(self, ratio, family):
+        # each type's weight times its curve CDF is that type's share of
+        # the paper's (v, t) density, integrated up to each gaming level
+        inst = two_type_instance(ratio, family)
+        s = engagement_eq_two_types(inst)
+        _, intervals = _two_type_intervals(inst)
+        by_type = {comp.t: (w, comp) for w, comp in s.components}
+        assert set(by_type) == set(inst.types)
+        for t, low in zip(inst.types, (True, False)):
+            w, comp = by_type[t]
+            assert comp.cheap.exponent == 1.0
+            x = np.concatenate([np.linspace(-0.5, 2.0 * comp.cheap.xs[-1], 2001),
+                                comp.cheap.xs, np.nextafter(comp.cheap.xs, 0.0)])
+            want = two_type_cheap_cdf(inst, intervals, t, low, x)
+            assert np.abs(w * np.asarray(comp.cheap_cdf(x)) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("ratio", [2.0, 1.45, 1.2])
     def test_samples_live_on_curves(self, ratio):
@@ -173,48 +211,30 @@ class TestTwoTypes:
         pts = s.sample(np.random.default_rng(6), 20000)
         assert support_containment(pts, inst, 1e-9) == []
 
-    @pytest.mark.parametrize("ratio,family", [(1.2, "linear"), (1.45, "linear"),
-                                              (2.0, "linear"), (1.5, "kmr")])
-    @pytest.mark.parametrize("n", [0, 1, 7, 5000])
-    def test_sample_bytes_equal_mask_oracle(self, ratio, family, n):
-        comp = engagement_eq_two_types(two_type_instance(ratio, family)).components[0][1]
-        for seed in (0, 1):
-            u_main, u_aux = np.random.default_rng(seed).random((2, n))
-            got = comp.sample_from_uniforms(n, u_main, u_aux)
-            assert got.shape == (n, 2)
-            assert got.tobytes() == mask_vt_sample(comp, u_main, u_aux).tobytes()
-
-    @pytest.mark.parametrize("ratio", [1.2, 1.45])
-    def test_sample_at_interval_starts(self, ratio):
-        # main uniforms that land on, just below and just above each interval
-        # start, with type uniforms on and around each interval's p_low
-        comp = engagement_eq_two_types(two_type_instance(ratio)).components[0][1]
-        levels = comp._v_marginal.cdf(comp._los)
-        u_main = np.concatenate([levels, np.nextafter(levels, 0.0),
-                                 np.nextafter(levels, 1.0)])
-        p_low = np.array([iv[3] for iv in comp.intervals])
-        u_aux = np.concatenate([p_low, np.nextafter(p_low, 0.0), np.nextafter(p_low, 1.0)])
-        u_main, u_aux = (a.ravel() for a in np.meshgrid(u_main, u_aux))
-        got = comp.sample_from_uniforms(u_main.size, u_main, u_aux)
-        assert got.tobytes() == mask_vt_sample(comp, u_main, u_aux).tobytes()
-
     def test_case1_matches_well_separated_representation(self):
-        # ratio 1.5 sits in both constructions; their gaming marginals agree
+        # ratio 1.5 sits in both constructions: the same weights, curves and
+        # breakpoints, so the same draws bit for bit
         inst = two_type_instance(1.5)
         vt = engagement_eq_two_types(inst)
         ws = engagement_eq_well_separated(inst)
-        grid = np.linspace(-0.5, 8.0, 400)
-        a = np.asarray(vt.cheap_marginal_cdf(grid))
-        b = np.asarray(ws.cheap_marginal_cdf(grid))
-        assert np.allclose(a, b, atol=1e-9)
+        assert [w for w, _ in vt.components] == [w for w, _ in ws.components]
+        for (_, a), (_, b) in zip(vt.components, ws.components, strict=True):
+            assert a.t == b.t
+            assert a.cheap.breakpoints() == b.cheap.breakpoints()
+            assert a.cheap.exponent == b.cheap.exponent
+        for seed, n in ((0, 0), (1, 7), (2, 50000)):
+            got = vt.sample(np.random.default_rng(seed), n)
+            assert got.tobytes() == ws.sample(np.random.default_rng(seed), n).tobytes()
 
     def test_vt_cheap_cdf_matches_empirical(self):
         inst = two_type_instance(1.2)
         s = engagement_eq_two_types(inst)
+        _, intervals = _two_type_intervals(inst)
         pts = s.sample(np.random.default_rng(7), 50000)
         for x in (1.0, 1.5, 2.0, 3.0):
             emp = (pts[:, 1] <= x).mean()
-            exact = float(s.cheap_marginal_cdf(x))
+            exact = sum(float(two_type_cheap_cdf(inst, intervals, t, low, x))
+                        for t, low in zip(inst.types, (True, False)))
             assert abs(emp - exact) <= 3 * math.sqrt(0.25 / len(pts)) + 1e-3
 
     def test_requires_two_types(self):
@@ -316,6 +336,28 @@ class TestRandom:
         assert opt_out_probability(1.0, 3) == pytest.approx(1.0, abs=1e-9)
         assert opt_out_probability(0.5, 2) == 0.0  # kappa == 1/P boundary
 
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.999])
+    def test_opt_out_probability_at_large_P(self, kappa):
+        # a sum of P powers per bisection step would take minutes here
+        P = 10**9
+        start = time.perf_counter()
+        nu = opt_out_probability(kappa, P)
+        assert time.perf_counter() - start < 1.0
+
+        def sum_of_powers(v):
+            return (1.0 - v ** P) / (1.0 - v)
+
+        # the root lies within the 1e-12 stopping width of nu
+        assert sum_of_powers(nu - 1e-12) < P * kappa <= sum_of_powers(nu + 1e-12)
+
+    def test_opt_out_probability_matches_the_sum_of_powers(self):
+        for P in (2, 3, 7, 40):
+            for kappa in np.linspace(1.0 / P, 1.0, 23)[1:-1]:
+                nu = opt_out_probability(kappa, P)
+                total = math.fsum(nu ** i for i in range(P))
+                slope = math.fsum(i * nu ** (i - 1) for i in range(1, P))
+                assert abs(total - P * kappa) <= 1e-12 * slope
+
     def test_two_point_strategy(self):
         inst = linear(-0.75)
         s = random_eq(inst, 2)
@@ -338,8 +380,9 @@ class TestRandom:
         assert (comp.w_costly, comp.w_cheap) == (0.0, 0.0)
 
 
-# every sampler kind: curve mixtures, (v, t) densities, atoms, a quality
-# CDF, a curve with an atom and a zero-weight component
+# every sampler kind: curve mixtures (the two-type ones with several
+# breakpoints per curve), atoms, a quality CDF, a curve with an atom and a
+# zero-weight component
 STRATEGY_BUILDS = [
     *(pytest.param(lambda N=N: engagement_eq_well_separated(ModelInstance(
         LinearTwitter(1.0, 0.0), make_well_separated_types(N, 0.01))),
@@ -472,11 +515,10 @@ class TestStrategyMechanics:
 class TestTwoTypeDensityTables:
     def intervals(self, ratio):
         inst = two_type_instance(ratio)
-        s = engagement_eq_two_types(inst)
-        comp = s.components[0][1]
+        _, intervals = _two_type_intervals(inst)
         a1 = 1.0 / (1.0 + inst.types[0])
         a2 = 1.0 / (1.0 + inst.types[1])
-        return comp.intervals, a1, a2
+        return intervals, a1, a2
 
     def test_case1_low_type_segment(self):
         (seg1, seg2), a1, a2 = self.intervals(2.0)

@@ -41,8 +41,6 @@ VALUES = {
     "LinearityParams": (lambda: TWO.linearity_params(), "shift"),
     "AtomComponent": (lambda: component(random_eq(ONE, 2)), "w_costly"),
     "CurveComponent": (lambda: component(engagement_eq_homogeneous(ONE, 2)), "t"),
-    "VtDensityComponent": (lambda: component(engagement_eq_two_types(TWO)),
-                           "intervals"),
     "QualityComponent": (lambda: component(investment_eq(ONE, 2)), "quality"),
     "MixedStrategy": (lambda: engagement_eq_two_types(TWO), "components"),
     "PiecewiseLinearCdf": (
