@@ -17,12 +17,11 @@ becomes linear in gaming, so each type's share of that density is a
 piecewise-linear CDF in gaming on its own curve.
 
 Sampling is by inverse transform on a selection and a main uniform per
-content. The generator always ends where ``rng.random((3, n))`` would leave
-it, so the random stream does not depend on the draws: the third row of
-that block is never made, and neither is a row that no component reads. A
-mixture assigns each content to a component by counting cumulative weights
-below its selection uniform, and each component samples all of its
-contents in one call.
+content. Only the rows of uniforms some component reads are drawn, and
+which those are depends on the strategy alone, so the random stream does
+not depend on the draws. A mixture assigns each content to a component by
+counting cumulative weights below its selection uniform, and each
+component samples all of its contents in one call.
 
 Constructors cover: the homogeneous engagement equilibrium for any number
 of creators, the two-type and N-well-separated engagement equilibria for
@@ -44,40 +43,10 @@ from .model import ModelInstance, PreconditionError, TypeSpace
 GOLDEN_RATIO_SPLIT = (5.0 - math.sqrt(5.0)) / 2.0  # two-type case 2/3 boundary
 
 
-# each double of Generator.random is one 64-bit step of these generators
-_ADVANCE_BY_DOUBLES = (np.random.PCG64, np.random.PCG64DXSM)
-
-
-def _uniform_row(rng: np.random.Generator, n: int, read: bool):
-    """``rng.random(n)`` if ``read``; else None, with ``rng`` left where
-    that call would leave it but no double made.
-
-    PCG64 and PCG64DXSM jump with ``advance(n)``, which with the state
-    bookkeeping takes a few microseconds against about 100 us to make 32 768
-    doubles on a 2-vCPU x86-64 VM. ``advance`` also drops the 32-bit half
-    that a small-range ``integers`` draw can leave pending, which doubles
-    never use, so it is put back. Any other generator draws the row and
-    drops it: MT19937 and SFC64 have no ``advance``, and Philox's counts
-    blocks of four outputs.
-    """
-    bg = getattr(rng, "bit_generator", None)
-    if read or type(bg) not in _ADVANCE_BY_DOUBLES:
-        row = rng.random(n)
-        return row if read else None
-    if n:
-        before = bg.state
-        bg.advance(n)
-        if before["has_uint32"]:
-            after = bg.state
-            after.update(has_uint32=before["has_uint32"], uinteger=before["uinteger"])
-            bg.state = after
-    return None
-
-
 class AtomComponent(Frozen):
     """Point mass at one content."""
 
-    # whether sample_from_uniforms reads u_main; MixedStrategy.sample makes
+    # whether sample_from_uniforms reads u_main; MixedStrategy.sample draws
     # that row only if some component does
     reads = False
 
@@ -174,20 +143,16 @@ class MixedStrategy(Frozen):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. contents as an (n, 2) array of (quality, gaming) rows.
 
-        The uniforms ``u_sel`` and ``u_main`` are the first two rows of
-        ``rng.random((3, n))``, and ``rng`` ends in the state that call
-        leaves, whichever components get selected. A row is made, with the
-        same bits as in that block, only if it is read: ``u_sel`` when there
-        are several components, ``u_main`` when some component's ``reads``
-        says so. ``_uniform_row`` skips the others and the third row, which
-        no component reads. A draw takes the component whose cumulative
-        weight first exceeds its selection uniform, or the last one if
-        rounding leaves the uniform past them all.
+        Draws ``u_sel = rng.random(n)`` if there are several components,
+        then ``u_main = rng.random(n)`` if some component's ``reads`` says
+        so, and nothing else: how far ``rng`` moves depends on the strategy,
+        not on which components get selected. A draw takes the component
+        whose cumulative weight first exceeds its selection uniform, or the
+        last one if rounding leaves the uniform past them all.
         """
         comps = self.components
-        u_sel = _uniform_row(rng, n, len(comps) > 1)
-        u_main = _uniform_row(rng, n, any(comp.reads for _, comp in comps))
-        _uniform_row(rng, n, False)
+        u_sel = rng.random(n) if len(comps) > 1 else None
+        u_main = rng.random(n) if any(comp.reads for _, comp in comps) else None
         if len(comps) == 1:
             return comps[0][1].sample_from_uniforms(n, u_main)
         # cum is nondecreasing, so this count is searchsorted(cum, u_sel,
@@ -445,35 +410,36 @@ def investment_eq(inst: ModelInstance, P: int) -> MixedStrategy:
                          descriptor=f"investment(P={P})")
 
 
-def opt_out_probability(kappa: float, P: int) -> float:
-    """Root of sum(nu^i, i=0..P-1) = P * kappa on [0, 1]; 0 when kappa <= 1/P."""
+def stay_in_probability(kappa: float, P: int) -> float:
+    """1 - nu, to a relative 1e-12, where the opt-out probability nu is the
+    root of sum(nu^i, i=0..P-1) = P * kappa on [0, 1]; 1 when kappa <= 1/P.
+
+    Solved for y = 1 - nu directly: near nu = 1 (large P, kappa near 1) an
+    absolute stop on nu would leave y with few correct digits.
+    """
     if P < 2:
         raise ValueError("P must be >= 2")
     if not (0.0 <= kappa <= 1.0):
         raise ValueError("kappa must be in [0, 1]")
     if kappa <= 1.0 / P:
+        return 1.0
+    if kappa == 1.0:
         return 0.0
 
-    def poly(nu: float) -> float:
-        if nu <= 0.0:
-            total = 1.0
-        elif nu >= 1.0:
-            total = float(P)
-        else:  # sum(nu^i, i < P) in closed form: P terms would cost O(P)
-            total = -math.expm1(P * math.log(nu)) / (1.0 - nu)
-        return total - P * kappa
+    def excess(y: float) -> float:
+        # sum((1 - y)^i, i < P) in closed form: P terms would cost O(P)
+        return -math.expm1(P * math.log1p(-y)) / y - P * kappa
 
+    # excess falls from P - P * kappa > 0 at y -> 0 to 1 - P * kappa < 0 at y = 1
     lo, hi = 0.0, 1.0
-    if poly(hi) <= 0.0:
-        return 1.0
-    for _ in range(200):
+    while hi - lo > 1e-12 * lo:
         mid = 0.5 * (lo + hi)
-        if poly(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12:
+        if mid in (lo, hi):  # adjacent doubles: no finer answer exists
             break
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -491,10 +457,10 @@ def random_eq(inst: ModelInstance, P: int) -> MixedStrategy:
         return MixedStrategy(((1.0, AtomComponent(0.0, 0.0)),),
                              descriptor=f"random(P={P})")
     kappa = min(1.0, float(inst.cost(beta, 0.0)))
-    nu = opt_out_probability(kappa, P)
+    y = stay_in_probability(kappa, P)
     comps: list[tuple[float, Component]] = []
-    if nu > 0.0:
-        comps.append((nu, AtomComponent(0.0, 0.0)))
-    if nu < 1.0:
-        comps.append((1.0 - nu, AtomComponent(beta, 0.0)))
-    return MixedStrategy(tuple(comps), descriptor=f"random(P={P}, nu={nu:.6g})")
+    if y < 1.0:
+        comps.append((1.0 - y, AtomComponent(0.0, 0.0)))
+    if y > 0.0:
+        comps.append((y, AtomComponent(beta, 0.0)))
+    return MixedStrategy(tuple(comps), descriptor=f"random(P={P}, nu={1.0 - y:.6g})")

@@ -12,9 +12,8 @@ linear engagement score, and differ in the user utility:
 The type ``t > 0`` is the user's tolerance for gaming. Everything downstream
 (equilibria, metrics, verification) consumes the curve machinery defined
 here: the minimum investment needed to keep a type-``t`` user on board at a
-given gaming level, the one-dimensional cost along that curve, the induced
-cost of reaching an engagement target, and the ``(v, t)`` reparameterization
-of the zero-utility curves used by the heterogeneous-user equilibria.
+given gaming level, the one-dimensional cost along that curve, and the
+inverses of the curve's cost and engagement.
 """
 
 from __future__ import annotations
@@ -253,36 +252,9 @@ class ModelInstance(Frozen):
         """
         return _polyline_inverse(*self.curve_engagement_polyline(t), m)
 
-    def induced_cost(self, t: float, m: float) -> float:
-        """Cheapest way to reach engagement ``m`` while eligible for type t.
-
-        The optimum lies on the curve, at the gaming level whose curve
-        engagement is ``m``; targets below the curve minimum clamp to the
-        curve's starting cost.
-        """
-        return float(self.curve_cost(t, self.curve_x_for_engagement(t, m)))
-
     def linearity_params(self) -> Optional[LinearityParams]:
         """Parameters making the induced cost linear, or None."""
         return self.family.linearity_params()
-
-    def reparam_to_content(self, v: float, t: float) -> Content:
-        """Map a reparameterized engagement level to on-curve content.
-
-        The convention is ``v = M^E(w) + s``: the returned content sits on
-        the type-t curve and satisfies ``M^E(w) = v - s``.
-        """
-        params = self.linearity_params()
-        if params is None:
-            raise PreconditionError("reparameterization requires linear induced costs")
-        if t not in self.types:
-            raise PreconditionError(f"type {t} not in the type space")
-        m = v - params.shift
-        floor = self.engagement_floor(t)
-        if m < floor - 1e-12:
-            raise ValueError(f"v={v} below the curve minimum {floor + params.shift}")
-        x = self.curve_x_for_engagement(t, m)
-        return Content(float(self.min_investment(t, x)), float(x))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ModelInstance":
@@ -359,9 +331,6 @@ class AssumptionReport(Frozen):
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
         return {

@@ -137,21 +137,27 @@ def exact_expected_max(cdf, P) -> float:
 def mask_mixture_sample(strategy, rng, n):
     """``strategy.sample(rng, n)`` with one boolean mask per component.
 
-    The component of draw i is ``searchsorted(cum, u_sel[i], "right")``,
-    clipped to the last component, over the cumulative weights ``cum``; each
-    component's rows are selected, sampled and scattered back by a mask.
+    The uniforms are one ``rng.random((k, n))`` block of the k rows read: a
+    selection row ``u_sel`` if there are several components, then a main
+    row ``u_main`` if some component reads one. The component of draw i is
+    ``searchsorted(cum, u_sel[i], "right")``, clipped to the last component,
+    over the cumulative weights ``cum``; each component's rows are selected,
+    sampled and scattered back by a mask.
     """
     import numpy as np
 
-    u_sel, u_main, _ = rng.random((3, n))
-    cum = np.cumsum([w for w, _ in strategy.components])
-    idx = np.clip(np.searchsorted(cum, u_sel, side="right"), 0,
-                  len(strategy.components) - 1)
+    comps = strategy.components
+    several = len(comps) > 1
+    reads = any(comp.reads for _, comp in comps)
+    u = rng.random((several + reads, n))
+    u_sel = u[0] if several else np.zeros(n)
+    cum = np.cumsum([w for w, _ in comps])
+    idx = np.clip(np.searchsorted(cum, u_sel, side="right"), 0, len(comps) - 1)
     out = np.empty((n, 2))
-    for k, (_, comp) in enumerate(strategy.components):
+    for k, (_, comp) in enumerate(comps):
         m = idx == k
         if m.any():
-            out[m] = comp.sample_from_uniforms(int(m.sum()), u_main[m])
+            out[m] = comp.sample_from_uniforms(int(m.sum()), u[-1][m] if reads else None)
     return out
 
 

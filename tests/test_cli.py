@@ -803,8 +803,9 @@ class TestMetrics:
             "error: not enough memory: Unable to allocate 1.00 TiB for an array"]
         assert list(out.iterdir()) == []
 
+    # utilities of W = 1e308 overflow to inf, with numpy's warning
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_estimate_exits_two(self, tmp_path, capsys):
-        # utilities of W = 1e308 overflow to inf
         path, _ = write_config(tmp_path, family="kmr", W=1e308,
                                recommender="all", samples=2000)
         assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 2

@@ -26,7 +26,7 @@ from creatorsim.equilibrium import (
     AtomComponent,
     MixedStrategy,
     _two_type_intervals,
-    opt_out_probability,
+    stay_in_probability,
     two_type_case,
     well_separated_weights,
 )
@@ -331,29 +331,42 @@ class TestInvestment:
 
 class TestRandom:
     def test_opt_out_probability_values(self):
-        assert opt_out_probability(0.75, 2) == pytest.approx(0.5, abs=1e-9)
-        assert opt_out_probability(0.3, 2) == 0.0
-        assert opt_out_probability(1.0, 3) == pytest.approx(1.0, abs=1e-9)
-        assert opt_out_probability(0.5, 2) == 0.0  # kappa == 1/P boundary
+        assert 1.0 - stay_in_probability(0.75, 2) == pytest.approx(0.5, abs=1e-9)
+        assert 1.0 - stay_in_probability(0.3, 2) == 0.0
+        assert 1.0 - stay_in_probability(1.0, 3) == pytest.approx(1.0, abs=1e-9)
+        assert 1.0 - stay_in_probability(0.5, 2) == 0.0  # kappa == 1/P boundary
 
     @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.999])
     def test_opt_out_probability_at_large_P(self, kappa):
         # a sum of P powers per bisection step would take minutes here
         P = 10**9
         start = time.perf_counter()
-        nu = opt_out_probability(kappa, P)
+        nu = 1.0 - stay_in_probability(kappa, P)
         assert time.perf_counter() - start < 1.0
 
         def sum_of_powers(v):
             return (1.0 - v ** P) / (1.0 - v)
 
-        # the root lies within the 1e-12 stopping width of nu
+        # the root lies within 1e-12 of nu
         assert sum_of_powers(nu - 1e-12) < P * kappa <= sum_of_powers(nu + 1e-12)
+
+    @pytest.mark.parametrize("P, kappa", [(10**9, 0.999), (10**9, 0.5), (10**6, 0.9)])
+    def test_stay_in_probability_to_a_relative_1e_12(self, P, kappa):
+        # an absolute 1e-12 stop on nu left 1 - nu 13.6 % off at the first
+        # pair, 1.7e-4 at the second and 1.1e-6 at the third
+        y = stay_in_probability(kappa, P)
+
+        def excess(v):  # sum((1 - v)^i, i < P) - P * kappa
+            return -math.expm1(P * math.log1p(-v)) / v - P * kappa
+
+        assert excess(y * (1.0 - 1e-12)) > 0.0 > excess(y * (1.0 + 1e-12))
+        weights = {comp.w_costly: w for w, comp in random_eq(linear(-kappa), P).components}
+        assert weights == {0.0: 1.0 - y, kappa: y}
 
     def test_opt_out_probability_matches_the_sum_of_powers(self):
         for P in (2, 3, 7, 40):
             for kappa in np.linspace(1.0 / P, 1.0, 23)[1:-1]:
-                nu = opt_out_probability(kappa, P)
+                nu = 1.0 - stay_in_probability(kappa, P)
                 total = math.fsum(nu ** i for i in range(P))
                 slope = math.fsum(i * nu ** (i - 1) for i in range(1, P))
                 assert abs(total - P * kappa) <= 1e-12 * slope
@@ -458,19 +471,23 @@ class TestStrategyMechanics:
         np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
         np.random.SFC64], ids=lambda bg: bg.__name__)
     @pytest.mark.parametrize("n", [0, 1, 7, 5000])
-    def test_sample_leaves_the_stream_of_a_three_row_block(self, build, bit_generator, n):
-        # the oracle draws rng.random((3, n)); sample makes only the rows its
-        # components read but must end in the same state, even with the
+    def test_sample_draws_only_the_rows_it_reads(self, build, bit_generator, n):
+        # the oracle draws its k rows as one rng.random((k, n)) block; sample
+        # must end in the same state, the one rng.random(k * n) leaves, so
+        # the stream's length depends on the strategy alone; also with the
         # 32-bit half a small integers draw leaves pending (MT19937 makes
         # 32-bit outputs and keeps none)
         s = build()
-        got, want = (np.random.Generator(bit_generator(11)) for _ in range(2))
-        for rng in (got, want):
+        got, want, flat = (np.random.Generator(bit_generator(11)) for _ in range(3))
+        for rng in (got, want, flat):
             rng.integers(0, 3, size=1)
         assert got.bit_generator.state.get("has_uint32", 1) == 1
         drawn = s.sample(got, n)
         assert drawn.tobytes() == mask_mixture_sample(s, want, n).tobytes()
+        k = (len(s.components) > 1) + any(comp.reads for _, comp in s.components)
+        flat.random(k * n)
         assert same_state(got.bit_generator.state, want.bit_generator.state)
+        assert same_state(got.bit_generator.state, flat.bit_generator.state)
         assert got.integers(0, 3, size=5).tolist() == want.integers(0, 3, size=5).tolist()
         assert got.random(3).tobytes() == want.random(3).tobytes()
 
@@ -494,7 +511,7 @@ class TestStrategyMechanics:
         cum = np.cumsum(weights)
         u_sel = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
                                 [0.0, 1.0 - 1e-14]])
-        u = np.stack([u_sel, np.full_like(u_sel, 0.5), np.full_like(u_sel, 0.5)])
+        u = u_sel[np.newaxis]  # atoms read no main row
         got = s.sample(Fixed(u), u_sel.size)
         assert got.tobytes() == mask_mixture_sample(s, Fixed(u), u_sel.size).tobytes()
         assert got[-1, 0] == 3.0

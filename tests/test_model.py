@@ -7,7 +7,6 @@ from creatorsim import (
     Content,
     LinearTwitter,
     ModelInstance,
-    PreconditionError,
     TypeSpace,
     check_assumptions,
 )
@@ -118,20 +117,26 @@ class TestCurveCost:
             assert np.allclose(interp, direct, atol=1e-12)
 
 
+def induced_cost(inst, t, m):
+    """Cheapest cost of engagement ``m`` for type t: the curve cost at the
+    gaming level whose curve engagement is ``m``."""
+    return float(inst.curve_cost(t, inst.curve_x_for_engagement(t, m)))
+
+
 class TestInducedCost:
     def test_linear_example(self):
-        assert linear(1.0, 0.0).induced_cost(1.0, 2.0) == pytest.approx(0.5, abs=1e-9)
+        assert induced_cost(linear(1.0, 0.0), 1.0, 2.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_below_floor_costs_nothing(self):
-        assert linear(1.0, 0.0).induced_cost(1.0, 0.5) == 0.0
+        assert induced_cost(linear(1.0, 0.0), 1.0, 0.5) == 0.0
 
     def test_clamps_to_curve_minimum_cost(self):
         inst = linear(-0.5, 0.0)
-        assert inst.induced_cost(1.0, -3.0) == pytest.approx(0.5)
+        assert induced_cost(inst, 1.0, -3.0) == pytest.approx(0.5)
 
     def test_kmr_example_against_grid_oracle(self):
         inst = kmr(1.0, 0.0, types=(3.0,))
-        got = inst.induced_cost(3.0, 6.0)
+        got = induced_cost(inst, 3.0, 6.0)
         oracle = grid_min_induced_cost(inst, 3.0, 6.0)
         assert got == pytest.approx(0.5, abs=1e-6)
         assert got == pytest.approx(oracle, abs=1e-5)
@@ -150,7 +155,7 @@ class TestInducedCost:
                 m = float(rng.uniform(-1.0, 30.0))
                 a_t = float(params.coefficient(t))
                 expected = max(0.0, a_t * (m + params.shift) - 1.0)
-                assert inst.induced_cost(t, m) == pytest.approx(expected, abs=1e-9)
+                assert induced_cost(inst, t, m) == pytest.approx(expected, abs=1e-9)
 
 
 def _curve_families():
@@ -206,7 +211,7 @@ class TestCurveInverse:
         (kmr(2.0, 0.25, types=(1.2,)), 1.2, 4.0),
     ])
     def test_induced_cost_with_costly_gaming_against_grid_oracle(self, inst, t, m):
-        got = inst.induced_cost(t, m)
+        got = induced_cost(inst, t, m)
         oracle = grid_min_induced_cost(inst, t, m)
         # the grid step is 2.5e-5 and the curve cost rises at most gamma + 1/t
         step_cost = (inst.family.gamma + 1.0 / t) * 2.5e-5
@@ -245,28 +250,25 @@ class TestBeta:
 
 
 class TestReparam:
+    """Reparameterized engagement v = M^E + s maps to the type-t curve at
+    gaming ``curve_x_for_engagement(t, v - s)``."""
+
+    @staticmethod
+    def on_curve(inst, v, t):
+        x = float(inst.curve_x_for_engagement(t, v - inst.linearity_params().shift))
+        return float(inst.min_investment(t, x)), x
+
     def test_on_curve_point(self):
-        w = linear(1.0, 0.0).reparam_to_content(3.0, 1.0)
-        assert (w.w_costly, w.w_cheap) == (pytest.approx(0.5, abs=1e-9),
-                                           pytest.approx(1.5, abs=1e-9))
+        q, x = self.on_curve(linear(1.0, 0.0), 3.0, 1.0)
+        assert (q, x) == (pytest.approx(0.5, abs=1e-9), pytest.approx(1.5, abs=1e-9))
 
     def test_zero_cost_curve_start(self):
-        w = linear(1.0, 0.0).reparam_to_content(2.0, 1.0)
-        assert (w.w_costly, w.w_cheap) == (pytest.approx(0.0, abs=1e-9),
-                                           pytest.approx(1.0, abs=1e-9))
+        q, x = self.on_curve(linear(1.0, 0.0), 2.0, 1.0)
+        assert (q, x) == (pytest.approx(0.0, abs=1e-9), pytest.approx(1.0, abs=1e-9))
 
     def test_kmr_origin(self):
-        w = kmr(1.0, 0.0).reparam_to_content(1.0, 1.0)
-        assert (w.w_costly, w.w_cheap) == (pytest.approx(0.0, abs=1e-9),
-                                           pytest.approx(0.0, abs=1e-9))
-
-    def test_below_curve_minimum_raises(self):
-        with pytest.raises(ValueError):
-            linear(1.0, 0.0).reparam_to_content(0.5, 1.0)
-
-    def test_requires_linearity(self):
-        with pytest.raises(PreconditionError):
-            linear(1.0, 0.2).reparam_to_content(3.0, 1.0)
+        q, x = self.on_curve(kmr(1.0, 0.0), 1.0, 1.0)
+        assert (q, x) == (pytest.approx(0.0, abs=1e-9), pytest.approx(0.0, abs=1e-9))
 
     def test_zero_utility_when_invested(self):
         rng = np.random.default_rng(12)
@@ -275,21 +277,11 @@ class TestReparam:
             for _ in range(200):
                 t = float(rng.choice(inst.types))
                 v = float(rng.uniform(1.0 / (1.0 / (1.0 + t)), 8.0))
-                w = inst.reparam_to_content(v, t)
-                if w.w_costly > 0.0:
-                    u = float(inst.utility(w.w_costly, w.w_cheap, t))
+                q, x = self.on_curve(inst, v, t)
+                if q > 0.0:
+                    u = float(inst.utility(q, x, t))
                     assert abs(u) <= 1e-9
-                assert float(inst.engagement(w.w_costly, w.w_cheap)) == pytest.approx(
-                    v - shift, abs=1e-9)
-
-    def test_agrees_with_vectorized_inversion(self):
-        inst = linear(1.0, 0.0, types=(0.5, 2.0))
-        shift = inst.linearity_params().shift
-        for t in inst.types:
-            for v in np.linspace(1.1, 7.0, 23):
-                w = inst.reparam_to_content(float(v), t)
-                x = float(inst.curve_x_for_engagement(t, v - shift))
-                assert w.w_cheap == pytest.approx(x, abs=1e-9)
+                assert float(inst.engagement(q, x)) == pytest.approx(v - shift, abs=1e-9)
 
 
 class TestTypeMonotonicity:
@@ -314,17 +306,17 @@ class _EquallyCostlyGaming(LinearTwitter):
 class TestCheckAssumptions:
     def test_linear_passes(self):
         report = check_assumptions(linear(1.0, 0.5), grid_n=50, span=5.0)
-        assert report.all_passed, [c.name for c in report.failures()]
+        assert report.all_passed, [c.name for c in report.checks if not c.passed]
 
     def test_kmr_passes(self):
         report = check_assumptions(kmr(1.0, 0.0))
-        assert report.all_passed, [c.name for c in report.failures()]
+        assert report.all_passed, [c.name for c in report.checks if not c.passed]
 
     def test_gaming_as_costly_as_quality_fails_cost_effectiveness(self):
         fam = _EquallyCostlyGaming(alpha=1.0, gamma=0.0)
         inst = ModelInstance(fam, TypeSpace.of([1.0]))
         report = check_assumptions(inst, grid_n=20, span=3.0)
-        failed = {c.name for c in report.failures()}
+        failed = {c.name for c in report.checks if not c.passed}
         assert "gaming_more_cost_effective" in failed
 
     def test_report_serializes(self):
