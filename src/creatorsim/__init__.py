@@ -32,7 +32,6 @@ from .metrics import (
     estimate_ucq,
     estimate_uw,
     expected_max_from_cdf,
-    investment_engagement_cdf,
     ks_distance,
     limit_engagement_cdf,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "closed_form_ucq_homogeneous", "engagement_eq_homogeneous",
     "engagement_eq_two_types", "engagement_eq_well_separated",
     "estimate_re", "estimate_ucq", "estimate_uw", "expected_creator_utility",
-    "expected_max_from_cdf", "investment_engagement_cdf", "investment_eq",
+    "expected_max_from_cdf", "investment_eq",
     "ks_distance", "limit_engagement_cdf", "make_well_separated_types",
     "n_prime", "random_eq", "simulate_rounds",
     "support_containment",

@@ -64,7 +64,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -184,7 +185,7 @@ def resolve_strategy(inst: ModelInstance, P: int, choice: str,
             return eq.investment_eq(inst, P)
         if choice == "random":
             return eq.random_eq(inst, P)
-    except (PreconditionError, ValueError) as exc:
+    except (PreconditionError, ValueError, OverflowError) as exc:
         raise ConfigError(f"equilibrium '{choice}' not applicable: {exc}")
     raise ConfigError(f"unknown equilibrium choice {choice!r}")
 

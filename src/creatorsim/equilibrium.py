@@ -1,8 +1,8 @@
 """Exact samplable representations of the closed-form equilibria.
 
-A ``MixedStrategy`` is a weighted list of components, each of which can be
-sampled by inverse transform and queried for the exact marginal CDF of the
-gaming coordinate. Components come in three kinds:
+A ``MixedStrategy`` is a weighted list of components, each of which is
+sampled by inverse transform and written out exactly by ``to_dict``.
+Components come in three kinds:
 
 * an atom at a fixed content point,
 * a curve component: a CDF over the gaming coordinate whose quality is
@@ -59,11 +59,6 @@ class AtomComponent(Frozen):
         out[:, 1] = self.w_cheap
         return out
 
-    def cheap_cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = (x >= self.w_cheap).astype(float)
-        return out if out.ndim else float(out)
-
     def to_dict(self) -> dict:
         return {"kind": "atom", "content": [self.w_costly, self.w_cheap]}
 
@@ -88,9 +83,6 @@ class CurveComponent(Frozen):
         q = self.inst.min_investment(self.t, x) * (x > 0.0)
         return np.column_stack([q, x])
 
-    def cheap_cdf(self, x):
-        return self.cheap.cdf(x)
-
     def to_dict(self) -> dict:
         return {
             "kind": "curve",
@@ -112,11 +104,6 @@ class QualityComponent(Frozen):
         q = np.asarray(self.quality.ppf(u_main), dtype=float)
         return np.column_stack([q, np.zeros_like(q)])
 
-    def cheap_cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = (x >= 0.0).astype(float)
-        return out if out.ndim else float(out)
-
     def to_dict(self) -> dict:
         return {
             "kind": "quality",
@@ -129,7 +116,7 @@ Component = Union[AtomComponent, CurveComponent, QualityComponent]
 
 
 class MixedStrategy(Frozen):
-    """Samplable, CDF-queryable mixture over content."""
+    """Samplable mixture over content."""
 
     def __init__(self, components: tuple[tuple[float, Component], ...],
                  descriptor: str) -> None:
@@ -172,14 +159,6 @@ class MixedStrategy(Frozen):
                     rows.size, u_main[rows] if comp.reads else None)
                 pairs[rows] = drawn.view(np.complex128)[:, 0]
         return out
-
-    def cheap_marginal_cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for w, comp in self.components:
-            out = out + w * np.asarray(comp.cheap_cdf(x), dtype=float)
-        out = np.clip(out, 0.0, 1.0)
-        return out if out.ndim else float(out)
 
     def to_dict(self) -> dict:
         return {

@@ -22,7 +22,8 @@ gather. Reductions along the short axis would cost far more per row.
 The payoff pool sorts its opponent rows once, so a content wins, ties or
 loses on whole runs of rows between rank cuts. Sums over many contents are
 built once per run between all their cuts and expanded, and only rows in a
-tie band, where the share varies from row to row, are visited one by one.
+tie band, where the share varies from row to row, are visited one by one,
+from tied counts that the pool, one fixed draw, keeps for each band.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ class OpponentPool(Frozen):
     (q, x) rows, and ``estimates`` answers with mean and stderr arrays over
     the pool's n samples, so scoring a grid builds no per-content object;
     ``payoffs`` answers with the per-sample sum over the contents, built
-    per segment between their cuts, and ``payoffs_and_estimates`` with
-    both from one set of cuts.
+    per segment between their cuts; each tie band's tied counts are
+    computed once per pool.
     """
 
     def __init__(self, inst: ModelInstance, metric: Metric,
@@ -173,9 +174,11 @@ class OpponentPool(Frozen):
         # sorted_top: (n,) top of each row in ``order``
         # sorted_floor: (n,) ``_tie_floor`` of each entry of sorted_top
         # type_start: (T+1,) where each type's rows begin in ``order``
+        # _bands: ``_tied`` counts by tie band (lo, hi, floor)
         self.__dict__.update(inst=inst, metric=metric, scores=scores,
                              order=order, sorted_top=sorted_top,
-                             sorted_floor=sorted_floor, type_start=type_start)
+                             sorted_floor=sorted_floor, type_start=type_start,
+                             _bands={})
 
     @classmethod
     def draw(cls, inst: ModelInstance, metric: Metric,
@@ -227,9 +230,13 @@ class OpponentPool(Frozen):
 
     def _tied(self, lo: int, hi: int, floor: float) -> np.ndarray:
         """Opponents tied with a content of floor ``floor`` per row of
-        ``order[lo:hi]``: those at or above the larger of it and the row's."""
-        cut = np.maximum(self.sorted_floor[lo:hi], floor)
-        return (self.scores[self.order[lo:hi]] >= cut[:, None]).sum(axis=1)
+        ``order[lo:hi]``: those at or above the larger of it and the row's,
+        counted once per band and kept, as the pool's rows never change."""
+        if (lo, hi, floor) not in self._bands:
+            cut = np.maximum(self.sorted_floor[lo:hi], floor)
+            tied = self.scores[self.order[lo:hi]] >= cut[:, None]
+            self._bands[lo, hi, floor] = tied.sum(axis=1)
+        return self._bands[lo, hi, floor]
 
     def payoffs(self, contents: np.ndarray) -> np.ndarray:
         """Per-sample payoff of playing each ``(q, x)`` row of the (m, 2)
@@ -245,43 +252,14 @@ class OpponentPool(Frozen):
         content's share is 1 or 0 on the whole segment, so each segment's
         sum is built once, content by content, and ``np.repeat`` expands
         it. Only rows inside some content's tie band are summed row by row,
-        with each band's tied counts computed once, as in ``estimates``.
+        from tied counts computed once per band for the pool's lifetime.
         Either way every sample sums the same terms in the same order as
         adding the contents' vectors one by one; one permutation at the end
         restores the pool's row order. Memory is O(n + m * segments) plus
         one share vector per distinct tie band.
         """
         q, x = np.asarray(contents, dtype=float).T
-        return self._sums(q, x, *self._cuts(q, x), {})
-
-    def estimates(self, contents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and stderr arrays of the payoff of each ``(q, x)`` row of the
-        (m, 2) array ``contents``, all over the pool's n samples. Row i
-        equals ``MetricEstimate.from_samples(self.payoffs(contents[i:i + 1]))``
-        up to rounding, without a per-sample vector: a row's share is one of
-        1, 1/2, ..., 1/P or 0, so the mean and the centred sum of squares
-        follow from how many rows take each value."""
-        q, x = np.asarray(contents, dtype=float).T
-        return self._counted(q, x, *self._cuts(q, x), {})
-
-    def payoffs_and_estimates(self, contents: np.ndarray):
-        """``payoffs(contents)`` followed by the mean and stderr arrays of
-        ``estimates(contents)``, all from one set of cuts, with each tie
-        band's tied counts computed once for both."""
-        q, x = np.asarray(contents, dtype=float).T
-        cut, bands = self._cuts(q, x), {}
-        return (self._sums(q, x, *cut, bands), *self._counted(q, x, *cut, bands))
-
-    def _tied_once(self, key: tuple[int, int, float], bands: dict) -> np.ndarray:
-        """``_tied(*key)`` for the tie band ``key = (lo, hi, floor)``, kept
-        in ``bands`` so that each band is counted once: contents with equal
-        scores share their tie-band rows."""
-        if key not in bands:
-            bands[key] = self._tied(*key)
-        return bands[key]
-
-    def _sums(self, q, x, floor, start, lo, hi, bands: dict) -> np.ndarray:
-        """``payoffs`` of the contents ``(q, x)`` from their ``_cuts``."""
+        floor, _, lo, hi = self._cuts(q, x)
         cost = np.asarray(self.inst.cost(q, x), dtype=float)
         cuts = np.sort(np.concatenate([self.type_start, lo.ravel(), hi.ravel()]))
         begin, length = cuts[:-1], np.diff(cuts)
@@ -306,16 +284,22 @@ class OpponentPool(Frozen):
                     continue
                 key = (int(lo[i, k]), int(hi[i, k]), float(floor[i]))
                 if key not in shares:
-                    shares[key] = 1.0 / (1.0 + self._tied_once(key, bands))
+                    shares[key] = 1.0 / (1.0 + self._tied(*key))
                 np.subtract(shares[key][a - key[0]:b - key[0]], cost[i], out=tied)
                 acc += tied
         out = np.empty_like(sums)
         out[self.order] = sums
         return out
 
-    def _counted(self, q, x, floor, start, lo, hi,
-                 bands: dict) -> tuple[np.ndarray, np.ndarray]:
-        """``estimates`` of the contents ``(q, x)`` from their ``_cuts``."""
+    def estimates(self, contents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and stderr arrays of the payoff of each ``(q, x)`` row of the
+        (m, 2) array ``contents``, all over the pool's n samples. Row i
+        equals ``MetricEstimate.from_samples(self.payoffs(contents[i:i + 1]))``
+        up to rounding, without a per-sample vector: a row's share is one of
+        1, 1/2, ..., 1/P or 0, so the mean and the centred sum of squares
+        follow from how many rows take each value."""
+        q, x = np.asarray(contents, dtype=float).T
+        floor, start, lo, hi = self._cuts(q, x)
         n, P = len(self.order), self.scores.shape[1] + 1
         counts = np.zeros((len(q), P))  # rows whose share is 1 / (1 + column)
         counts[:, 0] = (lo - start).sum(axis=1)
@@ -323,8 +307,7 @@ class OpponentPool(Frozen):
         for i, k in zip(*np.nonzero(hi > lo)):
             key = (int(lo[i, k]), int(hi[i, k]), float(floor[i]))
             if key not in tie_counts:
-                tie_counts[key] = np.bincount(self._tied_once(key, bands),
-                                              minlength=P)
+                tie_counts[key] = np.bincount(self._tied(*key), minlength=P)
             counts[i] += tie_counts[key]
         shares = 1.0 / (1.0 + np.arange(P))
         mean = counts @ shares / n

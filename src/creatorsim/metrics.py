@@ -149,13 +149,6 @@ def estimate_uw(inst, metric, strategy, P, n, rng, threads=1) -> MetricEstimate:
     return estimate_round_metrics(inst, metric, strategy, P, n, rng, threads)["uw"]
 
 
-def investment_engagement_cdf(v) -> np.ndarray:
-    """Shifted engagement CDF under the investment baseline: uniform on [1, 2]."""
-    v = np.asarray(v, dtype=float)
-    out = np.clip(v - 1.0, 0.0, 1.0)
-    return out if out.ndim else float(out)
-
-
 def limit_engagement_cdf(v, eps: float = 0.0) -> np.ndarray:
     """Large-type-count limit of the shifted engagement CDF.
 

@@ -271,7 +271,10 @@ class ModelInstance(Frozen):
             # JSON true/false load as bools, which float() reads as 1.0/0.0
             if isinstance(value, bool):
                 raise ValueError(f"{what} must be a number, got {value!r}")
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:  # an integer past the largest float
+                raise ValueError(f"{what} is too large: it must fit in a float")
 
         types = TypeSpace.of(number(t, "'types' entry") for t in cfg["types"])
         gamma = number(cfg.get("gamma", 0.0), "'gamma'")

@@ -139,24 +139,25 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     by ``OpponentPool.estimates``: two ``searchsorted`` cuts per user type
     on the sorted pool, and counts of the rows taking each win share 1,
     1/2, ..., 1/P or 0. The equilibrium utility is the probe average, per
-    sample, which ``OpponentPool.payoffs_and_estimates`` sums over all
-    probes from the cuts and tied counts that also give the probes'
-    estimates. The gap's standard error is that of the per-sample
+    sample, which ``OpponentPool.payoffs`` sums over all probes; the pool
+    keeps the tied counts of each tie band, so the probes' estimates reuse
+    them. The gap's standard error is that of the per-sample
     differences between the argmax candidate's payoff and the probe
     average; near an equilibrium the two are positively correlated, so it
     is below the two marginal errors combined. The argmax candidate is
     scored again per sample by ``OpponentPool.payoffs``, and that estimate
     replaces its counted one in the report. Memory stays
     O(n_per_candidate * P + candidates * P): the pool and its sort order,
-    the probe-sum and share vectors and the per-candidate share counts.
+    the probe-sum and share vectors, the per-candidate share counts and
+    one tied-count vector per tie band.
     """
     candidates = candidate_deviations(inst, grid_k)
     probes = strategy.sample(rng, n_probes)
     pool = OpponentPool.draw(inst, metric, strategy, P, n_per_candidate, rng)
 
     cand_mean, cand_stderr = pool.estimates(candidates)
-    probe_sum, probe_mean, probe_stderr = pool.payoffs_and_estimates(probes)
-    eq_samples = probe_sum / len(probes)
+    eq_samples = pool.payoffs(probes) / len(probes)
+    probe_mean, probe_stderr = pool.estimates(probes)
     eq = MetricEstimate.from_samples(eq_samples)
 
     best_i = int(np.argmax(cand_mean))

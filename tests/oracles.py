@@ -183,6 +183,27 @@ def searchsorted_ppf(cdf, q):
     return x if x.ndim else float(x)
 
 
+def cheap_marginal_cdf(strategy, x):
+    """CDF of a strategy's gaming coordinate at ``x``: the weighted sum of
+    its components' own, clipped into [0, 1]. A curve component's is its
+    ``cheap`` CDF; an atom's steps up at its gaming level and a quality
+    component's at 0, where all of its gaming sits."""
+    import numpy as np
+    from creatorsim.equilibrium import AtomComponent, CurveComponent
+
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for w, comp in strategy.components:
+        if isinstance(comp, CurveComponent):
+            part = np.asarray(comp.cheap.cdf(x), dtype=float)
+        else:
+            step = comp.w_cheap if isinstance(comp, AtomComponent) else 0.0
+            part = (x >= step).astype(float)
+        out = out + w * part
+    out = np.clip(out, 0.0, 1.0)
+    return out if out.ndim else float(out)
+
+
 def two_type_cheap_cdf(inst, intervals, t, low, x):
     """Mass that the paper's two-type (v, t) density puts on type ``t`` at
     gaming at most ``x``: the integral over ``v <= M^E + s`` of each

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +450,74 @@ def test_empty_type_list_exits_two(tmp_path, capsys, command):
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: type space must be nonempty\n"
     assert not out.exists()
+
+
+ARTIFACTS = {"check-model": "check_model.json", "sample": "samples.csv",
+             "describe": "strategy.json", "verify": "verify.json",
+             "metrics": "metrics.csv"}
+HUGE_INTEGERS = {
+    # past the largest float, so float() raises OverflowError
+    "1e400": str(10**400),
+    # past the 4 300 digits Python converts from a string, so json.load fails
+    "5000_digits": "1" + "0" * 4999,
+}
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of ``main(argv)``; an exception leaving
+    it is exit 1 with its traceback on stderr, as ``python -m`` would give."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("field", ["P", "types[0]", "alpha", "W", "gamma",
+                                   "seed", "samples"])
+@pytest.mark.parametrize("value", sorted(HUGE_INTEGERS))
+def test_huge_integer_in_config_exits_zero_or_two(tmp_path, command, field,
+                                                  value):
+    # an integer too large for a float, or too long for json.load, is a
+    # config error wherever it sits; a field that the command never reads
+    # as a float may run, on small sizes
+    base = ({"family": "kmr", "W": 1.0, "types": [0.5]} if field == "W"
+            else {"alpha": -0.5, "types": [2.0]})
+    cfg = {"family": "linear", "gamma": 0.3, "P": 3, "seed": 0, "samples": 200,
+           **base}
+    if field == "types[0]":
+        cfg["types"] = ["HUGE"]
+    else:
+        cfg[field] = "HUGE"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"HUGE"', HUGE_INTEGERS[value]))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    argv += ["--grid", "5"] if command == "verify" else []
+    code, _, err = run_main(argv)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / ARTIFACTS[command]).exists()
+
+
+@pytest.mark.parametrize("recommender", ["engagement", "investment", "random"])
+def test_describe_with_P_past_the_largest_float_exits_two(tmp_path, recommender):
+    # each construction divides by P or P - 1
+    path, _ = write_config(tmp_path, alpha=-0.5, gamma=0.3, types=[2.0],
+                           P=10**400, recommender=recommender)
+    code, _, err = run_main(["describe", "--config", str(path),
+                             "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.startswith("error: equilibrium ") and "not applicable" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)

@@ -426,26 +426,37 @@ class TestPayoffsBySegment:
 
     @pytest.mark.parametrize("case", ["random_two_type", "random_homogeneous",
                                       "random_eq", "eligible_atoms"])
-    def test_one_pass_counts_each_tie_band_once(self, case, monkeypatch):
-        # payoffs_and_estimates gives payoffs and estimates bit for bit, and
-        # shares each tie band's tied counts between the two
+    def test_pool_counts_each_tie_band_once(self, case):
+        # payoffs and then estimates on one pool count each tie band's tied
+        # opponents once between them, and give what fresh pools give bit
+        # for bit
         inst, metric, strategy, P = self.pools()[case]
-        pool = OpponentPool.draw(inst, metric, strategy, P, 3000,
-                                 np.random.default_rng(4))
+
+        def draw():
+            return OpponentPool.draw(inst, metric, strategy, P, 3000,
+                                     np.random.default_rng(4))
+
+        pool = draw()
         contents = self.contents(strategy, 32, 5)
-        keys = []
-        original = OpponentPool._tied
+        floor, _, lo, hi = pool._cuts(*contents.T)
+        bands = {(lo[i, k], hi[i, k], floor[i]) for i, k in zip(*np.nonzero(hi > lo))}
+        gathers = []
 
-        def spy(self, lo, hi, floor):
-            keys.append((lo, hi, floor))
-            return original(self, lo, hi, floor)
+        class Spied(np.ndarray):
+            # counting a band's tied opponents gathers the band's rows of
+            # scores, the only read of scores after the pool is built
+            def __getitem__(self, index):
+                gathers.append(index)
+                return np.asarray(self)[index]
 
-        monkeypatch.setattr(OpponentPool, "_tied", spy)
-        sums, mean, stderr = pool.payoffs_and_estimates(contents)
-        assert keys and len(keys) == len(set(keys))
-        assert sums.tobytes() == pool.payoffs(contents).tobytes()
-        assert estimate_bits((mean, stderr)) == estimate_bits(
-            pool.estimates(contents))
+        pool.__dict__["scores"] = pool.scores.view(Spied)
+        sums = pool.payoffs(contents)
+        estimates = pool.estimates(contents)
+        assert bands and len(gathers) == len(bands)
+        assert sums.tobytes() == draw().payoffs(contents).tobytes()
+        assert estimate_bits(estimates) == estimate_bits(draw().estimates(contents))
+        assert pool.payoffs(contents).tobytes() == sums.tobytes()
+        assert len(gathers) == len(bands)
 
     def test_random_metric_ties_every_eligible_row(self):
         # under RANDOM every opponent scores 1: an eligible content ties with

@@ -18,7 +18,6 @@ from creatorsim import (
     estimate_ucq,
     estimate_uw,
     expected_max_from_cdf,
-    investment_engagement_cdf,
     investment_eq,
     ks_distance,
     limit_engagement_cdf,
@@ -92,11 +91,6 @@ class TestEstimateContainers:
 
 
 class TestClosedFormCdfs:
-    def test_investment_engagement_cdf(self):
-        assert investment_engagement_cdf(1.5) == pytest.approx(0.5)
-        assert investment_engagement_cdf(0.3) == 0.0
-        assert investment_engagement_cdf(2.0) == 1.0
-
     def test_limit_cdf_boundaries(self):
         for eps in (0.0, 0.01, 0.3):
             assert limit_engagement_cdf(1.0 + eps, eps) == 0.0
@@ -114,7 +108,8 @@ class TestClosedFormCdfs:
 
 class TestExpectedMax:
     def test_investment_pair_value(self):
-        got = expected_max_from_cdf(investment_engagement_cdf, 2, 2.0,
+        # shifted engagement under the investment baseline: uniform on [1, 2]
+        got = expected_max_from_cdf(lambda v: np.clip(v - 1.0, 0.0, 1.0), 2, 2.0,
                                     breakpoints=(1.0, 2.0))
         assert got == pytest.approx(5.0 / 3.0, abs=1e-6)
 

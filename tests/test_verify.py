@@ -234,13 +234,13 @@ class TestSharedOpponentPool:
     def test_candidates_are_count_scored(self, grid_k, monkeypatch):
         # per-sample payoff vectors only for the probes and the argmax
         calls = []
-        original = OpponentPool._sums
+        original = OpponentPool.payoffs
 
-        def spy(self, q, x, *cuts):
-            calls.append(np.column_stack([q, x]).tolist())
-            return original(self, q, x, *cuts)
+        def spy(self, contents):
+            calls.append(np.asarray(contents).tolist())
+            return original(self, contents)
 
-        monkeypatch.setattr(OpponentPool, "_sums", spy)
+        monkeypatch.setattr(OpponentPool, "payoffs", spy)
         inst = linear(1.0, 0.0, types=(1.0, 1.9))
         s = engagement_eq_two_types(inst)
         rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=grid_k,
