@@ -64,8 +64,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}")
-    except ValueError as exc:
-        # JSONDecodeError, or an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal past Python's digit limit, or
+        # arrays and objects nested past the recursion limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -142,8 +143,14 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
     entries, P = np.iinfo(np.intp).max // 8, out["P"]
     T = len(out["types"]) if isinstance(out.get("types"), list) else 1
     too_big = "for this config: numpy cannot hold larger arrays"
-    if hasattr(args, "samples") and out["samples"] > entries // (3 * P):
-        raise ConfigError(f"samples must be at most {entries // (3 * P)} {too_big}")
+    if hasattr(args, "samples"):
+        # a P so large that no array holds one sample's draws is named as such
+        least = max(min_samples, 1)
+        if entries // (3 * P) < least:
+            raise ConfigError(f"P must be at most {entries // (3 * least)} {too_big}")
+        if out["samples"] > entries // (3 * P):
+            raise ConfigError(f"samples must be at most {entries // (3 * P)} "
+                              f"{too_big}")
     if hasattr(args, "grid") and args.grid > (entries // max(P, T) - 1) // T:
         raise ConfigError(f"--grid must be at most "
                           f"{(entries // max(P, T) - 1) // T} {too_big}")
@@ -185,8 +192,12 @@ def resolve_strategy(inst: ModelInstance, P: int, choice: str,
             return eq.investment_eq(inst, P)
         if choice == "random":
             return eq.random_eq(inst, P)
-    except (PreconditionError, ValueError, OverflowError) as exc:
+    except (PreconditionError, ValueError) as exc:
         raise ConfigError(f"equilibrium '{choice}' not applicable: {exc}")
+    except OverflowError:
+        # the model's numbers are floats already, so only P can overflow
+        raise ConfigError(f"equilibrium '{choice}' not applicable: P is too "
+                          "large: it must fit in a float")
     raise ConfigError(f"unknown equilibrium choice {choice!r}")
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import traceback
 from pathlib import Path
 
@@ -508,6 +509,56 @@ def test_huge_integer_in_config_exits_zero_or_two(tmp_path, command, field,
         assert not (out / ARTIFACTS[command]).exists()
 
 
+def run_main_on_fresh_stack(argv):
+    """``run_main(argv)`` on a new thread, whose stack starts about as
+    shallow as the console script's, so the recursion limit falls where it
+    does for a user."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(run_main(argv)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return result[0]
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("bottom", ["plain", "NaN"])
+@pytest.mark.parametrize("depth", [*range(980, 1001), 100_000])
+def test_deeply_nested_config_exits_zero_or_two(tmp_path, command, bottom, depth):
+    # json.load and every later walk of the config take one frame per
+    # level; a note nested near the recursion limit runs or is a config
+    # error, never a RecursionError. A NaN at the bottom is found by the
+    # check for non-finite values, which walks down to it.
+    cfg = {"family": "linear", "alpha": -0.5, "gamma": 0.3, "types": [2.0],
+           "P": 3, "seed": 0, "samples": 200, "note": "DEEP"}
+    note = "[" * depth + ("NaN" if bottom == "NaN" else "") + "]" * depth
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"DEEP"', note))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    argv += ["--grid", "5"] if command == "verify" else []
+    code, _, err = run_main_on_fresh_stack(argv)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / ARTIFACTS[command]).exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "verify", "metrics", "describe"])
+def test_P_past_every_array_and_float_exits_two_naming_P(tmp_path, command):
+    # sample, verify and metrics hold 3 * P draws per sample, more than any
+    # array; describe draws none, but each construction divides by P
+    path, _ = write_config(tmp_path, alpha=-0.5, gamma=0.3, types=[2.0],
+                           P=10**400)
+    out = tmp_path / "out"
+    code, _, err = run_main([command, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert " P " in err
+    assert not (out / ARTIFACTS[command]).exists()
+
+
 @pytest.mark.parametrize("recommender", ["engagement", "investment", "random"])
 def test_describe_with_P_past_the_largest_float_exits_two(tmp_path, recommender):
     # each construction divides by P or P - 1
@@ -524,6 +575,7 @@ def test_describe_with_P_past_the_largest_float_exits_two(tmp_path, recommender)
 @pytest.mark.parametrize("config, message", [
     (".", "cannot read config file .: Is a directory"),
     ("latin1.json", "is not UTF-8"),
+    ("missing.json", "config file not found: missing.json"),
 ])
 def test_unreadable_config_exits_two(tmp_path, monkeypatch, capsys, command,
                                      config, message):
@@ -533,6 +585,42 @@ def test_unreadable_config_exits_two(tmp_path, monkeypatch, capsys, command,
     err = capsys.readouterr().err
     assert message in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+LINEAR = '"family": "linear", "alpha": 1, "types": [1]'
+CONFIG_ERRORS = {
+    "not_an_object": ('[{"family": "linear"}]', "config must be a JSON object"),
+    "unknown_recommender": (f'{{{LINEAR}, "recommender": "clicks"}}',
+                            "recommender must be one of ('engagement', "),
+    "unknown_equilibrium": (f'{{{LINEAR}, "equilibrium": "nash"}}',
+                            "equilibrium must be one of ('auto', "),
+    "linear_without_alpha": ('{"family": "linear", "types": [1]}',
+                             "linear family requires 'alpha'"),
+    "kmr_without_W": ('{"family": "kmr", "types": [1]}', "kmr family requires 'W'"),
+    "kmr_gamma_one": ('{"family": "kmr", "W": 1, "gamma": 1.0, "types": [1]}',
+                      "gamma must be in [0, 1), got 1.0"),
+    "kmr_gamma_negative": ('{"family": "kmr", "W": 1, "gamma": -0.5, "types": [1]}',
+                           "gamma must be in [0, 1), got -0.5"),
+    # the other commands read "all" as every recommender, or as engagement
+    "verify_all_recommenders": (f'{{{LINEAR}, "recommender": "all"}}',
+                                "verify requires a single recommender"),
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    *((c, case) for c in CONFIG_COMMANDS for case in CONFIG_ERRORS
+      if case != "verify_all_recommenders"),
+    ("verify", "verify_all_recommenders")])
+def test_config_error_exits_two_with_its_message(tmp_path, command, case):
+    config, message = CONFIG_ERRORS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    out = tmp_path / "out"
+    code, _, err = run_main([command, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (out / ARTIFACTS[command]).exists()
 
 
 @pytest.mark.parametrize("command, where", [

@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
-    KMR,
     LinearTwitter,
-    ModelInstance,
     PreconditionError,
-    TypeSpace,
     engagement_eq_homogeneous,
     engagement_eq_two_types,
     engagement_eq_well_separated,
@@ -32,12 +29,9 @@ from creatorsim.equilibrium import (
 )
 from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim.metrics import homogeneous_quality_cdf
+from catalogue import EQUILIBRIA, instance, linear, two_type, well_separated
 from oracles import (cheap_marginal_cdf, mask_mixture_sample, searchsorted_ppf,
                      two_type_cheap_cdf)
-
-
-def linear(alpha, gamma=0.0, types=(1.0,)):
-    return ModelInstance(LinearTwitter(alpha, gamma), TypeSpace.of(types))
 
 
 def same_state(a, b):
@@ -47,15 +41,12 @@ def same_state(a, b):
     return np.array_equal(a, b)
 
 
-def two_type_instance(ratio, family="linear"):
-    # a_t = 1/(1+t); fix t1 and solve t2 so that a1/a2 == ratio
-    if family == "linear":
-        t1 = 1.0
-        t2 = ratio * (1.0 + t1) - 1.0
-        return ModelInstance(LinearTwitter(1.0, 0.0), TypeSpace.of([t1, t2]))
-    t1 = 0.01
-    t2 = ratio * (1.0 + t1) - 1.0
-    return ModelInstance(KMR(1.0, 0.0), TypeSpace.of([t1, t2]))
+class TripleCost(LinearTwitter):
+    """The linear model with every cost tripled, so that entry at beta can
+    cost 1 or more."""
+
+    def cost(self, w_costly, w_cheap):
+        return 3.0 * (w_costly + self.gamma * w_cheap)
 
 
 # coefficient ratios a1/a2 in each two-type case, on and around the case
@@ -100,16 +91,14 @@ class TestWellSeparatedTypes:
 
 class TestHomogeneous:
     def test_costless_uniform_on_unit_interval(self):
-        inst = linear(0.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
+        s = engagement_eq_homogeneous(linear(0.0), 2)
         pts = s.sample(np.random.default_rng(0), 20000)
         assert np.allclose(pts[:, 0], pts[:, 1], atol=1e-12)
         assert ks_distance(pts[:, 1], lambda x: np.clip(x, 0.0, 1.0)) < 0.02
         assert cheap_marginal_cdf(s, 0.25) == pytest.approx(0.25)
 
     def test_atom_mass_for_negative_baseline(self):
-        inst = linear(-0.5, 0.5)
-        s = engagement_eq_homogeneous(inst, 2)
+        s = EQUILIBRIA["homogeneous_atom_half"].strategy()
         assert cheap_marginal_cdf(s, 0.0) == pytest.approx(0.5)
         pts = s.sample(np.random.default_rng(1), 40000)
         at_origin = (pts[:, 1] == 0.0)
@@ -117,8 +106,7 @@ class TestHomogeneous:
         assert at_origin.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_unit_baseline_uniform_shifted(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
+        s = EQUILIBRIA["homogeneous_P2"].strategy()
         # hand inversion of min(1, x - 1): uniform gaming on [1, 2]
         pts = s.sample(np.random.default_rng(2), 20000)
         assert pts[:, 1].min() >= 1.0 - 1e-12
@@ -128,24 +116,17 @@ class TestHomogeneous:
 
     def test_quality_marginal_matches_closed_form(self):
         # engagement equilibrium quality CDF, costly-gaming setting
-        inst = linear(0.5, 0.4)
-        s = engagement_eq_homogeneous(inst, 3)
+        s = engagement_eq_homogeneous(linear(0.5, 0.4), 3)
         pts = s.sample(np.random.default_rng(3), 100000)
         cdf, _, _ = homogeneous_quality_cdf(0.5, 0.4, 1.0, 3)
         assert ks_distance(pts[:, 0], cdf) <= 0.01
 
     def test_exponent_scales_with_P(self):
-        inst = linear(0.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 3)
+        s = engagement_eq_homogeneous(linear(0.0), 3)
         assert cheap_marginal_cdf(s, 0.25) == pytest.approx(0.5)  # 0.25 ** (1/2)
 
     def test_degenerate_entry_cost_collapses_to_origin(self):
-        class TripleCost(LinearTwitter):
-            def cost(self, w_costly, w_cheap):
-                return 3.0 * (w_costly + self.gamma * w_cheap)
-
-        inst = ModelInstance(TripleCost(-0.5, 0.0), TypeSpace.of([1.0]))
-        s = engagement_eq_homogeneous(inst, 2)
+        s = engagement_eq_homogeneous(instance(TripleCost(-0.5, 0.0)), 2)
         assert "degenerate" in s.descriptor
         pts = s.sample(np.random.default_rng(4), 100)
         assert np.allclose(pts, 0.0)
@@ -162,14 +143,14 @@ class TestTwoTypes:
         assert two_type_case(ratio) == case
 
     def test_case_boundary_exactly_15_takes_case_1(self):
-        s = engagement_eq_two_types(two_type_instance(1.5))
+        s = engagement_eq_two_types(two_type(1.5))
         assert "case1" in s.descriptor
 
     @pytest.mark.parametrize("ratio", [1.45, 1.2])
     def test_low_type_marginal(self, ratio):
         # a draw on the low curve has quality max(0, x/t1 - 1); one on the
         # high curve (x >= t2) has x/t2 - 1, lower by at least t2/t1 - 1
-        inst = two_type_instance(ratio)
+        inst = two_type(ratio)
         s = engagement_eq_two_types(inst)
         pts = s.sample(np.random.default_rng(5), 60000)
         low = np.abs(pts[:, 0] - inst.min_investment(inst.types[0], pts[:, 1])) <= 1e-9
@@ -180,7 +161,7 @@ class TestTwoTypes:
     @pytest.mark.parametrize("family", ["linear", "kmr"])
     @pytest.mark.parametrize("ratio", TWO_TYPE_RATIOS)
     def test_weights_are_the_type_shares(self, ratio, family):
-        s = engagement_eq_two_types(two_type_instance(ratio, family))
+        s = engagement_eq_two_types(two_type(ratio, family))
         assert [comp.to_dict()["kind"] for _, comp in s.components] == ["curve", "curve"]
         weights = [w for w, _ in s.components]
         assert weights[1] == 1.0 - weights[0]
@@ -192,7 +173,7 @@ class TestTwoTypes:
     def test_components_match_the_density_oracle(self, ratio, family):
         # each type's weight times its curve CDF is that type's share of
         # the paper's (v, t) density, integrated up to each gaming level
-        inst = two_type_instance(ratio, family)
+        inst = two_type(ratio, family)
         s = engagement_eq_two_types(inst)
         _, intervals = _two_type_intervals(inst)
         by_type = {comp.t: (w, comp) for w, comp in s.components}
@@ -207,7 +188,7 @@ class TestTwoTypes:
 
     @pytest.mark.parametrize("ratio", [2.0, 1.45, 1.2])
     def test_samples_live_on_curves(self, ratio):
-        inst = two_type_instance(ratio)
+        inst = two_type(ratio)
         s = engagement_eq_two_types(inst)
         pts = s.sample(np.random.default_rng(6), 20000)
         assert support_containment(pts, inst, 1e-9) == []
@@ -215,7 +196,7 @@ class TestTwoTypes:
     def test_case1_matches_well_separated_representation(self):
         # ratio 1.5 sits in both constructions: the same weights, curves and
         # breakpoints, so the same draws bit for bit
-        inst = two_type_instance(1.5)
+        inst = two_type(1.5)
         vt = engagement_eq_two_types(inst)
         ws = engagement_eq_well_separated(inst)
         assert [w for w, _ in vt.components] == [w for w, _ in ws.components]
@@ -228,7 +209,7 @@ class TestTwoTypes:
             assert got.tobytes() == ws.sample(np.random.default_rng(seed), n).tobytes()
 
     def test_vt_cheap_cdf_matches_empirical(self):
-        inst = two_type_instance(1.2)
+        inst = two_type(1.2)
         s = engagement_eq_two_types(inst)
         _, intervals = _two_type_intervals(inst)
         pts = s.sample(np.random.default_rng(7), 50000)
@@ -243,12 +224,11 @@ class TestTwoTypes:
             engagement_eq_two_types(linear(1.0, types=(1.0,)))
 
     def test_requires_costless_gaming(self):
-        inst = ModelInstance(LinearTwitter(1.0, 0.2), TypeSpace.of([1.0, 2.0]))
         with pytest.raises(PreconditionError):
-            engagement_eq_two_types(inst)
+            engagement_eq_two_types(linear(1.0, 0.2, types=(1.0, 2.0)))
 
     def test_kmr_supported(self):
-        inst = two_type_instance(1.3, family="kmr")
+        inst = two_type(1.3, family="kmr")
         s = engagement_eq_two_types(inst)
         pts = s.sample(np.random.default_rng(8), 5000)
         assert support_containment(pts, inst, 1e-9) == []
@@ -256,22 +236,22 @@ class TestTwoTypes:
 
 class TestWellSeparated:
     def test_n2_weights(self):
-        inst = ModelInstance(LinearTwitter(1.0, 0.0), make_well_separated_types(2, 0.01))
+        inst = well_separated(2)
         s = engagement_eq_well_separated(inst)
         assert [w for w, _ in s.components] == pytest.approx([0.5, 0.5])
 
     def test_n4_weights(self):
-        inst = ModelInstance(LinearTwitter(1.0, 0.0), make_well_separated_types(4, 0.01))
+        inst = well_separated(4)
         s = engagement_eq_well_separated(inst)
         assert [w for w, _ in s.components] == pytest.approx([0.25, 1 / 3, 5 / 12])
 
     def test_n1_single_component(self):
-        inst = ModelInstance(LinearTwitter(1.0, 0.0), make_well_separated_types(1, 0.5))
+        inst = well_separated(1, 0.5)
         s = engagement_eq_well_separated(inst)
         assert [w for w, _ in s.components] == pytest.approx([1.0])
 
     def test_disjoint_reparameterized_supports(self):
-        inst = ModelInstance(LinearTwitter(1.0, 0.0), make_well_separated_types(6, 0.01))
+        inst = well_separated(6)
         s = engagement_eq_well_separated(inst)
         shift = inst.linearity_params().shift
         spans = []
@@ -288,7 +268,7 @@ class TestWellSeparated:
             engagement_eq_well_separated(inst)
 
     def test_samples_contained(self):
-        inst = ModelInstance(LinearTwitter(1.0, 0.0), make_well_separated_types(3, 0.01))
+        inst = well_separated(3)
         s = engagement_eq_well_separated(inst)
         pts = s.sample(np.random.default_rng(9), 20000)
         assert support_containment(pts, inst, 1e-9) == []
@@ -296,15 +276,13 @@ class TestWellSeparated:
 
 class TestInvestment:
     def test_unit_baseline_uniform(self):
-        inst = linear(1.0)
-        s = investment_eq(inst, 2)
+        s = EQUILIBRIA["investment_P2"].strategy()
         pts = s.sample(np.random.default_rng(10), 20000)
         assert np.all(pts[:, 1] == 0.0)
         assert ks_distance(pts[:, 0], lambda x: np.clip(x, 0.0, 1.0)) < 0.02
 
     def test_negative_baseline_atom_plus_uniform(self):
-        inst = linear(-0.5)
-        s = investment_eq(inst, 2)
+        s = EQUILIBRIA["investment_atom"].strategy()
         pts = s.sample(np.random.default_rng(11), 40000)
         at_zero = pts[:, 0] == 0.0
         assert at_zero.mean() == pytest.approx(0.5, abs=0.01)
@@ -313,19 +291,25 @@ class TestInvestment:
         assert ks_distance(body, lambda x: np.clip((x - 0.5) / 0.5, 0.0, 1.0)) < 0.02
 
     def test_three_creators_square_root_cdf(self):
-        inst = linear(1.0)
-        s = investment_eq(inst, 3)
+        s = investment_eq(linear(1.0), 3)
         pts = s.sample(np.random.default_rng(12), 40000)
         assert ks_distance(pts[:, 0], lambda x: np.clip(x, 0.0, 1.0) ** 0.5) < 0.02
 
+    @pytest.mark.parametrize("alpha", [-1 / 3, -0.5])
+    def test_entry_costing_one_or_more_plays_the_origin(self, alpha):
+        # entry at beta = -alpha costs 3 * beta: exactly 1 at alpha = -1/3
+        inst = instance(TripleCost(alpha, 0.0))
+        assert float(inst.cost(inst.beta(1.0), 0.0)) >= 1.0
+        s = investment_eq(inst, 2)
+        assert s.descriptor == "investment_degenerate(P=2)"
+        assert [(w, c.w_costly, c.w_cheap) for w, c in s.components] == [(1.0, 0.0, 0.0)]
+
     def test_heterogeneous_requires_free_entry(self):
-        inst = linear(-0.5, types=(1.0, 2.0))
         with pytest.raises(PreconditionError):
-            investment_eq(inst, 2)
+            investment_eq(linear(-0.5, types=(1.0, 2.0)), 2)
 
     def test_heterogeneous_free_entry_allowed(self):
-        inst = linear(1.0, types=(1.0, 2.0))
-        s = investment_eq(inst, 2)
+        s = investment_eq(linear(1.0, types=(1.0, 2.0)), 2)
         pts = s.sample(np.random.default_rng(13), 1000)
         assert np.all(pts[:, 1] == 0.0)
 
@@ -373,8 +357,7 @@ class TestRandom:
                 assert abs(total - P * kappa) <= 1e-12 * slope
 
     def test_two_point_strategy(self):
-        inst = linear(-0.75)
-        s = random_eq(inst, 2)
+        s = EQUILIBRIA["random_two_atoms"].strategy()
         weights = dict()
         for w, comp in s.components:
             weights[(comp.w_costly, comp.w_cheap)] = w
@@ -382,8 +365,7 @@ class TestRandom:
         assert weights[(0.75, 0.0)] == pytest.approx(0.5, abs=1e-9)
 
     def test_kappa_below_threshold_plays_beta(self):
-        inst = linear(-0.3)
-        s = random_eq(inst, 2)
+        s = random_eq(linear(-0.3), 2)
         assert len(s.components) == 1
         comp = s.components[0][1]
         assert (comp.w_costly, comp.w_cheap) == (pytest.approx(0.3), 0.0)
@@ -398,15 +380,11 @@ class TestRandom:
 # breakpoints per curve), atoms, a quality CDF, a curve with an atom and a
 # zero-weight component
 STRATEGY_BUILDS = [
-    *(pytest.param(lambda N=N: engagement_eq_well_separated(ModelInstance(
-        LinearTwitter(1.0, 0.0), make_well_separated_types(N, 0.01))),
-        id=f"well_separated_N{N}") for N in (2, 3, 4, 5)),
-    *(pytest.param(lambda r=r: engagement_eq_two_types(two_type_instance(r)),
-                   id=f"two_type_case{two_type_case(r)}") for r in (2.0, 1.45, 1.2)),
-    pytest.param(lambda: random_eq(linear(-0.75), 2), id="random_two_atoms"),
-    pytest.param(lambda: investment_eq(linear(-0.5), 2), id="investment_atom"),
-    pytest.param(lambda: engagement_eq_homogeneous(linear(-0.5, 0.3, types=(2.0,)), 3),
-                 id="homogeneous_P3_atom"),
+    *(pytest.param(EQUILIBRIA[name].strategy, id=name) for name in (
+        "well_separated_N2", "well_separated_N3", "well_separated_N4",
+        "well_separated_N5", "two_type_case1", "two_type_case2", "two_type_case3",
+        "random_two_atoms", "investment_atom")),
+    pytest.param(EQUILIBRIA["homogeneous_atom_P3"].strategy, id="homogeneous_P3_atom"),
     pytest.param(lambda: MixedStrategy(((0.5, AtomComponent(0.1, 0.0)),
                                         (0.0, AtomComponent(0.2, 0.0)),
                                         (0.5, AtomComponent(0.3, 0.0))), "zero weight"),
@@ -424,35 +402,26 @@ class TestStrategyMechanics:
         assert s.sample(np.random.default_rng(0), 1).tolist() == [[0.25, 0.5]]
 
     def test_homogeneous_empirical_mean(self):
-        inst = linear(0.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
+        s = engagement_eq_homogeneous(linear(0.0), 2)
         pts = s.sample(np.random.default_rng(14), 100000)
         assert abs(pts[:, 1].mean() - 0.5) <= 0.005
 
     def test_cdf_limits(self):
-        inst = linear(0.5, 0.2)
-        s = engagement_eq_homogeneous(inst, 2)
+        s = engagement_eq_homogeneous(linear(0.5, 0.2), 2)
         assert cheap_marginal_cdf(s, 1e9) == pytest.approx(1.0)
         assert cheap_marginal_cdf(s, -1e-9) == 0.0
 
     def test_marginal_cdfs_monotone_everywhere(self):
-        strategies = [
-            engagement_eq_homogeneous(linear(-0.5, 0.5), 2),
-            engagement_eq_two_types(two_type_instance(1.2)),
-            engagement_eq_well_separated(
-                ModelInstance(LinearTwitter(1.0, 0.0), make_well_separated_types(4, 0.01))),
-            investment_eq(linear(-0.5), 2),
-            random_eq(linear(-0.75), 2),
-        ]
         grid = np.linspace(-1.0, 10.0, 1000)
-        for s in strategies:
+        for name in ("homogeneous_atom_half", "two_type_case3", "well_separated_N4",
+                     "investment_atom", "random_two_atoms"):
+            s = EQUILIBRIA[name].strategy()
             vals = np.asarray(cheap_marginal_cdf(s, grid))
             assert np.all(np.diff(vals) >= -1e-12), s.descriptor
             assert vals[-1] == pytest.approx(1.0)
 
     def test_sampling_deterministic_per_seed(self):
-        inst = two_type_instance(1.45)
-        s = engagement_eq_two_types(inst)
+        s = EQUILIBRIA["two_type_case2"].strategy()
         a = s.sample(np.random.default_rng(123), 500)
         b = s.sample(np.random.default_rng(123), 500)
         assert np.array_equal(a, b)
@@ -518,13 +487,10 @@ class TestStrategyMechanics:
         assert got[-1, 0] == 3.0
 
     def test_serialization_roundtrips_through_json(self):
-        strategies = [
-            engagement_eq_homogeneous(linear(-0.5, 0.5), 2),
-            engagement_eq_two_types(two_type_instance(1.45)),
-            investment_eq(linear(1.0), 2),
-            random_eq(linear(-0.75), 3),
-        ]
-        for s in strategies:
+        for entry in (EQUILIBRIA["homogeneous_atom_half"], EQUILIBRIA["two_type_case2"],
+                      EQUILIBRIA["investment_P2"],
+                      EQUILIBRIA["random_two_atoms"]._replace(P=3)):
+            s = entry.strategy()
             payload = json.loads(json.dumps(s.to_dict()))
             assert payload["descriptor"] == s.descriptor
             assert abs(sum(c["weight"] for c in payload["components"]) - 1.0) < 1e-12
@@ -532,7 +498,7 @@ class TestStrategyMechanics:
 
 class TestTwoTypeDensityTables:
     def intervals(self, ratio):
-        inst = two_type_instance(ratio)
+        inst = two_type(ratio)
         _, intervals = _two_type_intervals(inst)
         a1 = 1.0 / (1.0 + inst.types[0])
         a2 = 1.0 / (1.0 + inst.types[1])
@@ -575,7 +541,7 @@ class TestCaseBoundaryRobustness:
         50.0,
     ])
     def test_construction_and_sampling_at_boundaries(self, ratio):
-        inst = two_type_instance(ratio)
+        inst = two_type(ratio)
         s = engagement_eq_two_types(inst)
         pts = s.sample(np.random.default_rng(0), 2000)
         assert support_containment(pts, inst, 1e-9) == []
@@ -610,8 +576,7 @@ class TestFiniteNEngagementCdf:
 
     @pytest.mark.parametrize("N", [2, 8, 64])
     def test_sampled_engagement_matches_uniform_mixture(self, N):
-        inst = ModelInstance(LinearTwitter(1.0, 0.0),
-                             make_well_separated_types(N, 0.01))
+        inst = well_separated(N)
         s = engagement_eq_well_separated(inst)
         pts = s.sample(np.random.default_rng(40 + N), 100000)
         shifted = np.asarray(inst.engagement(pts[:, 0], pts[:, 1])) + 1.0

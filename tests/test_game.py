@@ -10,15 +10,7 @@ from creatorsim import (
     LinearTwitter,
     MetricEstimate,
     Metric,
-    ModelInstance,
-    TypeSpace,
-    engagement_eq_homogeneous,
-    engagement_eq_two_types,
-    engagement_eq_well_separated,
     expected_creator_utility,
-    investment_eq,
-    make_well_separated_types,
-    random_eq,
     simulate_rounds,
 )
 from creatorsim.equilibrium import AtomComponent, MixedStrategy
@@ -31,16 +23,13 @@ from creatorsim.game import (
     is_eligible,
     metric_score,
 )
+from catalogue import EQUILIBRIA, instance, linear
 from oracles import (
     brute_force_payoffs,
     brute_force_winners,
     lexsort_pool,
     row_loop_payoffs,
 )
-
-
-def linear(alpha, gamma=0.0, types=(1.0,)):
-    return ModelInstance(LinearTwitter(alpha, gamma), TypeSpace.of(types))
 
 
 def point_mass(q, x):
@@ -139,9 +128,7 @@ class TestPlayRound:
         assert out.user_utility.tolist() == [0.0]
 
     def test_equilibrium_support_always_consumed(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        batch = simulate_rounds(inst, Metric.ENGAGEMENT, s, 2, 10000,
+        batch = simulate_rounds(*EQUILIBRIA["homogeneous_P2"].game(), 10000,
                                 np.random.default_rng(1))
         assert batch.consumed.all()
 
@@ -149,10 +136,7 @@ class TestPlayRound:
         # a low-tolerance user consumes unless both creators target the
         # high type; here P[target t2] = 1/2 per creator, so the overall
         # consumption rate is 1 - (1/2) * (1/2)^2 = 7/8
-        from creatorsim import engagement_eq_two_types
-        inst = ModelInstance(LinearTwitter(1.0, 0.0), TypeSpace.of([1.0, 3.0]))
-        s = engagement_eq_two_types(inst)
-        batch = simulate_rounds(inst, Metric.ENGAGEMENT, s, 2, 20000,
+        batch = simulate_rounds(*EQUILIBRIA["two_type_case1"].game(), 20000,
                                 np.random.default_rng(2))
         rate = batch.consumed.mean()
         assert abs(rate - 0.875) <= 3 * math.sqrt(0.875 * 0.125 / 20000)
@@ -160,7 +144,7 @@ class TestPlayRound:
 
 class TestExpectedCreatorUtility:
     def test_dominant_deviation_wins_always(self):
-        inst = linear(1.0, 0.0)
+        inst = linear(1.0)
         est = expected_creator_utility(inst, Metric.ENGAGEMENT, Content(0.0, 1.0),
                                        point_mass(0.0, 0.0), 2, 2000,
                                        np.random.default_rng(0))
@@ -168,24 +152,23 @@ class TestExpectedCreatorUtility:
         assert est.stderr == 0.0
 
     def test_symmetric_tie_splits(self):
-        inst = linear(1.0, 0.0)
+        inst = linear(1.0)
         est = expected_creator_utility(inst, Metric.ENGAGEMENT, Content(0.0, 0.0),
                                        point_mass(0.0, 0.0), 2, 2000,
                                        np.random.default_rng(0))
         assert est.mean == pytest.approx(0.5)
 
     def test_ineligible_candidate_earns_nothing(self):
-        inst = linear(1.0, 0.0)
+        inst = linear(1.0)
         est = expected_creator_utility(inst, Metric.ENGAGEMENT, Content(0.0, 1.5),
                                        point_mass(0.0, 0.0), 2, 2000,
                                        np.random.default_rng(0))
         assert est.mean == pytest.approx(0.0)
 
     def test_on_support_utility_near_zero(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        est = expected_creator_utility(inst, Metric.ENGAGEMENT, Content(0.5, 1.5),
-                                       s, 2, 50000, np.random.default_rng(3))
+        inst, metric, s, P = EQUILIBRIA["homogeneous_P2"].game()
+        est = expected_creator_utility(inst, metric, Content(0.5, 1.5), s, P, 50000,
+                                       np.random.default_rng(3))
         assert abs(est.mean) <= 4 * est.stderr + 1e-3
 
     def test_cost_subtracted(self):
@@ -199,10 +182,9 @@ class TestExpectedCreatorUtility:
 
 class TestDeterminism:
     def test_play_round_reproducible(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        a = simulate_rounds(inst, Metric.ENGAGEMENT, s, 2, 1, np.random.default_rng(5))
-        b = simulate_rounds(inst, Metric.ENGAGEMENT, s, 2, 1, np.random.default_rng(5))
+        game = EQUILIBRIA["homogeneous_P2"].game()
+        a = simulate_rounds(*game, 1, np.random.default_rng(5))
+        b = simulate_rounds(*game, 1, np.random.default_rng(5))
         for field in ("user_type", "winner", "consumed", "engagement", "quality",
                       "user_utility"):
             assert getattr(a, field).tolist() == getattr(b, field).tolist()
@@ -277,14 +259,11 @@ class TestPickWinners:
 def constructions(family):
     """Every equilibrium constructor that accepts ``family``, on one type
     and, where the induced costs are linear, on two and four types."""
-    one = ModelInstance(family, TypeSpace.of([1.5]))
-    out = [(one, engagement_eq_homogeneous(one, P)) for P in (2, 3)]
-    out += [(one, investment_eq(one, 2)), (one, random_eq(one, 3))]
+    out = [EQUILIBRIA[name].on(family, (1.5,)) for name in (
+        "homogeneous_atom_P2", "homogeneous_atom_P3", "investment", "random_ties")]
     if family.linearity_params() is not None:
-        two = ModelInstance(family, TypeSpace.of([1.0, 1.9]))
-        four = ModelInstance(family, make_well_separated_types(4, 0.01))
-        out += [(two, engagement_eq_two_types(two)),
-                (four, engagement_eq_well_separated(four))]
+        out += [EQUILIBRIA[name].on(family)
+                for name in ("two_type_case2", "well_separated_N4")]
     return out
 
 
@@ -296,7 +275,8 @@ class TestEligibilityAtScale:
         *(LinearTwitter(a, g) for a in (-0.5, 1.0, 1e3, 1e6) for g in (0.0, 0.3)),
     ], ids=repr)
     def test_constructed_draws_are_eligible_for_their_curve(self, family):
-        for inst, strategy in constructions(family):
+        for entry in constructions(family):
+            inst, strategy = entry.inst, entry.strategy()
             pts = strategy.sample(np.random.default_rng(0), 100_000)
             q, x = pts[:, 0], pts[:, 1]
             types = np.asarray(inst.types)
@@ -342,7 +322,7 @@ class TestOpponentPoolReductions:
            family=st.sampled_from([LinearTwitter(1.0, 0.3), KMR(1.0, 0.3)]),
            types=st.sets(st.sampled_from([0.5, 1.0, 2.0]), min_size=1))
     def test_scatter_and_counts_match_oracle(self, data, P, n, metric, family, types):
-        inst = ModelInstance(family, TypeSpace.of(sorted(types)))
+        inst = instance(family, sorted(types))
 
         def rows(grid):
             return data.draw(st.lists(st.lists(grid, min_size=P - 1, max_size=P - 1),
@@ -390,29 +370,26 @@ class TestPayoffsBySegment:
         drawn[3::11] = (0.0, 50.0)
         return drawn
 
-    @staticmethod
-    def pools():
-        two = linear(1.0, 0.0, types=(1.0, 1.9))
-        hom = linear(-0.5, 0.3, types=(2.0,))
-        # a 71 % atom at the origin, which type 2 rejects
-        p3 = engagement_eq_homogeneous(hom, 3)
-        # atoms at the origin and at (0.5, 0), which type 2 accepts
-        atoms = random_eq(hom, 3)
-        return {
-            "random_two_type": (two, Metric.RANDOM, engagement_eq_two_types(two), 2),
-            "random_homogeneous": (hom, Metric.RANDOM, p3, 3),
-            "random_eq": (hom, Metric.RANDOM, atoms, 3),
-            "rejected_atom": (hom, Metric.ENGAGEMENT, p3, 3),
-            "eligible_atoms": (hom, Metric.ENGAGEMENT, atoms, 3),
-            "two_type": (two, Metric.ENGAGEMENT, engagement_eq_two_types(two), 2),
-        }
+    # a 71 % atom at the origin, which type 2 rejects
+    p3 = EQUILIBRIA["homogeneous_atom_P3"]
+    # atoms at the origin and at (0.5, 0), which type 2 accepts
+    atoms = EQUILIBRIA["random_ties"].on(p3.inst.family)
+    two = EQUILIBRIA["two_type_case2"]
+    pools = {
+        "random_two_type": two._replace(metric=Metric.RANDOM),
+        "random_homogeneous": p3._replace(metric=Metric.RANDOM),
+        "random_eq": atoms,
+        "rejected_atom": p3,
+        "eligible_atoms": atoms._replace(metric=Metric.ENGAGEMENT),
+        "two_type": two,
+    }
 
     @pytest.mark.parametrize("m", [0, 1, 32, 200])
     @pytest.mark.parametrize("case", ["random_two_type", "random_homogeneous",
                                       "random_eq", "rejected_atom",
                                       "eligible_atoms", "two_type"])
     def test_matches_row_loop_oracle(self, case, m):
-        inst, metric, strategy, P = self.pools()[case]
+        inst, metric, strategy, P = self.pools[case].game()
         pool = OpponentPool.draw(inst, metric, strategy, P, 3000,
                                  np.random.default_rng(4))
         contents = self.contents(strategy, m, 5)
@@ -430,7 +407,7 @@ class TestPayoffsBySegment:
         # payoffs and then estimates on one pool count each tie band's tied
         # opponents once between them, and give what fresh pools give bit
         # for bit
-        inst, metric, strategy, P = self.pools()[case]
+        inst, metric, strategy, P = self.pools[case].game()
 
         def draw():
             return OpponentPool.draw(inst, metric, strategy, P, 3000,
@@ -461,7 +438,7 @@ class TestPayoffsBySegment:
     def test_random_metric_ties_every_eligible_row(self):
         # under RANDOM every opponent scores 1: an eligible content ties with
         # every row that has an eligible opponent
-        inst, metric, strategy, P = self.pools()["random_homogeneous"]
+        inst, metric, strategy, P = self.pools["random_homogeneous"].game()
         pool = OpponentPool.draw(inst, metric, strategy, P, 3000,
                                  np.random.default_rng(6))
         _, _, lo, hi = pool._cuts(np.ones(1), np.zeros(1))
@@ -534,7 +511,7 @@ class TestOneTieRule:
            types=st.sets(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3))
     def test_pool_pays_column0_share_on_near_tie_chains(self, data, P, n, metric,
                                                          family, types):
-        inst = ModelInstance(family, TypeSpace.of(sorted(types)))
+        inst = instance(family, sorted(types))
         w = (data.draw(self.q_grid), data.draw(self.x_grid))
         s0 = float(metric_score(inst, metric, w[0], w[1]))
         band = TIE_RTOL * max(1.0, abs(s0))
@@ -602,8 +579,7 @@ class TestOpponentPoolOrder:
            metric=st.sampled_from(list(Metric)))
     def test_any_order_by_type_then_top_gives_same_results(self, data, T, P, n,
                                                           metric):
-        inst = ModelInstance(LinearTwitter(1.0, 0.3),
-                             TypeSpace.of(np.linspace(0.5, 3.5, T)))
+        inst = linear(1.0, 0.3, np.linspace(0.5, 3.5, T))
 
         def rows(grid):
             return np.array(data.draw(st.lists(

@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
-    KMR,
-    LinearTwitter,
     Metric,
     MetricEstimate,
-    ModelInstance,
-    TypeSpace,
     closed_form_ucq_homogeneous,
     engagement_eq_homogeneous,
-    engagement_eq_well_separated,
+    engagement_eq_two_types,
     estimate_re,
     estimate_ucq,
     estimate_uw,
@@ -21,18 +17,17 @@ from creatorsim import (
     investment_eq,
     ks_distance,
     limit_engagement_cdf,
-    make_well_separated_types,
     random_eq,
 )
 from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim._stats import RunningMoments
 from creatorsim.metrics import (E_LIMIT_TOP, ROUND_ROWS, estimate_round_metrics,
                                 homogeneous_quality_cdf)
+from catalogue import EQUILIBRIA, kmr, linear, two_type
 from oracles import exact_expected_max
 
-
-def linear(alpha, gamma=0.0, types=(1.0,)):
-    return ModelInstance(LinearTwitter(alpha, gamma), TypeSpace.of(types))
+# the unit baseline's engagement equilibrium
+HOMOGENEOUS = EQUILIBRIA["homogeneous_P2"]
 
 
 class TestEstimateContainers:
@@ -204,33 +199,24 @@ class TestClosedFormUcq:
 
 class TestEstimators:
     def test_random_rec_trivial_values(self):
-        inst = linear(1.0, 0.0)
-        s = random_eq(inst, 2)
+        game = EQUILIBRIA["random_P2"].game()
         rng = np.random.default_rng(1)
-        assert estimate_ucq(inst, Metric.RANDOM, s, 2, 5000, rng).mean == 0.0
-        assert estimate_re(inst, Metric.RANDOM, s, 2, 5000, rng).mean == 0.0
-        assert estimate_uw(inst, Metric.RANDOM, s, 2, 5000, rng).mean == 1.0
+        assert estimate_ucq(*game, 5000, rng).mean == 0.0
+        assert estimate_re(*game, 5000, rng).mean == 0.0
+        assert estimate_uw(*game, 5000, rng).mean == 1.0
 
     def test_investment_re_is_expected_max_uniform(self):
-        inst = linear(1.0, 0.0)
-        s = investment_eq(inst, 2)
-        est = estimate_re(inst, Metric.INVESTMENT, s, 2, 100000,
+        est = estimate_re(*EQUILIBRIA["investment_P2"].game(), 100000,
                           np.random.default_rng(2))
         assert abs(est.mean - 2.0 / 3.0) <= 0.01
 
     def test_engagement_re_homogeneous(self):
         # engagement on the support is 2 * gaming - 1, uniform on [1, 3]
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        est = estimate_re(inst, Metric.ENGAGEMENT, s, 2, 100000,
-                          np.random.default_rng(3))
+        est = estimate_re(*HOMOGENEOUS.game(), 100000, np.random.default_rng(3))
         assert abs(est.mean - 7.0 / 3.0) <= 0.02
 
     def test_uw_zero_on_zero_utility_support(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        est = estimate_uw(inst, Metric.ENGAGEMENT, s, 2, 20000,
-                          np.random.default_rng(4))
+        est = estimate_uw(*HOMOGENEOUS.game(), 20000, np.random.default_rng(4))
         assert abs(est.mean) <= 1e-9
 
     def test_mc_matches_closed_form_over_grid(self):
@@ -271,28 +257,23 @@ class TestEstimators:
 
     def test_kmr_engagement_keeps_unit_offset(self):
         # watch-time engagement includes the +1 shift; estimators never renormalize
-        inst = ModelInstance(KMR(1.0, 0.0), TypeSpace.of([1.0]))
+        inst = kmr()
         s = random_eq(inst, 2)
         est = estimate_re(inst, Metric.RANDOM, s, 2, 2000, np.random.default_rng(7))
         assert est.mean == 1.0  # origin content has engagement exactly 1
 
     def test_threads_shard_and_merge(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        one = estimate_ucq(inst, Metric.ENGAGEMENT, s, 2, 20000,
-                           np.random.default_rng(8), threads=1)
-        four = estimate_ucq(inst, Metric.ENGAGEMENT, s, 2, 20000,
-                            np.random.default_rng(8), threads=4)
+        game = HOMOGENEOUS.game()
+        one = estimate_ucq(*game, 20000, np.random.default_rng(8), threads=1)
+        four = estimate_ucq(*game, 20000, np.random.default_rng(8), threads=4)
         assert four.n == one.n == 20000
         assert four == one
 
     @pytest.mark.parametrize("n", [3, 9999, 2 * ROUND_ROWS + 5])
     def test_round_metrics_identical_across_threads(self, n):
-        inst = ModelInstance(LinearTwitter(1.0, 0.0),
-                             TypeSpace.of(make_well_separated_types(4, 0.01)))
-        s = engagement_eq_well_separated(inst)
-        one, four = (estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
-                                            np.random.default_rng(9), threads=t)
+        game = EQUILIBRIA["well_separated_N4"].game()
+        one, four = (estimate_round_metrics(*game, n, np.random.default_rng(9),
+                                            threads=t)
                      for t in (1, 4))
         assert list(one) == ["ucq", "re", "uw"]
         assert all(est.n == n for est in one.values())
@@ -324,11 +305,9 @@ class TestEstimators:
             started.append(thread)
             start(thread)
 
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
+        game = HOMOGENEOUS.game()
         n = 4 * ROUND_ROWS + 1
-        want = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
-                                      np.random.default_rng(3))
+        want = estimate_round_metrics(*game, n, np.random.default_rng(3))
         monkeypatch.setattr(threading.Thread, "start", spy)
         monkeypatch.setattr(met.os, "cpu_count", lambda: cpus)
         if affinity is None:
@@ -337,8 +316,8 @@ class TestEstimators:
             monkeypatch.setattr(met.os, "sched_getaffinity", lambda pid: affinity,
                                 raising=False)
         before = threading.active_count()
-        got = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
-                                     np.random.default_rng(3), threads=10**6)
+        got = estimate_round_metrics(*game, n, np.random.default_rng(3),
+                                     threads=10**6)
         assert threading.active_count() == before
         # the calling thread is one of the workers, so one runs inline
         assert len(started) == workers - 1
@@ -361,12 +340,10 @@ class TestEstimators:
         monkeypatch.setattr(met, "ROUND_ROWS", 100)
         monkeypatch.setattr(met, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(met, "simulate_rounds", failing)
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
+        game = HOMOGENEOUS.game()
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="shard failed"):
-            estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, 5000,
-                                   np.random.default_rng(0), threads=2)
+            estimate_round_metrics(*game, 5000, np.random.default_rng(0), threads=2)
         assert threading.active_count() == before
         assert len(calls) < 50  # the workers stop taking shards after it
 
@@ -386,12 +363,10 @@ class TestEstimators:
         monkeypatch.setattr(met, "ROUND_ROWS", 100)
         monkeypatch.setattr(met, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(threading.Thread, "start", start_once)
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
+        game = HOMOGENEOUS.game()
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="can't start new thread"):
-            estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, 5000,
-                                   np.random.default_rng(0), threads=3)
+            estimate_round_metrics(*game, 5000, np.random.default_rng(0), threads=3)
         assert len(started) == 1
         assert threading.active_count() == before
 
@@ -403,16 +378,14 @@ class TestEstimators:
         import creatorsim.metrics as met
         monkeypatch.setattr(met, "ROUND_ROWS", 16)
         monkeypatch.setattr(met, "_usable_cpus", lambda: 8)
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
+        game = HOMOGENEOUS.game()
         n = 16 * 150 + 7  # three spawn groups
-        want = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
-                                      np.random.default_rng(12))
+        want = estimate_round_metrics(*game, n, np.random.default_rng(12))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
-                                         np.random.default_rng(12), threads=8)
+            got = estimate_round_metrics(*game, n, np.random.default_rng(12),
+                                         threads=8)
         finally:
             sys.setswitchinterval(interval)
         assert got == want
@@ -429,47 +402,38 @@ class TestEstimators:
                 return self.rng.spawn(k)
 
         monkeypatch.setattr(met, "ROUND_ROWS", 4)
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
+        game = HOMOGENEOUS.game()
         n = 4 * (2 * met.SPAWN_GROUP + 10) + 3
         spy = SpawnSpy(np.random.default_rng(5))
-        got = estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n, spy)
+        got = estimate_round_metrics(*game, n, spy)
         assert max(spy.calls) <= 64
         assert sum(spy.calls) == -(-n // 4)
-        assert got == estimate_round_metrics(inst, Metric.ENGAGEMENT, s, 2, n,
-                                             np.random.default_rng(5))
+        assert got == estimate_round_metrics(*game, n, np.random.default_rng(5))
 
     def test_grouped_spawn_matches_one_spawn(self, monkeypatch):
         import creatorsim.metrics as met
 
         monkeypatch.setattr(met, "ROUND_ROWS", 4)
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
+        game = HOMOGENEOUS.game()
         n = 4 * (2 * met.SPAWN_GROUP + 10) + 3  # three groups, uneven shards
         got = []
         for group in (met.SPAWN_GROUP, 10**9):
             monkeypatch.setattr(met, "SPAWN_GROUP", group)
             for threads in (1, 2):
-                got.append(estimate_round_metrics(
-                    inst, Metric.ENGAGEMENT, s, 2, n, np.random.default_rng(6),
-                    threads=threads))
+                got.append(estimate_round_metrics(*game, n, np.random.default_rng(6),
+                                                  threads=threads))
         assert all(est.n == n for est in got[0].values())
         assert got[1:] == got[:1] * 3
 
     def test_round_metrics_reject_nonpositive_threads(self):
-        inst = linear(1.0, 0.0)
-        s = random_eq(inst, 2)
         with pytest.raises(ValueError, match="threads"):
-            estimate_round_metrics(inst, Metric.RANDOM, s, 2, 10,
+            estimate_round_metrics(*EQUILIBRIA["random_P2"].game(), 10,
                                    np.random.default_rng(0), threads=0)
 
     def test_threads_deterministic_for_fixed_shard_count(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        a = estimate_ucq(inst, Metric.ENGAGEMENT, s, 2, 9999,
-                         np.random.default_rng(9), threads=3)
-        b = estimate_ucq(inst, Metric.ENGAGEMENT, s, 2, 9999,
-                         np.random.default_rng(9), threads=3)
+        game = HOMOGENEOUS.game()
+        a = estimate_ucq(*game, 9999, np.random.default_rng(9), threads=3)
+        b = estimate_ucq(*game, 9999, np.random.default_rng(9), threads=3)
         assert a == b
 
 
@@ -567,12 +531,9 @@ def _two_type_uw_quadrature(c, eps, W=1.0):
 class TestTwoTypeWelfareQuadrature:
     @pytest.mark.parametrize("c", [1.2, 1.45, 2.0])
     def test_simulation_matches_density_integral(self, c):
-        from creatorsim import KMR, engagement_eq_two_types
-        eps = 0.01
-        inst = ModelInstance(KMR(1.0, 0.0),
-                             TypeSpace.of([eps, c * (1.0 + eps) - 1.0]))
+        inst = two_type(c, "kmr")
         s = engagement_eq_two_types(inst)
         est = estimate_uw(inst, Metric.ENGAGEMENT, s, 2, 60000,
                           np.random.default_rng(int(c * 100)))
-        exact = _two_type_uw_quadrature(c, eps)
+        exact = _two_type_uw_quadrature(c, 0.01)
         assert abs(est.mean - exact) <= 3 * est.stderr + 1e-4, (c, est.mean, exact)

@@ -10,15 +10,8 @@ from creatorsim import (
     TypeSpace,
     check_assumptions,
 )
+from catalogue import instance, kmr, linear
 from oracles import grid_min_induced_cost
-
-
-def linear(alpha, gamma=0.0, types=(1.0,)):
-    return ModelInstance(LinearTwitter(alpha, gamma), TypeSpace.of(types))
-
-
-def kmr(W=1.0, gamma=0.0, types=(1.0,)):
-    return ModelInstance(KMR(W, gamma), TypeSpace.of(types))
 
 
 class TestDomainTypes:
@@ -172,7 +165,7 @@ class TestCurveInverse:
     @given(family=_curve_families(), t=st.floats(0.05, 20.0),
            above=st.floats(0.0, 50.0), below=st.floats(0.0, 50.0))
     def test_engagement_round_trip(self, family, t, above, below):
-        inst = ModelInstance(family, TypeSpace.of([t]))
+        inst = instance(family, [t])
         floor = inst.engagement_floor(t)
         x = inst.curve_x_for_engagement(t, floor + above)
         assert x >= 0.0
@@ -186,7 +179,7 @@ class TestCurveInverse:
     @given(family=_curve_families(), t=st.floats(0.05, 20.0),
            above=st.floats(0.0, 50.0), below=st.floats(0.0, 50.0))
     def test_cost_round_trip(self, family, t, above, below):
-        inst = ModelInstance(family, TypeSpace.of([t]))
+        inst = instance(family, [t])
         start = float(inst.curve_cost(t, 0.0))
         x = inst.curve_x_for_cost(t, start + above)
         assert x >= 0.0
@@ -199,7 +192,7 @@ class TestCurveInverse:
     def test_cost_inverse_on_a_subnormal_rise(self):
         # gamma * delta is subnormal, so np.interp's slope dx/dy overflows
         gamma = 2.225073858507203e-309
-        inst = ModelInstance(LinearTwitter(1.0, gamma), TypeSpace.of([2.0]))
+        inst = linear(1.0, gamma, (2.0,))
         x = inst.curve_x_for_cost(2.0, gamma)
         assert x == 1.0
         assert float(inst.curve_cost(2.0, x)) == gamma
@@ -313,9 +306,8 @@ class TestCheckAssumptions:
         assert report.all_passed, [c.name for c in report.checks if not c.passed]
 
     def test_gaming_as_costly_as_quality_fails_cost_effectiveness(self):
-        fam = _EquallyCostlyGaming(alpha=1.0, gamma=0.0)
-        inst = ModelInstance(fam, TypeSpace.of([1.0]))
-        report = check_assumptions(inst, grid_n=20, span=3.0)
+        report = check_assumptions(instance(_EquallyCostlyGaming(alpha=1.0, gamma=0.0)),
+                                   grid_n=20, span=3.0)
         failed = {c.name for c in report.checks if not c.passed}
         assert "gaming_more_cost_effective" in failed
 

@@ -6,25 +6,13 @@ import pytest
 
 from creatorsim._stats import MetricEstimate
 from creatorsim.empirics import SpearmanResult, Survey, TweetRecord
-from creatorsim.equilibrium import (
-    engagement_eq_homogeneous,
-    engagement_eq_two_types,
-    investment_eq,
-    random_eq,
-)
-from creatorsim.game import Metric, OpponentPool, simulate_rounds
-from creatorsim.model import (
-    KMR,
-    Content,
-    LinearTwitter,
-    ModelInstance,
-    TypeSpace,
-    check_assumptions,
-)
+from creatorsim.game import OpponentPool, simulate_rounds
+from creatorsim.model import KMR, Content, LinearTwitter, check_assumptions
 from creatorsim.verify import best_response_gap
+from catalogue import EQUILIBRIA
 
-ONE = ModelInstance(LinearTwitter(1.0, 0.0), TypeSpace.of([1.0]))
-TWO = ModelInstance(LinearTwitter(1.0, 0.0), TypeSpace.of([1.0, 1.9]))
+ONE = EQUILIBRIA["homogeneous_P2"]
+TWO = EQUILIBRIA["two_type_case2"]
 
 
 def component(strategy):
@@ -33,30 +21,29 @@ def component(strategy):
 
 # a builder of each value class and one of its fields
 VALUES = {
-    "ModelInstance": (lambda: TWO, "family"),
-    "TypeSpace": (lambda: TWO.type_space, "types"),
+    "ModelInstance": (lambda: TWO.inst, "family"),
+    "TypeSpace": (lambda: TWO.inst.type_space, "types"),
     "LinearTwitter": (lambda: LinearTwitter(0.5, 0.2), "alpha"),
     "KMR": (lambda: KMR(2.0, 0.1), "W"),
     "Content": (lambda: Content(1.0, 2.0), "w_cheap"),
-    "LinearityParams": (lambda: TWO.linearity_params(), "shift"),
-    "AtomComponent": (lambda: component(random_eq(ONE, 2)), "w_costly"),
-    "CurveComponent": (lambda: component(engagement_eq_homogeneous(ONE, 2)), "t"),
-    "QualityComponent": (lambda: component(investment_eq(ONE, 2)), "quality"),
-    "MixedStrategy": (lambda: engagement_eq_two_types(TWO), "components"),
-    "PiecewiseLinearCdf": (
-        lambda: component(engagement_eq_homogeneous(ONE, 2)).cheap, "xs"),
+    "LinearityParams": (lambda: TWO.inst.linearity_params(), "shift"),
+    "AtomComponent": (lambda: component(EQUILIBRIA["random_P2"].strategy()),
+                      "w_costly"),
+    "CurveComponent": (lambda: component(ONE.strategy()), "t"),
+    "QualityComponent": (lambda: component(EQUILIBRIA["investment_P2"].strategy()),
+                         "quality"),
+    "MixedStrategy": (lambda: TWO.strategy(), "components"),
+    "PiecewiseLinearCdf": (lambda: component(ONE.strategy()).cheap, "xs"),
     "OpponentPool": (lambda: OpponentPool.draw(
-        TWO, Metric.ENGAGEMENT, engagement_eq_two_types(TWO), 2, 50,
-        np.random.default_rng(0)), "order"),
+        *TWO.game(), 50, np.random.default_rng(0)), "order"),
     "RoundBatch": (lambda: simulate_rounds(
-        TWO, Metric.ENGAGEMENT, engagement_eq_two_types(TWO), 2, 20,
-        np.random.default_rng(0)), "winner"),
+        *TWO.game(), 20, np.random.default_rng(0)), "winner"),
     "MetricEstimate": (lambda: MetricEstimate(1.0, 0.5, 3), "mean"),
     "BestResponseReport": (lambda: best_response_gap(
-        TWO, Metric.ENGAGEMENT, engagement_eq_two_types(TWO), 2, 3, 100,
-        np.random.default_rng(0)), "gap"),
-    "AssumptionReport": (lambda: check_assumptions(ONE, grid_n=3), "checks"),
-    "CheckResult": (lambda: check_assumptions(ONE, grid_n=3).checks[0], "passed"),
+        *TWO.game(), 3, 100, np.random.default_rng(0)), "gap"),
+    "AssumptionReport": (lambda: check_assumptions(ONE.inst, grid_n=3), "checks"),
+    "CheckResult": (lambda: check_assumptions(ONE.inst, grid_n=3).checks[0],
+                    "passed"),
     "TweetRecord": (lambda: TweetRecord("E", "P", 1, 2), "favorites"),
     "Survey": (lambda: Survey.from_records([TweetRecord("C", "NP", 0, 5)]),
                "feed"),

@@ -8,33 +8,23 @@ from creatorsim import (
     KMR,
     LinearTwitter,
     Metric,
-    ModelInstance,
-    TypeSpace,
     best_response_gap,
     candidate_deviations,
     check_positive_correlation,
     engagement_eq_homogeneous,
-    engagement_eq_two_types,
-    engagement_eq_well_separated,
     investment_eq,
-    make_well_separated_types,
-    random_eq,
     support_containment,
 )
 from creatorsim.equilibrium import AtomComponent, MixedStrategy
 from creatorsim.game import OpponentPool
 from creatorsim.verify import failure_summary
+from catalogue import EQUILIBRIA, instance, linear
 from oracles import loop_best_response_gap, loop_candidate_deviations
-
-
-def linear(alpha, gamma=0.0, types=(1.0,)):
-    return ModelInstance(LinearTwitter(alpha, gamma), TypeSpace.of(types))
 
 
 class TestCandidateDeviations:
     def test_homogeneous_grid_span(self):
-        inst = linear(1.0, 0.0)
-        cands = candidate_deviations(inst, 3)
+        cands = candidate_deviations(linear(1.0), 3)
         assert cands[0].tolist() == [0.0, 0.0]
         assert cands.shape == (4, 2)
         gaming = cands[1:, 1].tolist()
@@ -42,15 +32,13 @@ class TestCandidateDeviations:
         assert cands[1:, 0].tolist() == pytest.approx([0.0, 0.6, 1.2])
 
     def test_two_type_count(self):
-        inst = linear(1.0, 0.0, types=(1.0, 3.0))
-        assert len(candidate_deviations(inst, 2)) == 5
+        assert len(candidate_deviations(linear(1.0, types=(1.0, 3.0)), 2)) == 5
 
     def test_homogeneous_count(self):
-        assert len(candidate_deviations(linear(1.0, 0.0), 2)) == 3
+        assert len(candidate_deviations(linear(1.0), 2)) == 3
 
     def test_costly_gaming_grid_starts_at_zero(self):
-        inst = linear(1.0, 0.5)
-        cands = candidate_deviations(inst, 2)
+        cands = candidate_deviations(linear(1.0, 0.5), 2)
         assert cands[1, 1] == 0.0
 
     def test_candidates_lie_on_curves(self):
@@ -64,7 +52,7 @@ class TestCandidateDeviations:
            types=st.sets(st.floats(0.2, 5.0), min_size=1, max_size=4))
     def test_matches_scalar_loop_bitwise(self, kmr, alpha, gamma, grid_k, types):
         family = KMR(1.0, gamma) if kmr else LinearTwitter(alpha, gamma)
-        inst = ModelInstance(family, TypeSpace.of(sorted(types)))
+        inst = instance(family, sorted(types))
 
         def bits(rows):
             return [(q.hex(), x.hex()) for q, x in rows]
@@ -92,8 +80,7 @@ class TestPositiveCorrelation:
         assert check_positive_correlation(samples, 1e-12) == []
 
     def test_equilibrium_samples_clean(self):
-        inst = linear(0.5, 0.1)
-        s = engagement_eq_homogeneous(inst, 2)
+        s = engagement_eq_homogeneous(linear(0.5, 0.1), 2)
         pts = s.sample(np.random.default_rng(0), 10000)
         assert check_positive_correlation(pts, 1e-12) == []
 
@@ -117,27 +104,22 @@ class TestSupportContainment:
         assert support_containment(np.array([[0.0, 0.0]]), inst, 1e-9) == []
 
     def test_sampler_outputs_contained(self):
-        inst = ModelInstance(LinearTwitter(1.0, 0.0), make_well_separated_types(3, 0.01))
-        from creatorsim import engagement_eq_well_separated
-        s = engagement_eq_well_separated(inst)
-        pts = s.sample(np.random.default_rng(1), 5000)
-        assert support_containment(pts, inst, 1e-9) == []
+        entry = EQUILIBRIA["well_separated_N3"]
+        pts = entry.strategy().sample(np.random.default_rng(1), 5000)
+        assert support_containment(pts, entry.inst, 1e-9) == []
 
 
 class TestBestResponseGap:
     def test_true_equilibrium_passes_small_scale(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=60,
+        rep = best_response_gap(*EQUILIBRIA["homogeneous_P2"].game(), grid_k=60,
                                 n_per_candidate=20000, rng=np.random.default_rng(0))
         assert rep.passes()
         assert rep.grid_size == 60
         assert rep.samples_per_candidate == 20000
 
     def test_origin_point_mass_rejected(self):
-        inst = linear(1.0, 0.0)
         fake = MixedStrategy(((1.0, AtomComponent(0.0, 0.0)),), "origin")
-        rep = best_response_gap(inst, Metric.ENGAGEMENT, fake, 2, grid_k=60,
+        rep = best_response_gap(linear(1.0), Metric.ENGAGEMENT, fake, 2, grid_k=60,
                                 n_per_candidate=5000, rng=np.random.default_rng(1))
         assert rep.gap >= 0.45
         assert not rep.passes()
@@ -150,9 +132,7 @@ class TestBestResponseGap:
         assert rep.gap > 0.05
 
     def test_probe_utilities_mutually_consistent(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=20,
+        rep = best_response_gap(*EQUILIBRIA["homogeneous_P2"].game(), grid_k=20,
                                 n_per_candidate=20000, rng=np.random.default_rng(3))
         means, ses = rep.probe_mean, rep.probe_stderr
         spread = np.abs(means - means.mean())
@@ -160,27 +140,20 @@ class TestBestResponseGap:
 
     def test_two_type_on_support_utility_matches_closed_form(self):
         # equilibrium payoff is ratio/2 - 1/2 in the overlapping-case regimes
-        inst = ModelInstance(LinearTwitter(1.0, 0.0), TypeSpace.of([1.0, 2 * 1.2 - 1]))
-        s = engagement_eq_two_types(inst)
-        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=30,
+        rep = best_response_gap(*EQUILIBRIA["two_type_case3"].game(), grid_k=30,
                                 n_per_candidate=20000, rng=np.random.default_rng(4))
         expected = 1.2 / 2.0 - 0.5
         assert abs(rep.eq_utility.mean - expected) <= 3 * rep.eq_utility.stderr + 2e-3
 
     def test_well_separated_on_support_utility_matches_closed_form(self):
         # for N types, on-support payoff is ((N - N' + 1)/N) * sum_{j<N'} 1/(N-j+1)
-        inst = ModelInstance(LinearTwitter(1.0, 0.0), make_well_separated_types(4, 0.01))
-        from creatorsim import engagement_eq_well_separated
-        s = engagement_eq_well_separated(inst)
-        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=20,
+        rep = best_response_gap(*EQUILIBRIA["well_separated_N4"].game(), grid_k=20,
                                 n_per_candidate=20000, rng=np.random.default_rng(5))
         expected = (4 - 3 + 1) / 4 * (1 / 4 + 1 / 3)
         assert abs(rep.eq_utility.mean - expected) <= 3 * rep.eq_utility.stderr + 2e-3
 
     def test_report_serializes(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=5,
+        rep = best_response_gap(*EQUILIBRIA["homogeneous_P2"].game(), grid_k=5,
                                 n_per_candidate=500, rng=np.random.default_rng(6))
         payload = json.loads(json.dumps(rep.to_dict()))
         utilities = payload["candidate_utilities"]
@@ -190,7 +163,7 @@ class TestBestResponseGap:
 
     def test_curves_give_each_curve_best_and_hold_the_argmax(self):
         # two atoms, one on each curve, that a type 1.9 curve deviation beats
-        inst = linear(1.0, 0.0, types=(1.0, 1.9))
+        inst = linear(1.0, types=(1.0, 1.9))
         s = MixedStrategy(((0.5, AtomComponent(0.6, 1.6)),
                            (0.5, AtomComponent(0.2, 2.28))), "two atoms")
         k = 60
@@ -224,9 +197,7 @@ class TestSharedOpponentPool:
             return original(self, rng, n)
 
         monkeypatch.setattr(MixedStrategy, "sample", spy)
-        inst = linear(-0.5, 0.3, types=(2.0,))
-        s = engagement_eq_homogeneous(inst, 3)
-        best_response_gap(inst, Metric.ENGAGEMENT, s, 3, grid_k=grid_k,
+        best_response_gap(*EQUILIBRIA["homogeneous_atom_P3"].game(), grid_k=grid_k,
                           n_per_candidate=400, rng=np.random.default_rng(0))
         assert calls == [32, 400 * 2]
 
@@ -241,9 +212,7 @@ class TestSharedOpponentPool:
             return original(self, contents)
 
         monkeypatch.setattr(OpponentPool, "payoffs", spy)
-        inst = linear(1.0, 0.0, types=(1.0, 1.9))
-        s = engagement_eq_two_types(inst)
-        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=grid_k,
+        rep = best_response_gap(*EQUILIBRIA["two_type_case2"].game(), grid_k=grid_k,
                                 n_per_candidate=400, rng=np.random.default_rng(0),
                                 n_probes=8)
         assert len(rep.candidates) == 1 + 2 * grid_k
@@ -252,14 +221,13 @@ class TestSharedOpponentPool:
         assert calls == [rep.probes.tolist(), [best.tolist()]]
 
     def test_combined_stderr_is_paired_difference_stderr(self):
-        inst = linear(1.0, 0.0, types=(1.0, 1.9))
-        s = engagement_eq_two_types(inst)
+        game = EQUILIBRIA["two_type_case2"].game()
         n = 3000
-        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=20,
-                                n_per_candidate=n, rng=np.random.default_rng(7))
+        rep = best_response_gap(*game, grid_k=20, n_per_candidate=n,
+                                rng=np.random.default_rng(7))
         rng = np.random.default_rng(7)
-        probes = s.sample(rng, 32)
-        pool = OpponentPool.draw(inst, Metric.ENGAGEMENT, s, 2, n, rng)
+        probes = game[2].sample(rng, 32)
+        pool = OpponentPool.draw(*game, n, rng)
         eq = np.mean([pool.payoffs(probes[i:i + 1]) for i in range(32)], axis=0)
         i = rep.argmax_index
         diff = pool.payoffs(rep.candidates[i:i + 1]) - eq
@@ -268,9 +236,7 @@ class TestSharedOpponentPool:
         assert rep.gap == pytest.approx(diff.mean(), abs=1e-12)
 
     def test_paired_stderr_below_marginal_hypot_on_equilibrium(self):
-        inst = linear(1.0, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        rep = best_response_gap(inst, Metric.ENGAGEMENT, s, 2, grid_k=30,
+        rep = best_response_gap(*EQUILIBRIA["homogeneous_P2"].game(), grid_k=30,
                                 n_per_candidate=5000, rng=np.random.default_rng(0))
         marginal = np.hypot(rep.best_deviation_utility.stderr, rep.eq_utility.stderr)
         assert 0.0 < rep.combined_stderr < marginal
@@ -278,24 +244,10 @@ class TestSharedOpponentPool:
 
 ORACLE_CASES = {
     # the benchmark's two certify cases
-    "two_type_ratio_1.45": (linear(1.0, 0.0, types=(1.0, 1.9)), Metric.ENGAGEMENT,
-                            2, engagement_eq_two_types),
-    "homogeneous_atom_P3": (linear(-0.5, 0.3, types=(2.0,)), Metric.ENGAGEMENT, 3,
-                            lambda inst: engagement_eq_homogeneous(inst, 3)),
-    "homogeneous_atom_P2": (linear(-0.3, 0.1, types=(1.5,)), Metric.ENGAGEMENT, 2,
-                            lambda inst: engagement_eq_homogeneous(inst, 2)),
-    "homogeneous_atom_P4": (linear(-0.3, 0.1, types=(1.5,)), Metric.ENGAGEMENT, 4,
-                            lambda inst: engagement_eq_homogeneous(inst, 4)),
-    "kmr_two_type": (ModelInstance(KMR(1.0, 0.0), TypeSpace.of([1.0, 1.6])),
-                     Metric.ENGAGEMENT, 2, engagement_eq_two_types),
-    "investment": (linear(-0.5, 0.3, types=(2.0,)), Metric.INVESTMENT, 2,
-                   lambda inst: investment_eq(inst, 2)),
-    # two atoms and one score for all: every eligible row ties
-    "random_ties": (linear(-0.5, 0.0, types=(2.0,)), Metric.RANDOM, 3,
-                    lambda inst: random_eq(inst, 3)),
-    "well_separated_N4": (ModelInstance(LinearTwitter(1.0, 0.0),
-                                        make_well_separated_types(4, 0.01)),
-                          Metric.ENGAGEMENT, 2, engagement_eq_well_separated),
+    "two_type_ratio_1.45": EQUILIBRIA["two_type_case2"],
+    **{name: EQUILIBRIA[name] for name in (
+        "homogeneous_atom_P3", "homogeneous_atom_P2", "homogeneous_atom_P4",
+        "kmr_two_type", "investment", "random_ties", "well_separated_N4")},
 }
 
 
@@ -303,9 +255,7 @@ class TestMatchesLoopOracle:
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_report_bitwise_but_probe_utilities(self, case, seed):
-        inst, metric, P, build = ORACLE_CASES[case]
-        strategy = build(inst)
-        args = (inst, metric, strategy, P, 50, 4000)
+        args = (*ORACLE_CASES[case].game(), 50, 4000)
         got = best_response_gap(*args, rng=np.random.default_rng(seed)).to_dict()
         want = loop_best_response_gap(*args, rng=np.random.default_rng(seed)).to_dict()
         # probe utilities are counted estimates now, equal up to rounding
