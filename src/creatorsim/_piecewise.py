@@ -31,13 +31,6 @@ class PiecewiseLinearCdf(Frozen):
             raise ValueError("exponent must be positive")
         self.__dict__.update(xs=xs, ys=ys, exponent=exponent)
 
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        base = np.interp(x, self.xs, self.ys)
-        base = np.where(x < self.xs[0], 0.0, base)
-        out = base ** self.exponent
-        return out if out.ndim else float(out)
-
     def _segments(self, q: np.ndarray) -> np.ndarray:
         """Index of the breakpoint ending the segment of each q:
         ``min(searchsorted(levels, q, "left"), len(xs) - 1)``.
@@ -77,8 +70,8 @@ class PiecewiseLinearCdf(Frozen):
     def ppf(self, q) -> np.ndarray:
         """Smallest x with F(x) >= q, vectorized over q in [0, 1].
 
-        The segment is found by comparing q with F at the breakpoints, as
-        ``cdf`` computes it, so rounding in ``q ** (1 / exponent)`` cannot
+        The segment is found by comparing q with F at the breakpoints,
+        ``ys ** exponent``, so rounding in ``q ** (1 / exponent)`` cannot
         carry q = F(xs[k]) past a flat stretch that starts at xs[k]. Each
         rising segment is then interpolated on every key by ``_rise``, and
         each key keeps its own segment's x by exact 0/1 products: the bits

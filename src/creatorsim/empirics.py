@@ -1,10 +1,10 @@
 """Feed-survey analysis: conditional favorite distributions and rank tests.
 
 Works on user-supplied CSV files of tweet records (feed, genre, angriness,
-favorites). Favorites are compared on the log scale via ln(1 + favorites),
-which leaves every rank statistic untouched while keeping zero-favorite
-tweets in the data. Angriness plays the role of the gaming coordinate and
-favorites the role of quality.
+favorites). The conditional distributions compare favorites on the log
+scale via ln(1 + favorites), which keeps zero-favorite tweets in the data;
+the rank test ranks the counts themselves. Angriness plays the role of the
+gaming coordinate and favorites the role of quality.
 
 The survey is held column by column in a :class:`Survey`: feed and genre
 as int8 codes into ``FEEDS`` and ``GENRES``, angriness and favorites as
@@ -16,11 +16,11 @@ included, goes through a per-row ``csv`` loop over the same bytes, which
 gives the same columns wherever the scan applies; ``TweetRecord``
 validates only the rows that fail that loop, so malformed rows are
 reported exactly as the record validator words them. Every analysis
-selects its feed, genre and angriness slice with boolean masks over the
+selects its feed, genre and angriness slice as row indices into the
 columns, and also accepts a sequence of ``TweetRecord``, which it
-converts once. Mid-ranks are computed with numpy; scipy is used only for
-the Student t tail (``scipy.special.stdtr``), and the CLI imports this
-module only when the ``empirics`` command runs.
+converts once. Mid-ranks are computed with numpy on the integer columns;
+scipy is used only for the Student t tail (``scipy.special.stdtr``), and
+the CLI imports this module only when the ``empirics`` command runs.
 """
 
 from __future__ import annotations
@@ -219,7 +219,10 @@ def _as_survey(data: SurveyData) -> Survey:
     return data if isinstance(data, Survey) else Survey.from_records(data)
 
 
-def _slice_mask(survey: Survey, feed: str, genres: set[str]) -> np.ndarray:
+def _rows(survey: Survey, feed: str, genres: set[str],
+          a: int | None = None) -> np.ndarray:
+    """Indices, in file order, of the records in one feed and genre slice,
+    and at angriness ``a`` if it is given."""
     if feed not in FEEDS:
         raise ValueError(f"feed must be one of {FEEDS}")
     if not genres or not genres.issubset(GENRES):
@@ -227,7 +230,9 @@ def _slice_mask(survey: Survey, feed: str, genres: set[str]) -> np.ndarray:
     mask = survey.feed == _FEED_CODES[feed]
     if len(genres) == 1:
         mask &= survey.genre == _GENRE_CODES[next(iter(genres))]
-    return mask
+    if a is not None:
+        mask &= survey.angriness == a
+    return np.flatnonzero(mask)
 
 
 class Ecdf:
@@ -248,20 +253,22 @@ class Ecdf:
         return out if out.ndim else float(out)
 
     def step_points(self) -> tuple[np.ndarray, np.ndarray]:
-        # the cumulative counts are the right-side ``searchsorted`` ranks
-        uniq, counts = np.unique(self.values, return_counts=True)
-        return uniq, np.cumsum(counts) / len(self.values)
+        # the values are sorted: each run of equal ones is a step, and the
+        # count up to its end is the right-side ``searchsorted`` rank
+        vals = self.values
+        starts = np.flatnonzero(np.append(True, vals[1:] != vals[:-1]))
+        return vals[starts], np.append(starts[1:], len(vals)) / len(vals)
 
 
 def conditional_ecdf(data: SurveyData, a: int, feed: str,
                      genres: Iterable[str]) -> Ecdf:
     """ECDF of ln(1 + favorites) at one angriness level in one feed slice."""
     survey, genres = _as_survey(data), set(genres)
-    mask = _slice_mask(survey, feed, genres) & (survey.angriness == a)
-    if not mask.any():
+    rows = _rows(survey, feed, genres, a)
+    if rows.size == 0:
         raise EmptyConditionalError(
             f"no records with angriness={a}, feed={feed}, genres={sorted(genres)}")
-    return Ecdf(np.log1p(survey.favorites[mask].astype(float)))
+    return Ecdf(np.log1p(survey.favorites[rows].astype(float)))
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -297,12 +304,13 @@ def spearman_rho(data: SurveyData, feed: str,
 
     Mid-rank tie handling, Pearson correlation of the ranks, and a
     one-sided (positive association) p-value from the t approximation with
-    n - 2 degrees of freedom.
+    n - 2 degrees of freedom. The ranks are taken on the int64 columns: a
+    float copy would tie distinct favorite counts of 2**53 and more.
     """
     survey = _as_survey(data)
-    mask = _slice_mask(survey, feed, set(genres))
-    a = survey.angriness[mask].astype(float)
-    favs = survey.favorites[mask].astype(float)
+    rows = _rows(survey, feed, set(genres))
+    a = survey.angriness[rows]
+    favs = survey.favorites[rows]
     n = len(a)
     if n < 3:
         raise ValueError(f"need at least 3 matching records, got {n}")

@@ -196,11 +196,11 @@ def engagement_eq_homogeneous(inst: ModelInstance, P: int) -> MixedStrategy:
 
 
 def _linear_coefficients(inst: ModelInstance) -> np.ndarray:
-    params = inst.linearity_params()
-    _require(params is not None,
+    """The coefficients a_t = 1 / (1 + t) of the linear induced costs."""
+    _require(inst.family.linear_shift() is not None,
              "construction requires linear induced costs "
              "(costless gaming; unit baseline for the linear family)")
-    return np.asarray(params.coefficient(np.asarray(inst.types)), dtype=float)
+    return 1.0 / (1.0 + np.asarray(inst.types, dtype=float))
 
 
 def _require_free_entry(inst: ModelInstance) -> None:
@@ -329,7 +329,7 @@ def engagement_eq_two_types(inst: ModelInstance) -> MixedStrategy:
     those of an exponent-1 CDF in gaming.
     """
     case, intervals = _two_type_intervals(inst)
-    shift = inst.linearity_params().shift
+    shift = inst.family.linear_shift()
     comps = []
     for t, low in zip(inst.types, (True, False)):
         # this type's share of each interval; the ones it keeps are contiguous
@@ -352,14 +352,14 @@ def engagement_eq_two_types(inst: ModelInstance) -> MixedStrategy:
                          f"(ratio={float(a[0]) / float(a[1]):.4f})")
 
 
-def _baseline_preconditions(inst: ModelInstance) -> float:
-    """Shared baseline precondition; returns the single type's beta (or 0)."""
+def _baseline_preconditions(inst: ModelInstance) -> tuple[float, float]:
+    """Shared baseline precondition; returns the single type's beta (or 0)
+    and the cost kappa of that least investment, capped at 1."""
     betas = [inst.beta(t) for t in inst.types]
-    if len(inst.type_space) == 1:
-        return betas[0]
-    _require(all(b == 0.0 for b in betas),
+    _require(len(betas) == 1 or all(b == 0.0 for b in betas),
              "heterogeneous baseline equilibria require beta_t = 0 for all types")
-    return 0.0
+    beta = betas[0] if len(betas) == 1 else 0.0
+    return beta, min(1.0, float(inst.cost(beta, 0.0)))
 
 
 def investment_eq(inst: ModelInstance, P: int) -> MixedStrategy:
@@ -370,21 +370,15 @@ def investment_eq(inst: ModelInstance, P: int) -> MixedStrategy:
     """
     if P < 2:
         raise ValueError("P must be >= 2")
-    beta = _baseline_preconditions(inst)
-    kappa = min(1.0, float(inst.cost(beta, 0.0)))
+    beta, kappa = _baseline_preconditions(inst)
     if kappa >= 1.0:
         return MixedStrategy(((1.0, AtomComponent(0.0, 0.0)),),
                              descriptor=f"investment_degenerate(P={P})")
-    # cost along the quality axis is linear for the built-in families
+    # cost along the quality axis is linear for the built-in families, and
+    # flat at kappa up to beta; at beta = 0 the flat start is trimmed
     slope = float(inst.cost(1.0, 0.0)) - float(inst.cost(0.0, 0.0))
-    q_end = beta + (1.0 - kappa) / slope
-    if beta > 0.0:
-        xs = np.array([0.0, beta, q_end])
-        ys = np.array([kappa, kappa, 1.0])
-    else:
-        xs = np.array([0.0, q_end])
-        ys = np.array([float(inst.cost(0.0, 0.0)), 1.0])
-    cdf = PiecewiseLinearCdf(xs, ys, exponent=1.0 / (P - 1))
+    cdf = clipped_linear_cdf([0.0, beta], [kappa, kappa], slope, scale=1.0,
+                             exponent=1.0 / (P - 1))
     return MixedStrategy(((1.0, QualityComponent(cdf)),),
                          descriptor=f"investment(P={P})")
 
@@ -431,11 +425,10 @@ def random_eq(inst: ModelInstance, P: int) -> MixedStrategy:
     """
     if P < 2:
         raise ValueError("P must be >= 2")
-    beta = _baseline_preconditions(inst)
+    beta, kappa = _baseline_preconditions(inst)
     if beta == 0.0:
         return MixedStrategy(((1.0, AtomComponent(0.0, 0.0)),),
                              descriptor=f"random(P={P})")
-    kappa = min(1.0, float(inst.cost(beta, 0.0)))
     y = stay_in_probability(kappa, P)
     comps: list[tuple[float, Component]] = []
     if y < 1.0:

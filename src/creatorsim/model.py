@@ -75,20 +75,6 @@ class TypeSpace(Frozen):
         return np.asarray(self.types, dtype=float)[idx]
 
 
-class LinearityParams(Frozen):
-    """Linear induced-cost parameters: ``C^E_t(m) = max(0, a_t (m + s) - 1)``.
-
-    Both built-in families satisfy this with ``a_t = 1 / (1 + t)`` whenever
-    gaming is costless (and, for the linear family, the baseline is 1).
-    """
-
-    def __init__(self, shift: float) -> None:
-        self.__dict__.update(shift=shift)
-
-    def coefficient(self, t: ArrayLike) -> ArrayLike:
-        return 1.0 / (1.0 + np.asarray(t, dtype=float))
-
-
 class LinearTwitter(Frozen):
     """Linear utility with baseline ``alpha``; retweet-style engagement."""
 
@@ -120,11 +106,11 @@ class LinearTwitter(Frozen):
         """Largest gaming level that type t accepts with zero quality."""
         return max(0.0, t * self.alpha)
 
-    def linearity_params(self) -> Optional[LinearityParams]:
-        """Shift 1 with costless gaming and unit baseline, else None."""
-        if self.gamma == 0.0 and self.alpha == 1.0:
-            return LinearityParams(shift=1.0)
-        return None
+    def linear_shift(self) -> Optional[float]:
+        """Shift s of the linear induced cost
+        ``C^E_t(m) = max(0, (m + s) / (1 + t) - 1)``: 1 with costless gaming
+        and unit baseline, else None."""
+        return 1.0 if self.gamma == 0.0 and self.alpha == 1.0 else None
 
 
 class KMR(Frozen):
@@ -162,9 +148,10 @@ class KMR(Frozen):
         """Largest gaming level that type t accepts with zero quality."""
         return t
 
-    def linearity_params(self) -> Optional[LinearityParams]:
-        """Shift 0 with costless gaming, for any W; else None."""
-        return LinearityParams(shift=0.0) if self.gamma == 0.0 else None
+    def linear_shift(self) -> Optional[float]:
+        """Shift s of the linear induced cost (``LinearTwitter.linear_shift``):
+        0 with costless gaming, for any W; else None."""
+        return 0.0 if self.gamma == 0.0 else None
 
 
 Family = Union[LinearTwitter, KMR]
@@ -212,9 +199,6 @@ class ModelInstance(Frozen):
         """Engagement along the type-t curve; strictly increasing in gaming."""
         return self.engagement(self.min_investment(t, w_cheap), w_cheap)
 
-    def engagement_floor(self, t: float) -> float:
-        return float(self.curve_engagement(t, 0.0))
-
     def curve_cost_polyline(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Breakpoints ``(xs, ys)`` plus tail slope of the curve cost in gaming."""
         gamma = self.family.gamma
@@ -232,7 +216,7 @@ class ModelInstance(Frozen):
         """Breakpoints plus tail slope of the curve engagement in gaming."""
         delta = self.family.zero_quality_extent(t)
         tail = 1.0 + 1.0 / t
-        e0 = self.engagement_floor(t)
+        e0 = float(self.curve_engagement(t, 0.0))
         if delta > 0.0:
             xs = np.array([0.0, delta])
             ys = np.array([e0, float(self.curve_engagement(t, delta))])
@@ -251,10 +235,6 @@ class ModelInstance(Frozen):
         Values of ``m`` below the curve minimum are clamped to gaming 0.
         """
         return _polyline_inverse(*self.curve_engagement_polyline(t), m)
-
-    def linearity_params(self) -> Optional[LinearityParams]:
-        """Parameters making the induced cost linear, or None."""
-        return self.family.linearity_params()
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ModelInstance":

@@ -183,6 +183,19 @@ def searchsorted_ppf(cdf, q):
     return x if x.ndim else float(x)
 
 
+def piecewise_cdf(dist, x):
+    """F(x) = base(x) ** exponent of a ``PiecewiseLinearCdf`` ``dist``: 0
+    below ``xs[0]``, and from there on the interpolant of ``(xs, ys)``
+    raised to the exponent."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    base = np.interp(x, dist.xs, dist.ys)
+    base = np.where(x < dist.xs[0], 0.0, base)
+    out = base ** dist.exponent
+    return out if out.ndim else float(out)
+
+
 def cheap_marginal_cdf(strategy, x):
     """CDF of a strategy's gaming coordinate at ``x``: the weighted sum of
     its components' own, clipped into [0, 1]. A curve component's is its
@@ -195,7 +208,7 @@ def cheap_marginal_cdf(strategy, x):
     out = np.zeros_like(x)
     for w, comp in strategy.components:
         if isinstance(comp, CurveComponent):
-            part = np.asarray(comp.cheap.cdf(x), dtype=float)
+            part = np.asarray(piecewise_cdf(comp.cheap, x), dtype=float)
         else:
             step = comp.w_cheap if isinstance(comp, AtomComponent) else 0.0
             part = (x >= step).astype(float)
@@ -213,7 +226,7 @@ def two_type_cheap_cdf(inst, intervals, t, low, x):
     import numpy as np
 
     x = np.asarray(x, dtype=float)
-    shift = inst.linearity_params().shift
+    shift = inst.family.linear_shift()
     cut = np.asarray(inst.curve_engagement(t, np.maximum(x, 0.0)), dtype=float) + shift
     out = np.zeros_like(x)
     for lo, hi, d, p_low in intervals:

@@ -2,39 +2,57 @@
 criteria use: a name used by tests alone belongs in ``tests/oracles.py``."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import creatorsim
-from creatorsim.equilibrium import MixedStrategy
-from creatorsim.game import OpponentPool
 
 PACKAGE = Path(creatorsim.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+# the package's own re-export of each name is no use of it
+SOURCES = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + [ACCEPTANCE]
 
 
-def used_names(paths) -> set[str]:
+def used_names(paths, attributes_only=False) -> set[str]:
     """Every name the code in ``paths`` reads, imports or looks up as an
-    attribute; definitions, strings and comments are not uses."""
+    attribute, or only the attribute look-ups; definitions, strings and
+    comments are not uses."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 names.add(node.attr)
+            elif attributes_only:
+                continue
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
     return names
 
 
-# the package's own re-export of each name is no use of it
-USERS = used_names([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-                   + [ACCEPTANCE])
-METHODS = [(cls.__name__, name) for cls in (OpponentPool, MixedStrategy)
-           for name, value in vars(cls).items()
-           if not name.startswith("_") and callable(getattr(cls, name))]
+def public_methods() -> list[tuple[str, str]]:
+    """(class, method) for each public method of each class defined in the
+    package's modules."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"creatorsim.{path.stem}")
+        for cls_name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != module.__name__:
+                continue
+            out += [(cls_name, name) for name, value in vars(cls).items()
+                    if not name.startswith("_") and callable(getattr(cls, name))]
+    return out
+
+
+USERS = used_names(SOURCES)
+# a method is only ever reached as an attribute; a local variable of the
+# same name is no use of it
+ATTRIBUTE_USERS = used_names(SOURCES, attributes_only=True)
+METHODS = public_methods()
 
 
 @pytest.mark.parametrize("name", creatorsim.__all__)
@@ -42,6 +60,13 @@ def test_exported_name_has_a_user(name):
     assert name in USERS, f"creatorsim.{name} is used by no module nor criterion"
 
 
+def test_methods_of_every_class_are_checked():
+    classes = {cls for cls, _ in METHODS}
+    assert {"OpponentPool", "MixedStrategy", "PiecewiseLinearCdf",
+            "ModelInstance", "LinearTwitter", "KMR", "Ecdf"} <= classes
+
+
 @pytest.mark.parametrize("cls, name", METHODS)
 def test_public_method_has_a_user(cls, name):
-    assert name in USERS, f"{cls}.{name} is used by no module nor criterion"
+    assert name in ATTRIBUTE_USERS, \
+        f"{cls}.{name} is used by no module nor criterion"

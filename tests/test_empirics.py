@@ -9,6 +9,7 @@ from scipy import stats as sps
 
 from creatorsim.empirics import (
     FEEDS,
+    Ecdf,
     GENRES,
     EmptyConditionalError,
     RecordParseError,
@@ -271,6 +272,14 @@ class TestConditionalEcdf:
         xs, ys = curve.step_points()
         assert np.array_equal(ys, curve(xs))
 
+    @pytest.mark.parametrize("levels", [1, 3, 50])
+    def test_step_points_are_the_distinct_values_and_their_ranks(self, levels):
+        values = np.random.default_rng(levels).integers(0, levels, 200) / 7.0
+        xs, ys = Ecdf(values).step_points()
+        distinct, counts = np.unique(values, return_counts=True)
+        assert np.array_equal(xs, distinct)
+        assert np.array_equal(ys, np.cumsum(counts) / len(values))
+
 
 class TestSpearman:
     def test_perfectly_concordant(self):
@@ -333,6 +342,20 @@ class TestSpearman:
         out = spearman_rho(records, "E", ("P",))
         t = out.rho * math.sqrt((out.n - 2) / (1 - out.rho ** 2))
         assert out.p_value == float(sps.t.sf(t, out.n - 2))
+
+    @pytest.mark.parametrize("form", ["csv", "records"])
+    def test_favorites_past_2_to_53_are_ranked_as_integers(self, form, tmp_path):
+        # as floats, 2**53 + 1 rounds to 2**53 and the two would tie
+        favs = [2 ** 53 + 1, 2 ** 53, 5, 7]
+        data = [rec(a=a, favs=f) for a, f in enumerate(favs)]
+        if form == "csv":
+            path = write_csv(tmp_path, [f"E,P,{a},{f}" for a, f in enumerate(favs)])
+            assert _scan(path.read_bytes()) is not None
+            data = load_records(path)
+        out = spearman_rho(data, "E", ("P",))
+        assert out.rho == pytest.approx(sps.spearmanr(range(4), favs).statistic,
+                                        abs=1e-12)
+        assert out.rho == pytest.approx(-0.8, abs=1e-12)
 
     def test_genre_filtering(self):
         records = [rec(genre="P", a=a, favs=a) for a in range(5)]

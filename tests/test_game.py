@@ -261,7 +261,7 @@ def constructions(family):
     and, where the induced costs are linear, on two and four types."""
     out = [EQUILIBRIA[name].on(family, (1.5,)) for name in (
         "homogeneous_atom_P2", "homogeneous_atom_P3", "investment", "random_ties")]
-    if family.linearity_params() is not None:
+    if family.linear_shift() is not None:
         out += [EQUILIBRIA[name].on(family)
                 for name in ("two_type_case2", "well_separated_N4")]
     return out

@@ -24,7 +24,7 @@ from creatorsim._stats import RunningMoments
 from creatorsim.metrics import (E_LIMIT_TOP, ROUND_ROWS, estimate_round_metrics,
                                 homogeneous_quality_cdf)
 from catalogue import EQUILIBRIA, kmr, linear, two_type
-from oracles import exact_expected_max
+from oracles import exact_expected_max, piecewise_cdf
 
 # the unit baseline's engagement equilibrium
 HOMOGENEOUS = EQUILIBRIA["homogeneous_P2"]
@@ -142,7 +142,8 @@ class TestExpectedMax:
         ys[-1] = 1.0
         xs = data.draw(st.floats(0.0, 2.0)) + np.cumsum([0.0, *widths])
         cdf = PiecewiseLinearCdf(xs, ys, 1.0 if linear_power else 1.0 / (P - 1))
-        got = expected_max_from_cdf(cdf.cdf, P, xs[-1], breakpoints=xs)
+        got = expected_max_from_cdf(lambda v: piecewise_cdf(cdf, v), P, xs[-1],
+                                    breakpoints=xs)
         # exact for a polynomial integrand; a fractional power is smooth
         # enough between breakpoints for 64 nodes to reach 1e-9
         tol = (1e-13 if linear_power else 1e-9) * max(1.0, xs[-1])
@@ -150,7 +151,8 @@ class TestExpectedMax:
 
     def test_atom_at_panel_end_is_exact(self):
         cdf = PiecewiseLinearCdf([0.5, 1.0], [0.001, 1.0])
-        got = expected_max_from_cdf(cdf.cdf, 2, 1.0, breakpoints=cdf.xs)
+        got = expected_max_from_cdf(lambda v: piecewise_cdf(cdf, v), 2, 1.0,
+                                    breakpoints=cdf.xs)
         assert abs(got - exact_expected_max(cdf, 2)) <= 1e-15
 
     def test_rejects_non_monotone(self):

@@ -10,6 +10,7 @@ from creatorsim import (
     TypeSpace,
     check_assumptions,
 )
+from creatorsim.equilibrium import _linear_coefficients
 from catalogue import instance, kmr, linear
 from oracles import grid_min_induced_cost
 
@@ -141,13 +142,13 @@ class TestInducedCost:
             kmr(2.5, 0.0, types=(0.2, 1.7)),
         ]
         for inst in cases:
-            params = inst.linearity_params()
-            assert params is not None
+            shift = inst.family.linear_shift()
+            assert shift is not None
             for _ in range(1000 // len(cases)):
                 t = float(rng.choice(inst.types))
                 m = float(rng.uniform(-1.0, 30.0))
-                a_t = float(params.coefficient(t))
-                expected = max(0.0, a_t * (m + params.shift) - 1.0)
+                a_t = 1.0 / (1.0 + t)
+                expected = max(0.0, a_t * (m + shift) - 1.0)
                 assert induced_cost(inst, t, m) == pytest.approx(expected, abs=1e-9)
 
 
@@ -166,7 +167,7 @@ class TestCurveInverse:
            above=st.floats(0.0, 50.0), below=st.floats(0.0, 50.0))
     def test_engagement_round_trip(self, family, t, above, below):
         inst = instance(family, [t])
-        floor = inst.engagement_floor(t)
+        floor = float(inst.curve_engagement(t, 0.0))
         x = inst.curve_x_for_engagement(t, floor + above)
         assert x >= 0.0
         assert float(inst.curve_engagement(t, x)) == pytest.approx(
@@ -211,24 +212,22 @@ class TestCurveInverse:
         assert got - 1e-12 <= oracle <= got + step_cost
 
 
-class TestLinearityParams:
+class TestLinearShift:
     def test_linear_unit_baseline(self):
-        params = linear(1.0, 0.0).linearity_params()
-        assert params is not None
-        assert params.coefficient(1.0) == pytest.approx(0.5)
-        assert params.shift == 1.0
+        inst = linear(1.0, 0.0)
+        assert _linear_coefficients(inst) == pytest.approx([0.5])
+        assert inst.family.linear_shift() == 1.0
 
     def test_kmr(self):
-        params = kmr(1.0, 0.0).linearity_params()
-        assert params is not None
-        assert params.coefficient(1.0) == pytest.approx(0.5)
-        assert params.shift == 0.0
+        inst = kmr(1.0, 0.0)
+        assert _linear_coefficients(inst) == pytest.approx([0.5])
+        assert inst.family.linear_shift() == 0.0
 
     def test_costly_gaming_has_none(self):
-        assert linear(1.0, 0.3).linearity_params() is None
+        assert linear(1.0, 0.3).family.linear_shift() is None
 
     def test_other_baselines_have_none(self):
-        assert linear(0.5, 0.0).linearity_params() is None
+        assert linear(0.5, 0.0).family.linear_shift() is None
 
 
 class TestBeta:
@@ -248,7 +247,7 @@ class TestReparam:
 
     @staticmethod
     def on_curve(inst, v, t):
-        x = float(inst.curve_x_for_engagement(t, v - inst.linearity_params().shift))
+        x = float(inst.curve_x_for_engagement(t, v - inst.family.linear_shift()))
         return float(inst.min_investment(t, x)), x
 
     def test_on_curve_point(self):
@@ -266,7 +265,7 @@ class TestReparam:
     def test_zero_utility_when_invested(self):
         rng = np.random.default_rng(12)
         for inst in (linear(1.0, 0.0, types=(0.5, 2.0)), kmr(1.5, 0.0, types=(0.8,))):
-            shift = inst.linearity_params().shift
+            shift = inst.family.linear_shift()
             for _ in range(200):
                 t = float(rng.choice(inst.types))
                 v = float(rng.uniform(1.0 / (1.0 / (1.0 + t)), 8.0))

@@ -26,7 +26,6 @@ VALUES = {
     "LinearTwitter": (lambda: LinearTwitter(0.5, 0.2), "alpha"),
     "KMR": (lambda: KMR(2.0, 0.1), "W"),
     "Content": (lambda: Content(1.0, 2.0), "w_cheap"),
-    "LinearityParams": (lambda: TWO.inst.linearity_params(), "shift"),
     "AtomComponent": (lambda: component(EQUILIBRIA["random_P2"].strategy()),
                       "w_costly"),
     "CurveComponent": (lambda: component(ONE.strategy()), "t"),
