@@ -19,6 +19,13 @@ count of tied columns and the chosen winner are built from P elementwise
 passes, and the winner's content is taken from the flat draws by one
 gather. Reductions along the short axis would cost far more per row.
 
+A strategy that is one point mass builds no landscape: all P columns hold
+the same content, so wherever the user accepts it they all tie and the
+general kernel's winner is the tie-break index itself. The batch tests
+acceptance once per row and makes the same draws in the same order (a
+point mass draws nothing), so its outputs and the generator's end state
+are those of the general kernel, bit for bit.
+
 The payoff pool sorts its opponent rows once, so a content wins, ties or
 loses on whole runs of rows between rank cuts. Sums over many contents are
 built once per run between all their cuts and expanded, and only rows in a
@@ -35,7 +42,7 @@ import numpy as np
 
 from ._frozen import Frozen
 from ._stats import MetricEstimate
-from .equilibrium import MixedStrategy
+from .equilibrium import AtomComponent, MixedStrategy
 from .model import Content, ModelInstance
 
 TIE_RTOL = 1e-12  # scores this close (relative) count as tied
@@ -120,9 +127,26 @@ def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
 
 def simulate_rounds(inst: ModelInstance, metric: Metric, strategy: MixedStrategy,
                     P: int, n: int, rng: np.random.Generator) -> RoundBatch:
-    """n independent rounds: P i.i.d. creator draws, one uniform user type."""
+    """n independent rounds: P i.i.d. creator draws, one uniform user type.
+
+    A single point mass skips the (n, P) landscape and ``_pick_winners``:
+    every column ties wherever the point is accepted, so the winner is
+    ``min(floor(u * P), P - 1)`` from the same tie-break uniform u."""
     if P < 1:
         raise ValueError("P must be >= 1")
+    (_, point), *rest = strategy.components
+    if not rest and isinstance(point, AtomComponent):
+        q, x = float(point.w_costly), float(point.w_cheap)
+        metric_score(inst, metric, q, x)  # rejects an unknown metric, as below
+        ts = inst.type_space.draw(rng, n)
+        utility = np.asarray(inst.utility(q, x, ts), dtype=float)
+        consumed = utility >= -ELIGIBILITY_ATOL  # is_eligible on the point
+        r = np.minimum((rng.random(n) * P).astype(np.int64), P - 1)
+        return RoundBatch(
+            user_type=ts, winner=np.where(consumed, r, -1), consumed=consumed,
+            engagement=np.where(consumed, float(inst.engagement(q, x)), 0.0),
+            quality=np.where(consumed, q, 0.0),
+            user_utility=np.where(consumed, utility, 0.0))
     draws = strategy.sample(rng, n * P).reshape(n, P, 2)
     q, x = draws[:, :, 0], draws[:, :, 1]
     ts = inst.type_space.draw(rng, n)

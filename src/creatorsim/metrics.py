@@ -7,12 +7,13 @@ over simulated rounds estimates all three, on spawned shards of at most
 ``ROUND_ROWS`` rounds whose boundaries depend only on the round count, so
 the estimates do not depend on the thread count. Each shard is one
 ``simulate_rounds`` batch (sampling, then the column-by-column winner
-kernel of ``game``) reduced to three ``RunningMoments`` before the next
-starts, so the memory a pass holds grows with the number of workers and
-``ROUND_ROWS``, not with the round count. The homogeneous engagement case
-additionally has a closed-form route through the quality CDF and an
-expected-maximum integral by a fixed Gauss-Legendre rule per CDF panel,
-which the estimators are tested against.
+kernel of ``game``; a point-mass strategy skips both for one acceptance
+test per round and the same tie-break draw) reduced to three
+``RunningMoments`` before the next starts, so the memory a pass holds grows
+with the number of workers and ``ROUND_ROWS``, not with the round count.
+The homogeneous engagement case additionally has a closed-form route
+through the quality CDF and an expected-maximum integral by a fixed
+Gauss-Legendre rule per CDF panel, which the estimators are tested against.
 """
 
 from __future__ import annotations

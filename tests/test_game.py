@@ -142,6 +142,80 @@ class TestPlayRound:
         assert abs(rate - 0.875) <= 3 * math.sqrt(0.875 * 0.125 / 20000)
 
 
+def landscape_rounds(inst, metric, q, x, P, n, rng):
+    """The general round kernel on the explicit (n, P) landscape of the
+    point (q, x): its ``RoundBatch`` fields, by name."""
+    ts = inst.type_space.draw(rng, n)
+    winner = _pick_winners(inst, metric, np.full((n, P), q), np.full((n, P), x),
+                           ts, rng)
+    consumed = winner >= 0
+    wq, wx = np.full(n, q), np.full(n, x)
+    fields = {"user_type": ts, "winner": winner, "consumed": consumed,
+              "engagement": np.asarray(inst.engagement(wq, wx), dtype=float),
+              "quality": wq.copy(),
+              "user_utility": np.asarray(inst.utility(wq, wx, ts), dtype=float)}
+    for name in ("engagement", "quality", "user_utility"):
+        fields[name][~consumed] = 0.0
+    return fields
+
+
+class TestPointMassRounds:
+    # (instance, point): utility u = q - x / t + alpha on the linear family
+    cases = {
+        "all_accept": (linear(1.0, types=(1.0, 3.0)), (0.0, 0.0)),
+        "type_1_rejects": (linear(1.0, types=(1.0, 3.0)), (0.0, 2.0)),
+        "none_accept": (linear(-0.5), (0.0, 0.0)),
+        "utility_zero": (linear(-0.5), (0.5, 0.0)),
+        "inside_atol": (linear(-0.5), (0.5 - 0.5 * ELIGIBILITY_ATOL, 0.0)),
+        "outside_atol": (linear(-0.5), (0.5 - 2.0 * ELIGIBILITY_ATOL, 0.0)),
+        # W t (q - x / t + 1) = t - 1: type 0.5 rejects, type 2 accepts
+        "kmr": (instance(KMR(1.0, 0.2), (0.5, 2.0)), (0.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(cases))
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("P", [2, 3, 7])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_matches_the_landscape_kernel_bit_for_bit(self, metric, P, n, case):
+        inst, (q, x) = self.cases[case]
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = simulate_rounds(inst, metric, point_mass(q, x), P, n, rng)
+        want = landscape_rounds(inst, metric, q, x, P, n, ref_rng)
+        for name, value in want.items():
+            field = getattr(got, name)
+            assert field.dtype == value.dtype, name
+            assert field.tobytes() == value.tobytes(), name
+        assert rng.random() == ref_rng.random()
+
+    def test_cases_cover_every_acceptance_pattern(self):
+        accepted = {name: set(is_eligible(inst, q, x, np.asarray(inst.types)))
+                    for name, (inst, (q, x)) in self.cases.items()}
+        assert accepted["all_accept"] == accepted["utility_zero"] == {True}
+        assert accepted["type_1_rejects"] == accepted["kmr"] == {False, True}
+        assert accepted["none_accept"] == accepted["outside_atol"] == {False}
+        inst, (q, x) = self.cases["inside_atol"]
+        assert is_eligible(inst, q, x, 1.0) and inst.utility(q, x, 1.0) < 0.0
+        inst, (q, x) = self.cases["utility_zero"]
+        assert inst.utility(q, x, 1.0) == 0.0
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            simulate_rounds(linear(1.0), "engagement", point_mass(0.0, 0.0), 2, 1,
+                            np.random.default_rng(0))
+
+    def test_builds_no_landscape(self, monkeypatch):
+        import creatorsim.game as game_mod
+
+        def fail(*args):
+            raise AssertionError("point mass built a landscape")
+
+        monkeypatch.setattr(game_mod, "_pick_winners", fail)
+        monkeypatch.setattr(MixedStrategy, "sample", fail)
+        batch = simulate_rounds(linear(1.0), Metric.ENGAGEMENT, point_mass(0.0, 0.0),
+                                3, 100, np.random.default_rng(0))
+        assert batch.consumed.all()
+
+
 class TestExpectedCreatorUtility:
     def test_dominant_deviation_wins_always(self):
         inst = linear(1.0)

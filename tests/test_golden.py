@@ -41,6 +41,10 @@ MODELS = {
                        "types": [2.0], "P": 3},
     "entry_costs_three_quarters": {"family": "linear", "alpha": -0.75,
                                    "gamma": 0.0, "types": [1.0], "P": 2},
+    # entry cost 1/P: random plays the point (0.5, 0), off the origin and
+    # at user utility exactly 0
+    "entry_costs_half": {"family": "linear", "alpha": -0.5, "gamma": 0.0,
+                         "types": [1.0], "P": 2},
     "kmr_homogeneous": {"family": "kmr", "W": 1.5, "gamma": 0.2,
                         "types": [0.5], "P": 7},
     "two_type_case1": {"family": "linear", "alpha": 1.0, "gamma": 0.0,
