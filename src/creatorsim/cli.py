@@ -50,6 +50,11 @@ EQUILIBRIUM_CHOICES = ("auto", "homogeneous", "two_type", "well_separated",
 RECOMMENDER_CHOICES = ("engagement", "investment", "random", "all")
 
 
+# numpy describes no array past np.intp's largest byte count
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+_TOO_BIG = "for this config: numpy cannot hold larger arrays"
+
+
 class ConfigError(ValueError):
     pass
 
@@ -100,7 +105,8 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
 
     ``min_samples`` is the smallest sample count the command can use. The
     command-only options ``--grid`` and ``--threads`` are checked here too,
-    when the command has them.
+    when the command has them; ``verify`` caps ``--grid`` once the model
+    gives the type count.
     """
     out = dict(cfg)
     if getattr(args, "seed", None) is not None:
@@ -133,27 +139,16 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
         raise ConfigError("--grid must be >= 2")
     if getattr(args, "threads", 1) < 1:
         raise ConfigError("--threads must be >= 1")
-    if out.get("types") == []:
-        # the model would reject it too, but only after the output
-        # directory is made, and the --grid cap below divides by T
-        raise ConfigError("type space must be nonempty")
-    # numpy describes no array past np.intp's largest byte count; the widest
-    # hold 3 draws per creator for each sample, or a column per type or win
-    # share for each grid point of the T curves
-    entries, P = np.iinfo(np.intp).max // 8, out["P"]
-    T = len(out["types"]) if isinstance(out.get("types"), list) else 1
-    too_big = "for this config: numpy cannot hold larger arrays"
+    # the widest arrays hold 3 draws per creator for each sample
+    entries, P = _MAX_ENTRIES, out["P"]
     if hasattr(args, "samples"):
         # a P so large that no array holds one sample's draws is named as such
         least = max(min_samples, 1)
         if entries // (3 * P) < least:
-            raise ConfigError(f"P must be at most {entries // (3 * least)} {too_big}")
+            raise ConfigError(f"P must be at most {entries // (3 * least)} {_TOO_BIG}")
         if out["samples"] > entries // (3 * P):
             raise ConfigError(f"samples must be at most {entries // (3 * P)} "
-                              f"{too_big}")
-    if hasattr(args, "grid") and args.grid > (entries // max(P, T) - 1) // T:
-        raise ConfigError(f"--grid must be at most "
-                          f"{(entries // max(P, T) - 1) // T} {too_big}")
+                              f"{_TOO_BIG}")
     return out
 
 
@@ -207,8 +202,8 @@ def _config_echo(cfg: dict) -> str:
 
 def _out_dir(args, cfg: dict | None = None) -> Path:
     """The output directory, created if missing. The config commands call it
-    right after ``resolve_config``, so an unusable path exits before any
-    Monte Carlo runs."""
+    once their model and strategies are built, so a bad config makes no
+    directory and an unusable path exits before any Monte Carlo runs."""
     out = Path(getattr(args, "out", None)
                or (cfg or {}).get("output")
                or ".")
@@ -232,8 +227,8 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_check_model(args) -> int:
     cfg = resolve_config(load_config(args.config), args)
-    out = _out_dir(args, cfg)
     inst = build_instance(cfg)
+    out = _out_dir(args, cfg)
     report = check_assumptions(inst)
     payload = {"config": cfg, "report": report.to_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -244,11 +239,11 @@ def cmd_check_model(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = resolve_config(load_config(args.config), args)
-    out = _out_dir(args, cfg)
     inst = build_instance(cfg)
     metric = Metric(cfg["recommender"]) if cfg["recommender"] != "all" \
         else Metric.ENGAGEMENT
     strategy = resolve_strategy(inst, cfg["P"], cfg["equilibrium"], metric)
+    out = _out_dir(args, cfg)
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["samples"]
     draws = strategy.sample(rng, n)
@@ -262,12 +257,17 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = resolve_config(load_config(args.config), args, min_samples=1)
-    out = _out_dir(args, cfg)
     inst = build_instance(cfg)
+    # a column per type or win share for each grid point of the T curves
+    T = len(inst.types)
+    cap = (_MAX_ENTRIES // max(cfg["P"], T) - 1) // T
+    if args.grid > cap:
+        raise ConfigError(f"--grid must be at most {cap} {_TOO_BIG}")
     if cfg["recommender"] == "all":
         raise ConfigError("verify requires a single recommender")
     metric = Metric(cfg["recommender"])
     strategy = resolve_strategy(inst, cfg["P"], cfg["equilibrium"], metric)
+    out = _out_dir(args, cfg)
     rng = np.random.default_rng(cfg["seed"])
     report = best_response_gap(inst, metric, strategy, cfg["P"],
                                grid_k=args.grid, n_per_candidate=cfg["samples"],
@@ -291,21 +291,21 @@ def cmd_verify(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = resolve_config(load_config(args.config), args, min_samples=1)
-    out = _out_dir(args, cfg)
     inst = build_instance(cfg)
     recommenders = [cfg["recommender"]]
     if cfg["recommender"] == "all":
         recommenders = ["engagement", "investment", "random"]
+    strategies = [resolve_strategy(inst, cfg["P"], cfg["equilibrium"], Metric(rec))
+                  for rec in recommenders]
+    out = _out_dir(args, cfg)
     rows = []
     rng = np.random.default_rng(cfg["seed"])
     params = json.dumps({k: cfg[k] for k in ("family", "alpha", "W", "gamma",
                                              "types", "P") if k in cfg},
                         sort_keys=True, separators=(",", ":"))
-    for rec in recommenders:
-        metric = Metric(rec)
-        strategy = resolve_strategy(inst, cfg["P"], cfg["equilibrium"], metric)
-        estimates = met.estimate_round_metrics(inst, metric, strategy, cfg["P"],
-                                               cfg["samples"], rng,
+    for rec, strategy in zip(recommenders, strategies):
+        estimates = met.estimate_round_metrics(inst, Metric(rec), strategy,
+                                               cfg["P"], cfg["samples"], rng,
                                                threads=args.threads)
         for name, est in estimates.items():
             if not (math.isfinite(est.mean) and math.isfinite(est.stderr)):
@@ -328,11 +328,11 @@ def cmd_metrics(args) -> int:
 def cmd_describe(args) -> int:
     """Exact strategy description: component list with CDF breakpoints."""
     cfg = resolve_config(load_config(args.config), args)
-    out = _out_dir(args, cfg)
     inst = build_instance(cfg)
     metric = Metric(cfg["recommender"]) if cfg["recommender"] != "all" \
         else Metric.ENGAGEMENT
     strategy = resolve_strategy(inst, cfg["P"], cfg["equilibrium"], metric)
+    out = _out_dir(args, cfg)
     payload = {"config": cfg, "strategy": strategy.to_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True)
     _write(out / "strategy.json", text + "\n")
@@ -422,26 +422,20 @@ OPTIONS = {name: {opt[0]: opt for opt in options}
 
 
 @functools.cache
-def make_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with ``command``'s alone.
-
-    Built once per process for each ``command``. A one-command parser
-    still names every subcommand in its usage line, so its help and errors
-    are the full parser's byte for byte; the full one serves ``-h`` and a
-    missing or unknown subcommand.
-    """
+def make_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand, built once per process. It reads
+    only the argvs that ``read_plain`` does not: help, errors,
+    abbreviations and ``--flag=value``."""
     parser = argparse.ArgumentParser(
         prog="creatorsim",
         description="Creator-competition equilibrium simulator and verifier")
-    metavar = None if command is None else "{" + ",".join(HANDLERS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, options, _ in COMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for flag, kind, default, text in options:
-                p.add_argument(flag, type=kind, required=default is REQUIRED,
-                               default=None if default is REQUIRED else default,
-                               help=text)
+        p = sub.add_parser(name, help=help_text)
+        for flag, kind, default, text in options:
+            p.add_argument(flag, type=kind, required=default is REQUIRED,
+                           default=None if default is REQUIRED else default,
+                           help=text)
     return parser
 
 
@@ -498,10 +492,7 @@ def _hold_heap() -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = read_plain(argv)
-    if args is None:
-        command = argv[0] if argv and argv[0] in HANDLERS else None
-        args = make_parser(command).parse_args(argv)
+    args = read_plain(argv) or make_parser().parse_args(argv)
     _hold_heap()
     try:
         return globals()[HANDLERS[args.command]](args)

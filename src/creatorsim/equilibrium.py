@@ -179,14 +179,16 @@ def engagement_eq_homogeneous(inst: ModelInstance, P: int) -> MixedStrategy:
 
     The gaming marginal is min(1, C_t(x))^(1/(P-1)); quality rides the
     minimum-investment curve. If even the cheapest viable content costs at
-    least 1, everyone opts out and the strategy degenerates to (0, 0).
+    least 1, everyone opts out and the strategy degenerates to (0, 0). No
+    built-in family reaches that branch: their beta = max(0, -baseline) is
+    below 1 and so is its cost; it serves families built in Python.
     """
     _require(len(inst.type_space) == 1,
              "homogeneous construction requires exactly one type")
     if P < 2:
         raise ValueError("P must be >= 2")
     t = inst.types[0]
-    if float(inst.curve_cost(t, 0.0)) >= 1.0:
+    if float(inst.cost(inst.beta(t), 0.0)) >= 1.0:
         return MixedStrategy(((1.0, AtomComponent(0.0, 0.0)),),
                              descriptor=f"engagement_homogeneous_degenerate(P={P})")
     xs, ys, tail = inst.curve_cost_polyline(t)
@@ -367,6 +369,8 @@ def investment_eq(inst: ModelInstance, P: int) -> MixedStrategy:
 
     Quality CDF is min(1, C(q))^(1/(P-1)) above the minimum viable
     investment, flat below it (the flat part is the opt-out atom at 0).
+    Entry at a cost kappa >= 1, which only families built in Python reach
+    (see ``engagement_eq_homogeneous``), degenerates to the origin.
     """
     if P < 2:
         raise ValueError("P must be >= 2")

@@ -75,17 +75,37 @@ class TypeSpace(Frozen):
         return np.asarray(self.types, dtype=float)[idx]
 
 
-class LinearTwitter(Frozen):
-    """Linear utility with baseline ``alpha``; retweet-style engagement."""
+class _LinearFamily(Frozen):
+    """Base of both families: cost ``q + gamma * x``, and a type-t user
+    accepts exactly when ``q - x / t + baseline >= 0`` (baseline ``alpha``
+    for ``linear``, 1 for ``kmr``), so the curve needs quality
+    ``max(0, x / t - baseline)`` at gaming x."""
 
-    name = "linear"
+    baseline: float
+
+    def __init__(self, gamma: float, **fields: float) -> None:
+        if not (0.0 <= gamma < 1.0):
+            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+        self.__dict__.update(gamma=gamma, **fields)
+
+    def cost(self, w_costly: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
+        return w_costly + self.gamma * w_cheap
+
+    def min_investment(self, t: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
+        return np.maximum(0.0, w_cheap / t - self.baseline)
+
+    def zero_quality_extent(self, t: float) -> float:
+        """Largest gaming level that type t accepts with zero quality."""
+        return max(0.0, t * self.baseline)
+
+
+class LinearTwitter(_LinearFamily):
+    """Linear utility with baseline ``alpha``; retweet-style engagement."""
 
     def __init__(self, alpha: float, gamma: float = 0.0) -> None:
         if not (math.isfinite(alpha) and alpha > -1.0):
             raise ValueError(f"alpha must be finite and > -1, got {alpha}")
-        if not (0.0 <= gamma < 1.0):
-            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-        self.__dict__.update(alpha=alpha, gamma=gamma)
+        super().__init__(gamma, alpha=alpha, baseline=alpha)
 
     def __repr__(self) -> str:
         return f"LinearTwitter(alpha={self.alpha!r}, gamma={self.gamma!r})"
@@ -93,18 +113,8 @@ class LinearTwitter(Frozen):
     def utility(self, w_costly: ArrayLike, w_cheap: ArrayLike, t: ArrayLike) -> ArrayLike:
         return w_costly - w_cheap / t + self.alpha
 
-    def cost(self, w_costly: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
-        return w_costly + self.gamma * w_cheap
-
     def engagement(self, w_costly: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
         return w_costly + w_cheap
-
-    def min_investment(self, t: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
-        return np.maximum(0.0, w_cheap / t - self.alpha)
-
-    def zero_quality_extent(self, t: float) -> float:
-        """Largest gaming level that type t accepts with zero quality."""
-        return max(0.0, t * self.alpha)
 
     def linear_shift(self) -> Optional[float]:
         """Shift s of the linear induced cost
@@ -113,21 +123,19 @@ class LinearTwitter(Frozen):
         return 1.0 if self.gamma == 0.0 and self.alpha == 1.0 else None
 
 
-class KMR(Frozen):
+class KMR(_LinearFamily):
     """Watch-time model: span/moreishness reparameterized to content space.
 
     ``W`` is the per-step outside option; the user type ``t`` plays the role
     of the shifted value ratio, so utility scales by ``W * t``.
     """
 
-    name = "kmr"
+    baseline = 1.0
 
     def __init__(self, W: float, gamma: float = 0.0) -> None:
         if not (math.isfinite(W) and W > 0.0):
             raise ValueError(f"W must be finite and > 0, got {W}")
-        if not (0.0 <= gamma < 1.0):
-            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-        self.__dict__.update(W=W, gamma=gamma)
+        super().__init__(gamma, W=W)
 
     def __repr__(self) -> str:
         return f"KMR(W={self.W!r}, gamma={self.gamma!r})"
@@ -135,18 +143,8 @@ class KMR(Frozen):
     def utility(self, w_costly: ArrayLike, w_cheap: ArrayLike, t: ArrayLike) -> ArrayLike:
         return self.W * t * (w_costly - w_cheap / t + 1.0)
 
-    def cost(self, w_costly: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
-        return w_costly + self.gamma * w_cheap
-
     def engagement(self, w_costly: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
         return w_costly + w_cheap + 1.0
-
-    def min_investment(self, t: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
-        return np.maximum(0.0, w_cheap / t - 1.0)
-
-    def zero_quality_extent(self, t: float) -> float:
-        """Largest gaming level that type t accepts with zero quality."""
-        return t
 
     def linear_shift(self) -> Optional[float]:
         """Shift s of the linear induced cost (``LinearTwitter.linear_shift``):
@@ -191,39 +189,18 @@ class ModelInstance(Frozen):
         """Minimum investment for type t at zero gaming."""
         return float(self.min_investment(t, 0.0))
 
-    def curve_cost(self, t: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
-        """Creation cost along the type-t curve, as a function of gaming."""
-        return self.cost(self.min_investment(t, w_cheap), w_cheap)
-
-    def curve_engagement(self, t: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
-        """Engagement along the type-t curve; strictly increasing in gaming."""
-        return self.engagement(self.min_investment(t, w_cheap), w_cheap)
+    def _curve_polyline(self, t: float, fn, tail: float
+                        ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Breakpoints ``(xs, ys)`` of ``fn`` (cost or engagement) along the
+        type-t curve, whose quality is beta up to the zero-quality extent
+        and rises past it, plus the caller's tail slope."""
+        delta = self.family.zero_quality_extent(t)
+        xs = np.array([0.0, delta]) if delta > 0.0 else np.array([0.0])
+        return xs, fn(self.beta(t), xs), tail
 
     def curve_cost_polyline(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Breakpoints ``(xs, ys)`` plus tail slope of the curve cost in gaming."""
-        gamma = self.family.gamma
-        delta = self.family.zero_quality_extent(t)
-        tail = gamma + 1.0 / t
-        if delta > 0.0:
-            xs = np.array([0.0, delta])
-            ys = np.array([0.0, gamma * delta])
-        else:
-            xs = np.array([0.0])
-            ys = np.array([float(self.curve_cost(t, 0.0))])
-        return xs, ys, tail
-
-    def curve_engagement_polyline(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Breakpoints plus tail slope of the curve engagement in gaming."""
-        delta = self.family.zero_quality_extent(t)
-        tail = 1.0 + 1.0 / t
-        e0 = float(self.curve_engagement(t, 0.0))
-        if delta > 0.0:
-            xs = np.array([0.0, delta])
-            ys = np.array([e0, float(self.curve_engagement(t, delta))])
-        else:
-            xs = np.array([0.0])
-            ys = np.array([e0])
-        return xs, ys, tail
+        return self._curve_polyline(t, self.cost, self.family.gamma + 1.0 / t)
 
     def curve_x_for_cost(self, t: float, level: float) -> float:
         """Gaming level at which the curve cost reaches ``level``."""
@@ -234,7 +211,8 @@ class ModelInstance(Frozen):
 
         Values of ``m`` below the curve minimum are clamped to gaming 0.
         """
-        return _polyline_inverse(*self.curve_engagement_polyline(t), m)
+        return _polyline_inverse(
+            *self._curve_polyline(t, self.engagement, 1.0 + 1.0 / t), m)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ModelInstance":

@@ -41,6 +41,17 @@ def brute_force_spearman(xs, ys) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
+def curve_cost(inst, t, x):
+    """Creation cost along the type-t curve at gaming ``x``, point by point."""
+    return inst.cost(inst.min_investment(t, x), x)
+
+
+def curve_engagement(inst, t, x):
+    """Engagement along the type-t curve at gaming ``x``, point by point;
+    strictly increasing in gaming."""
+    return inst.engagement(inst.min_investment(t, x), x)
+
+
 def grid_min_induced_cost(inst, t, m, x_max=50.0, n=2_000_001) -> float:
     """Dense-grid minimization of cost over eligible content with M^E >= m.
 
@@ -227,7 +238,7 @@ def two_type_cheap_cdf(inst, intervals, t, low, x):
 
     x = np.asarray(x, dtype=float)
     shift = inst.family.linear_shift()
-    cut = np.asarray(inst.curve_engagement(t, np.maximum(x, 0.0)), dtype=float) + shift
+    cut = np.asarray(curve_engagement(inst, t, np.maximum(x, 0.0)), dtype=float) + shift
     out = np.zeros_like(x)
     for lo, hi, d, p_low in intervals:
         p = p_low if low else 1.0 - p_low

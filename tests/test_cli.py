@@ -359,7 +359,7 @@ def test_two_creator_construction_at_other_P_exits_two(tmp_path, capsys, command
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "not applicable" in err[0] and "P = 2 creators, not P = 3" in err[0]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # the benchmark's two certify cases, with their candidate plus probe counts
@@ -450,6 +450,23 @@ def test_empty_type_list_exits_two(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: type space must be nonempty\n"
+    assert not out.exists()
+
+
+BAD_CONFIGS = {"alpha-2": {"alpha": -2}, "family-nope": {"family": "nope"},
+               # check-model builds no strategy, so it takes any P
+               "two_type-P3": {"types": [1.0, 1.9], "P": 3,
+                               "equilibrium": "two_type"}}
+
+
+@pytest.mark.parametrize("command, bad", [
+    (c, bad) for bad in BAD_CONFIGS for c in CONFIG_COMMANDS
+    if not (c == "check-model" and bad == "two_type-P3")])
+def test_bad_config_makes_no_output_directory(tmp_path, capsys, command, bad):
+    path, _ = write_config(tmp_path, samples=10, **BAD_CONFIGS[bad])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -702,7 +719,8 @@ def test_flags_a_command_ignores_are_rejected(tmp_path, argv):
 
 
 class TestParser:
-    """``main`` parses with a cached parser holding only the named command."""
+    """``main`` reads a plain argv without argparse, and any other with one
+    cached parser that holds every command."""
 
     @staticmethod
     def outcome(parse, argv, capsys):
@@ -722,8 +740,6 @@ class TestParser:
     ], ids=lambda argv: " ".join(argv) or "no arguments")
     def test_help_and_errors_match_the_full_parser(self, capsys, argv):
         import creatorsim.cli as cli
-        # main parses an argv that starts with a command with that command's
-        # parser alone
         full = self.outcome(cli.make_parser().parse_args, argv, capsys)
         assert self.outcome(main, argv, capsys) == full
 
@@ -765,8 +781,8 @@ class TestParser:
             assert main(other) == 0
         finally:
             cli.make_parser.cache_clear()
-        # the top-level parser and the verify subparser, once
-        assert first == ["creatorsim", "creatorsim verify"]
+        # the top-level parser and every subparser, once
+        assert first == ["creatorsim", *(f"creatorsim {c}" for c in cli.HANDLERS)]
         assert built == first
 
     # every flag and some near misses, and values that int() or argparse

@@ -30,8 +30,8 @@ from creatorsim.equilibrium import (
 from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim.metrics import homogeneous_quality_cdf
 from catalogue import EQUILIBRIA, instance, linear, two_type, well_separated
-from oracles import (cheap_marginal_cdf, mask_mixture_sample, piecewise_cdf,
-                     searchsorted_ppf, two_type_cheap_cdf)
+from oracles import (cheap_marginal_cdf, curve_engagement, mask_mixture_sample,
+                     piecewise_cdf, searchsorted_ppf, two_type_cheap_cdf)
 
 
 def same_state(a, b):
@@ -256,8 +256,8 @@ class TestWellSeparated:
         shift = inst.family.linear_shift()
         spans = []
         for w, comp in s.components:
-            lo = float(inst.curve_engagement(comp.t, comp.cheap.xs[0])) + shift
-            hi = float(inst.curve_engagement(comp.t, comp.cheap.xs[-1])) + shift
+            lo = float(curve_engagement(inst, comp.t, comp.cheap.xs[0])) + shift
+            hi = float(curve_engagement(inst, comp.t, comp.cheap.xs[-1])) + shift
             spans.append((lo, hi))
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             assert hi <= lo + 1e-9

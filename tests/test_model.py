@@ -12,7 +12,7 @@ from creatorsim import (
 )
 from creatorsim.equilibrium import _linear_coefficients
 from catalogue import instance, kmr, linear
-from oracles import grid_min_induced_cost
+from oracles import curve_cost, curve_engagement, grid_min_induced_cost
 
 
 class TestDomainTypes:
@@ -79,24 +79,24 @@ class TestMinInvestment:
         rng = np.random.default_rng(8)
         for inst in (linear(0.5, 0.0), linear(-0.2, 0.3), kmr(1.0, 0.0)):
             x = np.sort(rng.uniform(0.0, 12.0, size=400))
-            e = np.asarray(inst.curve_engagement(1.0, x))
+            e = np.asarray(curve_engagement(inst, 1.0, x))
             assert np.all(np.diff(e) > 0)
 
 
 class TestCurveCost:
     def test_costly_gaming_above_kink(self):
-        assert linear(1.0, 0.1).curve_cost(1.0, 2.0) == pytest.approx(1.2)
+        assert curve_cost(linear(1.0, 0.1), 1.0, 2.0) == pytest.approx(1.2)
 
     def test_costly_gaming_below_kink(self):
-        assert linear(1.0, 0.1).curve_cost(1.0, 0.5) == pytest.approx(0.05)
+        assert curve_cost(linear(1.0, 0.1), 1.0, 0.5) == pytest.approx(0.05)
 
     def test_costless_gaming_zero_branch(self):
-        assert linear(1.0, 0.0).curve_cost(1.0, 0.5) == 0.0
+        assert curve_cost(linear(1.0, 0.0), 1.0, 0.5) == 0.0
 
     def test_nondecreasing(self):
         x = np.linspace(0.0, 10.0, 300)
         for inst in (linear(1.0, 0.2), linear(-0.5, 0.0), kmr(1.0, 0.3)):
-            c = np.asarray(inst.curve_cost(1.0, x))
+            c = np.asarray(curve_cost(inst, 1.0, x))
             assert np.all(np.diff(c) >= -1e-12)
 
     def test_polyline_matches_pointwise(self):
@@ -107,14 +107,30 @@ class TestCurveCost:
             interp = np.interp(probe, xs, ys)
             beyond = probe > xs[-1]
             interp[beyond] = ys[-1] + tail * (probe[beyond] - xs[-1])
-            direct = np.asarray(inst.curve_cost(t, probe))
+            direct = np.asarray(curve_cost(inst, t, probe))
             assert np.allclose(interp, direct, atol=1e-12)
+
+    def test_polylines_exact_on_zero_quality_stretch(self):
+        # quality is exactly 0 up to delta = t * alpha, though
+        # min_investment(t, delta) can round to an ulp above 0
+        # (alpha = 3, t = 0.8); neither knot may carry that rounding
+        off = []
+        for alpha in np.linspace(0.05, 3.0, 60).tolist():
+            for t in np.linspace(0.1, 5.0, 50).tolist():
+                inst = linear(alpha, 0.3, types=(t,))
+                for fn, tail in ((inst.cost, 0.3 + 1.0 / t),
+                                 (inst.engagement, 1.0 + 1.0 / t)):
+                    xs, ys, _ = inst._curve_polyline(t, fn, tail)
+                    assert xs.tolist() == [0.0, t * alpha]
+                    if ys.tobytes() != fn(0.0, xs).tobytes():
+                        off.append((alpha, t, fn.__name__))
+        assert off == []
 
 
 def induced_cost(inst, t, m):
     """Cheapest cost of engagement ``m`` for type t: the curve cost at the
     gaming level whose curve engagement is ``m``."""
-    return float(inst.curve_cost(t, inst.curve_x_for_engagement(t, m)))
+    return float(curve_cost(inst, t, inst.curve_x_for_engagement(t, m)))
 
 
 class TestInducedCost:
@@ -167,10 +183,10 @@ class TestCurveInverse:
            above=st.floats(0.0, 50.0), below=st.floats(0.0, 50.0))
     def test_engagement_round_trip(self, family, t, above, below):
         inst = instance(family, [t])
-        floor = float(inst.curve_engagement(t, 0.0))
+        floor = float(curve_engagement(inst, t, 0.0))
         x = inst.curve_x_for_engagement(t, floor + above)
         assert x >= 0.0
-        assert float(inst.curve_engagement(t, x)) == pytest.approx(
+        assert float(curve_engagement(inst, t, x)) == pytest.approx(
             floor + above, rel=1e-9, abs=1e-9)
         assert inst.curve_x_for_engagement(t, floor - below) == 0.0
         both = inst.curve_x_for_engagement(t, np.array([floor - below, floor + above]))
@@ -181,10 +197,10 @@ class TestCurveInverse:
            above=st.floats(0.0, 50.0), below=st.floats(0.0, 50.0))
     def test_cost_round_trip(self, family, t, above, below):
         inst = instance(family, [t])
-        start = float(inst.curve_cost(t, 0.0))
+        start = float(curve_cost(inst, t, 0.0))
         x = inst.curve_x_for_cost(t, start + above)
         assert x >= 0.0
-        assert float(inst.curve_cost(t, x)) == pytest.approx(
+        assert float(curve_cost(inst, t, x)) == pytest.approx(
             start + above, rel=1e-9, abs=1e-9)
         # at or below the curve start the inverse is the origin, also where
         # the cost is flat at zero over the zero-quality stretch
@@ -196,7 +212,7 @@ class TestCurveInverse:
         inst = linear(1.0, gamma, (2.0,))
         x = inst.curve_x_for_cost(2.0, gamma)
         assert x == 1.0
-        assert float(inst.curve_cost(2.0, x)) == gamma
+        assert float(curve_cost(inst, 2.0, x)) == gamma
 
     @pytest.mark.parametrize("inst, t, m", [
         (linear(0.6, 0.3, types=(1.5,)), 1.5, 0.5),  # inside the zero-quality stretch
