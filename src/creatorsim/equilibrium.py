@@ -206,7 +206,7 @@ def _linear_coefficients(inst: ModelInstance) -> np.ndarray:
 
 
 def _require_free_entry(inst: ModelInstance) -> None:
-    _require(all(float(inst.utility(0.0, 0.0, t)) >= 0.0 for t in inst.types),
+    _require(all(inst.family.accepts(0.0, 0.0, t) for t in inst.types),
              "construction requires zero-effort content to satisfy every type")
 
 

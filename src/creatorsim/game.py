@@ -3,15 +3,15 @@
 The platform restricts to content the arriving user would accept (utility
 at least the outside option), picks the metric argmax among those with
 uniform tie-breaking, and recommends nothing when no content qualifies.
-The tied are the contents within ``TIE_RTOL * max(1, |best|)`` of the
-row's best eligible score ``best``; the round kernel and the payoff pool
-both take this floor from ``_tie_floor``. Creator payoff is the win
-indicator minus the creation cost.
+The tied are the eligible contents whose score equals the row's best
+eligible score, exactly, in the round kernel and the payoff pool alike.
+Creator payoff is the win indicator minus the creation cost.
 
-Equilibrium supports sit exactly on the zero-utility curves, so the
-eligibility indicator is evaluated with a small absolute tolerance; without
-it, roundoff in the curve quality flips on-support content in and out of
-eligibility and biases every estimate.
+Equilibrium supports sit exactly on the zero-utility curves, so acceptance
+is the family's ``accepts``: the slack ``q - x / t + baseline`` may fall a
+few ulps of its own terms below zero, else roundoff in the curve quality
+flips on-support content in and out of eligibility and biases every
+estimate. Stated on the slack, the rule ignores the utility's scale.
 
 A batch of rounds is an (n, P) landscape with n large and P a handful, so
 the round kernel works one creator column at a time: the best score, the
@@ -28,9 +28,10 @@ are those of the general kernel, bit for bit.
 
 The payoff pool sorts its opponent rows once, so a content wins, ties or
 loses on whole runs of rows between rank cuts. Sums over many contents are
-built once per run between all their cuts and expanded, and only rows in a
-tie band, where the share varies from row to row, are visited one by one,
-from tied counts that the pool, one fixed draw, keeps for each band.
+built once per run between all their cuts and expanded, and only rows
+whose top equals a content's score, where the share varies from row to
+row, are visited one by one, from tied counts that the pool, one fixed
+draw, keeps for each such run.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ from ._frozen import Frozen
 from ._stats import MetricEstimate
 from .equilibrium import AtomComponent, MixedStrategy
 from .model import Content, ModelInstance
-
-TIE_RTOL = 1e-12  # scores this close (relative) count as tied
-ELIGIBILITY_ATOL = 1e-9  # u >= -atol counts as acceptable to the user
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class Metric(str, enum.Enum):
@@ -79,8 +76,8 @@ class RoundBatch(Frozen):
 
 def is_eligible(inst: ModelInstance, q, x, ts) -> np.ndarray:
     """Whether users of type ``ts`` accept content ``(q, x)``: utility at
-    least the outside option, up to ELIGIBILITY_ATOL."""
-    return np.asarray(inst.utility(q, x, ts), dtype=float) >= -ELIGIBILITY_ATOL
+    least the outside option, by the family's ``accepts``."""
+    return np.asarray(inst.family.accepts(q, x, ts))
 
 
 def eligible_scores(inst: ModelInstance, metric: Metric, q, x, ts) -> np.ndarray:
@@ -88,12 +85,6 @@ def eligible_scores(inst: ModelInstance, metric: Metric, q, x, ts) -> np.ndarray
     where the user would reject the content (so it never wins)."""
     scores = np.asarray(metric_score(inst, metric, q, x), dtype=float)
     return np.where(is_eligible(inst, q, x, ts), scores, -np.inf)
-
-
-def _tie_floor(best):
-    """Lowest score tied with a row's best eligible score ``best``; the band
-    is capped at a finite value, so the floor is nondecreasing up to ±inf."""
-    return best - TIE_RTOL * np.minimum(np.maximum(1.0, np.abs(best)), _FLOAT_MAX)
 
 
 def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
@@ -105,8 +96,7 @@ def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
     for col in cols[1:]:
         best = np.maximum(best, col)
     # ineligible columns (-inf) tie only where none is eligible: winner -1 below
-    floor = _tie_floor(best)
-    tied = [col >= floor for col in cols]
+    tied = [col >= best for col in cols]
     k = np.zeros(len(ts), dtype=np.intp)
     for hit in tied:
         k += hit
@@ -139,14 +129,13 @@ def simulate_rounds(inst: ModelInstance, metric: Metric, strategy: MixedStrategy
         q, x = float(point.w_costly), float(point.w_cheap)
         metric_score(inst, metric, q, x)  # rejects an unknown metric, as below
         ts = inst.type_space.draw(rng, n)
-        utility = np.asarray(inst.utility(q, x, ts), dtype=float)
-        consumed = utility >= -ELIGIBILITY_ATOL  # is_eligible on the point
+        consumed = is_eligible(inst, q, x, ts)
         r = np.minimum((rng.random(n) * P).astype(np.int64), P - 1)
         return RoundBatch(
             user_type=ts, winner=np.where(consumed, r, -1), consumed=consumed,
             engagement=np.where(consumed, float(inst.engagement(q, x)), 0.0),
             quality=np.where(consumed, q, 0.0),
-            user_utility=np.where(consumed, utility, 0.0))
+            user_utility=np.where(consumed, inst.utility(q, x, ts), 0.0))
     draws = strategy.sample(rng, n * P).reshape(n, P, 2)
     q, x = draws[:, :, 0], draws[:, :, 1]
     ts = inst.type_space.draw(rng, n)
@@ -175,34 +164,31 @@ class OpponentPool(Frozen):
     are sorted once, by user type and then by best opponent score (``top``):
     one argsort of the tops, then a stable radix argsort of the small-integer
     type index. Rows with equal type and top may land in any order, which no
-    result depends on. Each row's floor ``_tie_floor(top)`` is sorted too,
-    as ``_tie_floor`` is nondecreasing. A content with score s0 then wins a
-    row of a type that accepts it outright when the top is below
-    ``_tie_floor(s0)``, ties when s0 is at least the row's floor, and loses
-    otherwise. So scoring a content is two ``searchsorted`` cuts per type,
-    on the tops and on the floors, plus a look at the rows between them,
-    with no sampling, and every content scored on one pool faces the same
-    draws (common random numbers). Contents come in as an (m, 2) array of
-    (q, x) rows, and ``estimates`` answers with mean and stderr arrays over
-    the pool's n samples, so scoring a grid builds no per-content object;
-    ``payoffs`` answers with the per-sample sum over the contents, built
-    per segment between their cuts; each tie band's tied counts are
-    computed once per pool.
+    result depends on. A content with score s0 then wins a row of a type
+    that accepts it outright when the top is below s0, ties when the top
+    equals s0, and loses otherwise. So scoring a content is two
+    ``searchsorted`` cuts of the tops per type, one on each side of s0,
+    plus a look at the rows between them, with no sampling, and every
+    content scored on one pool faces the same draws (common random
+    numbers). Contents come in as an (m, 2) array of (q, x) rows, and
+    ``estimates`` answers with mean and stderr arrays over the pool's n
+    samples, so scoring a grid builds no per-content object; ``payoffs``
+    answers with the per-sample sum over the contents, built per segment
+    between their cuts. The tied counts of each band, a type's run of rows
+    whose top equals a content's score, are computed once per pool.
     """
 
     def __init__(self, inst: ModelInstance, metric: Metric,
                  scores: np.ndarray, order: np.ndarray, sorted_top: np.ndarray,
-                 sorted_floor: np.ndarray, type_start: np.ndarray) -> None:
+                 type_start: np.ndarray) -> None:
         # scores: (n, P-1), -inf where the user rejects the opponent
         # order: (n,) rows sorted by user type, then by top
         # sorted_top: (n,) top of each row in ``order``
-        # sorted_floor: (n,) ``_tie_floor`` of each entry of sorted_top
         # type_start: (T+1,) where each type's rows begin in ``order``
-        # _bands: ``_tied`` counts by tie band (lo, hi, floor)
+        # _bands: ``_tied`` counts by band (lo, hi)
         self.__dict__.update(inst=inst, metric=metric, scores=scores,
                              order=order, sorted_top=sorted_top,
-                             sorted_floor=sorted_floor, type_start=type_start,
-                             _bands={})
+                             type_start=type_start, _bands={})
 
     @classmethod
     def draw(cls, inst: ModelInstance, metric: Metric,
@@ -233,34 +219,33 @@ class OpponentPool(Frozen):
         order = order[np.argsort(kind[order], kind="stable")]
         type_start = np.searchsorted(
             kind[order], np.arange(len(inst.types) + 1, dtype=kind.dtype))
-        top = top[order]
-        return cls(inst, metric, scores, order, top, _tie_floor(top), type_start)
+        return cls(inst, metric, scores, order, top[order], type_start)
 
     def _cuts(self, q: np.ndarray, x: np.ndarray):
-        """Tie floor of each content ``(q[i], x[i])`` and, per type, the
-        ``order`` positions ``start <= lo <= hi`` that split the type's rows
-        into outright wins, tie-band rows and losses. Types that reject the
-        content get ``lo = hi = start``: no row of theirs wins."""
+        """Per type, the ``order`` positions ``start <= lo <= hi`` that split
+        the type's rows into outright wins, ties and losses for each content
+        ``(q[i], x[i])``: rows whose top is below, equal to or above its
+        score. Types that reject the content get ``lo = hi = start``: no row
+        of theirs wins."""
         s0 = np.asarray(metric_score(self.inst, self.metric, q, x), dtype=float)
-        floor = _tie_floor(s0)
         accepts = is_eligible(self.inst, q[:, None], x[:, None],
                               np.asarray(self.inst.types))
         start = np.broadcast_to(self.type_start[:-1], accepts.shape)
         lo, hi = np.empty_like(start), np.empty_like(start)
         for k, (a, b) in enumerate(zip(self.type_start[:-1], self.type_start[1:])):
-            lo[:, k] = a + np.searchsorted(self.sorted_top[a:b], floor, side="left")
-            hi[:, k] = a + np.searchsorted(self.sorted_floor[a:b], s0, side="right")
-        return floor, start, np.where(accepts, lo, start), np.where(accepts, hi, start)
+            lo[:, k] = a + np.searchsorted(self.sorted_top[a:b], s0, side="left")
+            hi[:, k] = a + np.searchsorted(self.sorted_top[a:b], s0, side="right")
+        return start, np.where(accepts, lo, start), np.where(accepts, hi, start)
 
-    def _tied(self, lo: int, hi: int, floor: float) -> np.ndarray:
-        """Opponents tied with a content of floor ``floor`` per row of
-        ``order[lo:hi]``: those at or above the larger of it and the row's,
-        counted once per band and kept, as the pool's rows never change."""
-        if (lo, hi, floor) not in self._bands:
-            cut = np.maximum(self.sorted_floor[lo:hi], floor)
-            tied = self.scores[self.order[lo:hi]] >= cut[:, None]
-            self._bands[lo, hi, floor] = tied.sum(axis=1)
-        return self._bands[lo, hi, floor]
+    def _tied(self, lo: int, hi: int) -> np.ndarray:
+        """Opponents tied with a content per row of the band
+        ``order[lo:hi]``, whose tops equal its score: those at or above that
+        score, counted once per band and kept, as the pool's rows never
+        change."""
+        if (lo, hi) not in self._bands:
+            tied = self.scores[self.order[lo:hi]] >= self.sorted_top[lo:hi, None]
+            self._bands[lo, hi] = tied.sum(axis=1)
+        return self._bands[lo, hi]
 
     def payoffs(self, contents: np.ndarray) -> np.ndarray:
         """Per-sample payoff of playing each ``(q, x)`` row of the (m, 2)
@@ -272,18 +257,18 @@ class OpponentPool(Frozen):
         never wins; ties among eligible argmax contents contribute their
         exact uniform share. The type starts and every content's cuts split
         ``order`` into elementary segments, on each of which every content
-        wins outright, ties or loses throughout. Outside tie bands a
+        wins outright, ties or loses throughout. Outside its ties a
         content's share is 1 or 0 on the whole segment, so each segment's
         sum is built once, content by content, and ``np.repeat`` expands
-        it. Only rows inside some content's tie band are summed row by row,
-        from tied counts computed once per band for the pool's lifetime.
+        it. Only rows where some content ties are summed row by row, from
+        tied counts computed once per band for the pool's lifetime.
         Either way every sample sums the same terms in the same order as
         adding the contents' vectors one by one; one permutation at the end
         restores the pool's row order. Memory is O(n + m * segments) plus
-        one share vector per distinct tie band.
+        one share vector per distinct band.
         """
         q, x = np.asarray(contents, dtype=float).T
-        floor, _, lo, hi = self._cuts(q, x)
+        _, lo, hi = self._cuts(q, x)
         cost = np.asarray(self.inst.cost(q, x), dtype=float)
         cuts = np.sort(np.concatenate([self.type_start, lo.ravel(), hi.ravel()]))
         begin, length = cuts[:-1], np.diff(cuts)
@@ -296,7 +281,7 @@ class OpponentPool(Frozen):
             total += row
         sums = np.repeat(total, length)
         band = (seg_lo <= begin) & (begin < seg_hi)
-        shares = {}  # tie-band shares, by (lo, hi, floor)
+        shares = {}  # tied shares, by band (lo, hi)
         for seg in np.flatnonzero(band.any(axis=0) & (length > 0)):
             a, b, k = int(begin[seg]), int(cuts[seg + 1]), kind[seg]
             acc = sums[a:b]
@@ -306,7 +291,7 @@ class OpponentPool(Frozen):
                 if not band[i, seg]:
                     acc += value[i, seg]
                     continue
-                key = (int(lo[i, k]), int(hi[i, k]), float(floor[i]))
+                key = (int(lo[i, k]), int(hi[i, k]))
                 if key not in shares:
                     shares[key] = 1.0 / (1.0 + self._tied(*key))
                 np.subtract(shares[key][a - key[0]:b - key[0]], cost[i], out=tied)
@@ -323,13 +308,13 @@ class OpponentPool(Frozen):
         1, 1/2, ..., 1/P or 0, so the mean and the centred sum of squares
         follow from how many rows take each value."""
         q, x = np.asarray(contents, dtype=float).T
-        floor, start, lo, hi = self._cuts(q, x)
+        start, lo, hi = self._cuts(q, x)
         n, P = len(self.order), self.scores.shape[1] + 1
         counts = np.zeros((len(q), P))  # rows whose share is 1 / (1 + column)
         counts[:, 0] = (lo - start).sum(axis=1)
-        tie_counts = {}  # tie-band share counts, by (lo, hi, floor)
+        tie_counts = {}  # tied share counts, by band (lo, hi)
         for i, k in zip(*np.nonzero(hi > lo)):
-            key = (int(lo[i, k]), int(hi[i, k]), float(floor[i]))
+            key = (int(lo[i, k]), int(hi[i, k]))
             if key not in tie_counts:
                 tie_counts[key] = np.bincount(self._tied(*key), minlength=P)
             counts[i] += tie_counts[key]

@@ -75,11 +75,15 @@ class TypeSpace(Frozen):
         return np.asarray(self.types, dtype=float)[idx]
 
 
+_DELTA = 4.0 * float(np.finfo(float).eps)  # slack forgiven, relative to its terms
+_WIDEN = 1.0 / (1.0 - _DELTA)
+
+
 class _LinearFamily(Frozen):
     """Base of both families: cost ``q + gamma * x``, and a type-t user
-    accepts exactly when ``q - x / t + baseline >= 0`` (baseline ``alpha``
-    for ``linear``, 1 for ``kmr``), so the curve needs quality
-    ``max(0, x / t - baseline)`` at gaming x."""
+    accepts exactly when the slack ``q - x / t + baseline`` is nonnegative
+    (baseline ``alpha`` for ``linear``, 1 for ``kmr``), so the curve needs
+    quality ``max(0, x / t - baseline)`` at gaming x."""
 
     baseline: float
 
@@ -90,6 +94,13 @@ class _LinearFamily(Frozen):
 
     def cost(self, w_costly: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
         return w_costly + self.gamma * w_cheap
+
+    def accepts(self, w_costly: ArrayLike, w_cheap: ArrayLike, t: ArrayLike) -> ArrayLike:
+        """Whether type t accepts: the slack is at least ``-_DELTA * (x / t
+        + max(1, |baseline|))``, folded into one test of the slack's cost, so
+        on-curve roundoff passes and the utility's scale never enters."""
+        b = self.baseline
+        return w_costly - w_cheap / (t * _WIDEN) + (b + _DELTA * max(1.0, abs(b))) >= 0.0
 
     def min_investment(self, t: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
         return np.maximum(0.0, w_cheap / t - self.baseline)

@@ -12,7 +12,9 @@ and user-type draws (common random numbers), so the gap is measured on
 paired samples and its standard error comes from the per-sample
 differences rather than from two independent marginal errors. The pool is
 sorted once by user type and best opponent score, so a deviation's payoff
-is a rank query: where its score falls among each accepting type's rows.
+is a rank query: where its score falls among each accepting type's rows,
+which it ties where their best score equals its own exactly. Acceptance is
+the family's slack rule, so no tolerance depends on the utility's scale.
 Grid candidates and probes are scored from counts of rows per win share,
 with no per-sample vector. Per-sample vectors are built only for the probe
 average, from one set of rank cuts for all probes, and for the argmax
@@ -140,8 +142,8 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     on the sorted pool, and counts of the rows taking each win share 1,
     1/2, ..., 1/P or 0. The equilibrium utility is the probe average, per
     sample, which ``OpponentPool.payoffs`` sums over all probes; the pool
-    keeps the tied counts of each tie band, so the probes' estimates reuse
-    them. The gap's standard error is that of the per-sample
+    keeps the tied counts of each band of equal tops, so the probes'
+    estimates reuse them. The gap's standard error is that of the per-sample
     differences between the argmax candidate's payoff and the probe
     average; near an equilibrium the two are positively correlated, so it
     is below the two marginal errors combined. The argmax candidate is
@@ -149,7 +151,7 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     replaces its counted one in the report. Memory stays
     O(n_per_candidate * P + candidates * P): the pool and its sort order,
     the probe-sum and share vectors, the per-candidate share counts and
-    one tied-count vector per tie band.
+    one tied-count vector per band.
     """
     candidates = candidate_deviations(inst, grid_k)
     probes = strategy.sample(rng, n_probes)

@@ -97,10 +97,12 @@ EQUILIBRIA = {
     "homogeneous_atom_P4": Equilibrium(linear(-0.3, 0.1, (1.5,)), E, 4,
                                        engagement_eq_homogeneous),
     # the paper's three two-type cases by coefficient ratio (case 2 is the
-    # other certify case), and a KMR pair
+    # other certify case), and two KMR pairs; on the wide one, t = 0.01 users
+    # reject about half of the draws by a slack down to -63
     **{f"two_type_case{two_type_case(r)}": Equilibrium(two_type(r), E, 2, _two_type_eq)
        for r in (2.0, 1.45, 1.2)},
     "kmr_two_type": Equilibrium(kmr(types=(1.0, 1.6)), E, 2, _two_type_eq),
+    "kmr_two_type_wide": Equilibrium(two_type(1.5, "kmr"), E, 2, _two_type_eq),
     **{f"well_separated_N{N}": Equilibrium(well_separated(N), E, 2, _well_separated_eq)
        for N in (2, 3, 4, 5)},
     # the baselines: pure quality, and opt-out/entry atoms under random

@@ -68,39 +68,49 @@ def grid_min_induced_cost(inst, t, m, x_max=50.0, n=2_000_001) -> float:
     return float(np.asarray(inst.cost(q, x), dtype=float)[feasible].min())
 
 
-def _brute_force_tied(inst, metric, row_q, row_x, t, atol, rtol) -> list[int]:
+# the slack a user forgives, in units of its terms: 4 ulps of 1
+SLACK_DELTA = 4.0 * 2.0 ** -52
+
+
+def brute_force_accepts(inst, q, x, t) -> bool:
+    """Whether a type-t user accepts ``(q, x)``: the slack
+    ``q - x / t + baseline`` is at least ``-SLACK_DELTA`` times
+    ``x / t + max(1, |baseline|)``, with no utility scale in it."""
+    b = inst.family.baseline
+    return q - x / t + b >= -SLACK_DELTA * (x / t + max(1.0, abs(b)))
+
+
+def _brute_force_tied(inst, metric, row_q, row_x, t) -> list[int]:
     """Columns of one row that tie for the win, in column order: the
-    eligible columns (utility >= -atol) whose score is within
-    ``rtol * max(1, |best|)`` of the best eligible score."""
+    accepted columns whose score equals the best accepted score."""
     scores = {}
     for j, (a, b) in enumerate(zip(row_q, row_x)):
-        if float(inst.utility(a, b, t)) >= -atol:
+        if brute_force_accepts(inst, a, b, t):
             scores[j] = {"engagement": float(inst.engagement(a, b)),
                          "investment": a, "random": 1.0}[metric]
     if not scores:
         return []
     best = max(scores.values())
-    return [j for j, s in scores.items() if s >= best - rtol * max(1.0, abs(best))]
+    return [j for j, s in scores.items() if s == best]
 
 
-def brute_force_winners(inst, metric, q, x, ts, uniforms, atol, rtol) -> list[int]:
+def brute_force_winners(inst, metric, q, x, ts, uniforms) -> list[int]:
     """Recommendation winner per row, one row and one column at a time.
 
     Row i offers contents ``(q[i][j], x[i][j])`` to a user of type
-    ``ts[i]``. Eligible columns have utility >= -atol; the winner is drawn
-    among the eligible columns whose score is within
-    ``rtol * max(1, |best|)`` of the best, as the floor(u * k)-th of the k
-    tied columns in column order, with ``u = uniforms[i]``. A row with no
-    eligible column gets -1.
+    ``ts[i]``. The winner is drawn among the accepted columns
+    (``brute_force_accepts``) whose score equals the best accepted score,
+    as the floor(u * k)-th of the k tied columns in column order, with
+    ``u = uniforms[i]``. A row with no accepted column gets -1.
     """
     winners = []
     for row_q, row_x, t, u in zip(q, x, ts, uniforms):
-        tied = _brute_force_tied(inst, metric, row_q, row_x, t, atol, rtol)
+        tied = _brute_force_tied(inst, metric, row_q, row_x, t)
         winners.append(tied[min(int(u * len(tied)), len(tied) - 1)] if tied else -1)
     return winners
 
 
-def brute_force_payoffs(inst, metric, q, x, ts, w, atol, rtol) -> list[float]:
+def brute_force_payoffs(inst, metric, q, x, ts, w) -> list[float]:
     """Payoff of content ``w = (q0, x0)`` in each row: its exact share of
     the win as column 0 under ``brute_force_winners``' rule, minus its
     creation cost.
@@ -113,8 +123,7 @@ def brute_force_payoffs(inst, metric, q, x, ts, w, atol, rtol) -> list[float]:
     cost = float(inst.cost(q0, x0))
     out = []
     for row_q, row_x, t in zip(q, x, ts):
-        tied = _brute_force_tied(inst, metric, [q0, *row_q], [x0, *row_x], t,
-                                 atol, rtol)
+        tied = _brute_force_tied(inst, metric, [q0, *row_q], [x0, *row_x], t)
         out.append((1.0 / len(tied) if 0 in tied else 0.0) - cost)
     return out
 
@@ -248,18 +257,17 @@ def two_type_cheap_cdf(inst, intervals, t, low, x):
 
 def lexsort_pool(inst, metric, q, x, ts):
     """``OpponentPool.of`` with the row top taken by a reduction along the
-    short axis, the rows ordered by one ``np.lexsort`` of (top, type index)
-    and the row floors taken before the sort."""
+    short axis and the rows ordered by one ``np.lexsort`` of (top, type
+    index)."""
     import numpy as np
-    from creatorsim.game import OpponentPool, _tie_floor, eligible_scores
+    from creatorsim.game import OpponentPool, eligible_scores
 
     scores = eligible_scores(inst, metric, q, x, ts[:, None])
     top = scores.max(axis=1)
     kind = np.searchsorted(inst.types, ts)
     order = np.lexsort((top, kind))
     type_start = np.searchsorted(kind[order], np.arange(len(inst.types) + 1))
-    return OpponentPool(inst, metric, scores, order, top[order],
-                        _tie_floor(top)[order], type_start)
+    return OpponentPool(inst, metric, scores, order, top[order], type_start)
 
 
 def scatter_payoffs(pool, w):
@@ -267,11 +275,11 @@ def scatter_payoffs(pool, w):
     scattered to the pool's rows by ``order`` one type at a time."""
     import numpy as np
 
-    floor, start, lo, hi = pool._cuts(np.array([w.w_costly]), np.array([w.w_cheap]))
+    start, lo, hi = pool._cuts(np.array([w.w_costly]), np.array([w.w_cheap]))
     share = np.zeros(len(pool.order))
     for a, l, h in zip(start[0], lo[0], hi[0]):
         share[pool.order[a:l]] = 1.0
-        share[pool.order[l:h]] = 1.0 / (1.0 + pool._tied(l, h, floor[0]))
+        share[pool.order[l:h]] = 1.0 / (1.0 + pool._tied(l, h))
     return share - float(pool.inst.cost(w.w_costly, w.w_cheap))
 
 
@@ -283,7 +291,7 @@ def row_loop_payoffs(pool, contents):
     import numpy as np
 
     q, x = np.asarray(contents, dtype=float).T
-    floor, start, lo, hi = pool._cuts(q, x)
+    start, lo, hi = pool._cuts(q, x)
     cost = np.asarray(pool.inst.cost(q, x), dtype=float)
     total = np.zeros(len(pool.order))
     share = np.empty_like(total)
@@ -291,7 +299,7 @@ def row_loop_payoffs(pool, contents):
         share.fill(0.0)
         for a, l, h in zip(start[i], lo[i], hi[i]):
             share[a:l] = 1.0
-            share[l:h] = 1.0 / (1.0 + pool._tied(l, h, floor[i]))
+            share[l:h] = 1.0 / (1.0 + pool._tied(l, h))
         share -= cost[i]
         total += share
     share[pool.order] = total

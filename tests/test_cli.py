@@ -236,6 +236,13 @@ class TestVerify:
                        f"type 1 curve beats on-support play by gap={gap:.6f}, "
                        f"{gap / se:.1f} x combined_stderr={se:.6f}"]
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_homogeneous_at_huge_alpha_exits_zero(self, tmp_path, seed):
+        # support [1e11, 1e11 + 1] in engagement: ties and acceptance must
+        # hold there to the last few ulps
+        path, _ = write_config(tmp_path, alpha=1e11, samples=15000, seed=seed)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+
     def test_incompatible_equilibrium_is_config_error(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, types=[1, 2],
                                equilibrium="homogeneous")

@@ -15,16 +15,14 @@ from creatorsim import (
 )
 from creatorsim.equilibrium import AtomComponent, MixedStrategy
 from creatorsim.game import (
-    ELIGIBILITY_ATOL,
-    TIE_RTOL,
     OpponentPool,
     _pick_winners,
-    _tie_floor,
     is_eligible,
     metric_score,
 )
-from catalogue import EQUILIBRIA, instance, linear
+from catalogue import EQUILIBRIA, instance, kmr, linear
 from oracles import (
+    brute_force_accepts,
     brute_force_payoffs,
     brute_force_winners,
     lexsort_pool,
@@ -34,6 +32,24 @@ from oracles import (
 
 def point_mass(q, x):
     return MixedStrategy(((1.0, AtomComponent(q, x)),), "point_mass")
+
+
+# one type t = 1 on each scale of the utility: a linear baseline alpha, or
+# KMR's W with baseline 1
+SCALES = [linear(-0.5), linear(1.0), linear(1e11),
+          kmr(1e-12), kmr(1.0), kmr(1e12)]
+
+
+def edge_point(inst, k):
+    """Content whose slack ``q - x + baseline`` at t = 1 is exactly -k ulps
+    of the rule's scale ``x + max(1, |baseline|)``: at gaming 0 below a
+    baseline <= 0, else at zero quality past the baseline."""
+    b = inst.family.baseline
+    q, x = (-b, 0.0) if b <= 0.0 else (0.0, b)
+    ulp = float(np.spacing(x + max(1.0, abs(b))))
+    q, x = (q - k * ulp, x) if b <= 0.0 else (q, x + k * ulp)
+    assert q - x + b == -k * ulp  # exact, so the slack is as named
+    return q, x
 
 
 class TestMetricScores:
@@ -166,8 +182,9 @@ class TestPointMassRounds:
         "type_1_rejects": (linear(1.0, types=(1.0, 3.0)), (0.0, 2.0)),
         "none_accept": (linear(-0.5), (0.0, 0.0)),
         "utility_zero": (linear(-0.5), (0.5, 0.0)),
-        "inside_atol": (linear(-0.5), (0.5 - 0.5 * ELIGIBILITY_ATOL, 0.0)),
-        "outside_atol": (linear(-0.5), (0.5 - 2.0 * ELIGIBILITY_ATOL, 0.0)),
+        # slacks of -1 and -16 ulps: just inside and just outside the rule
+        "inside_slack": (linear(-0.5), edge_point(linear(-0.5), 1)),
+        "outside_slack": (linear(-0.5), edge_point(linear(-0.5), 16)),
         # W t (q - x / t + 1) = t - 1: type 0.5 rejects, type 2 accepts
         "kmr": (instance(KMR(1.0, 0.2), (0.5, 2.0)), (0.0, 1.0)),
     }
@@ -192,11 +209,26 @@ class TestPointMassRounds:
                     for name, (inst, (q, x)) in self.cases.items()}
         assert accepted["all_accept"] == accepted["utility_zero"] == {True}
         assert accepted["type_1_rejects"] == accepted["kmr"] == {False, True}
-        assert accepted["none_accept"] == accepted["outside_atol"] == {False}
-        inst, (q, x) = self.cases["inside_atol"]
+        assert accepted["none_accept"] == accepted["outside_slack"] == {False}
+        inst, (q, x) = self.cases["inside_slack"]
         assert is_eligible(inst, q, x, 1.0) and inst.utility(q, x, 1.0) < 0.0
         inst, (q, x) = self.cases["utility_zero"]
         assert inst.utility(q, x, 1.0) == 0.0
+
+    @pytest.mark.parametrize("k,accepted", [(1, True), (16, False)])
+    @pytest.mark.parametrize("inst", SCALES, ids=lambda inst: repr(inst.family))
+    def test_slack_edge_matches_the_landscape_kernel(self, inst, k, accepted):
+        # a slack of -1 ulp of the rule's scale is accepted and one of -16
+        # ulps rejected, whatever the utility's scale
+        q, x = edge_point(inst, k)
+        assert bool(is_eligible(inst, q, x, 1.0)) is accepted
+        assert inst.utility(q, x, 1.0) < 0.0
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = simulate_rounds(inst, Metric.ENGAGEMENT, point_mass(q, x), 3, 1000, rng)
+        want = landscape_rounds(inst, Metric.ENGAGEMENT, q, x, 3, 1000, ref_rng)
+        assert set(got.consumed.tolist()) == {accepted}
+        for name, value in want.items():
+            assert getattr(got, name).tobytes() == value.tobytes(), name
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
@@ -270,8 +302,7 @@ def pick(inst, metric, q, x, ts, seed):
     got = _pick_winners(inst, metric, q, x, ts, np.random.default_rng(seed))
     uniforms = np.random.default_rng(seed).random(len(ts))
     want = brute_force_winners(inst, metric.value, q.tolist(), x.tolist(),
-                               ts.tolist(), uniforms.tolist(),
-                               ELIGIBILITY_ATOL, TIE_RTOL)
+                               ts.tolist(), uniforms.tolist())
     return got.tolist(), want
 
 
@@ -293,18 +324,20 @@ class TestPickWinners:
         got, want = pick(inst, metric, q, x, ts, seed)
         assert got == want
 
-    def test_eligibility_edge_at_atol(self):
-        # u = -x_excess for content (0, 1 + x_excess) at t = 1
-        inst = linear(1.0)
-        inside, outside = 1.0 + 0.5 * ELIGIBILITY_ATOL, 1.0 + 2.0 * ELIGIBILITY_ATOL
-        got, want = pick(inst, Metric.ENGAGEMENT, [[0.0], [0.0]],
-                         [[inside], [outside]], [1.0, 1.0], 0)
+    @pytest.mark.parametrize("inst", SCALES, ids=lambda inst: repr(inst.family))
+    def test_eligibility_edge_in_ulps_of_the_slack(self, inst):
+        # slacks of -1 and -16 ulps of the rule's scale, at every scale
+        inside, outside = edge_point(inst, 1), edge_point(inst, 16)
+        assert brute_force_accepts(inst, *inside, 1.0)
+        assert not brute_force_accepts(inst, *outside, 1.0)
+        got, want = pick(inst, Metric.ENGAGEMENT, [[inside[0]], [outside[0]]],
+                         [[inside[1]], [outside[1]]], [1.0, 1.0], 0)
         assert got == want == [0, -1]
 
-    def test_scores_within_tie_rtol_tie(self):
+    @pytest.mark.parametrize("score", [1.0, 1e11])
+    def test_equal_scores_tie_and_adjacent_floats_do_not(self, score):
         inst = linear(1.0)
-        near, far = 1.0 + 0.5 * TIE_RTOL, 1.0 + 10.0 * TIE_RTOL
-        q = [[1.0, near]] * 200 + [[1.0, far]] * 200
+        q = [[score, score]] * 200 + [[score, np.nextafter(score, np.inf)]] * 200
         got, want = pick(inst, Metric.INVESTMENT, q, [[0.0, 0.0]] * 400,
                          [1.0] * 400, 3)
         assert got == want
@@ -342,11 +375,13 @@ def constructions(family):
 
 
 class TestEligibilityAtScale:
-    # ELIGIBILITY_ATOL is absolute, while KMR's utility is W * t times the
-    # curve slack: a large W magnifies any roundoff in the curve quality
+    # KMR's utility is W * t times the curve slack, and a large alpha puts
+    # the curve far from the origin: acceptance must keep on-curve draws at
+    # every scale, and must not depend on W at all
     @pytest.mark.parametrize("family", [
-        *(KMR(W, g) for W in (1.0, 1e6, 1e12) for g in (0.0, 0.3)),
-        *(LinearTwitter(a, g) for a in (-0.5, 1.0, 1e3, 1e6) for g in (0.0, 0.3)),
+        *(KMR(W, g) for W in (1e-12, 1e-9, 1.0, 1e6, 1e12) for g in (0.0, 0.3)),
+        *(LinearTwitter(a, g) for a in (-0.5, 1.0, 1e3, 1e6, 1e9, 1e11)
+          for g in (0.0, 0.3)),
     ], ids=repr)
     def test_constructed_draws_are_eligible_for_their_curve(self, family):
         for entry in constructions(family):
@@ -361,15 +396,26 @@ class TestEligibilityAtScale:
             opt_out = (q == 0.0) & (x == 0.0)
             assert np.all(is_eligible(inst, q, x, t) | opt_out), strategy.descriptor
 
+    @pytest.mark.parametrize("W", [1e-12, 1e-9, 1e12])
+    def test_kmr_acceptance_does_not_depend_on_W(self, W):
+        # every type's verdict on every draw, against the same draws at W = 1
+        for entry in constructions(KMR(1.0)):
+            pts = entry.strategy().sample(np.random.default_rng(0), 100_000)
+            q, x = pts[:, :1], pts[:, 1:]
+            types = np.asarray(entry.inst.types)
+            scaled = entry.on(KMR(W)).inst
+            assert np.array_equal(is_eligible(scaled, q, x, types),
+                                  is_eligible(entry.inst, q, x, types))
+
 
 class TestOpponentPoolReductions:
-    # a coarse grid, so rows hold exact ties, scores within TIE_RTOL of each
-    # other or exactly on the edge of the tie band around 1, and contents
-    # just inside or just outside eligibility (u = q - x + 1 at t = 1)
-    q_grid = st.sampled_from([0.0, 0.5, 1.0 - TIE_RTOL, 1.0, 1.0 + 0.5 * TIE_RTOL,
-                              1.0 + TIE_RTOL, 1.5, 2.0, 3.0])
-    x_grid = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.0 + 0.5 * ELIGIBILITY_ATOL,
-                              2.0 + 2.0 * ELIGIBILITY_ATOL, 3.0, 4.0])
+    # a coarse grid, so rows hold exact ties and near-ties one ulp apart
+    # around 1, and contents on the edge of eligibility (slack q - x / t + 1)
+    # or one or 16 ulps of 2 past it, inside and outside the rule
+    q_grid = st.sampled_from([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0,
+                              np.nextafter(1.0, 2.0), 1.5, 2.0, 3.0])
+    x_grid = st.sampled_from([0.0, 0.5, 1.0, 2.0, np.nextafter(2.0, 3.0),
+                              2.0 + 16 * np.spacing(2.0), 3.0, 4.0])
 
     @staticmethod
     def check(pool, inst, metric, q, x, ts, contents):
@@ -378,8 +424,7 @@ class TestOpponentPoolReductions:
         mean, stderr = pool.estimates(points)
         assert mean.shape == stderr.shape == (len(contents),)
         for i, w in enumerate(contents):
-            want = brute_force_payoffs(inst, metric.value, q, x, ts,
-                                       w.as_tuple(), ELIGIBILITY_ATOL, TIE_RTOL)
+            want = brute_force_payoffs(inst, metric.value, q, x, ts, w.as_tuple())
             payoffs = pool.payoffs(points[i:i + 1])
             assert payoffs.tolist() == want
             total += np.array(want)
@@ -471,14 +516,14 @@ class TestPayoffsBySegment:
         assert got.shape == (3000,)
         assert got.tobytes() == row_loop_payoffs(pool, contents).tobytes()
         if m and case not in ("rejected_atom", "two_type"):
-            # these pools put rows in some content's tie band
-            _, _, lo, hi = pool._cuts(*contents.T)
+            # these pools put rows in some content's band of ties
+            _, lo, hi = pool._cuts(*contents.T)
             assert np.any(hi > lo)
 
     @pytest.mark.parametrize("case", ["random_two_type", "random_homogeneous",
                                       "random_eq", "eligible_atoms"])
     def test_pool_counts_each_tie_band_once(self, case):
-        # payoffs and then estimates on one pool count each tie band's tied
+        # payoffs and then estimates on one pool count each band's tied
         # opponents once between them, and give what fresh pools give bit
         # for bit
         inst, metric, strategy, P = self.pools[case].game()
@@ -489,8 +534,8 @@ class TestPayoffsBySegment:
 
         pool = draw()
         contents = self.contents(strategy, 32, 5)
-        floor, _, lo, hi = pool._cuts(*contents.T)
-        bands = {(lo[i, k], hi[i, k], floor[i]) for i, k in zip(*np.nonzero(hi > lo))}
+        _, lo, hi = pool._cuts(*contents.T)
+        bands = {(lo[i, k], hi[i, k]) for i, k in zip(*np.nonzero(hi > lo))}
         gathers = []
 
         class Spied(np.ndarray):
@@ -515,7 +560,7 @@ class TestPayoffsBySegment:
         inst, metric, strategy, P = self.pools["random_homogeneous"].game()
         pool = OpponentPool.draw(inst, metric, strategy, P, 3000,
                                  np.random.default_rng(6))
-        _, _, lo, hi = pool._cuts(np.ones(1), np.zeros(1))
+        _, lo, hi = pool._cuts(np.ones(1), np.zeros(1))
         assert hi[0, 0] == 3000
         assert hi[0, 0] - lo[0, 0] == np.count_nonzero(pool.sorted_top > -np.inf) > 0
         won = 1.0 - float(inst.cost(1.0, 0.0))
@@ -523,8 +568,8 @@ class TestPayoffsBySegment:
         assert np.all(payoffs[pool.order[lo[0, 0]:]] < won)
         assert np.all(payoffs[pool.order[:lo[0, 0]]] == won)
 
-    # coarse grids: many contents share or overlap tie bands with different
-    # floors, and some rows hold scores within TIE_RTOL of a band's edge
+    # coarse grids: many contents share bands of ties, and some rows hold
+    # scores one ulp from a content's
     grid = st.tuples(TestOpponentPoolReductions.q_grid,
                      TestOpponentPoolReductions.x_grid)
 
@@ -549,7 +594,7 @@ class TestPayoffsBySegment:
 
 class TestOneTieRule:
     # the pool pays a content its exact share of the win as column 0 under
-    # the round kernel's rule: ties are measured from the row's best score
+    # the round kernel's rule: the tied are the scores equal to the best
     q_grid = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 1e3])
     x_grid = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
 
@@ -562,8 +607,7 @@ class TestOneTieRule:
         shares = []
         for row_q, row_x, t in zip(q, x, ts):
             wins = brute_force_winners(inst, metric.value, [[w[0], *row_q]] * 12,
-                                       [[w[1], *row_x]] * 12, [t] * 12, u,
-                                       ELIGIBILITY_ATOL, TIE_RTOL)
+                                       [[w[1], *row_x]] * 12, [t] * 12, u)
             shares.append(wins.count(0) / 12)
         return shares
 
@@ -576,23 +620,22 @@ class TestOneTieRule:
         assert pool.payoffs(np.array([w])).tolist() == [s - cost for s in shares]
         mean, _ = pool.estimates(np.array([w]))
         assert abs(mean[0] - (sum(shares) / len(shares) - cost)) <= 1e-12
-        return shares
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), P=st.integers(2, 4), n=st.integers(1, 8),
            metric=st.sampled_from(list(Metric)),
            family=st.sampled_from([LinearTwitter(1.0, 0.3), KMR(1.0, 0.3)]),
            types=st.sets(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3))
-    def test_pool_pays_column0_share_on_near_tie_chains(self, data, P, n, metric,
-                                                         family, types):
+    def test_pool_pays_column0_share_next_to_one_ulp_neighbours(
+            self, data, P, n, metric, family, types):
         inst = instance(family, sorted(types))
         w = (data.draw(self.q_grid), data.draw(self.x_grid))
         s0 = float(metric_score(inst, metric, w[0], w[1]))
-        band = TIE_RTOL * max(1.0, abs(s0))
-        # an opponent is an atom on the grid or sits on the chain
-        # s0 + k * 0.45 * band, reached by moving w's quality
-        chain = st.builds(lambda k: (w[0] + k * 0.45 * band, w[1]), st.integers(-3, 3))
-        opponent = st.one_of(st.tuples(self.q_grid, self.x_grid), chain)
+        step = float(np.spacing(max(1.0, abs(s0))))
+        # an opponent is an atom on the grid or sits a few ulps of the score
+        # from w, reached by moving w's quality
+        near = st.builds(lambda k: (w[0] + k * step, w[1]), st.integers(-3, 3))
+        opponent = st.one_of(st.tuples(self.q_grid, self.x_grid), near)
         rows = data.draw(st.lists(st.lists(opponent, min_size=P - 1, max_size=P - 1),
                                   min_size=n, max_size=n))
         q = [[a for a, _ in row] for row in rows]
@@ -603,36 +646,6 @@ class TestOneTieRule:
         got, want = pick(inst, metric, [[w[0], *r] for r in q],
                          [[w[1], *r] for r in x], ts, 0)
         assert got == want
-
-    def test_near_tie_chain_shares_with_the_higher_opponent_only(self):
-        # scores 0.5 and 0.5 ± 0.9e-12 with band 1e-12: the floor of the
-        # row's best, 0.5 + 0.9e-12, admits the content and the higher
-        # opponent but not the lower one
-        inst = linear(1.0)
-        q = [[0.5 + 0.9e-12, 0.5 - 0.9e-12]]
-        assert self.check(inst, Metric.INVESTMENT, q, [[0.0, 0.0]], [1.0],
-                          (0.5, 0.0)) == [0.5]
-        n = 20000
-        got, want = pick(inst, Metric.INVESTMENT, [[0.5, *q[0]]] * n,
-                         np.zeros((n, 3)), np.ones(n), 11)
-        assert got == want
-        freq = np.bincount(got, minlength=3) / n
-        assert freq[2] == 0.0
-        assert abs(freq[0] - 0.5) < 4 * math.sqrt(0.25 / n)
-
-    finite_or_inf = st.floats(allow_nan=False, allow_infinity=True)
-
-    @settings(max_examples=500, deadline=None)
-    @given(a=finite_or_inf, b=finite_or_inf)
-    @example(a=-math.inf, b=math.inf)
-    def test_tie_floor_nondecreasing(self, a, b):
-        lo, hi = sorted((a, b))
-        with np.errstate(over="ignore"):  # the floor of -max is -inf
-            f_lo, f_hi = _tie_floor(np.array([lo, hi])).tolist()
-        assert f_lo <= f_hi
-        for score, floor in ((lo, f_lo), (hi, f_hi)):
-            # at most the score, and ±inf map to themselves
-            assert floor <= score and (floor == score or not math.isinf(score))
 
 
 def estimate_bits(estimates):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
+    KMR,
     Metric,
     MetricEstimate,
     closed_form_ucq_homogeneous,
@@ -437,6 +438,24 @@ class TestEstimators:
         a = estimate_ucq(*game, 9999, np.random.default_rng(9), threads=3)
         b = estimate_ucq(*game, 9999, np.random.default_rng(9), threads=3)
         assert a == b
+
+
+class TestKmrScaleInvariance:
+    # users accept and the platform ties without regard to KMR's W: only
+    # user welfare, W * t times the slack, scales with it
+    @pytest.mark.parametrize("W", [1e-12, 1e12])
+    @pytest.mark.parametrize("name", [name for name, entry in EQUILIBRIA.items()
+                                      if isinstance(entry.inst.family, KMR)])
+    def test_ucq_and_re_same_and_uw_scales(self, name, W):
+        entry = EQUILIBRIA[name]
+        base, scaled = (estimate_round_metrics(*e.game(), 20000,
+                                               np.random.default_rng(2))
+                        for e in (entry, entry.on(KMR(W))))
+        for key in ("ucq", "re"):
+            assert scaled[key] == base[key], key
+        uw, ref = scaled["uw"], base["uw"]
+        assert uw.mean == pytest.approx(W * ref.mean, rel=1e-12, abs=0.0)
+        assert uw.stderr == pytest.approx(W * ref.stderr, rel=1e-12, abs=0.0)
 
 
 class TestKsDistance:

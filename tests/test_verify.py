@@ -186,6 +186,49 @@ class TestBestResponseGap:
         assert curves[0]["mean"] < curves[1]["mean"]
 
 
+def kmr_entries():
+    return [name for name, entry in EQUILIBRIA.items()
+            if isinstance(entry.inst.family, KMR)]
+
+
+class TestScaleInvariance:
+    # acceptance and ties do not depend on KMR's W, so neither does a report
+    @pytest.mark.parametrize("W", [1e-12, 1e12])
+    @pytest.mark.parametrize("name", kmr_entries())
+    def test_kmr_report_is_the_same_at_every_W(self, name, W):
+        entry = EQUILIBRIA[name]
+
+        def report(e):
+            rep = best_response_gap(*e.game(), grid_k=50, n_per_candidate=4000,
+                                    rng=np.random.default_rng(1))
+            return json.dumps(rep.to_dict())
+
+        assert report(entry.on(KMR(W))) == report(entry)
+
+
+class TestGateNegativeControls:
+    # strategies a little off equilibrium, which the Monte Carlo gate must
+    # still fail at the acceptance criteria's grid and sample count
+    @staticmethod
+    def controls(inst):
+        s2 = engagement_eq_homogeneous(inst, 2)
+        moved = MixedStrategy(((0.1, AtomComponent(0.0, 0.0)),
+                               *((0.9 * w, c) for w, c in s2.components)),
+                              "10% moved to the origin")
+        return {"P3_strategy_at_P2": engagement_eq_homogeneous(inst, 3),
+                "origin_10pct": moved}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("control", ["P3_strategy_at_P2", "origin_10pct"])
+    @pytest.mark.parametrize("alpha", [1.0, -0.5])
+    def test_gate_fails(self, alpha, control, seed):
+        inst = linear(alpha)
+        rep = best_response_gap(inst, Metric.ENGAGEMENT, self.controls(inst)[control],
+                                2, grid_k=200, n_per_candidate=100_000,
+                                rng=np.random.default_rng(seed))
+        assert not rep.passes(), (rep.gap, rep.combined_stderr)
+
+
 class TestSharedOpponentPool:
     @pytest.mark.parametrize("grid_k", [2, 10, 60])
     def test_samples_once_for_probes_and_once_for_pool(self, grid_k, monkeypatch):
