@@ -178,19 +178,14 @@ def engagement_eq_homogeneous(inst: ModelInstance, P: int) -> MixedStrategy:
     """Engagement-optimization equilibrium for a single user type.
 
     The gaming marginal is min(1, C_t(x))^(1/(P-1)); quality rides the
-    minimum-investment curve. If even the cheapest viable content costs at
-    least 1, everyone opts out and the strategy degenerates to (0, 0). No
-    built-in family reaches that branch: their beta = max(0, -baseline) is
-    below 1 and so is its cost; it serves families built in Python.
+    minimum-investment curve. Entry at gaming 0 costs beta =
+    max(0, -baseline) < 1, so the marginal always rises from below 1.
     """
     _require(len(inst.type_space) == 1,
              "homogeneous construction requires exactly one type")
     if P < 2:
         raise ValueError("P must be >= 2")
     t = inst.types[0]
-    if float(inst.cost(inst.beta(t), 0.0)) >= 1.0:
-        return MixedStrategy(((1.0, AtomComponent(0.0, 0.0)),),
-                             descriptor=f"engagement_homogeneous_degenerate(P={P})")
     xs, ys, tail = inst.curve_cost_polyline(t)
     cdf = clipped_linear_cdf(xs, ys, tail, scale=1.0, exponent=1.0 / (P - 1))
     return MixedStrategy(((1.0, CurveComponent(inst, t, cdf)),),
@@ -314,7 +309,7 @@ def _two_type_intervals(inst: ModelInstance) -> tuple[int, tuple[tuple[float, ..
             (1.0 / a2, v_mid, 2.0 * a2, r - 1.0),
             (v_mid, v_top, a1, 1.0),
         )
-    # at case boundaries an interval can degenerate to (rounding-level
+    # at case boundaries an interval can shrink to (rounding-level
     # negative) width; drop it rather than feeding decreasing breakpoints in
     return case, tuple(iv for iv in intervals
                        if iv[1] - iv[0] > 1e-14 * max(1.0, abs(iv[1])))
@@ -356,12 +351,12 @@ def engagement_eq_two_types(inst: ModelInstance) -> MixedStrategy:
 
 def _baseline_preconditions(inst: ModelInstance) -> tuple[float, float]:
     """Shared baseline precondition; returns the single type's beta (or 0)
-    and the cost kappa of that least investment, capped at 1."""
+    and the cost kappa of that least investment, which is beta < 1."""
     betas = [inst.beta(t) for t in inst.types]
     _require(len(betas) == 1 or all(b == 0.0 for b in betas),
              "heterogeneous baseline equilibria require beta_t = 0 for all types")
     beta = betas[0] if len(betas) == 1 else 0.0
-    return beta, min(1.0, float(inst.cost(beta, 0.0)))
+    return beta, float(inst.cost(beta, 0.0))
 
 
 def investment_eq(inst: ModelInstance, P: int) -> MixedStrategy:
@@ -369,19 +364,13 @@ def investment_eq(inst: ModelInstance, P: int) -> MixedStrategy:
 
     Quality CDF is min(1, C(q))^(1/(P-1)) above the minimum viable
     investment, flat below it (the flat part is the opt-out atom at 0).
-    Entry at a cost kappa >= 1, which only families built in Python reach
-    (see ``engagement_eq_homogeneous``), degenerates to the origin.
     """
     if P < 2:
         raise ValueError("P must be >= 2")
     beta, kappa = _baseline_preconditions(inst)
-    if kappa >= 1.0:
-        return MixedStrategy(((1.0, AtomComponent(0.0, 0.0)),),
-                             descriptor=f"investment_degenerate(P={P})")
-    # cost along the quality axis is linear for the built-in families, and
-    # flat at kappa up to beta; at beta = 0 the flat start is trimmed
-    slope = float(inst.cost(1.0, 0.0)) - float(inst.cost(0.0, 0.0))
-    cdf = clipped_linear_cdf([0.0, beta], [kappa, kappa], slope, scale=1.0,
+    # cost along the quality axis has slope 1, and the CDF is flat at kappa
+    # up to beta; at beta = 0 the flat start is trimmed
+    cdf = clipped_linear_cdf([0.0, beta], [kappa, kappa], 1.0, scale=1.0,
                              exponent=1.0 / (P - 1))
     return MixedStrategy(((1.0, QualityComponent(cdf)),),
                          descriptor=f"investment(P={P})")

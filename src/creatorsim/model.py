@@ -51,8 +51,9 @@ class TypeSpace(Frozen):
     def __init__(self, types: tuple[float, ...]) -> None:
         if len(types) == 0:
             raise ValueError("type space must be nonempty")
-        if any(not math.isfinite(t) or t < 0.0 for t in types):
-            raise ValueError("types must be finite and >= 0")
+        # both families divide by t, so tolerances must be positive
+        if any(not math.isfinite(t) or t <= 0.0 for t in types):
+            raise ValueError("types must be finite and > 0")
         if any(b <= a for a, b in zip(types, types[1:])):
             raise ValueError("types must be strictly increasing")
         self.__dict__.update(types=types)
@@ -170,9 +171,6 @@ class ModelInstance(Frozen):
     """A model family together with its finite type space."""
 
     def __init__(self, family: Family, type_space: TypeSpace) -> None:
-        # Both built-in families divide by t, so tolerances must be positive.
-        if any(t <= 0.0 for t in type_space):
-            raise ValueError("built-in families require all types > 0")
         self.__dict__.update(family=family, type_space=type_space)
 
     @property
@@ -287,13 +285,12 @@ def zero_cost_extent(inst: ModelInstance, t: float) -> float:
     return inst.family.zero_quality_extent(t) if inst.family.gamma == 0.0 else 0.0
 
 
-# Numerical audit of the structural assumptions on (c, u, M^E).
+# Exact audit of the structural assumptions on (c, u, M^E): both families are
+# linear, so each condition is a comparison on gamma, W and the types.
 
 class CheckResult(Frozen):
-    def __init__(self, name: str, passed: bool, detail: str,
-                 worst_point: Optional[tuple[float, float]] = None) -> None:
-        self.__dict__.update(name=name, passed=passed, detail=detail,
-                             worst_point=worst_point)
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
 
 class AssumptionReport(Frozen):
@@ -307,99 +304,63 @@ class AssumptionReport(Frozen):
     def to_dict(self) -> dict:
         return {
             "all_passed": self.all_passed,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail,
-                        "worst_point": c.worst_point} for c in self.checks],
+            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                       for c in self.checks],
         }
 
 
-def _central_diff(fn, x, y, axis, rel_step=1e-6):
-    h = rel_step * np.maximum(1.0, np.abs(x if axis == 0 else y))
-    if axis == 0:
-        return (fn(x + h, y) - fn(x - h, y)) / (2.0 * h)
-    return (fn(x, y + h) - fn(x, y - h)) / (2.0 * h)
-
-
-def check_assumptions(inst: ModelInstance, grid_n: int = 50,
-                      span: float = 5.0) -> AssumptionReport:
+def check_assumptions(inst: ModelInstance) -> AssumptionReport:
     """Audit the structural conditions on cost, utility, and engagement.
 
-    Every condition is checked by central finite differences on a grid over
-    ``(0, span]^2`` (grid points are kept strictly positive so the stencil
-    stays inside the domain). Failures are reported, never raised.
+    Both families are linear: the cost gradient is ``(1, gamma)``, the
+    engagement gradient is ``(1, 1)``, and type t's utility is
+    ``s_t * (q - x / t + baseline)`` with ``s_t = 1`` for ``linear`` and
+    ``W * t`` for ``kmr``. Each condition is therefore an exact comparison
+    on gamma, W and the types, with no grid and no tolerance. Failures are
+    reported, never raised.
     """
     fam = inst.family
-    axis_pts = np.linspace(span / (2.0 * grid_n), span, grid_n)
-    gx, gy = np.meshgrid(axis_pts, axis_pts, indexing="ij")
-    q, x = gx.ravel(), gy.ravel()
-    checks: list[CheckResult] = []
-
-    def record(name, margins, detail, strict_min=0.0):
-        # margins > strict_min must hold everywhere; report the worst point.
-        margins = np.asarray(margins, dtype=float)
-        i = int(np.argmin(margins))
-        ok = bool(margins[i] > strict_min)
-        checks.append(CheckResult(name, ok, detail, (float(q[i]), float(x[i]))))
-
-    dc_dq = _central_diff(fam.cost, q, x, axis=0)
-    dc_dx = _central_diff(fam.cost, q, x, axis=1)
-    record("cost_quality_strictly_costly", dc_dq, "dc/dw_costly > 0 on the grid")
-
-    all_pos = np.all(dc_dx > 0.0)
-    all_zero = np.all(np.abs(dc_dx) <= 1e-9)
-    checks.append(CheckResult(
-        "cost_gaming_uniform_sign", bool(all_pos or all_zero),
-        "dc/dw_cheap > 0 everywhere or == 0 everywhere",
-        None if (all_pos or all_zero) else (float(q[int(np.argmin(dc_dx))]),
-                                            float(x[int(np.argmin(dc_dx))])),
-    ))
-
+    dc = (1.0, fam.gamma)  # cost gradient in (quality, gaming)
+    dm = (1.0, 1.0)        # engagement gradient
     c00 = float(fam.cost(0.0, 0.0))
-    checks.append(CheckResult("cost_zero_at_opt_out", c00 == 0.0,
-                              f"c(0,0) = {c00}"))
-
-    big = 1e9
-    checks.append(CheckResult(
-        "cost_unbounded_in_quality",
-        float(fam.cost(big, 0.0)) > 1.0 and float(fam.cost(2 * big, 0.0)) > float(fam.cost(big, 0.0)),
-        "c([X, 0]) grows without bound (probe at X = 1e9)"))
-
-    me_nonneg = np.asarray(fam.engagement(q, x), dtype=float)
-    record("engagement_nonnegative", me_nonneg, "M^E >= 0 on the grid", strict_min=-1e-12)
-    dm_dq = _central_diff(fam.engagement, q, x, axis=0)
-    dm_dx = _central_diff(fam.engagement, q, x, axis=1)
-    record("engagement_increasing_quality", dm_dq, "dM^E/dw_costly > 0 on the grid")
-    record("engagement_increasing_gaming", dm_dx, "dM^E/dw_cheap > 0 on the grid")
-
-    # Cost-effectiveness of gaming: marginal cost ratio strictly below the
-    # marginal engagement ratio.
-    ratio_margin = dm_dx / dm_dq - dc_dx / dc_dq
-    record("gaming_more_cost_effective", ratio_margin,
-           "(dc/dw_cheap)/(dc/dw_costly) < (dM/dw_cheap)/(dM/dw_costly)")
-
+    m00 = float(fam.engagement(0.0, 0.0))
+    kmr = isinstance(fam, KMR)
+    checks = [
+        CheckResult("cost_quality_strictly_costly", dc[0] > 0.0,
+                    f"dc/dw_costly = {dc[0]} > 0"),
+        CheckResult("cost_gaming_uniform_sign", dc[1] >= 0.0,
+                    f"dc/dw_cheap = gamma = {dc[1]!r} everywhere, > 0 or == 0"),
+        CheckResult("cost_zero_at_opt_out", c00 == 0.0, f"c(0,0) = {c00}"),
+        CheckResult("cost_unbounded_in_quality", dc[0] > 0.0,
+                    f"c([X, 0]) = {dc[0]} * X grows without bound"),
+        CheckResult("engagement_nonnegative", m00 >= 0.0 and min(dm) >= 0.0,
+                    f"M^E >= M^E(0,0) = {m00} >= 0"),
+        CheckResult("engagement_increasing_quality", dm[0] > 0.0,
+                    f"dM^E/dw_costly = {dm[0]} > 0"),
+        CheckResult("engagement_increasing_gaming", dm[1] > 0.0,
+                    f"dM^E/dw_cheap = {dm[1]} > 0"),
+        CheckResult("gaming_more_cost_effective", dc[1] * dm[0] < dm[1] * dc[0],
+                    f"(dc/dw_cheap)/(dc/dw_costly) = {dc[1]!r} < "
+                    f"{dm[1] / dm[0]} = (dM/dw_cheap)/(dM/dw_costly)"),
+    ]
     for t in inst.types:
-        ufn = lambda a, b, _t=t: fam.utility(a, b, _t)
-        du_dq = _central_diff(ufn, q, x, axis=0)
-        du_dx = _central_diff(ufn, q, x, axis=1)
-        record(f"utility_increasing_quality[t={t:g}]", du_dq,
-               "du/dw_costly > 0 on the grid")
-        record(f"utility_decreasing_gaming[t={t:g}]", -du_dx,
-               "du/dw_cheap < 0 on the grid")
-        checks.append(CheckResult(
-            f"utility_limits[t={t:g}]",
-            float(fam.utility(big, 0.0, t)) > 0.0 and float(fam.utility(0.0, big, t)) < 0.0,
-            "u -> +inf in quality and -> -inf in gaming (probe at 1e9)"))
-
+        # du/dw_costly = s_t and du/dw_cheap = -s_t / t; the sign of
+        # s_t = W * t comes from its factors, which no underflow can zero
+        ok = t > 0.0 and (not kmr or fam.W > 0.0)
+        scale = f"W * t = {fam.W!r} * {t!r}" if kmr else "1"
+        checks += [
+            CheckResult(f"utility_increasing_quality[t={t:g}]", ok,
+                        f"du/dw_costly = s_t > 0, s_t = {scale}"),
+            CheckResult(f"utility_decreasing_gaming[t={t:g}]", ok,
+                        f"du/dw_cheap = -s_t / t < 0, s_t = {scale}"),
+            CheckResult(f"utility_limits[t={t:g}]", ok,
+                        "u is linear in each coordinate, with slopes s_t > 0 "
+                        "and -s_t / t < 0, so it -> +inf and -> -inf"),
+        ]
     for t_lo, t_hi in zip(inst.types, inst.types[1:]):
-        u_lo = np.asarray(fam.utility(q, x, t_lo), dtype=float)
-        u_hi = np.asarray(fam.utility(q, x, t_hi), dtype=float)
-        bad = (u_lo >= 0.0) & (u_hi < -1e-12)
-        ok = not bool(bad.any())
-        worst = None
-        if not ok:
-            j = int(np.argmax(bad))
-            worst = (float(q[j]), float(x[j]))
+        # u(w, t) >= 0 exactly when q - x / t + baseline >= 0, and x / t
+        # falls as t rises
         checks.append(CheckResult(
-            f"type_monotonicity[{t_lo:g}->{t_hi:g}]", ok,
-            "u(w, t) >= 0 implies u(w, t') >= 0 for t' > t", worst))
-
+            f"type_monotonicity[{t_lo:g}->{t_hi:g}]", 0.0 < t_lo < t_hi,
+            "u(w, t) >= 0 implies u(w, t') >= 0 for t' > t"))
     return AssumptionReport(tuple(checks))

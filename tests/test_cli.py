@@ -158,6 +158,23 @@ class TestCheckModel:
         payload = json.loads((tmp_path / "check_model.json").read_text())
         assert payload["report"]["all_passed"] is True
 
+    @pytest.mark.parametrize("model", [
+        {"family": "linear", "alpha": 1e9, "types": [1, 2]},
+        {"family": "linear", "alpha": 1e10, "types": [1, 2]},
+        {"family": "linear", "alpha": 1e11, "types": [1, 2]},
+        {"family": "kmr", "W": 1e-300, "types": [1e-10]},
+        {"family": "kmr", "W": 1.0, "types": [1e-10]},
+    ])
+    def test_assumptions_hold_at_extreme_scales(self, tmp_path, model):
+        # a utility near 1e11 or a slope W * t near 1e-310 is still linear
+        # in each coordinate with the signs the model needs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(model))
+        assert main(["check-model", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "check_model.json").read_text())
+        assert payload["report"]["all_passed"] is True
+
     def test_gamma_one_rejected(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, gamma=1.0)
         assert main(["check-model", "--config", str(path),

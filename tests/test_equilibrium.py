@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
-    LinearTwitter,
     PreconditionError,
     engagement_eq_homogeneous,
     engagement_eq_two_types,
@@ -29,7 +28,7 @@ from creatorsim.equilibrium import (
 )
 from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim.metrics import homogeneous_quality_cdf
-from catalogue import EQUILIBRIA, instance, linear, two_type, well_separated
+from catalogue import EQUILIBRIA, linear, two_type, well_separated
 from oracles import (cheap_marginal_cdf, curve_engagement, mask_mixture_sample,
                      piecewise_cdf, searchsorted_ppf, two_type_cheap_cdf)
 
@@ -39,14 +38,6 @@ def same_state(a, b):
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
     return np.array_equal(a, b)
-
-
-class TripleCost(LinearTwitter):
-    """The linear model with every cost tripled, so that entry at beta can
-    cost 1 or more."""
-
-    def cost(self, w_costly, w_cheap):
-        return 3.0 * (w_costly + self.gamma * w_cheap)
 
 
 # coefficient ratios a1/a2 in each two-type case, on and around the case
@@ -125,11 +116,13 @@ class TestHomogeneous:
         s = engagement_eq_homogeneous(linear(0.0), 3)
         assert cheap_marginal_cdf(s, 0.25) == pytest.approx(0.5)  # 0.25 ** (1/2)
 
-    def test_degenerate_entry_cost_collapses_to_origin(self):
-        s = engagement_eq_homogeneous(instance(TripleCost(-0.5, 0.0)), 2)
-        assert "degenerate" in s.descriptor
-        pts = s.sample(np.random.default_rng(4), 100)
-        assert np.allclose(pts, 0.0)
+    def test_entry_cost_below_one_at_the_edge_of_alpha(self):
+        # beta = -alpha < 1 for every valid alpha, so the gaming CDF starts
+        # at the cost of entry and still rises to 1
+        alpha = math.nextafter(-1.0, 0.0)
+        s = engagement_eq_homogeneous(linear(alpha), 2)
+        points = s.components[0][1].cheap.breakpoints()
+        assert points[0] == (0.0, -alpha) and points[-1][1] == 1.0
 
     def test_requires_single_type(self):
         with pytest.raises(PreconditionError):
@@ -295,14 +288,12 @@ class TestInvestment:
         pts = s.sample(np.random.default_rng(12), 40000)
         assert ks_distance(pts[:, 0], lambda x: np.clip(x, 0.0, 1.0) ** 0.5) < 0.02
 
-    @pytest.mark.parametrize("alpha", [-1 / 3, -0.5])
-    def test_entry_costing_one_or_more_plays_the_origin(self, alpha):
-        # entry at beta = -alpha costs 3 * beta: exactly 1 at alpha = -1/3
-        inst = instance(TripleCost(alpha, 0.0))
-        assert float(inst.cost(inst.beta(1.0), 0.0)) >= 1.0
-        s = investment_eq(inst, 2)
-        assert s.descriptor == "investment_degenerate(P=2)"
-        assert [(w, c.w_costly, c.w_cheap) for w, c in s.components] == [(1.0, 0.0, 0.0)]
+    def test_entry_cost_below_one_at_the_edge_of_alpha(self):
+        # the opt-out atom holds mass kappa = beta = -alpha < 1
+        alpha = math.nextafter(-1.0, 0.0)
+        s = investment_eq(linear(alpha), 2)
+        points = s.components[0][1].quality.breakpoints()
+        assert points[0] == (0.0, -alpha) and points[-1] == (1.0, 1.0)
 
     def test_heterogeneous_requires_free_entry(self):
         with pytest.raises(PreconditionError):

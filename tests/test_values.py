@@ -40,8 +40,8 @@ VALUES = {
     "MetricEstimate": (lambda: MetricEstimate(1.0, 0.5, 3), "mean"),
     "BestResponseReport": (lambda: best_response_gap(
         *TWO.game(), 3, 100, np.random.default_rng(0)), "gap"),
-    "AssumptionReport": (lambda: check_assumptions(ONE.inst, grid_n=3), "checks"),
-    "CheckResult": (lambda: check_assumptions(ONE.inst, grid_n=3).checks[0],
+    "AssumptionReport": (lambda: check_assumptions(ONE.inst), "checks"),
+    "CheckResult": (lambda: check_assumptions(ONE.inst).checks[0],
                     "passed"),
     "TweetRecord": (lambda: TweetRecord("E", "P", 1, 2), "favorites"),
     "Survey": (lambda: Survey.from_records([TweetRecord("C", "NP", 0, 5)]),
