@@ -349,14 +349,13 @@ def engagement_eq_two_types(inst: ModelInstance) -> MixedStrategy:
                          f"(ratio={float(a[0]) / float(a[1]):.4f})")
 
 
-def _baseline_preconditions(inst: ModelInstance) -> tuple[float, float]:
-    """Shared baseline precondition; returns the single type's beta (or 0)
-    and the cost kappa of that least investment, which is beta < 1."""
+def _baseline_preconditions(inst: ModelInstance) -> float:
+    """Shared baseline precondition; returns the single type's beta (or 0),
+    which is also the entry cost: the cost of (beta, 0) is beta < 1."""
     betas = [inst.beta(t) for t in inst.types]
     _require(len(betas) == 1 or all(b == 0.0 for b in betas),
              "heterogeneous baseline equilibria require beta_t = 0 for all types")
-    beta = betas[0] if len(betas) == 1 else 0.0
-    return beta, float(inst.cost(beta, 0.0))
+    return betas[0] if len(betas) == 1 else 0.0
 
 
 def investment_eq(inst: ModelInstance, P: int) -> MixedStrategy:
@@ -367,10 +366,10 @@ def investment_eq(inst: ModelInstance, P: int) -> MixedStrategy:
     """
     if P < 2:
         raise ValueError("P must be >= 2")
-    beta, kappa = _baseline_preconditions(inst)
-    # cost along the quality axis has slope 1, and the CDF is flat at kappa
-    # up to beta; at beta = 0 the flat start is trimmed
-    cdf = clipped_linear_cdf([0.0, beta], [kappa, kappa], 1.0, scale=1.0,
+    beta = _baseline_preconditions(inst)
+    # cost along the quality axis has slope 1, and the CDF is flat at the
+    # entry cost beta up to beta; at beta = 0 the flat start is trimmed
+    cdf = clipped_linear_cdf([0.0, beta], [beta, beta], 1.0, scale=1.0,
                              exponent=1.0 / (P - 1))
     return MixedStrategy(((1.0, QualityComponent(cdf)),),
                          descriptor=f"investment(P={P})")
@@ -418,11 +417,11 @@ def random_eq(inst: ModelInstance, P: int) -> MixedStrategy:
     """
     if P < 2:
         raise ValueError("P must be >= 2")
-    beta, kappa = _baseline_preconditions(inst)
+    beta = _baseline_preconditions(inst)
     if beta == 0.0:
         return MixedStrategy(((1.0, AtomComponent(0.0, 0.0)),),
                              descriptor=f"random(P={P})")
-    y = stay_in_probability(kappa, P)
+    y = stay_in_probability(beta, P)
     comps: list[tuple[float, Component]] = []
     if y < 1.0:
         comps.append((1.0 - y, AtomComponent(0.0, 0.0)))

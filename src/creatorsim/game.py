@@ -30,8 +30,10 @@ The payoff pool sorts its opponent rows once, so a content wins, ties or
 loses on whole runs of rows between rank cuts. Sums over many contents are
 built once per run between all their cuts and expanded, and only rows
 whose top equals a content's score, where the share varies from row to
-row, are visited one by one, from tied counts that the pool, one fixed
-draw, keeps for each such run.
+row, are visited one by one. Under exact ties the opponents at a row's top
+are a fixed property of the row, so the pool counts them when it is built,
+by the round kernel's own tie step, and keeps that count instead of the
+scores.
 """
 
 from __future__ import annotations
@@ -87,19 +89,26 @@ def eligible_scores(inst: ModelInstance, metric: Metric, q, x, ts) -> np.ndarray
     return np.where(is_eligible(inst, q, x, ts), scores, -np.inf)
 
 
+def _ties(cols: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The tie rule of both kernels, on the eligibility-masked score columns
+    of n rows: each row's best score, per column whether it equals that
+    best, and per row how many columns do. Ineligible columns (-inf) tie
+    only where none is eligible."""
+    best = cols[0]
+    for col in cols[1:]:
+        best = np.maximum(best, col)
+    tied = [col >= best for col in cols]
+    k = np.zeros(len(best), dtype=np.intp)
+    for hit in tied:
+        k += hit
+    return best, tied, k
+
+
 def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
                   x: np.ndarray, ts: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Winner column per row of an (n, P) landscape, -1 when nothing qualifies."""
-    cols = eligible_scores(inst, metric, q, x, ts[:, None]).T
-    best = cols[0]
-    for col in cols[1:]:
-        best = np.maximum(best, col)
-    # ineligible columns (-inf) tie only where none is eligible: winner -1 below
-    tied = [col >= best for col in cols]
-    k = np.zeros(len(ts), dtype=np.intp)
-    for hit in tied:
-        k += hit
+    best, tied, k = _ties(eligible_scores(inst, metric, q, x, ts[:, None]).T)
     # uniform choice among tied columns; one uniform per row keeps the
     # stream length independent of the data
     r = np.minimum((rng.random(len(ts)) * np.maximum(k, 1)).astype(np.int64),
@@ -111,7 +120,7 @@ def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
     for hit in tied:
         seen += hit
         winner += seen <= r
-    winner[best == -np.inf] = -1
+    winner[best == -np.inf] = -1  # nothing eligible: all tied at -inf
     return winner
 
 
@@ -160,8 +169,9 @@ class OpponentPool(Frozen):
     """One draw of the opponent landscape for payoff estimates: n samples,
     each of P-1 opponent contents and one user type.
 
-    The opponents' eligibility-masked scores are computed once, and the rows
-    are sorted once, by user type and then by best opponent score (``top``):
+    The opponents' eligibility-masked scores are computed once, with each
+    row's best (``top``) and how many opponents score it, by ``_ties``, and
+    the rows are sorted once, by user type and then by top:
     one argsort of the tops, then a stable radix argsort of the small-integer
     type index. Rows with equal type and top may land in any order, which no
     result depends on. A content with score s0 then wins a row of a type
@@ -174,21 +184,22 @@ class OpponentPool(Frozen):
     ``estimates`` answers with mean and stderr arrays over the pool's n
     samples, so scoring a grid builds no per-content object; ``payoffs``
     answers with the per-sample sum over the contents, built per segment
-    between their cuts. The tied counts of each band, a type's run of rows
-    whose top equals a content's score, are computed once per pool.
+    between their cuts. The scores are not kept: a tied content's share of
+    a row is 1 / (1 + the opponents at the row's top), and that count is
+    kept per row, so the pool holds O(n) numbers and never changes.
     """
 
-    def __init__(self, inst: ModelInstance, metric: Metric,
-                 scores: np.ndarray, order: np.ndarray, sorted_top: np.ndarray,
+    def __init__(self, inst: ModelInstance, metric: Metric, P: int,
+                 order: np.ndarray, sorted_top: np.ndarray, tied: np.ndarray,
                  type_start: np.ndarray) -> None:
-        # scores: (n, P-1), -inf where the user rejects the opponent
+        # P: creators per round, so each row holds P - 1 opponents
         # order: (n,) rows sorted by user type, then by top
         # sorted_top: (n,) top of each row in ``order``
+        # tied: (n,) opponents scoring the top of each row in ``order``
         # type_start: (T+1,) where each type's rows begin in ``order``
-        # _bands: ``_tied`` counts by band (lo, hi)
-        self.__dict__.update(inst=inst, metric=metric, scores=scores,
-                             order=order, sorted_top=sorted_top,
-                             type_start=type_start, _bands={})
+        self.__dict__.update(inst=inst, metric=metric, P=P, order=order,
+                             sorted_top=sorted_top, tied=tied,
+                             type_start=type_start)
 
     @classmethod
     def draw(cls, inst: ModelInstance, metric: Metric,
@@ -208,18 +219,16 @@ class OpponentPool(Frozen):
         """The pool of given opponents: row i holds contents
         ``(q[i, j], x[i, j])`` facing a user of type ``ts[i]``, which must be
         one of ``inst.types``."""
-        scores = eligible_scores(inst, metric, q, x, ts[:, None])
-        cols = scores.T
-        top = cols[0]
-        for col in cols[1:]:
-            top = np.maximum(top, col)
+        cols = eligible_scores(inst, metric, q, x, ts[:, None]).T
+        top, _, tied = _ties(cols)
         kind = np.searchsorted(inst.types, ts).astype(
             np.min_scalar_type(len(inst.types)))
         order = np.argsort(top)
         order = order[np.argsort(kind[order], kind="stable")]
         type_start = np.searchsorted(
             kind[order], np.arange(len(inst.types) + 1, dtype=kind.dtype))
-        return cls(inst, metric, scores, order, top[order], type_start)
+        return cls(inst, metric, len(cols) + 1, order, top[order], tied[order],
+                   type_start)
 
     def _cuts(self, q: np.ndarray, x: np.ndarray):
         """Per type, the ``order`` positions ``start <= lo <= hi`` that split
@@ -237,16 +246,6 @@ class OpponentPool(Frozen):
             hi[:, k] = a + np.searchsorted(self.sorted_top[a:b], s0, side="right")
         return start, np.where(accepts, lo, start), np.where(accepts, hi, start)
 
-    def _tied(self, lo: int, hi: int) -> np.ndarray:
-        """Opponents tied with a content per row of the band
-        ``order[lo:hi]``, whose tops equal its score: those at or above that
-        score, counted once per band and kept, as the pool's rows never
-        change."""
-        if (lo, hi) not in self._bands:
-            tied = self.scores[self.order[lo:hi]] >= self.sorted_top[lo:hi, None]
-            self._bands[lo, hi] = tied.sum(axis=1)
-        return self._bands[lo, hi]
-
     def payoffs(self, contents: np.ndarray) -> np.ndarray:
         """Per-sample payoff of playing each ``(q, x)`` row of the (m, 2)
         array ``contents``, summed over the rows in order: for one content,
@@ -260,12 +259,12 @@ class OpponentPool(Frozen):
         wins outright, ties or loses throughout. Outside its ties a
         content's share is 1 or 0 on the whole segment, so each segment's
         sum is built once, content by content, and ``np.repeat`` expands
-        it. Only rows where some content ties are summed row by row, from
-        tied counts computed once per band for the pool's lifetime.
-        Either way every sample sums the same terms in the same order as
-        adding the contents' vectors one by one; one permutation at the end
-        restores the pool's row order. Memory is O(n + m * segments) plus
-        one share vector per distinct band.
+        it. Only segments where some content ties are summed row by row,
+        from one tied share ``1 / (1 + tied)`` per segment, which every
+        content tying there shares. Either way every sample sums the same
+        terms in the same order as adding the contents' vectors one by one;
+        one permutation at the end restores the pool's row order. Memory is
+        O(n + m * segments).
         """
         q, x = np.asarray(contents, dtype=float).T
         _, lo, hi = self._cuts(q, x)
@@ -281,21 +280,18 @@ class OpponentPool(Frozen):
             total += row
         sums = np.repeat(total, length)
         band = (seg_lo <= begin) & (begin < seg_hi)
-        shares = {}  # tied shares, by band (lo, hi)
         for seg in np.flatnonzero(band.any(axis=0) & (length > 0)):
-            a, b, k = int(begin[seg]), int(cuts[seg + 1]), kind[seg]
+            a, b = int(begin[seg]), int(cuts[seg + 1])
+            share = 1.0 / (1.0 + self.tied[a:b])
             acc = sums[a:b]
             acc.fill(0.0)
-            tied = np.empty_like(acc)
+            term = np.empty_like(acc)
             for i in range(len(q)):
-                if not band[i, seg]:
+                if band[i, seg]:
+                    np.subtract(share, cost[i], out=term)
+                    acc += term
+                else:
                     acc += value[i, seg]
-                    continue
-                key = (int(lo[i, k]), int(hi[i, k]))
-                if key not in shares:
-                    shares[key] = 1.0 / (1.0 + self._tied(*key))
-                np.subtract(shares[key][a - key[0]:b - key[0]], cost[i], out=tied)
-                acc += tied
         out = np.empty_like(sums)
         out[self.order] = sums
         return out
@@ -309,14 +305,14 @@ class OpponentPool(Frozen):
         follow from how many rows take each value."""
         q, x = np.asarray(contents, dtype=float).T
         start, lo, hi = self._cuts(q, x)
-        n, P = len(self.order), self.scores.shape[1] + 1
+        n, P = len(self.order), self.P
         counts = np.zeros((len(q), P))  # rows whose share is 1 / (1 + column)
         counts[:, 0] = (lo - start).sum(axis=1)
         tie_counts = {}  # tied share counts, by band (lo, hi)
         for i, k in zip(*np.nonzero(hi > lo)):
             key = (int(lo[i, k]), int(hi[i, k]))
             if key not in tie_counts:
-                tie_counts[key] = np.bincount(self._tied(*key), minlength=P)
+                tie_counts[key] = np.bincount(self.tied[key[0]:key[1]], minlength=P)
             counts[i] += tie_counts[key]
         shares = 1.0 / (1.0 + np.arange(P))
         mean = counts @ shares / n

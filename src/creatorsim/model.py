@@ -235,9 +235,11 @@ class ModelInstance(Frozen):
             raise ValueError("'types' must be a list of numbers")
 
         def number(value, what: str) -> float:
-            # JSON true/false load as bools, which float() reads as 1.0/0.0
-            if isinstance(value, bool):
-                raise ValueError(f"{what} must be a number, got {value!r}")
+            # only a JSON number: float() would also read the strings
+            # "1_0" and " 0.5 ", and true/false load as bools, an int type
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                got = "null" if value is None else type(value).__name__
+                raise ValueError(f"{what} must be a number, got {got}")
             try:
                 return float(value)
             except OverflowError:  # an integer past the largest float

@@ -141,17 +141,17 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     by ``OpponentPool.estimates``: two ``searchsorted`` cuts per user type
     on the sorted pool, and counts of the rows taking each win share 1,
     1/2, ..., 1/P or 0. The equilibrium utility is the probe average, per
-    sample, which ``OpponentPool.payoffs`` sums over all probes; the pool
-    keeps the tied counts of each band of equal tops, so the probes'
-    estimates reuse them. The gap's standard error is that of the per-sample
-    differences between the argmax candidate's payoff and the probe
-    average; near an equilibrium the two are positively correlated, so it
-    is below the two marginal errors combined. The argmax candidate is
-    scored again per sample by ``OpponentPool.payoffs``, and that estimate
-    replaces its counted one in the report. Memory stays
-    O(n_per_candidate * P + candidates * P): the pool and its sort order,
-    the probe-sum and share vectors, the per-candidate share counts and
-    one tied-count vector per band.
+    sample, which ``OpponentPool.payoffs`` sums over all probes. The gap's
+    standard error is that of the per-sample differences between the argmax
+    candidate's payoff and the probe average; near an equilibrium the two
+    are positively correlated, so it is below the two marginal errors
+    combined. The argmax candidate is scored again per sample by
+    ``OpponentPool.payoffs``, and that estimate replaces its counted one in
+    the report. Memory peaks at O(n_per_candidate * P + candidates * P):
+    the opponent draws and their scores while the pool is built, and the
+    per-candidate share counts. The pool itself keeps O(n_per_candidate):
+    its sort order, each row's top and its count of opponents at that top,
+    next to the probe-sum and share vectors.
     """
     candidates = candidate_deviations(inst, grid_k)
     probes = strategy.sample(rng, n_probes)

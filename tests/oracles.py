@@ -255,39 +255,52 @@ def two_type_cheap_cdf(inst, intervals, t, low, x):
     return np.where(x < 0.0, 0.0, out)
 
 
+def tie_counts(inst, metric, q, x, ts):
+    """Per row of the opponents ``(q, x)`` facing users ``ts``, how many of
+    them score the row's best, by a reduction along the short axis and one
+    comparison of the whole score matrix."""
+    from creatorsim.game import eligible_scores
+
+    scores = eligible_scores(inst, metric, q, x, ts[:, None])
+    return (scores >= scores.max(axis=1)[:, None]).sum(axis=1)
+
+
 def lexsort_pool(inst, metric, q, x, ts):
     """``OpponentPool.of`` with the row top taken by a reduction along the
-    short axis and the rows ordered by one ``np.lexsort`` of (top, type
-    index)."""
+    short axis, the tied counts by ``tie_counts``, and the rows ordered by
+    one ``np.lexsort`` of (top, type index)."""
     import numpy as np
     from creatorsim.game import OpponentPool, eligible_scores
 
-    scores = eligible_scores(inst, metric, q, x, ts[:, None])
-    top = scores.max(axis=1)
+    top = eligible_scores(inst, metric, q, x, ts[:, None]).max(axis=1)
     kind = np.searchsorted(inst.types, ts)
     order = np.lexsort((top, kind))
     type_start = np.searchsorted(kind[order], np.arange(len(inst.types) + 1))
-    return OpponentPool(inst, metric, scores, order, top[order], type_start)
+    tied = tie_counts(inst, metric, q, x, ts)
+    return OpponentPool(inst, metric, q.shape[1] + 1, order, top[order],
+                        tied[order], type_start)
 
 
-def scatter_payoffs(pool, w):
+def scatter_payoffs(pool, w, tied):
     """Per-sample payoff of content ``w`` on ``pool``, from its own rank cuts,
-    scattered to the pool's rows by ``order`` one type at a time."""
+    scattered to the pool's rows by ``order`` one type at a time; ``tied``
+    is ``tie_counts`` of the pool's opponents, in their row order."""
     import numpy as np
 
     start, lo, hi = pool._cuts(np.array([w.w_costly]), np.array([w.w_cheap]))
     share = np.zeros(len(pool.order))
     for a, l, h in zip(start[0], lo[0], hi[0]):
         share[pool.order[a:l]] = 1.0
-        share[pool.order[l:h]] = 1.0 / (1.0 + pool._tied(l, h))
+        share[pool.order[l:h]] = 1.0 / (1.0 + tied[pool.order[l:h]])
     return share - float(pool.inst.cost(w.w_costly, w.w_cheap))
 
 
-def row_loop_payoffs(pool, contents):
+def row_loop_payoffs(pool, contents, tied):
     """``pool.payoffs(contents)`` built one content at a time: each
     content's share vector is filled over all n rows in ``order``, minus its
     cost, and added to a running total, which one permutation puts back in
-    the pool's row order."""
+    the pool's row order; ``tied`` is ``tie_counts`` of the pool's
+    opponents, in their row order."""
     import numpy as np
 
     q, x = np.asarray(contents, dtype=float).T
@@ -299,7 +312,7 @@ def row_loop_payoffs(pool, contents):
         share.fill(0.0)
         for a, l, h in zip(start[i], lo[i], hi[i]):
             share[a:l] = 1.0
-            share[l:h] = 1.0 / (1.0 + pool._tied(l, h))
+            share[l:h] = 1.0 / (1.0 + tied[pool.order[l:h]])
         share -= cost[i]
         total += share
     share[pool.order] = total
@@ -340,20 +353,21 @@ def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
     opp = strategy.sample(rng, n * (P - 1)).reshape(n, P - 1, 2)
     ts = inst.type_space.draw(rng, n)
     pool = lexsort_pool(inst, metric, opp[:, :, 0], opp[:, :, 1], ts)
+    tied = tie_counts(inst, metric, opp[:, :, 0], opp[:, :, 1], ts)
 
     cand_points = np.array([c.as_tuple() for c in candidates])
     cand_mean, cand_stderr = pool.estimates(cand_points)
     probe_sum = np.zeros(n)
     probe_utils = []
     for c in probes:
-        payoffs = scatter_payoffs(pool, c)
+        payoffs = scatter_payoffs(pool, c, tied)
         probe_sum += payoffs
         probe_utils.append(MetricEstimate.from_samples(payoffs))
     eq_samples = probe_sum / len(probes)
     eq = MetricEstimate.from_samples(eq_samples)
 
     best_i = int(np.argmax(cand_mean))
-    best_payoffs = scatter_payoffs(pool, candidates[best_i])
+    best_payoffs = scatter_payoffs(pool, candidates[best_i], tied)
     best = MetricEstimate.from_samples(best_payoffs)
     cand_mean[best_i], cand_stderr[best_i] = best.mean, best.stderr
     paired = MetricEstimate.from_samples(best_payoffs - eq_samples)

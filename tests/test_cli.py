@@ -425,6 +425,15 @@ def test_verify_json_is_one_deterministic_finite_line(tmp_path, case):
     ({"family": "kmr", "W": True}, "'W' must be a number"),
     ({"gamma": False}, "'gamma' must be a number"),
     ({"types": [0.5, True]}, "'types' entry must be a number"),
+    # float() reads these strings; on null, a list or an object its message
+    # names no field
+    ({"alpha": "1_0"}, "'alpha' must be a number"),
+    ({"gamma": " 0.5 "}, "'gamma' must be a number"),
+    ({"types": ["1", "\u0662"]}, "'types' entry must be a number"),
+    ({"family": "kmr", "W": "2"}, "'W' must be a number"),
+    ({"alpha": None}, "'alpha' must be a number"),
+    ({"gamma": [0.5]}, "'gamma' must be a number"),
+    ({"types": [{"t": 1}]}, "'types' entry must be a number"),
 ])
 def test_non_finite_or_boolean_model_parameter_exits_two(tmp_path, capsys, command,
                                                          overrides, message):

@@ -27,6 +27,7 @@ from oracles import (
     brute_force_winners,
     lexsort_pool,
     row_loop_payoffs,
+    tie_counts,
 )
 
 
@@ -489,6 +490,18 @@ class TestPayoffsBySegment:
         drawn[3::11] = (0.0, 50.0)
         return drawn
 
+    @staticmethod
+    def pool(game, n, seed):
+        """``OpponentPool.draw`` on the game, and ``tie_counts`` of its
+        opponents, from the same draws made again."""
+        inst, metric, strategy, P = game
+        pool = OpponentPool.draw(inst, metric, strategy, P, n,
+                                 np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        opp = strategy.sample(rng, n * (P - 1)).reshape(n, P - 1, 2)
+        ts = inst.type_space.draw(rng, n)
+        return pool, tie_counts(inst, metric, opp[:, :, 0], opp[:, :, 1], ts)
+
     # a 71 % atom at the origin, which type 2 rejects
     p3 = EQUILIBRIA["homogeneous_atom_P3"]
     # atoms at the origin and at (0.5, 0), which type 2 accepts
@@ -508,13 +521,12 @@ class TestPayoffsBySegment:
                                       "random_eq", "rejected_atom",
                                       "eligible_atoms", "two_type"])
     def test_matches_row_loop_oracle(self, case, m):
-        inst, metric, strategy, P = self.pools[case].game()
-        pool = OpponentPool.draw(inst, metric, strategy, P, 3000,
-                                 np.random.default_rng(4))
-        contents = self.contents(strategy, m, 5)
+        game = self.pools[case].game()
+        pool, tied = self.pool(game, 3000, 4)
+        contents = self.contents(game[2], m, 5)
         got = pool.payoffs(contents)
         assert got.shape == (3000,)
-        assert got.tobytes() == row_loop_payoffs(pool, contents).tobytes()
+        assert got.tobytes() == row_loop_payoffs(pool, contents, tied).tobytes()
         if m and case not in ("rejected_atom", "two_type"):
             # these pools put rows in some content's band of ties
             _, lo, hi = pool._cuts(*contents.T)
@@ -522,37 +534,49 @@ class TestPayoffsBySegment:
 
     @pytest.mark.parametrize("case", ["random_two_type", "random_homogeneous",
                                       "random_eq", "eligible_atoms"])
-    def test_pool_counts_each_tie_band_once(self, case):
-        # payoffs and then estimates on one pool count each band's tied
-        # opponents once between them, and give what fresh pools give bit
-        # for bit
+    def test_scoring_leaves_pool_unchanged(self, case):
+        # payoffs and then estimates read the pool and write nothing into
+        # it, so they repeat bit for bit and give what a fresh pool gives
         inst, metric, strategy, P = self.pools[case].game()
 
         def draw():
             return OpponentPool.draw(inst, metric, strategy, P, 3000,
                                      np.random.default_rng(4))
 
+        def state(pool):
+            return {name: (value.dtype.str, value.shape, value.tobytes())
+                    if isinstance(value, np.ndarray) else (id(value), repr(value))
+                    for name, value in vars(pool).items()}
+
         pool = draw()
         contents = self.contents(strategy, 32, 5)
         _, lo, hi = pool._cuts(*contents.T)
-        bands = {(lo[i, k], hi[i, k]) for i, k in zip(*np.nonzero(hi > lo))}
-        gathers = []
-
-        class Spied(np.ndarray):
-            # counting a band's tied opponents gathers the band's rows of
-            # scores, the only read of scores after the pool is built
-            def __getitem__(self, index):
-                gathers.append(index)
-                return np.asarray(self)[index]
-
-        pool.__dict__["scores"] = pool.scores.view(Spied)
+        assert np.any(hi > lo)
+        before = state(pool)
         sums = pool.payoffs(contents)
         estimates = pool.estimates(contents)
-        assert bands and len(gathers) == len(bands)
+        assert state(pool) == before
+        assert pool.payoffs(contents).tobytes() == sums.tobytes()
+        assert estimate_bits(pool.estimates(contents)) == estimate_bits(estimates)
+        assert state(pool) == before
         assert sums.tobytes() == draw().payoffs(contents).tobytes()
         assert estimate_bits(estimates) == estimate_bits(draw().estimates(contents))
-        assert pool.payoffs(contents).tobytes() == sums.tobytes()
-        assert len(gathers) == len(bands)
+
+    @pytest.mark.parametrize("P", [2, 3, 7])
+    @pytest.mark.parametrize("case", ["random_two_type", "random_eq", "two_type"])
+    def test_pool_keeps_one_entry_per_row(self, case, P):
+        # whatever P, the pool keeps n numbers per array, T + 1 type starts,
+        # and each row's count of opponents at its top, 1 to P - 1
+        inst, metric, strategy, _ = self.pools[case].game()
+        pool, tied = self.pool((inst, metric, strategy, P), 500, 7)
+        arrays = {name: value.shape for name, value in vars(pool).items()
+                  if isinstance(value, np.ndarray)}
+        assert {"order", "sorted_top", "tied", "type_start"} <= set(arrays)
+        for name, shape in arrays.items():
+            assert shape == ((len(inst.types) + 1,) if name == "type_start"
+                             else (500,)), name
+        assert pool.tied.tolist() == tied[pool.order].tolist()
+        assert 1 <= pool.tied.min() and pool.tied.max() <= P - 1
 
     def test_random_metric_ties_every_eligible_row(self):
         # under RANDOM every opponent scores 1: an eligible content ties with
@@ -588,8 +612,9 @@ class TestPayoffsBySegment:
         contents = np.array(data.draw(st.lists(self.grid, max_size=40)),
                             dtype=float).reshape(-1, 2)
         pool = OpponentPool.of(inst, metric, q, x, ts)
+        tied = tie_counts(inst, metric, q, x, ts)
         assert (pool.payoffs(contents).tobytes()
-                == row_loop_payoffs(pool, contents).tobytes())
+                == row_loop_payoffs(pool, contents, tied).tobytes())
 
 
 class TestOneTieRule:
