@@ -44,6 +44,7 @@ class RunningMoments:
     def __init__(self, n: int = 0, mean: float = 0.0, m2: float = 0.0) -> None:
         self.n, self.mean, self.m2 = n, mean, m2
 
+    @np.errstate(over="ignore", invalid="ignore")  # the caller reports inf or NaN
     def add_samples(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
         if values.size == 0:

@@ -36,7 +36,7 @@ from . import equilibrium as eq
 from . import metrics as met
 from .game import Metric
 from .model import ModelInstance, PreconditionError, check_assumptions
-from .verify import best_response_gap, failure_summary
+from .verify import COST_CAP, best_response_gap, failure_summary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -154,9 +154,14 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
 
 def build_instance(cfg: dict) -> ModelInstance:
     try:
-        return ModelInstance.from_config(cfg)
+        inst = ModelInstance.from_config(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
+    with np.errstate(all="ignore"):  # an overflow is refused just below
+        ends = [inst.curve_x_for_cost(t, COST_CAP) for t in inst.types]
+    if not all(math.isfinite(x) for x in ends):
+        raise ConfigError(f"a type's curve passes the largest float below cost {COST_CAP}")
+    return inst
 
 
 def resolve_strategy(inst: ModelInstance, P: int, choice: str,

@@ -193,16 +193,12 @@ def engagement_eq_homogeneous(inst: ModelInstance, P: int) -> MixedStrategy:
 
 
 def _linear_coefficients(inst: ModelInstance) -> np.ndarray:
-    """The coefficients a_t = 1 / (1 + t) of the linear induced costs."""
+    """The coefficients a_t = 1 / (1 + t) of the linear induced costs; only
+    families of baseline 1 have them, so every type accepts (0, 0)."""
     _require(inst.family.linear_shift() is not None,
              "construction requires linear induced costs "
              "(costless gaming; unit baseline for the linear family)")
     return 1.0 / (1.0 + np.asarray(inst.types, dtype=float))
-
-
-def _require_free_entry(inst: ModelInstance) -> None:
-    _require(all(inst.family.accepts(0.0, 0.0, t) for t in inst.types),
-             "construction requires zero-effort content to satisfy every type")
 
 
 def n_prime(N: int) -> int:
@@ -212,9 +208,8 @@ def n_prime(N: int) -> int:
     acc = 0.0
     for i in range(1, N + 1):
         acc += 1.0 / (N - i + 1)
-        if acc >= 1.0 - 1e-12:
+        if acc >= 1.0 - 1e-12:  # at the latest at i = N, whose term is 1
             return i
-    return N
 
 
 def make_well_separated_types(N: int, eps: float) -> TypeSpace:
@@ -241,7 +236,6 @@ def engagement_eq_well_separated(inst: ModelInstance) -> MixedStrategy:
     clipped CDF. Requires adjacent coefficient ratios of at least 1 + 1/N.
     """
     a = _linear_coefficients(inst)
-    _require_free_entry(inst)
     N = len(inst.type_space)
     for i in range(N - 1):
         if a[i] < (1.0 + 1.0 / N) * a[i + 1] - 1e-9:
@@ -283,7 +277,6 @@ def _two_type_intervals(inst: ModelInstance) -> tuple[int, tuple[tuple[float, ..
     """
     _require(len(inst.type_space) == 2, "construction requires exactly two types")
     a = _linear_coefficients(inst)
-    _require_free_entry(inst)
     a1, a2 = float(a[0]), float(a[1])
     r = a1 / a2
     _require(r > 1.0, f"coefficient ratio must exceed 1, got {r}")
@@ -337,7 +330,10 @@ def engagement_eq_two_types(inst: ModelInstance) -> MixedStrategy:
             mass = np.cumsum([0.0] + [d * (hi - lo) for lo, hi, d in parts])
             ys = mass / mass[-1]
             ys[-1] = 1.0
-            cdf = PiecewiseLinearCdf(inst.curve_x_for_engagement(t, vs - shift), ys)
+            # where 1 + t rounds to 1, 1/a_t - shift falls short of the kink
+            xs = np.maximum(inst.curve_x_for_engagement(t, vs - shift),
+                            inst.family.zero_quality_extent(t))
+            cdf = PiecewiseLinearCdf(xs, ys)
             comps.append((float(mass[-1]), CurveComponent(inst, t, cdf)))
     total = sum(w for w, _ in comps)
     if abs(total - 1.0) > 1e-9:

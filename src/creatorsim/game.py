@@ -76,24 +76,19 @@ class RoundBatch(Frozen):
                              quality=quality, user_utility=user_utility)
 
 
-def is_eligible(inst: ModelInstance, q, x, ts) -> np.ndarray:
-    """Whether users of type ``ts`` accept content ``(q, x)``: utility at
-    least the outside option, by the family's ``accepts``."""
-    return np.asarray(inst.family.accepts(q, x, ts))
-
-
 def eligible_scores(inst: ModelInstance, metric: Metric, q, x, ts) -> np.ndarray:
     """Metric scores of content ``(q, x)`` for users of type ``ts``, -inf
     where the user would reject the content (so it never wins)."""
     scores = np.asarray(metric_score(inst, metric, q, x), dtype=float)
-    return np.where(is_eligible(inst, q, x, ts), scores, -np.inf)
+    return np.where(inst.family.accepts(q, x, ts), scores, -np.inf)
 
 
 def _ties(cols: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The tie rule of both kernels, on the eligibility-masked score columns
     of n rows: each row's best score, per column whether it equals that
-    best, and per row how many columns do. Ineligible columns (-inf) tie
-    only where none is eligible."""
+    best, and per row how many columns do. Every row's best column ties
+    with itself, -inf included, so the count is at least 1. Ineligible
+    columns (-inf) tie only where none is eligible."""
     best = cols[0]
     for col in cols[1:]:
         best = np.maximum(best, col)
@@ -111,8 +106,7 @@ def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
     best, tied, k = _ties(eligible_scores(inst, metric, q, x, ts[:, None]).T)
     # uniform choice among tied columns; one uniform per row keeps the
     # stream length independent of the data
-    r = np.minimum((rng.random(len(ts)) * np.maximum(k, 1)).astype(np.int64),
-                   np.maximum(k - 1, 0))
+    r = np.minimum((rng.random(len(ts)) * k).astype(np.int64), k - 1)
     # the winner is the first column whose running tied count reaches r + 1,
     # so its index is the number of columns whose running count is <= r
     seen = np.zeros_like(k)
@@ -138,7 +132,7 @@ def simulate_rounds(inst: ModelInstance, metric: Metric, strategy: MixedStrategy
         q, x = float(point.w_costly), float(point.w_cheap)
         metric_score(inst, metric, q, x)  # rejects an unknown metric, as below
         ts = inst.type_space.draw(rng, n)
-        consumed = is_eligible(inst, q, x, ts)
+        consumed = inst.family.accepts(q, x, ts)
         r = np.minimum((rng.random(n) * P).astype(np.int64), P - 1)
         return RoundBatch(
             user_type=ts, winner=np.where(consumed, r, -1), consumed=consumed,
@@ -237,8 +231,8 @@ class OpponentPool(Frozen):
         score. Types that reject the content get ``lo = hi = start``: no row
         of theirs wins."""
         s0 = np.asarray(metric_score(self.inst, self.metric, q, x), dtype=float)
-        accepts = is_eligible(self.inst, q[:, None], x[:, None],
-                              np.asarray(self.inst.types))
+        accepts = self.inst.family.accepts(q[:, None], x[:, None],
+                                           np.asarray(self.inst.types))
         start = np.broadcast_to(self.type_start[:-1], accepts.shape)
         lo, hi = np.empty_like(start), np.empty_like(start)
         for k, (a, b) in enumerate(zip(self.type_start[:-1], self.type_start[1:])):

@@ -96,6 +96,7 @@ class _LinearFamily(Frozen):
     def cost(self, w_costly: ArrayLike, w_cheap: ArrayLike) -> ArrayLike:
         return w_costly + self.gamma * w_cheap
 
+    @np.errstate(over="ignore")  # x / t past the largest float rejects
     def accepts(self, w_costly: ArrayLike, w_cheap: ArrayLike, t: ArrayLike) -> ArrayLike:
         """Whether type t accepts: the slack is at least ``-_DELTA * (x / t
         + max(1, |baseline|))``, folded into one test of the slack's cost, so
@@ -179,6 +180,7 @@ class ModelInstance(Frozen):
 
     # Point evaluations; all broadcast over numpy arrays.
 
+    @np.errstate(over="ignore", invalid="ignore")  # past the floats: a non-finite estimate
     def utility(self, w_costly: ArrayLike, w_cheap: ArrayLike, t: ArrayLike) -> ArrayLike:
         return self.family.utility(w_costly, w_cheap, t)
 

@@ -39,6 +39,7 @@ from .model import Content, ModelInstance, zero_cost_extent
 COST_CAP = 1.2  # deviation curves truncated where creation cost passes this
 GAP_ABS_TOL = 0.02
 GAP_SE_MULT = 4.0
+N_PROBES = 32  # on-support probe draws averaged into the equilibrium utility
 
 
 class BestResponseReport(Frozen):
@@ -46,7 +47,7 @@ class BestResponseReport(Frozen):
 
     ``candidates`` is the (1 + T * grid_size, 2) array of
     ``candidate_deviations``: the origin, then ``grid_size`` points on the
-    curve of each of the T ``types``. ``probes`` is the (n_probes, 2) array
+    curve of each of the T ``types``. ``probes`` is the (N_PROBES, 2) array
     of on-support draws. The ``*_mean`` and ``*_stderr`` arrays hold each
     row's payoff estimate, all over the same ``samples_per_candidate`` pool
     samples. Row ``argmax_index`` of the candidates is the best deviation;
@@ -131,11 +132,11 @@ def candidate_deviations(inst: ModelInstance, grid_k: int) -> np.ndarray:
 
 def best_response_gap(inst: ModelInstance, metric: Metric,
                       strategy: MixedStrategy, P: int, grid_k: int,
-                      n_per_candidate: int, rng: np.random.Generator,
-                      n_probes: int = 32) -> BestResponseReport:
+                      n_per_candidate: int,
+                      rng: np.random.Generator) -> BestResponseReport:
     """Estimate the profit of the best grid deviation over on-support play.
 
-    ``n_probes`` probe points are drawn from the strategy, then one pool of
+    ``N_PROBES`` probe points are drawn from the strategy, then one pool of
     ``n_per_candidate`` opponent landscapes and user types; every candidate
     and probe is scored on that same pool. Candidates and probes are scored
     by ``OpponentPool.estimates``: two ``searchsorted`` cuts per user type
@@ -154,7 +155,7 @@ def best_response_gap(inst: ModelInstance, metric: Metric,
     next to the probe-sum and share vectors.
     """
     candidates = candidate_deviations(inst, grid_k)
-    probes = strategy.sample(rng, n_probes)
+    probes = strategy.sample(rng, N_PROBES)
     pool = OpponentPool.draw(inst, metric, strategy, P, n_per_candidate, rng)
 
     cand_mean, cand_stderr = pool.estimates(candidates)

@@ -3,20 +3,23 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import creatorsim
 import creatorsim.cli as cli
-from creatorsim.cli import ConfigError, main, resolve_config
+from creatorsim.cli import (EQUILIBRIUM_CHOICES, RECOMMENDER_CHOICES,
+                           ConfigError, main, resolve_config)
 from creatorsim.equilibrium import make_well_separated_types
 from creatorsim.verify import (BestResponseReport, best_response_gap,
                                support_containment)
@@ -621,6 +624,142 @@ def test_describe_with_P_past_the_largest_float_exits_two(tmp_path, recommender)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("model", [
+    {"family": "linear", "alpha": 1.0, "types": [1e-300, 1e300]},
+    {"family": "kmr", "W": 1e300, "types": [1e-3, 1e3]},
+], ids=["linear_types_1e-300_1e300", "kmr_W_1e300"])
+def test_overflow_at_extreme_scales_is_no_error(tmp_path, model):
+    # x / t past the largest float is a rejection, and an infinite utility
+    # or square makes a non-finite estimate; under the suite's filter a
+    # numpy overflow warning at those sites would escape as an exception
+    path, _ = write_config(tmp_path, samples=2000, seed=3, **model)
+    out = tmp_path / "out"
+    code, _, err = run_main(["verify", "--config", str(path), "--grid", "20",
+                             "--out", str(out)])
+    assert (code, err) == (0, "")
+    code, _, err = run_main(["metrics", "--config", str(path), "--out", str(out)])
+    assert code == 2 and err.startswith("error: non-finite estimate for "), err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("model", [
+    {"family": "kmr", "W": 1.0, "types": [2.0 ** 1023]},
+    {"family": "linear", "alpha": 1e308, "types": [1.0, 1.9]},
+], ids=["kmr_type_2**1023", "linear_alpha_1e308"])
+def test_curve_past_the_largest_float_exits_two(tmp_path, command, model):
+    # the curve reaches the deviation grid's cost cap 1.2 at gaming 2.2 t
+    # on KMR, or t * (alpha + 1.2) on the linear family, past the largest
+    # float, so no strategy or grid on it has finite breakpoints
+    path, _ = write_config(tmp_path, samples=200, **model)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    code, _, err = run_main(argv + (["--grid", "10"] if command == "verify" else []))
+    assert (code, err) == (2, "error: a type's curve passes the largest float "
+                              "below cost 1.2\n")
+    assert not out.exists()
+
+
+# ROADMAP item 7: a valid config with one field mutated, run in-process.
+# Sizes stay small: samples at most 200, P at most 8 unless it is past
+# every array, --grid 10 and one metrics thread.
+HOSTILE_BASES = {
+    "linear": {"family": "linear", "alpha": 1.0, "gamma": 0.0,
+               "types": [1.0, 1.9], "P": 2, "seed": 0, "samples": 200},
+    "kmr": {"family": "kmr", "W": 1.0, "gamma": 0.0, "types": [1.0, 1.9],
+            "P": 2, "seed": 0, "samples": 200},
+}
+HOSTILE_ARGS = {"describe": [], "check-model": [], "sample": [],
+                "verify": ["--grid", "10"], "metrics": ["--threads", "1"]}
+MISSING = "<missing>"  # the mutation that deletes the field
+
+
+def json_values(leaf):
+    """``leaf``, null, bools and short strings, and lists nesting them."""
+    junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3))
+    return st.recursive(st.one_of(leaf, junk),
+                        lambda inner: st.lists(inner, max_size=3), max_leaves=4)
+
+
+# every float: json.dumps writes NaN and the infinities as the raw JSON
+# text NaN, Infinity and -Infinity
+NUMBERS = st.one_of(st.floats(), st.integers(-10**400, 10**400))
+# sizes that no command takes: floats, and integers past every array
+SIZES = st.one_of(st.floats(), st.integers(10**20, 10**400))
+TYPE_LISTS = st.one_of(
+    st.lists(st.one_of(st.floats(), st.integers(-1, 3)), max_size=4),
+    st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+             min_size=1, max_size=4, unique=True).map(sorted))
+HOSTILE_FIELDS = {
+    "family": json_values(st.sampled_from(["linear", "kmr", "Linear"])),
+    "alpha": json_values(NUMBERS),
+    "W": json_values(NUMBERS),
+    "gamma": json_values(NUMBERS),
+    "types": st.one_of(TYPE_LISTS, json_values(NUMBERS)),
+    "P": json_values(st.one_of(st.integers(-3, 8), SIZES)),
+    "samples": json_values(st.one_of(st.integers(-3, 200), SIZES)),
+    "seed": json_values(NUMBERS),
+    "recommender": json_values(st.sampled_from(RECOMMENDER_CHOICES + ("clicks",))),
+    "equilibrium": json_values(st.sampled_from(EQUILIBRIUM_CHOICES + ("nash",))),
+    "note": json_values(NUMBERS),
+}
+MUTATIONS = st.sampled_from(sorted(HOSTILE_FIELDS)).flatmap(
+    lambda field: st.tuples(st.just(field),
+                            st.one_of(st.just(MISSING), HOSTILE_FIELDS[field])))
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(HOSTILE_ARGS)),
+       base=st.sampled_from(sorted(HOSTILE_BASES)), mutation=MUTATIONS)
+@example(command="verify", base="linear", mutation=("types", [1e-16, 2.0]))
+@example(command="verify", base="linear", mutation=("types", [1e-300, 1e300]))
+@example(command="metrics", base="linear", mutation=("types", [1e-300, 1e300]))
+@example(command="metrics", base="kmr", mutation=("W", 1e300))
+@example(command="check-model", base="linear", mutation=("alpha", 1e11))
+@example(command="sample", base="linear", mutation=("P", 10**400))
+@example(command="describe", base="linear", mutation=("alpha", "1"))
+@example(command="sample", base="kmr", mutation=("types", [2.0 ** 1023]))
+@example(command="verify", base="linear", mutation=("alpha", 9.5e307))
+@example(command="metrics", base="kmr", mutation=("W", 9.5e307))
+def test_hostile_config_exits_zero_two_or_three(command, base, mutation):
+    field, value = mutation
+    cfg = dict(HOSTILE_BASES[base])
+    if value == MISSING:
+        cfg.pop(field, None)
+    else:
+        cfg[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_main([command, "--config", str(path), "--out", str(out),
+                                 *HOSTILE_ARGS[command]])
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        written = sorted(out.iterdir()) if out.exists() else []
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            # a non-finite result is found only after the output directory
+            # is made, and leaves it empty
+            assert written == [] and (not out.exists() or "non-finite" in err)
+        for artifact in written:
+            text = artifact.read_text(encoding="utf-8")
+            if artifact.suffix == ".json":
+                json.loads(text, parse_constant=refuse_constant)
+                continue
+            for row in csv.reader(ln for ln in text.splitlines()
+                                  if not ln.startswith("#")):
+                for cell in row:
+                    try:
+                        number = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(number), (artifact.name, row)
+
+
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
 @pytest.mark.parametrize("config, message", [
     (".", "cannot read config file .: Is a directory"),
@@ -1009,8 +1148,7 @@ class TestMetrics:
             "error: not enough memory: Unable to allocate 1.00 TiB for an array"]
         assert list(out.iterdir()) == []
 
-    # utilities of W = 1e308 overflow to inf, with numpy's warning
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # utilities of W = 1e308 overflow to inf, silently: the estimate reports it
     def test_non_finite_estimate_exits_two(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, family="kmr", W=1e308,
                                recommender="all", samples=2000)

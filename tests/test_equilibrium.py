@@ -28,7 +28,7 @@ from creatorsim.equilibrium import (
 )
 from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim.metrics import homogeneous_quality_cdf
-from catalogue import EQUILIBRIA, linear, two_type, well_separated
+from catalogue import EQUILIBRIA, kmr, linear, two_type, well_separated
 from oracles import (cheap_marginal_cdf, curve_engagement, mask_mixture_sample,
                      piecewise_cdf, searchsorted_ppf, two_type_cheap_cdf)
 
@@ -211,6 +211,18 @@ class TestTwoTypes:
             exact = sum(float(two_type_cheap_cdf(inst, intervals, t, low, x))
                         for t, low in zip(inst.types, (True, False)))
             assert abs(emp - exact) <= 3 * math.sqrt(0.25 / len(pts)) + 1e-3
+
+    @pytest.mark.parametrize("family", ["linear", "kmr"])
+    @pytest.mark.parametrize("t", [1.0, 1e-15, 2e-16, 1e-16, 2.2e-308])
+    def test_each_support_starts_at_its_kink(self, t, family):
+        # below about 1.1e-16, 1 + t rounds to 1, so the low type's first
+        # engagement level 1/a_t - shift rounds to 0 rather than to its kink
+        inst = (linear(1.0, types=(t, 2.0)) if family == "linear"
+                else kmr(types=(t, 2.0)))
+        for _, comp in engagement_eq_two_types(inst).components:
+            kink = inst.family.zero_quality_extent(comp.t)
+            assert comp.cheap.xs[0] >= kink
+            assert comp.cheap.xs[0] == pytest.approx(kink, rel=1e-15)
 
     def test_requires_two_types(self):
         with pytest.raises(PreconditionError):

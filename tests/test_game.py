@@ -17,7 +17,6 @@ from creatorsim.equilibrium import AtomComponent, MixedStrategy
 from creatorsim.game import (
     OpponentPool,
     _pick_winners,
-    is_eligible,
     metric_score,
 )
 from catalogue import EQUILIBRIA, instance, kmr, linear
@@ -206,13 +205,13 @@ class TestPointMassRounds:
         assert rng.random() == ref_rng.random()
 
     def test_cases_cover_every_acceptance_pattern(self):
-        accepted = {name: set(is_eligible(inst, q, x, np.asarray(inst.types)))
+        accepted = {name: set(inst.family.accepts(q, x, np.asarray(inst.types)))
                     for name, (inst, (q, x)) in self.cases.items()}
         assert accepted["all_accept"] == accepted["utility_zero"] == {True}
         assert accepted["type_1_rejects"] == accepted["kmr"] == {False, True}
         assert accepted["none_accept"] == accepted["outside_slack"] == {False}
         inst, (q, x) = self.cases["inside_slack"]
-        assert is_eligible(inst, q, x, 1.0) and inst.utility(q, x, 1.0) < 0.0
+        assert inst.family.accepts(q, x, 1.0) and inst.utility(q, x, 1.0) < 0.0
         inst, (q, x) = self.cases["utility_zero"]
         assert inst.utility(q, x, 1.0) == 0.0
 
@@ -222,7 +221,7 @@ class TestPointMassRounds:
         # a slack of -1 ulp of the rule's scale is accepted and one of -16
         # ulps rejected, whatever the utility's scale
         q, x = edge_point(inst, k)
-        assert bool(is_eligible(inst, q, x, 1.0)) is accepted
+        assert bool(inst.family.accepts(q, x, 1.0)) is accepted
         assert inst.utility(q, x, 1.0) < 0.0
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         got = simulate_rounds(inst, Metric.ENGAGEMENT, point_mass(q, x), 3, 1000, rng)
@@ -395,7 +394,7 @@ class TestEligibilityAtScale:
             off = np.abs(q[:, None] - inst.min_investment(types, x[:, None]))
             t = types[off.argmin(axis=1)]
             opt_out = (q == 0.0) & (x == 0.0)
-            assert np.all(is_eligible(inst, q, x, t) | opt_out), strategy.descriptor
+            assert np.all(inst.family.accepts(q, x, t) | opt_out), strategy.descriptor
 
     @pytest.mark.parametrize("W", [1e-12, 1e-9, 1e12])
     def test_kmr_acceptance_does_not_depend_on_W(self, W):
@@ -405,8 +404,8 @@ class TestEligibilityAtScale:
             q, x = pts[:, :1], pts[:, 1:]
             types = np.asarray(entry.inst.types)
             scaled = entry.on(KMR(W)).inst
-            assert np.array_equal(is_eligible(scaled, q, x, types),
-                                  is_eligible(entry.inst, q, x, types))
+            assert np.array_equal(scaled.family.accepts(q, x, types),
+                                  entry.inst.family.accepts(q, x, types))
 
 
 class TestOpponentPoolReductions:

@@ -12,12 +12,13 @@ from creatorsim import (
     candidate_deviations,
     check_positive_correlation,
     engagement_eq_homogeneous,
+    engagement_eq_two_types,
     investment_eq,
     support_containment,
 )
 from creatorsim.equilibrium import AtomComponent, MixedStrategy
 from creatorsim.game import OpponentPool
-from creatorsim.verify import failure_summary
+from creatorsim.verify import N_PROBES, failure_summary
 from catalogue import EQUILIBRIA, instance, linear
 from oracles import loop_best_response_gap, loop_candidate_deviations
 
@@ -152,6 +153,15 @@ class TestBestResponseGap:
         expected = (4 - 3 + 1) / 4 * (1 / 4 + 1 / 3)
         assert abs(rep.eq_utility.mean - expected) <= 3 * rep.eq_utility.stderr + 2e-3
 
+    @pytest.mark.parametrize("family", [LinearTwitter(1.0), KMR(1.0)], ids=repr)
+    def test_two_types_where_one_plus_t_rounds_to_one_pass(self, family):
+        # the low type's support starts at its kink t, not at gaming 0
+        inst = instance(family, (1e-16, 2.0))
+        rep = best_response_gap(inst, Metric.ENGAGEMENT, engagement_eq_two_types(inst),
+                                2, grid_k=200, n_per_candidate=20000,
+                                rng=np.random.default_rng(3))
+        assert rep.passes(), failure_summary(rep)
+
     def test_report_serializes(self):
         rep = best_response_gap(*EQUILIBRIA["homogeneous_P2"].game(), grid_k=5,
                                 n_per_candidate=500, rng=np.random.default_rng(6))
@@ -242,7 +252,7 @@ class TestSharedOpponentPool:
         monkeypatch.setattr(MixedStrategy, "sample", spy)
         best_response_gap(*EQUILIBRIA["homogeneous_atom_P3"].game(), grid_k=grid_k,
                           n_per_candidate=400, rng=np.random.default_rng(0))
-        assert calls == [32, 400 * 2]
+        assert calls == [N_PROBES, 400 * 2]
 
     @pytest.mark.parametrize("grid_k", [2, 10, 60])
     def test_candidates_are_count_scored(self, grid_k, monkeypatch):
@@ -256,10 +266,9 @@ class TestSharedOpponentPool:
 
         monkeypatch.setattr(OpponentPool, "payoffs", spy)
         rep = best_response_gap(*EQUILIBRIA["two_type_case2"].game(), grid_k=grid_k,
-                                n_per_candidate=400, rng=np.random.default_rng(0),
-                                n_probes=8)
+                                n_per_candidate=400, rng=np.random.default_rng(0))
         assert len(rep.candidates) == 1 + 2 * grid_k
-        assert sum(map(len, calls)) <= 8 + 1
+        assert sum(map(len, calls)) <= N_PROBES + 1
         best = rep.candidates[rep.argmax_index]
         assert calls == [rep.probes.tolist(), [best.tolist()]]
 
