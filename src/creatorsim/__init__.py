@@ -6,7 +6,6 @@ import numpy.random  # noqa: F401
 
 from ._stats import MetricEstimate
 from .model import (
-    AssumptionReport,
     Content,
     KMR,
     LinearTwitter,
@@ -44,8 +43,8 @@ from .verify import (
 )
 
 __all__ = [
-    "AssumptionReport", "BestResponseReport", "Content", "KMR",
-    "LinearTwitter", "MetricEstimate", "Metric", "MixedStrategy",
+    "BestResponseReport", "Content", "KMR", "LinearTwitter",
+    "MetricEstimate", "Metric", "MixedStrategy",
     "ModelInstance", "PreconditionError", "TypeSpace", "best_response_gap",
     "candidate_deviations", "check_assumptions", "check_positive_correlation",
     "closed_form_ucq_homogeneous", "engagement_eq_homogeneous",

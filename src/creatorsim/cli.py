@@ -13,7 +13,8 @@ and gives all help and error text.
 
 Exit codes: 0 success, 2 configuration or validation error (including a
 non-finite ``metrics`` estimate or ``verify`` report, which is never
-written, and a failed allocation), 3 verification failure. Identical
+written, and a failed allocation), 3 verification failure. An error that
+exits 2 leaves no output directory that the command made. Identical
 config and seed give byte-identical outputs, at any ``--threads`` count.
 """
 
@@ -27,6 +28,7 @@ import gc
 import io
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -208,16 +210,33 @@ def _config_echo(cfg: dict) -> str:
 def _out_dir(args, cfg: dict | None = None) -> Path:
     """The output directory, created if missing. The config commands call it
     once their model and strategies are built, so a bad config makes no
-    directory and an unusable path exits before any Monte Carlo runs."""
+    directory and an unusable path exits before any Monte Carlo runs. The
+    directories it makes go into ``args.made``, which ``main`` removes if
+    the command exits 2 with an error."""
     out = Path(getattr(args, "out", None)
                or (cfg or {}).get("output")
                or ".")
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out, args.made)
     except OSError as exc:
         raise ConfigError(f"cannot use {out} as the output directory: "
                           f"{exc.strerror}")
     return out
+
+
+def _make_dir(path: Path, made: list[Path]) -> None:
+    """``path.mkdir(parents=True, exist_ok=True)``, putting each directory
+    that it makes at the front of ``made``."""
+    try:
+        path.mkdir()
+    except FileNotFoundError:
+        _make_dir(path.parent, made)
+        _make_dir(path, made)
+    except FileExistsError:
+        if not path.is_dir():
+            raise
+    else:
+        made.insert(0, path)
 
 
 def _write(path: Path, text: str) -> None:
@@ -235,11 +254,10 @@ def cmd_check_model(args) -> int:
     inst = build_instance(cfg)
     out = _out_dir(args, cfg)
     report = check_assumptions(inst)
-    payload = {"config": cfg, "report": report.to_dict()}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps({"config": cfg, "report": report}, indent=2, sort_keys=True)
     _write(out / "check_model.json", text + "\n")
     print(text)
-    return EXIT_OK if report.all_passed else EXIT_CONFIG
+    return EXIT_OK if report["all_passed"] else EXIT_CONFIG
 
 
 def cmd_sample(args) -> int:
@@ -383,10 +401,9 @@ def cmd_empirics(args) -> int:
         for label, genres in genre_slices.items():
             for a in emp.ANGRINESS_LEVELS:
                 try:
-                    curve = emp.conditional_ecdf(records, a, feed, genres)
+                    xs, ys = emp.conditional_ecdf(records, a, feed, genres)
                 except emp.EmptyConditionalError:
                     continue
-                xs, ys = curve.step_points()
                 body = ["log1p_favorites,cdf"]
                 body += [f"{x!r},{y!r}"
                          for x, y in zip(xs.tolist(), ys.tolist())]
@@ -498,15 +515,18 @@ def _hold_heap() -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = read_plain(argv) or make_parser().parse_args(argv)
+    args.made = []  # the directories ``_out_dir`` makes, deepest first
     _hold_heap()
     try:
         return globals()[HANDLERS[args.command]](args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        message = str(exc)
     except MemoryError as exc:
-        print(f"error: not enough memory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        message = f"not enough memory: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    for made in args.made:  # each holds only what the command wrote there
+        shutil.rmtree(made, ignore_errors=True)
+    return EXIT_CONFIG
 
 
 # The import leaves about 22 000 young objects and the generation-1 count

@@ -235,40 +235,20 @@ def _rows(survey: Survey, feed: str, genres: set[str],
     return np.flatnonzero(mask)
 
 
-class Ecdf:
-    """Right-continuous empirical CDF of a nonempty sample."""
-
-    def __init__(self, values: Union[Sequence[float], np.ndarray]):
-        vals = np.sort(np.asarray(values, dtype=float))
-        if len(vals) == 0:
-            raise ValueError("empirical cdf needs at least one value")
-        self.values = vals
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.values, x, side="right") / len(self.values)
-        return out if out.ndim else float(out)
-
-    def step_points(self) -> tuple[np.ndarray, np.ndarray]:
-        # the values are sorted: each run of equal ones is a step, and the
-        # count up to its end is the right-side ``searchsorted`` rank
-        vals = self.values
-        starts = np.flatnonzero(np.append(True, vals[1:] != vals[:-1]))
-        return vals[starts], np.append(starts[1:], len(vals)) / len(vals)
-
-
 def conditional_ecdf(data: SurveyData, a: int, feed: str,
-                     genres: Iterable[str]) -> Ecdf:
-    """ECDF of ln(1 + favorites) at one angriness level in one feed slice."""
+                     genres: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Step points ``(xs, ys)`` of the right-continuous ECDF of
+    ln(1 + favorites) at one angriness level in one feed slice: each run of
+    equal sorted values is a step, and the count up to its end, over the
+    slice's size, is the right-side ``searchsorted`` rank."""
     survey, genres = _as_survey(data), set(genres)
     rows = _rows(survey, feed, genres, a)
     if rows.size == 0:
         raise EmptyConditionalError(
             f"no records with angriness={a}, feed={feed}, genres={sorted(genres)}")
-    return Ecdf(np.log1p(survey.favorites[rows].astype(float)))
+    vals = np.sort(np.log1p(survey.favorites[rows].astype(float)))
+    starts = np.flatnonzero(np.append(True, vals[1:] != vals[:-1]))
+    return vals[starts], np.append(starts[1:], len(vals)) / len(vals)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

@@ -68,11 +68,9 @@ def metric_score(inst: ModelInstance, metric: Metric, w_costly, w_cheap):
 class RoundBatch(Frozen):
     """Vectorized outcomes of n independent rounds (winner -1 means none)."""
 
-    def __init__(self, user_type: np.ndarray, winner: np.ndarray,
-                 consumed: np.ndarray, engagement: np.ndarray,
+    def __init__(self, winner: np.ndarray, consumed: np.ndarray, engagement: np.ndarray,
                  quality: np.ndarray, user_utility: np.ndarray) -> None:
-        self.__dict__.update(user_type=user_type, winner=winner,
-                             consumed=consumed, engagement=engagement,
+        self.__dict__.update(winner=winner, consumed=consumed, engagement=engagement,
                              quality=quality, user_utility=user_utility)
 
 
@@ -135,7 +133,7 @@ def simulate_rounds(inst: ModelInstance, metric: Metric, strategy: MixedStrategy
         consumed = inst.family.accepts(q, x, ts)
         r = np.minimum((rng.random(n) * P).astype(np.int64), P - 1)
         return RoundBatch(
-            user_type=ts, winner=np.where(consumed, r, -1), consumed=consumed,
+            winner=np.where(consumed, r, -1), consumed=consumed,
             engagement=np.where(consumed, float(inst.engagement(q, x)), 0.0),
             quality=np.where(consumed, q, 0.0),
             user_utility=np.where(consumed, inst.utility(q, x, ts), 0.0))
@@ -155,8 +153,8 @@ def simulate_rounds(inst: ModelInstance, metric: Metric, strategy: MixedStrategy
     idle = ~consumed
     for value in (quality, engagement, utility):
         value[idle] = 0.0
-    return RoundBatch(user_type=ts, winner=winner, consumed=consumed,
-                      engagement=engagement, quality=quality, user_utility=utility)
+    return RoundBatch(winner=winner, consumed=consumed, engagement=engagement,
+                      quality=quality, user_utility=utility)
 
 
 class OpponentPool(Frozen):

@@ -19,6 +19,7 @@ inverses of the curve's cost and engagement.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -54,6 +55,9 @@ class TypeSpace(Frozen):
         # both families divide by t, so tolerances must be positive
         if any(not math.isfinite(t) or t <= 0.0 for t in types):
             raise ValueError("types must be finite and > 0")
+        if min(types) < sys.float_info.min:  # 1 / t overflows below 5.6e-309
+            raise ValueError(f"types must be normal floats, at least "
+                             f"{sys.float_info.min!r}")
         if any(b <= a for a, b in zip(types, types[1:])):
             raise ValueError("types must be strictly increasing")
         self.__dict__.update(types=types)
@@ -289,31 +293,7 @@ def zero_cost_extent(inst: ModelInstance, t: float) -> float:
     return inst.family.zero_quality_extent(t) if inst.family.gamma == 0.0 else 0.0
 
 
-# Exact audit of the structural assumptions on (c, u, M^E): both families are
-# linear, so each condition is a comparison on gamma, W and the types.
-
-class CheckResult(Frozen):
-    def __init__(self, name: str, passed: bool, detail: str) -> None:
-        self.__dict__.update(name=name, passed=passed, detail=detail)
-
-
-class AssumptionReport(Frozen):
-    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
-        self.__dict__.update(checks=checks)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
-        }
-
-
-def check_assumptions(inst: ModelInstance) -> AssumptionReport:
+def check_assumptions(inst: ModelInstance) -> dict:
     """Audit the structural conditions on cost, utility, and engagement.
 
     Both families are linear: the cost gradient is ``(1, gamma)``, the
@@ -321,7 +301,8 @@ def check_assumptions(inst: ModelInstance) -> AssumptionReport:
     ``s_t * (q - x / t + baseline)`` with ``s_t = 1`` for ``linear`` and
     ``W * t`` for ``kmr``. Each condition is therefore an exact comparison
     on gamma, W and the types, with no grid and no tolerance. Failures are
-    reported, never raised.
+    reported, never raised, in the report that ``check_model.json`` holds:
+    ``{"all_passed": ..., "checks": [{"name", "passed", "detail"}, ...]}``.
     """
     fam = inst.family
     dc = (1.0, fam.gamma)  # cost gradient in (quality, gaming)
@@ -330,22 +311,19 @@ def check_assumptions(inst: ModelInstance) -> AssumptionReport:
     m00 = float(fam.engagement(0.0, 0.0))
     kmr = isinstance(fam, KMR)
     checks = [
-        CheckResult("cost_quality_strictly_costly", dc[0] > 0.0,
-                    f"dc/dw_costly = {dc[0]} > 0"),
-        CheckResult("cost_gaming_uniform_sign", dc[1] >= 0.0,
-                    f"dc/dw_cheap = gamma = {dc[1]!r} everywhere, > 0 or == 0"),
-        CheckResult("cost_zero_at_opt_out", c00 == 0.0, f"c(0,0) = {c00}"),
-        CheckResult("cost_unbounded_in_quality", dc[0] > 0.0,
-                    f"c([X, 0]) = {dc[0]} * X grows without bound"),
-        CheckResult("engagement_nonnegative", m00 >= 0.0 and min(dm) >= 0.0,
-                    f"M^E >= M^E(0,0) = {m00} >= 0"),
-        CheckResult("engagement_increasing_quality", dm[0] > 0.0,
-                    f"dM^E/dw_costly = {dm[0]} > 0"),
-        CheckResult("engagement_increasing_gaming", dm[1] > 0.0,
-                    f"dM^E/dw_cheap = {dm[1]} > 0"),
-        CheckResult("gaming_more_cost_effective", dc[1] * dm[0] < dm[1] * dc[0],
-                    f"(dc/dw_cheap)/(dc/dw_costly) = {dc[1]!r} < "
-                    f"{dm[1] / dm[0]} = (dM/dw_cheap)/(dM/dw_costly)"),
+        ("cost_quality_strictly_costly", dc[0] > 0.0, f"dc/dw_costly = {dc[0]} > 0"),
+        ("cost_gaming_uniform_sign", dc[1] >= 0.0,
+         f"dc/dw_cheap = gamma = {dc[1]!r} everywhere, > 0 or == 0"),
+        ("cost_zero_at_opt_out", c00 == 0.0, f"c(0,0) = {c00}"),
+        ("cost_unbounded_in_quality", dc[0] > 0.0,
+         f"c([X, 0]) = {dc[0]} * X grows without bound"),
+        ("engagement_nonnegative", m00 >= 0.0 and min(dm) >= 0.0,
+         f"M^E >= M^E(0,0) = {m00} >= 0"),
+        ("engagement_increasing_quality", dm[0] > 0.0, f"dM^E/dw_costly = {dm[0]} > 0"),
+        ("engagement_increasing_gaming", dm[1] > 0.0, f"dM^E/dw_cheap = {dm[1]} > 0"),
+        ("gaming_more_cost_effective", dc[1] * dm[0] < dm[1] * dc[0],
+         f"(dc/dw_cheap)/(dc/dw_costly) = {dc[1]!r} < "
+         f"{dm[1] / dm[0]} = (dM/dw_cheap)/(dM/dw_costly)"),
     ]
     for t in inst.types:
         # du/dw_costly = s_t and du/dw_cheap = -s_t / t; the sign of
@@ -353,18 +331,18 @@ def check_assumptions(inst: ModelInstance) -> AssumptionReport:
         ok = t > 0.0 and (not kmr or fam.W > 0.0)
         scale = f"W * t = {fam.W!r} * {t!r}" if kmr else "1"
         checks += [
-            CheckResult(f"utility_increasing_quality[t={t:g}]", ok,
-                        f"du/dw_costly = s_t > 0, s_t = {scale}"),
-            CheckResult(f"utility_decreasing_gaming[t={t:g}]", ok,
-                        f"du/dw_cheap = -s_t / t < 0, s_t = {scale}"),
-            CheckResult(f"utility_limits[t={t:g}]", ok,
-                        "u is linear in each coordinate, with slopes s_t > 0 "
-                        "and -s_t / t < 0, so it -> +inf and -> -inf"),
+            (f"utility_increasing_quality[t={t:g}]", ok,
+             f"du/dw_costly = s_t > 0, s_t = {scale}"),
+            (f"utility_decreasing_gaming[t={t:g}]", ok,
+             f"du/dw_cheap = -s_t / t < 0, s_t = {scale}"),
+            (f"utility_limits[t={t:g}]", ok, "u is linear in each coordinate, with "
+             "slopes s_t > 0 and -s_t / t < 0, so it -> +inf and -> -inf"),
         ]
     for t_lo, t_hi in zip(inst.types, inst.types[1:]):
         # u(w, t) >= 0 exactly when q - x / t + baseline >= 0, and x / t
         # falls as t rises
-        checks.append(CheckResult(
-            f"type_monotonicity[{t_lo:g}->{t_hi:g}]", 0.0 < t_lo < t_hi,
-            "u(w, t) >= 0 implies u(w, t') >= 0 for t' > t"))
-    return AssumptionReport(tuple(checks))
+        checks.append((f"type_monotonicity[{t_lo:g}->{t_hi:g}]", 0.0 < t_lo < t_hi,
+                       "u(w, t) >= 0 implies u(w, t') >= 0 for t' > t"))
+    return {"all_passed": all(passed for _, passed, _ in checks),
+            "checks": [{"name": name, "passed": passed, "detail": detail}
+                       for name, passed, detail in checks]}

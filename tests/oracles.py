@@ -380,3 +380,54 @@ def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
         probes=np.array([c.as_tuple() for c in probes]),
         probe_mean=np.array([e.mean for e in probe_utils]),
         probe_stderr=np.array([e.stderr for e in probe_utils]))
+
+
+def quantile_grid(strategy, n):
+    """The strategy as weighted rows ``(contents, weights)``: each atom is
+    one row of its weight, and each other component is n rows, at its
+    midpoint quantiles (i + 1/2) / n, each of weight w / n."""
+    import numpy as np
+    from creatorsim.equilibrium import AtomComponent
+
+    u = (np.arange(n) + 0.5) / n
+    rows, weights = [], []
+    for w, comp in strategy.components:
+        if isinstance(comp, AtomComponent):
+            rows.append(comp.sample_from_uniforms(1))
+            weights.append(np.array([w]))
+        else:
+            rows.append(comp.sample_from_uniforms(n, u))
+            weights.append(np.full(n, w / n))
+    return np.concatenate(rows), np.concatenate(weights)
+
+
+def exact_payoffs(inst, metric, strategy, P, contents, n):
+    """Payoff of each ``(q, x)`` row of ``contents`` against P - 1 i.i.d.
+    opponents playing ``quantile_grid(strategy, n)``, with no sampling.
+
+    The pool is one opponent column: the grid, repeated once per type, so
+    ``OpponentPool.of`` and ``_cuts`` apply the package's own acceptance and
+    tie rules. Per type, b is the grid weight scoring strictly below the
+    content (rejected rows included) and a the weight tying with it. Against
+    P - 1 opponents the content's expected share is then
+    ((a + b)^P - b^P) / (P a), or b^(P - 1) where a = 0; a type that rejects
+    the content has a = b = 0, and so share 0. The payoff is the mean share
+    over the types minus the content's cost. On a continuous component the
+    grid moves the weight below any score by at most 1 / n, so a payoff
+    moves by O((P - 1) / n); on atoms the grid is the strategy itself.
+    """
+    import numpy as np
+    from creatorsim.game import OpponentPool
+
+    grid, weight = quantile_grid(strategy, n)
+    T = len(inst.types)
+    opp = np.tile(grid, (T, 1))
+    pool = OpponentPool.of(inst, metric, opp[:, :1], opp[:, 1:],
+                           np.repeat(inst.types, len(grid)))
+    cum = np.concatenate([[0.0], np.cumsum(np.tile(weight, T)[pool.order])])
+    q, x = np.asarray(contents, dtype=float).T
+    start, lo, hi = pool._cuts(q, x)
+    b, a = cum[lo] - cum[start], cum[hi] - cum[lo]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.where(a > 0.0, ((a + b) ** P - b ** P) / (P * a), b ** (P - 1))
+    return share.mean(axis=1) - np.asarray(inst.cost(q, x), dtype=float)

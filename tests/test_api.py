@@ -63,7 +63,7 @@ def test_exported_name_has_a_user(name):
 def test_methods_of_every_class_are_checked():
     classes = {cls for cls, _ in METHODS}
     assert {"OpponentPool", "MixedStrategy", "PiecewiseLinearCdf",
-            "ModelInstance", "LinearTwitter", "KMR", "Ecdf"} <= classes
+            "ModelInstance", "LinearTwitter", "KMR"} <= classes
 
 
 @pytest.mark.parametrize("cls, name", METHODS)

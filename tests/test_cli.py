@@ -301,7 +301,7 @@ class TestVerify:
         assert capsys.readouterr().err.splitlines() == [
             "error: non-finite value at report.candidate_utilities.mean[3]: "
             "verify.json not written"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_types_string_exits_two(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, types="12", samples=100)
@@ -325,7 +325,7 @@ def test_allocation_failure_exits_two_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: not enough memory: Unable to allocate")
     assert err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -642,6 +642,38 @@ def test_overflow_at_extreme_scales_is_no_error(tmp_path, model):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "metrics"])
+def test_non_finite_result_removes_the_directories_it_made(tmp_path, monkeypatch,
+                                                           command):
+    # the output directory is made before the Monte Carlo runs; a result
+    # that cannot be written takes it away again, with every parent the
+    # command made, and leaves the directory that was there before
+    def nan_gap(*args, **kwargs):  # verify certifies this config
+        report = best_response_gap(*args, **kwargs)
+        return BestResponseReport(**{**vars(report), "gap": math.nan})
+
+    monkeypatch.setattr("creatorsim.cli.best_response_gap", nan_gap)
+    path, _ = write_config(tmp_path, types=[1e-300, 1e300], samples=2000, seed=3)
+    out = tmp_path / "eo" / "deeper"
+    code, _, err = run_main([command, "--config", str(path), "--out", str(out)]
+                            + (["--grid", "10"] if command == "verify" else []))
+    assert code == 2 and err.startswith("error: non-finite "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_subnormal_type_exits_two_naming_types(tmp_path, command):
+    # below the smallest normal float 1 / t overflows; verify used to run
+    # and exit 3, with a gap 16 times its stderr on the subnormal type
+    path, _ = write_config(tmp_path, types=[5e-324, 2.0], samples=2000, seed=3)
+    out = tmp_path / "out"
+    code, _, err = run_main([command, "--config", str(path), "--out", str(out)]
+                            + (["--grid", "10"] if command == "verify" else []))
+    assert (code, err) == (2, "error: types must be normal floats, at least "
+                              "2.2250738585072014e-308\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
 @pytest.mark.parametrize("model", [
     {"family": "kmr", "W": 1.0, "types": [2.0 ** 1023]},
@@ -716,6 +748,7 @@ def refuse_constant(name):
 @given(command=st.sampled_from(sorted(HOSTILE_ARGS)),
        base=st.sampled_from(sorted(HOSTILE_BASES)), mutation=MUTATIONS)
 @example(command="verify", base="linear", mutation=("types", [1e-16, 2.0]))
+@example(command="verify", base="linear", mutation=("types", [5e-324, 2.0]))
 @example(command="verify", base="linear", mutation=("types", [1e-300, 1e300]))
 @example(command="metrics", base="linear", mutation=("types", [1e-300, 1e300]))
 @example(command="metrics", base="kmr", mutation=("W", 1e300))
@@ -742,9 +775,7 @@ def test_hostile_config_exits_zero_two_or_three(command, base, mutation):
         written = sorted(out.iterdir()) if out.exists() else []
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
-            # a non-finite result is found only after the output directory
-            # is made, and leaves it empty
-            assert written == [] and (not out.exists() or "non-finite" in err)
+            assert not out.exists()
         for artifact in written:
             text = artifact.read_text(encoding="utf-8")
             if artifact.suffix == ".json":
@@ -1146,7 +1177,7 @@ class TestMetrics:
         assert threading.active_count() == before
         assert capsys.readouterr().err.splitlines() == [
             "error: not enough memory: Unable to allocate 1.00 TiB for an array"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     # utilities of W = 1e308 overflow to inf, silently: the estimate reports it
     def test_non_finite_estimate_exits_two(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ from scipy import stats as sps
 
 from creatorsim.empirics import (
     FEEDS,
-    Ecdf,
     GENRES,
     EmptyConditionalError,
     RecordParseError,
@@ -245,16 +244,14 @@ class TestByteScan:
 
 class TestConditionalEcdf:
     def test_single_zero_favorite_record(self):
-        curve = conditional_ecdf([rec(a=2, favs=0)], 2, "E", ("P", "NP"))
-        assert curve(0.0) == 1.0
-        assert curve(-1e-9) == 0.0
+        xs, ys = conditional_ecdf([rec(a=2, favs=0)], 2, "E", ("P", "NP"))
+        assert xs.tolist() == [0.0] and ys.tolist() == [1.0]
 
     def test_two_record_steps(self):
         records = [rec(a=1, favs=0), rec(a=1, favs=1)]
-        curve = conditional_ecdf(records, 1, "E", ("P",))
-        assert curve(0.0) == pytest.approx(0.5)
-        assert curve(math.log(2.0) - 1e-12) == pytest.approx(0.5)
-        assert curve(math.log(2.0)) == pytest.approx(1.0)
+        xs, ys = conditional_ecdf(records, 1, "E", ("P",))
+        assert xs.tolist() == [0.0, math.log(2.0)]
+        assert ys.tolist() == [0.5, 1.0]
 
     def test_empty_conditional_signal(self):
         with pytest.raises(EmptyConditionalError):
@@ -263,22 +260,23 @@ class TestConditionalEcdf:
     def test_ecdf_shape_properties(self):
         rng = np.random.default_rng(0)
         records = [rec(a=0, favs=int(f)) for f in rng.integers(0, 50, size=200)]
-        curve = conditional_ecdf(records, 0, "E", ("P",))
-        grid = np.linspace(-1.0, 5.0, 300)
-        vals = np.asarray(curve(grid))
-        assert np.all(np.diff(vals) >= 0.0)
-        assert np.all((vals >= 0.0) & (vals <= 1.0))
-        assert curve(float(np.log1p(49))) == pytest.approx(1.0)
-        xs, ys = curve.step_points()
-        assert np.array_equal(ys, curve(xs))
+        xs, ys = conditional_ecdf(records, 0, "E", ("P",))
+        assert np.all(np.diff(xs) > 0.0) and np.all(np.diff(ys) > 0.0)
+        assert 0.0 < ys[0] and ys[-1] == 1.0
+        assert xs[-1] <= float(np.log1p(49))
 
     @pytest.mark.parametrize("levels", [1, 3, 50])
     def test_step_points_are_the_distinct_values_and_their_ranks(self, levels):
-        values = np.random.default_rng(levels).integers(0, levels, 200) / 7.0
-        xs, ys = Ecdf(values).step_points()
-        distinct, counts = np.unique(values, return_counts=True)
-        assert np.array_equal(xs, distinct)
-        assert np.array_equal(ys, np.cumsum(counts) / len(values))
+        favs = np.random.default_rng(levels).integers(0, levels, 200)
+        records = [rec(a=0, favs=int(f)) for f in favs]
+        xs, ys = conditional_ecdf(records, 0, "E", ("P",))
+        distinct, counts = np.unique(favs, return_counts=True)
+        assert np.array_equal(xs, np.log1p(distinct.astype(float)))
+        assert np.array_equal(ys, np.cumsum(counts) / len(favs))
+        # each step's height is the right-continuous ECDF at its value
+        sorted_values = np.sort(np.log1p(favs.astype(float)))
+        assert np.array_equal(
+            ys, np.searchsorted(sorted_values, xs, side="right") / len(favs))
 
 
 class TestSpearman:
@@ -415,7 +413,5 @@ class TestSurveyAndRecordForms:
         for a in range(5):
             from_records = conditional_ecdf(records, a, feed, genres)
             from_survey = conditional_ecdf(survey, a, feed, genres)
-            assert np.array_equal(from_records.values, from_survey.values)
-            for got, want in zip(from_records.step_points(),
-                                 from_survey.step_points()):
+            for got, want in zip(from_records, from_survey):
                 assert np.array_equal(got, want)

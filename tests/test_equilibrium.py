@@ -213,7 +213,7 @@ class TestTwoTypes:
             assert abs(emp - exact) <= 3 * math.sqrt(0.25 / len(pts)) + 1e-3
 
     @pytest.mark.parametrize("family", ["linear", "kmr"])
-    @pytest.mark.parametrize("t", [1.0, 1e-15, 2e-16, 1e-16, 2.2e-308])
+    @pytest.mark.parametrize("t", [1.0, 1e-15, 2e-16, 1e-16, 2.2250738585072014e-308])
     def test_each_support_starts_at_its_kink(self, t, family):
         # below about 1.1e-16, 1 + t rounds to 1, so the low type's first
         # engagement level 1/a_t - shift rounds to 0 rather than to its kink

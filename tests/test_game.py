@@ -166,7 +166,7 @@ def landscape_rounds(inst, metric, q, x, P, n, rng):
                            ts, rng)
     consumed = winner >= 0
     wq, wx = np.full(n, q), np.full(n, x)
-    fields = {"user_type": ts, "winner": winner, "consumed": consumed,
+    fields = {"winner": winner, "consumed": consumed,
               "engagement": np.asarray(inst.engagement(wq, wx), dtype=float),
               "quality": wq.copy(),
               "user_utility": np.asarray(inst.utility(wq, wx, ts), dtype=float)}
@@ -291,8 +291,7 @@ class TestDeterminism:
         game = EQUILIBRIA["homogeneous_P2"].game()
         a = simulate_rounds(*game, 1, np.random.default_rng(5))
         b = simulate_rounds(*game, 1, np.random.default_rng(5))
-        for field in ("user_type", "winner", "consumed", "engagement", "quality",
-                      "user_utility"):
+        for field in ("winner", "consumed", "engagement", "quality", "user_utility"):
             assert getattr(a, field).tolist() == getattr(b, field).tolist()
 
 

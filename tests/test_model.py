@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,14 @@ class TestDomainTypes:
     def test_builtin_families_need_positive_types(self):
         with pytest.raises(ValueError, match="types must be finite and > 0"):
             linear(1.0, types=(0.0, 1.0))
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-310, math.nextafter(2.0 ** -1022, 0.0)])
+    def test_subnormal_types_are_refused(self, t):
+        # verify exited 3 on types [5e-324, 2.0] and [1e-310, 2.0], where
+        # 1 / t, the curve's cost tail slope, overflows
+        with pytest.raises(ValueError, match="types must be normal floats"):
+            TypeSpace.of([t, 2.0])
+        TypeSpace.of([2.0 ** -1022, 2.0])  # the smallest normal float
 
     def test_family_parameter_ranges(self):
         with pytest.raises(ValueError):
@@ -318,23 +328,26 @@ def _valid_instances():
 class TestCheckAssumptions:
     def test_linear_passes(self):
         report = check_assumptions(linear(1.0, 0.5))
-        assert report.all_passed, [c.name for c in report.checks if not c.passed]
+        assert report["all_passed"], [c["name"] for c in report["checks"]
+                                      if not c["passed"]]
 
     def test_kmr_passes(self):
         report = check_assumptions(kmr(1.0, 0.0))
-        assert report.all_passed, [c.name for c in report.checks if not c.passed]
+        assert report["all_passed"], [c["name"] for c in report["checks"]
+                                      if not c["passed"]]
 
     @settings(max_examples=100, deadline=None)
     @given(inst=_valid_instances())
     def test_passes_over_the_valid_domain(self, inst):
         report = check_assumptions(inst)
-        assert report.all_passed, [c.name for c in report.checks if not c.passed]
+        assert report["all_passed"], [c["name"] for c in report["checks"]
+                                      if not c["passed"]]
 
     def test_report_serializes(self):
         import json
         report = check_assumptions(linear(0.2, 0.1, types=(1.0, 2.0)))
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["all_passed"] is True
+        payload = json.loads(json.dumps(report))
+        assert payload == report and payload["all_passed"] is True
         assert len(payload["checks"]) == 15
         assert all(sorted(c) == ["detail", "name", "passed"]
                    for c in payload["checks"])

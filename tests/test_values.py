@@ -7,7 +7,7 @@ import pytest
 from creatorsim._stats import MetricEstimate
 from creatorsim.empirics import SpearmanResult, Survey, TweetRecord
 from creatorsim.game import OpponentPool, simulate_rounds
-from creatorsim.model import KMR, Content, LinearTwitter, check_assumptions
+from creatorsim.model import KMR, Content, LinearTwitter
 from creatorsim.verify import best_response_gap
 from catalogue import EQUILIBRIA
 
@@ -40,9 +40,6 @@ VALUES = {
     "MetricEstimate": (lambda: MetricEstimate(1.0, 0.5, 3), "mean"),
     "BestResponseReport": (lambda: best_response_gap(
         *TWO.game(), 3, 100, np.random.default_rng(0)), "gap"),
-    "AssumptionReport": (lambda: check_assumptions(ONE.inst), "checks"),
-    "CheckResult": (lambda: check_assumptions(ONE.inst).checks[0],
-                    "passed"),
     "TweetRecord": (lambda: TweetRecord("E", "P", 1, 2), "favorites"),
     "Survey": (lambda: Survey.from_records([TweetRecord("C", "NP", 0, 5)]),
                "feed"),
