@@ -15,7 +15,8 @@ Exit codes: 0 success, 2 configuration or validation error (including a
 non-finite ``metrics`` estimate or ``verify`` report, which is never
 written, and a failed allocation), 3 verification failure. An error that
 exits 2 leaves no output directory that the command made. Identical
-config and seed give byte-identical outputs, at any ``--threads`` count.
+config and seed give byte-identical outputs. ``metrics`` accepts
+``--threads`` and ignores it: its shards run in order on one thread.
 """
 
 from __future__ import annotations
@@ -328,8 +329,7 @@ def cmd_metrics(args) -> int:
                         sort_keys=True, separators=(",", ":"))
     for rec, strategy in zip(recommenders, strategies):
         estimates = met.estimate_round_metrics(inst, Metric(rec), strategy,
-                                               cfg["P"], cfg["samples"], rng,
-                                               threads=args.threads)
+                                               cfg["P"], cfg["samples"], rng)
         for name, est in estimates.items():
             if not (math.isfinite(est.mean) and math.isfinite(est.stderr)):
                 raise ConfigError(f"non-finite estimate for {name},{rec}: "
@@ -432,7 +432,9 @@ COMMANDS = (
      (CONFIG, SEED, SAMPLES, OUT, ("--grid", int, 200, "points per curve")),
      "cmd_verify"),
     ("metrics", "UCQ/RE/UW estimates to CSV",
-     (CONFIG, SEED, SAMPLES, OUT, ("--threads", int, 1, None)), "cmd_metrics"),
+     (CONFIG, SEED, SAMPLES, OUT,
+      ("--threads", int, 1, "accepted and ignored; shards run in order")),
+     "cmd_metrics"),
     ("describe", "strategy components as JSON", (CONFIG, OUT), "cmd_describe"),
     ("empirics", "feed-survey rank analysis",
      (("--data", str, REQUIRED, "records CSV path"), ("--out", str, None, None)),

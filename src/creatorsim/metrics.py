@@ -3,14 +3,13 @@
 Three equilibrium performance measures, all gated by consumption: user
 consumption of quality (winner quality), realized engagement (winner
 engagement score), and user welfare (winner utility). One Monte Carlo pass
-over simulated rounds estimates all three, on spawned shards of at most
-``ROUND_ROWS`` rounds whose boundaries depend only on the round count, so
-the estimates do not depend on the thread count. Each shard is one
-``simulate_rounds`` batch (sampling, then the column-by-column winner
-kernel of ``game``; a point-mass strategy skips both for one acceptance
-test per round and the same tie-break draw) reduced to three
-``RunningMoments`` before the next starts, so the memory a pass holds grows
-with the number of workers and ``ROUND_ROWS``, not with the round count.
+over simulated rounds estimates all three, on shards of at most
+``ROUND_ROWS`` rounds run in order, whose boundaries depend only on the
+round count. Each shard is one ``simulate_rounds`` batch (sampling, then
+the column-by-column winner kernel of ``game``; a point-mass strategy skips
+both for one acceptance test per round and the same tie-break draw) reduced
+into three ``RunningMoments`` before the next starts, so the memory a pass
+holds grows with ``ROUND_ROWS`` and P, not with the round count.
 The homogeneous engagement case additionally has a closed-form route
 through the quality CDF and an expected-maximum integral by a fixed
 Gauss-Legendre rule per CDF panel, which the estimators are tested against.
@@ -19,8 +18,6 @@ Gauss-Legendre rule per CDF panel, which the estimators are tested against.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,120 +31,54 @@ QUAD_NODES = 64  # Gauss-Legendre nodes per panel of expected_max_from_cdf
 E_LIMIT_TOP = math.exp(1.0 - 1.0 / math.e)  # upper support of the limit cdf
 
 
-# most rounds in one shard; fixed, so the draws do not depend on the thread count
+# most rounds in one shard; fixed, because the shard boundaries set the draws
 ROUND_ROWS = 16384
-# shard generators spawned at once; bounds what a pass builds ahead of its rounds
-SPAWN_GROUP = 64
 ROUND_FIELDS = {"ucq": "quality", "re": "engagement", "uw": "user_utility"}
 
 
 def estimate_round_metrics(inst: ModelInstance, metric: Metric,
                            strategy: MixedStrategy, P: int, n: int,
-                           rng: np.random.Generator,
-                           threads: int = 1) -> dict[str, MetricEstimate]:
+                           rng: np.random.Generator) -> dict[str, MetricEstimate]:
     """UCQ, RE and UW, keyed by those names, from one pass of n rounds.
 
     The rounds are split as evenly as possible into ``ceil(n / ROUND_ROWS)``
-    shards of at most ``ROUND_ROWS`` rounds, each drawn from its own
-    ``rng.spawn`` child. The children are spawned ``SPAWN_GROUP`` at a time
-    as the pass reaches them; ``SeedSequence`` numbers children in spawn
-    order, so the draws equal those of one ``rng.spawn(shards)`` call.
-    ``threads`` only sets how many shards run at once (never more than the
-    shards or the CPUs); their moments are merged in shard order, so the
-    estimates are identical at any thread count. The arrays alive at once
-    take O(workers * ROUND_ROWS * P) memory.
+    shards of at most ``ROUND_ROWS`` rounds, run in order on the calling
+    thread. Each shard draws from a child spawned as the pass reaches it;
+    ``SeedSequence`` numbers children in spawn order, so the draws equal
+    those of one ``rng.spawn(shards)`` call. A shard's batch is reduced and
+    freed before the next is drawn, so a pass takes O(ROUND_ROWS * P)
+    memory whatever n is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     shards = (n + ROUND_ROWS - 1) // ROUND_ROWS
     size, extra = divmod(n, shards)
+    totals = {name: RunningMoments() for name in ROUND_FIELDS}
 
-    def shard(i: int, sub: np.random.Generator) -> list[RunningMoments]:
-        batch = simulate_rounds(inst, metric, strategy, P,
-                                size + (i < extra), sub)
-        parts = [RunningMoments() for _ in ROUND_FIELDS]
-        for part, field in zip(parts, ROUND_FIELDS.values()):
-            part.add_samples(getattr(batch, field))
-        return parts
+    def add_shard(rows: int) -> None:
+        # the batch dies on return, before the next shard draws
+        batch = simulate_rounds(inst, metric, strategy, P, rows, rng.spawn(1)[0])
+        for name, field in ROUND_FIELDS.items():
+            totals[name].add_samples(getattr(batch, field))
 
-    totals = [RunningMoments() for _ in ROUND_FIELDS]
-    workers = min(threads, shards, _usable_cpus())
-    for start in range(0, shards, SPAWN_GROUP):
-        group = range(start, min(start + SPAWN_GROUP, shards))
-        for parts in _map_in_order(shard, list(zip(group, rng.spawn(len(group)))),
-                                   workers):
-            for total, part in zip(totals, parts):
-                total.merge(part)
-    return {name: total.estimate() for name, total in zip(ROUND_FIELDS, totals)}
+    for i in range(shards):
+        add_shard(size + (i < extra))
+    return {name: total.estimate() for name, total in totals.items()}
 
 
-def _map_in_order(fn: Callable, calls: list[tuple], workers: int) -> list:
-    """``[fn(*args) for args in calls]``, run ``workers`` calls at a time.
-
-    This thread and ``workers - 1`` started threads each take the next call
-    not yet started, until none is left or a call has raised; one worker
-    thus runs the calls inline. Once every started thread has joined, the
-    exception of the first call in order that raised is raised again here.
-    If a thread cannot start, or this thread is interrupted, the started
-    threads finish the call they hold, take no other and are joined before
-    the exception leaves.
-    """
-    results = [None] * len(calls)
-    failed: dict[int, BaseException] = {}
-    stop = threading.Event()  # no call starts once it is set
-    lock = threading.Lock()
-    pending = iter(range(len(calls)))
-
-    def work() -> None:
-        while not stop.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(*calls[i])
-            except BaseException as exc:  # raised again below
-                failed[i] = exc
-                stop.set()
-
-    started = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            started.append(thread)
-        work()
-    finally:
-        stop.set()  # the started threads end after the call they hold
-        for thread in started:
-            thread.join()
-    if failed:
-        raise failed[min(failed)]
-    return results
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (``taskset``, a cpuset container), else every CPU."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def estimate_ucq(inst, metric, strategy, P, n, rng, threads=1) -> MetricEstimate:
+def estimate_ucq(inst, metric, strategy, P, n, rng) -> MetricEstimate:
     """User consumption of quality: winner quality when consumed, else 0."""
-    return estimate_round_metrics(inst, metric, strategy, P, n, rng, threads)["ucq"]
+    return estimate_round_metrics(inst, metric, strategy, P, n, rng)["ucq"]
 
 
-def estimate_re(inst, metric, strategy, P, n, rng, threads=1) -> MetricEstimate:
+def estimate_re(inst, metric, strategy, P, n, rng) -> MetricEstimate:
     """Realized engagement: winner engagement score when consumed, else 0."""
-    return estimate_round_metrics(inst, metric, strategy, P, n, rng, threads)["re"]
+    return estimate_round_metrics(inst, metric, strategy, P, n, rng)["re"]
 
 
-def estimate_uw(inst, metric, strategy, P, n, rng, threads=1) -> MetricEstimate:
+def estimate_uw(inst, metric, strategy, P, n, rng) -> MetricEstimate:
     """User welfare: winner utility when consumed, else 0."""
-    return estimate_round_metrics(inst, metric, strategy, P, n, rng, threads)["uw"]
+    return estimate_round_metrics(inst, metric, strategy, P, n, rng)["uw"]
 
 
 def limit_engagement_cdf(v, eps: float = 0.0) -> np.ndarray:

@@ -265,22 +265,14 @@ class TestEstimators:
         est = estimate_re(inst, Metric.RANDOM, s, 2, 2000, np.random.default_rng(7))
         assert est.mean == 1.0  # origin content has engagement exactly 1
 
-    def test_threads_shard_and_merge(self):
-        game = HOMOGENEOUS.game()
-        one = estimate_ucq(*game, 20000, np.random.default_rng(8), threads=1)
-        four = estimate_ucq(*game, 20000, np.random.default_rng(8), threads=4)
-        assert four.n == one.n == 20000
-        assert four == one
-
     @pytest.mark.parametrize("n", [3, 9999, 2 * ROUND_ROWS + 5])
-    def test_round_metrics_identical_across_threads(self, n):
+    def test_round_metrics_keys_counts_and_reruns(self, n):
         game = EQUILIBRIA["well_separated_N4"].game()
-        one, four = (estimate_round_metrics(*game, n, np.random.default_rng(9),
-                                            threads=t)
-                     for t in (1, 4))
+        one, two = (estimate_round_metrics(*game, n, np.random.default_rng(9))
+                    for _ in range(2))
         assert list(one) == ["ucq", "re", "uw"]
         assert all(est.n == n for est in one.values())
-        assert one == four
+        assert one == two
 
     def test_round_metrics_match_single_metric_wrappers(self):
         inst = linear(1.0, 0.3)
@@ -292,152 +284,46 @@ class TestEstimators:
             assert fn(inst, Metric.ENGAGEMENT, s, 2, 5000,
                       np.random.default_rng(11)) == both[name]
 
-    # affinity None: a platform without os.sched_getaffinity
-    @pytest.mark.parametrize("cpus,affinity,workers", [
-        (3, None, 3), (64, None, 5), (None, None, 1), (64, {0}, 1)],
-        ids=["3-3", "64-5", "None-1", "64-pinned_to_1-1"])
-    def test_worker_pool_capped_at_cpu_count(self, monkeypatch, cpus, affinity,
-                                             workers):
-        import threading
-
+    def test_pass_is_a_loop_over_the_children_of_one_spawn(self, monkeypatch):
+        # shards as even as np.array_split makes them, each drawn from the
+        # next child of one rng.spawn(shards) call and reduced on its own
         import creatorsim.metrics as met
-        started = []
-        start = threading.Thread.start
+        from creatorsim.game import simulate_rounds
 
-        def spy(thread):
-            started.append(thread)
-            start(thread)
-
+        monkeypatch.setattr(met, "ROUND_ROWS", 4)
         game = HOMOGENEOUS.game()
-        n = 4 * ROUND_ROWS + 1
-        want = estimate_round_metrics(*game, n, np.random.default_rng(3))
-        monkeypatch.setattr(threading.Thread, "start", spy)
-        monkeypatch.setattr(met.os, "cpu_count", lambda: cpus)
-        if affinity is None:
-            monkeypatch.delattr(met.os, "sched_getaffinity", raising=False)
-        else:
-            monkeypatch.setattr(met.os, "sched_getaffinity", lambda pid: affinity,
-                                raising=False)
-        before = threading.active_count()
-        got = estimate_round_metrics(*game, n, np.random.default_rng(3),
-                                     threads=10**6)
-        assert threading.active_count() == before
-        # the calling thread is one of the workers, so one runs inline
-        assert len(started) == workers - 1
-        assert got == want
+        n = 4 * 150 + 3  # 151 shards: 150 of 4 rounds, then 1 of 3
+        shards = -(-n // 4)
+        totals = [RunningMoments() for _ in range(3)]
+        for rows, sub in zip(np.array_split(np.arange(n), shards),
+                             np.random.default_rng(6).spawn(shards)):
+            batch = simulate_rounds(*game, len(rows), sub)
+            for total, values in zip(totals, (batch.quality, batch.engagement,
+                                              batch.user_utility)):
+                part = RunningMoments()
+                part.add_samples(values)
+                total.merge(part)
+        want = dict(zip(["ucq", "re", "uw"], (t.estimate() for t in totals)))
+        assert all(est.n == n for est in want.values())
+        assert estimate_round_metrics(*game, n, np.random.default_rng(6)) == want
 
-    def test_shard_exception_propagates_after_every_thread_joined(
-            self, monkeypatch):
-        import threading
+    @pytest.mark.parametrize("name,P", [("well_separated_N4", 2), ("investment", 7)])
+    def test_memory_does_not_grow_with_round_count(self, name, P):
+        import tracemalloc
 
-        import creatorsim.metrics as met
-        calls = []
-        simulate = met.simulate_rounds
-
-        def failing(inst, metric, strategy, P, n, rng):
-            calls.append(n)
-            if len(calls) == 2:
-                raise RuntimeError("shard failed")
-            return simulate(inst, metric, strategy, P, n, rng)
-
-        monkeypatch.setattr(met, "ROUND_ROWS", 100)
-        monkeypatch.setattr(met, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(met, "simulate_rounds", failing)
-        game = HOMOGENEOUS.game()
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="shard failed"):
-            estimate_round_metrics(*game, 5000, np.random.default_rng(0), threads=2)
-        assert threading.active_count() == before
-        assert len(calls) < 50  # the workers stop taking shards after it
-
-    def test_thread_that_cannot_start_stops_the_others(self, monkeypatch):
-        import threading
-
-        import creatorsim.metrics as met
-        start = threading.Thread.start
-        started = []
-
-        def start_once(thread):
-            if started:
-                raise RuntimeError("can't start new thread")
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(met, "ROUND_ROWS", 100)
-        monkeypatch.setattr(met, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(threading.Thread, "start", start_once)
-        game = HOMOGENEOUS.game()
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            estimate_round_metrics(*game, 5000, np.random.default_rng(0), threads=3)
-        assert len(started) == 1
-        assert threading.active_count() == before
-
-    def test_many_workers_with_fast_switching_match_one(self, monkeypatch):
-        # more workers than cores, switching threads every microsecond: a
-        # shard lost, run twice or merged out of order changes the estimates
-        import sys
-
-        import creatorsim.metrics as met
-        monkeypatch.setattr(met, "ROUND_ROWS", 16)
-        monkeypatch.setattr(met, "_usable_cpus", lambda: 8)
-        game = HOMOGENEOUS.game()
-        n = 16 * 150 + 7  # three spawn groups
-        want = estimate_round_metrics(*game, n, np.random.default_rng(12))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+        game = EQUILIBRIA[name]._replace(P=P).game()
+        estimate_round_metrics(*game, ROUND_ROWS, np.random.default_rng(0))  # warm-up
+        peaks = []
+        tracemalloc.start()
         try:
-            got = estimate_round_metrics(*game, n, np.random.default_rng(12),
-                                         threads=8)
+            for shards in (1, 8):
+                tracemalloc.reset_peak()
+                estimate_round_metrics(*game, shards * ROUND_ROWS,
+                                       np.random.default_rng(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
-            sys.setswitchinterval(interval)
-        assert got == want
-
-    def test_shard_generators_spawned_in_groups(self, monkeypatch):
-        import creatorsim.metrics as met
-
-        class SpawnSpy:
-            def __init__(self, rng):
-                self.rng, self.calls = rng, []
-
-            def spawn(self, k):
-                self.calls.append(k)
-                return self.rng.spawn(k)
-
-        monkeypatch.setattr(met, "ROUND_ROWS", 4)
-        game = HOMOGENEOUS.game()
-        n = 4 * (2 * met.SPAWN_GROUP + 10) + 3
-        spy = SpawnSpy(np.random.default_rng(5))
-        got = estimate_round_metrics(*game, n, spy)
-        assert max(spy.calls) <= 64
-        assert sum(spy.calls) == -(-n // 4)
-        assert got == estimate_round_metrics(*game, n, np.random.default_rng(5))
-
-    def test_grouped_spawn_matches_one_spawn(self, monkeypatch):
-        import creatorsim.metrics as met
-
-        monkeypatch.setattr(met, "ROUND_ROWS", 4)
-        game = HOMOGENEOUS.game()
-        n = 4 * (2 * met.SPAWN_GROUP + 10) + 3  # three groups, uneven shards
-        got = []
-        for group in (met.SPAWN_GROUP, 10**9):
-            monkeypatch.setattr(met, "SPAWN_GROUP", group)
-            for threads in (1, 2):
-                got.append(estimate_round_metrics(*game, n, np.random.default_rng(6),
-                                                  threads=threads))
-        assert all(est.n == n for est in got[0].values())
-        assert got[1:] == got[:1] * 3
-
-    def test_round_metrics_reject_nonpositive_threads(self):
-        with pytest.raises(ValueError, match="threads"):
-            estimate_round_metrics(*EQUILIBRIA["random_P2"].game(), 10,
-                                   np.random.default_rng(0), threads=0)
-
-    def test_threads_deterministic_for_fixed_shard_count(self):
-        game = HOMOGENEOUS.game()
-        a = estimate_ucq(*game, 9999, np.random.default_rng(9), threads=3)
-        b = estimate_ucq(*game, 9999, np.random.default_rng(9), threads=3)
-        assert a == b
+            tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 class TestKmrScaleInvariance:
