@@ -325,6 +325,103 @@ class TestEstimators:
             tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_round_metrics_reject_nonpositive_n(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            estimate_round_metrics(*EQUILIBRIA["random_P2"].game(), n,
+                                   np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n,sizes", [(1, [1]), (4, [4]), (14, [4, 4, 3, 3])])
+    def test_shard_sizes_as_even_as_array_split(self, monkeypatch, n, sizes):
+        import creatorsim.metrics as met
+        calls = []
+        real = met.simulate_rounds
+
+        def spy(inst, metric, strategy, P, rows, rng):
+            calls.append(rows)
+            return real(inst, metric, strategy, P, rows, rng)
+
+        monkeypatch.setattr(met, "ROUND_ROWS", 4)
+        monkeypatch.setattr(met, "simulate_rounds", spy)
+        estimate_round_metrics(*HOMOGENEOUS.game(), n, np.random.default_rng(0))
+        assert calls == sizes
+
+    def test_shard_exception_propagates_and_stops_the_pass(self, monkeypatch):
+        import creatorsim.metrics as met
+        calls = []
+        real = met.simulate_rounds
+
+        def failing(inst, metric, strategy, P, rows, rng):
+            calls.append(rows)
+            if len(calls) == 2:
+                raise RuntimeError("shard failed")
+            return real(inst, metric, strategy, P, rows, rng)
+
+        monkeypatch.setattr(met, "ROUND_ROWS", 100)
+        monkeypatch.setattr(met, "simulate_rounds", failing)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            estimate_round_metrics(*HOMOGENEOUS.game(), 5000,
+                                   np.random.default_rng(0))
+        assert calls == [100, 100]  # no shard after the failing one runs
+
+    def test_each_batch_freed_before_the_next_shard_draws(self, monkeypatch):
+        import weakref
+
+        import creatorsim.metrics as met
+        batches = []
+        real = met.simulate_rounds
+
+        def spy(inst, metric, strategy, P, rows, rng):
+            assert all(ref() is None for ref in batches)
+            batch = real(inst, metric, strategy, P, rows, rng)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(met, "ROUND_ROWS", 8)
+        monkeypatch.setattr(met, "simulate_rounds", spy)
+        estimate_round_metrics(*HOMOGENEOUS.game(), 8 * 5, np.random.default_rng(0))
+        assert len(batches) == 5
+        assert all(ref() is None for ref in batches)
+
+    @pytest.mark.parametrize("n", [1, ROUND_ROWS, ROUND_ROWS + 1])
+    def test_pass_leaves_rng_as_one_spawn_would(self, n):
+        # the caller's generator is spawned from, never drawn from, and its
+        # next child follows the pass's children as after rng.spawn(shards)
+        shards = -(-n // ROUND_ROWS)
+        used = np.random.default_rng(13)
+        estimate_round_metrics(*HOMOGENEOUS.game(), n, used)
+        fresh = np.random.default_rng(13)
+        want_child = fresh.spawn(shards + 1)[shards].random(4)
+        assert np.array_equal(used.spawn(1)[0].random(4), want_child)
+        assert np.array_equal(used.random(4), np.random.default_rng(13).random(4))
+
+    @pytest.mark.parametrize("name", ["homogeneous_P2", "investment", "random_ties"])
+    def test_merged_shards_match_moments_of_all_rounds(self, monkeypatch, name):
+        # the per-shard reduction merged over uneven shards agrees with
+        # the moments of every round's value taken at once
+        import creatorsim.metrics as met
+        batches = []
+        real = met.simulate_rounds
+
+        def keep(inst, metric, strategy, P, rows, rng):
+            batches.append(real(inst, metric, strategy, P, rows, rng))
+            return batches[-1]
+
+        monkeypatch.setattr(met, "ROUND_ROWS", 7)
+        monkeypatch.setattr(met, "simulate_rounds", keep)
+        n = 7 * 40 + 5
+        got = estimate_round_metrics(*EQUILIBRIA[name].game(), n,
+                                     np.random.default_rng(14))
+        assert len(batches) == 41
+        for key, field in (("ucq", "quality"), ("re", "engagement"),
+                           ("uw", "user_utility")):
+            values = np.concatenate([getattr(b, field) for b in batches])
+            assert got[key].n == len(values) == n
+            assert got[key].mean == pytest.approx(values.mean(), rel=1e-12,
+                                                  abs=1e-12)
+            assert got[key].stderr == pytest.approx(
+                values.std(ddof=1) / math.sqrt(n), rel=1e-9, abs=1e-12)
+
 
 class TestKmrScaleInvariance:
     # users accept and the platform ties without regard to KMR's W: only
