@@ -6,7 +6,6 @@ import numpy.random  # noqa: F401
 
 from ._stats import MetricEstimate
 from .model import (
-    Content,
     KMR,
     LinearTwitter,
     ModelInstance,
@@ -43,7 +42,7 @@ from .verify import (
 )
 
 __all__ = [
-    "BestResponseReport", "Content", "KMR", "LinearTwitter",
+    "BestResponseReport", "KMR", "LinearTwitter",
     "MetricEstimate", "Metric", "MixedStrategy",
     "ModelInstance", "PreconditionError", "TypeSpace", "best_response_gap",
     "candidate_deviations", "check_assumptions", "check_positive_correlation",

@@ -1,4 +1,4 @@
-"""Monte Carlo estimate containers and mergeable moment accumulators."""
+"""Monte Carlo estimate containers and a batched moment accumulator."""
 
 from __future__ import annotations
 
@@ -39,30 +39,25 @@ class MetricEstimate(Frozen):
 
 
 class RunningMoments:
-    """Count/mean/M2 accumulator; merges are order-insensitive up to fp error."""
+    """Count/mean/M2 accumulator, fed one batch at a time (Chan et al.)."""
 
-    def __init__(self, n: int = 0, mean: float = 0.0, m2: float = 0.0) -> None:
-        self.n, self.mean, self.m2 = n, mean, m2
+    def __init__(self) -> None:
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
 
     @np.errstate(over="ignore", invalid="ignore")  # the caller reports inf or NaN
     def add_samples(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return
-        mean = values.mean()
-        self.merge(RunningMoments(n=int(values.size), mean=float(mean),
-                                  m2=float(((values - mean) ** 2).sum())))
-
-    def merge(self, other: "RunningMoments") -> None:
-        if other.n == 0:
-            return
+        k, mean = int(values.size), float(values.mean())
+        m2 = float(((values - mean) ** 2).sum())
         if self.n == 0:
-            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
+            self.n, self.mean, self.m2 = k, mean, m2
             return
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        self.m2 = self.m2 + other.m2 + delta * delta * self.n * other.n / n
-        self.mean = self.mean + delta * other.n / n
+        n = self.n + k
+        delta = mean - self.mean
+        self.m2 = self.m2 + m2 + delta * delta * self.n * k / n
+        self.mean = self.mean + delta * k / n
         self.n = n
 
     def estimate(self) -> MetricEstimate:

@@ -57,6 +57,10 @@ RECOMMENDER_CHOICES = ("engagement", "investment", "random", "all")
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8
 _TOO_BIG = "for this config: numpy cannot hold larger arrays"
 
+# Real configs nest 2 levels deep; the bound keeps every recursive walk of
+# one, json.dumps with an indent included, far inside the recursion limit.
+MAX_CONFIG_DEPTH = 100
+
 
 class ConfigError(ValueError):
     pass
@@ -78,7 +82,19 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    if _depth(cfg) > MAX_CONFIG_DEPTH:
+        raise ConfigError(f"config nests deeper than {MAX_CONFIG_DEPTH} levels")
     return cfg
+
+
+def _depth(value) -> int:
+    """Nesting depth of a loaded JSON value, counted one level at a time
+    rather than by recursion."""
+    depth, level = 0, [value]
+    while level := [v for v in level if isinstance(v, (dict, list))]:
+        depth += 1
+        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
+    return depth
 
 
 def _is_int(value) -> bool:
@@ -201,7 +217,6 @@ def resolve_strategy(inst: ModelInstance, P: int, choice: str,
         # the model's numbers are floats already, so only P can overflow
         raise ConfigError(f"equilibrium '{choice}' not applicable: P is too "
                           "large: it must fit in a float")
-    raise ConfigError(f"unknown equilibrium choice {choice!r}")
 
 
 def _config_echo(cfg: dict) -> str:
@@ -227,17 +242,22 @@ def _out_dir(args, cfg: dict | None = None) -> Path:
 
 def _make_dir(path: Path, made: list[Path]) -> None:
     """``path.mkdir(parents=True, exist_ok=True)``, putting each directory
-    that it makes at the front of ``made``."""
-    try:
-        path.mkdir()
-    except FileNotFoundError:
-        _make_dir(path.parent, made)
-        _make_dir(path, made)
-    except FileExistsError:
-        if not path.is_dir():
-            raise
-    else:
-        made.insert(0, path)
+    that it makes at the front of ``made``. It climbs to the nearest
+    directory, then makes the rest top down, with no call per level; a file
+    in an ancestor's place fails the ``mkdir`` below it."""
+    missing = []
+    for step in (path, *path.parents):
+        if step.is_dir():
+            break
+        missing.append(step)
+    for step in reversed(missing):
+        try:
+            step.mkdir()
+        except FileExistsError:
+            if step == path and not path.is_dir():
+                raise
+        else:
+            made.insert(0, step)
 
 
 def _write(path: Path, text: str) -> None:

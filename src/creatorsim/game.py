@@ -46,7 +46,7 @@ import numpy as np
 from ._frozen import Frozen
 from ._stats import MetricEstimate
 from .equilibrium import AtomComponent, MixedStrategy
-from .model import Content, ModelInstance
+from .model import ModelInstance
 
 
 class Metric(str, enum.Enum):
@@ -314,11 +314,12 @@ class OpponentPool(Frozen):
         return mean - np.asarray(self.inst.cost(q, x), dtype=float), stderr
 
 
-def expected_creator_utility(inst: ModelInstance, metric: Metric, w: Content,
+def expected_creator_utility(inst: ModelInstance, metric: Metric,
+                             w: tuple[float, float],
                              opponent_strategy: MixedStrategy, P: int, n: int,
                              rng: np.random.Generator) -> MetricEstimate:
-    """Monte Carlo expected payoff of playing ``w`` against P-1 opponents,
-    on a pool of n fresh opponent and user-type draws."""
+    """Monte Carlo expected payoff of playing content ``w = (q, x)`` against
+    P-1 opponents, on a pool of n fresh opponent and user-type draws."""
     pool = OpponentPool.draw(inst, metric, opponent_strategy, P, n, rng)
-    return MetricEstimate.from_samples(pool.payoffs(np.array([w.as_tuple()])))
+    return MetricEstimate.from_samples(pool.payoffs(np.array([w], dtype=float)))
 

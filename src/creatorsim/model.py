@@ -33,19 +33,6 @@ class PreconditionError(ValueError):
     """An operation's structural preconditions are not met."""
 
 
-class Content(Frozen):
-    """A creator action: quality effort and gaming effort."""
-
-    def __init__(self, w_costly: float, w_cheap: float) -> None:
-        for name, v in (("w_costly", w_costly), ("w_cheap", w_cheap)):
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        self.__dict__.update(w_costly=w_costly, w_cheap=w_cheap)
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.w_costly, self.w_cheap)
-
-
 class TypeSpace(Frozen):
     """Finite set of user tolerances, drawn uniformly at round time."""
 
@@ -68,12 +55,6 @@ class TypeSpace(Frozen):
 
     def __len__(self) -> int:
         return len(self.types)
-
-    def __iter__(self):
-        return iter(self.types)
-
-    def __getitem__(self, i: int) -> float:
-        return self.types[i]
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.integers(0, len(self.types), size=n)

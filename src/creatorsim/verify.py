@@ -34,7 +34,7 @@ from .equilibrium import MixedStrategy
 from .game import Metric, OpponentPool
 # not called here, but perfbench/spans.py wraps verify.expected_creator_utility
 from .game import expected_creator_utility  # noqa: F401
-from .model import Content, ModelInstance, zero_cost_extent
+from .model import ModelInstance, zero_cost_extent
 
 COST_CAP = 1.2  # deviation curves truncated where creation cost passes this
 GAP_ABS_TOL = 0.02
@@ -233,7 +233,7 @@ def check_positive_correlation(samples: np.ndarray, tol: float) -> list[tuple[in
 
 
 def support_containment(samples: np.ndarray, inst: ModelInstance,
-                        tol: float) -> list[tuple[int, Content, float]]:
+                        tol: float) -> list[tuple[int, tuple[float, float], float]]:
     """Samples farther than tol from every type curve and from the origin."""
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -244,4 +244,4 @@ def support_containment(samples: np.ndarray, inst: ModelInstance,
         on_curve = np.abs(q - np.asarray(inst.min_investment(t, x), dtype=float))
         dist = np.minimum(dist, on_curve)
     bad = np.nonzero(dist > tol)[0]
-    return [(int(i), Content(float(q[i]), float(x[i])), float(dist[i])) for i in bad]
+    return [(int(i), (float(q[i]), float(x[i])), float(dist[i])) for i in bad]

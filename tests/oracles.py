@@ -282,17 +282,17 @@ def lexsort_pool(inst, metric, q, x, ts):
 
 
 def scatter_payoffs(pool, w, tied):
-    """Per-sample payoff of content ``w`` on ``pool``, from its own rank cuts,
-    scattered to the pool's rows by ``order`` one type at a time; ``tied``
-    is ``tie_counts`` of the pool's opponents, in their row order."""
+    """Per-sample payoff of content ``w = (q, x)`` on ``pool``, from its own
+    rank cuts, scattered to the pool's rows by ``order`` one type at a time;
+    ``tied`` is ``tie_counts`` of the pool's opponents, in their row order."""
     import numpy as np
 
-    start, lo, hi = pool._cuts(np.array([w.w_costly]), np.array([w.w_cheap]))
+    start, lo, hi = pool._cuts(np.array([w[0]]), np.array([w[1]]))
     share = np.zeros(len(pool.order))
     for a, l, h in zip(start[0], lo[0], hi[0]):
         share[pool.order[a:l]] = 1.0
         share[pool.order[l:h]] = 1.0 / (1.0 + tied[pool.order[l:h]])
-    return share - float(pool.inst.cost(w.w_costly, w.w_cheap))
+    return share - float(pool.inst.cost(*w))
 
 
 def row_loop_payoffs(pool, contents, tied):
@@ -321,17 +321,17 @@ def row_loop_payoffs(pool, contents, tied):
 
 def loop_candidate_deviations(inst, grid_k):
     """``candidate_deviations`` with one scalar ``min_investment`` call and
-    one ``Content`` per grid point."""
+    one ``(q, x)`` tuple per grid point."""
     import numpy as np
-    from creatorsim.model import Content, zero_cost_extent
+    from creatorsim.model import zero_cost_extent
     from creatorsim.verify import COST_CAP
 
-    out = [Content(0.0, 0.0)]
+    out = [(0.0, 0.0)]
     for t in inst.types:
         x_lo = zero_cost_extent(inst, t)
         x_hi = inst.curve_x_for_cost(t, COST_CAP)
         for x in np.linspace(x_lo, x_hi, grid_k):
-            out.append(Content(float(inst.min_investment(t, x)), float(x)))
+            out.append((float(inst.min_investment(t, x)), float(x)))
     return out
 
 
@@ -344,18 +344,17 @@ def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
     vector."""
     import numpy as np
     from creatorsim._stats import MetricEstimate
-    from creatorsim.model import Content
     from creatorsim.verify import BestResponseReport
 
     candidates = loop_candidate_deviations(inst, grid_k)
-    probes = [Content(float(q), float(x)) for q, x in strategy.sample(rng, n_probes)]
+    probes = [(float(q), float(x)) for q, x in strategy.sample(rng, n_probes)]
     n = n_per_candidate
     opp = strategy.sample(rng, n * (P - 1)).reshape(n, P - 1, 2)
     ts = inst.type_space.draw(rng, n)
     pool = lexsort_pool(inst, metric, opp[:, :, 0], opp[:, :, 1], ts)
     tied = tie_counts(inst, metric, opp[:, :, 0], opp[:, :, 1], ts)
 
-    cand_points = np.array([c.as_tuple() for c in candidates])
+    cand_points = np.array(candidates)
     cand_mean, cand_stderr = pool.estimates(cand_points)
     probe_sum = np.zeros(n)
     probe_utils = []
@@ -377,7 +376,7 @@ def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
         argmax_index=best_i, grid_size=grid_k, samples_per_candidate=n,
         candidates=cand_points, candidate_mean=cand_mean,
         candidate_stderr=cand_stderr,
-        probes=np.array([c.as_tuple() for c in probes]),
+        probes=np.array(probes),
         probe_mean=np.array([e.mean for e in probe_utils]),
         probe_stderr=np.array([e.stderr for e in probe_utils]))
 

@@ -68,7 +68,7 @@ def test_verify_and_metrics_import_nothing_mid_command(tmp_path):
                           types=[2.0], P=3, equilibrium="homogeneous",
                           samples=15000, seed=2)
     met, _ = write_config(tmp_path, "met.json",
-                          types=list(make_well_separated_types(4, 0.01)),
+                          types=list(make_well_separated_types(4, 0.01).types),
                           recommender="all", samples=300000, seed=3)
     probe = ("import json, sys, creatorsim.cli as cli; "
              "two, hom, met, out = sys.argv[1:]; "
@@ -101,7 +101,7 @@ def test_cli_start_up_generates_no_code_and_leaves_no_old_collection(tmp_path):
                           types=[2.0], P=3, equilibrium="homogeneous",
                           samples=15000, seed=2)
     met, _ = write_config(tmp_path, "met.json",
-                          types=list(make_well_separated_types(4, 0.01)),
+                          types=list(make_well_separated_types(4, 0.01).types),
                           recommender="all", samples=300000, seed=3)
     probe = """if True:
         import gc, json, sys
@@ -209,7 +209,7 @@ class TestSample:
 
     def test_well_separated_sample_touches_at_most_nprime_curves(self, tmp_path):
         from creatorsim import make_well_separated_types, n_prime
-        types = list(make_well_separated_types(3, 0.01))
+        types = list(make_well_separated_types(3, 0.01).types)
         path, cfg = write_config(tmp_path, types=types, samples=2000,
                                  equilibrium="well_separated")
         assert main(["sample", "--config", str(path), "--out", str(tmp_path)]) == 0
@@ -222,6 +222,24 @@ class TestSample:
                     used.add(t)
                     break
         assert len(used) <= n_prime(3)
+
+    @pytest.mark.parametrize("command, artifact", [("sample", "samples.csv"),
+                                                   ("describe", "strategy.json")])
+    def test_all_recommenders_play_the_engagement_strategy(self, tmp_path, command,
+                                                           artifact):
+        # with every recommender, the creators' play is the engagement
+        # equilibrium: the artifact equals the engagement run's but for the
+        # config it echoes
+        bodies = {}
+        for rec in ("all", "engagement", "investment"):
+            path, _ = write_config(tmp_path, f"{rec}.json", types=[1.0, 1.9],
+                                   recommender=rec, samples=200, seed=3)
+            out = tmp_path / rec
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            text = (out / artifact).read_text()
+            bodies[rec] = (text.splitlines()[1:] if command == "sample"
+                           else json.loads(text)["strategy"])
+        assert bodies["all"] == bodies["engagement"] != bodies["investment"]
 
     def test_zero_samples_header_only(self, tmp_path):
         path, _ = write_config(tmp_path, samples=0)
@@ -374,8 +392,8 @@ def test_verify_grid_past_its_cap_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["describe", "metrics", "verify"])
 @pytest.mark.parametrize("types, equilibrium", [
     ([1.0, 1.9], "auto"), ([1.0, 1.9], "two_type"),
-    (list(make_well_separated_types(3, 0.01)), "auto"),
-    (list(make_well_separated_types(3, 0.01)), "well_separated"),
+    (list(make_well_separated_types(3, 0.01).types), "auto"),
+    (list(make_well_separated_types(3, 0.01).types), "well_separated"),
 ])
 def test_two_creator_construction_at_other_P_exits_two(tmp_path, capsys, command,
                                                        types, equilibrium):
@@ -598,6 +616,38 @@ def test_deeply_nested_config_exits_zero_or_two(tmp_path, command, bottom, depth
         assert not (out / ARTIFACTS[command]).exists()
 
 
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("bottom", ["plain", "NaN"])
+def test_config_nested_past_the_depth_bound_exits_two(tmp_path, command, bottom):
+    # 150 levels load on every Python, but json.dumps with an indent recurses
+    # once per level and some Pythons load far deeper: the bound refuses such
+    # a config as it loads, before any walk of it
+    cfg = {"family": "linear", "alpha": -0.5, "gamma": 0.3, "types": [2.0],
+           "P": 3, "seed": 0, "samples": 200, "note": "DEEP"}
+    depth = 149  # inside the config object, so 150 levels in all
+    note = "[" * depth + ("NaN" if bottom == "NaN" else "") + "]" * depth
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"DEEP"', note))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    argv += ["--grid", "5"] if command == "verify" else []
+    code, _, err = run_main(argv)
+    assert code == 2, err
+    assert err == "error: config nests deeper than 100 levels\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels, code", [(100, 0), (101, 2)])
+def test_config_depth_bound_is_one_hundred_levels(tmp_path, levels, code):
+    path = tmp_path / "cfg.json"
+    note = "[" * (levels - 1) + "]" * (levels - 1)
+    path.write_text(json.dumps({"family": "linear", "alpha": 1, "types": [1],
+                                "note": "DEEP"}).replace('"DEEP"', note))
+    out = tmp_path / "out"
+    assert run_main(["describe", "--config", str(path), "--out", str(out)])[0] == code
+    assert (out / "strategy.json").exists() == (code == 0)
+
+
 @pytest.mark.parametrize("command", ["sample", "verify", "metrics", "describe"])
 def test_P_past_every_array_and_float_exits_two_naming_P(tmp_path, command):
     # sample, verify and metrics hold 3 * P draws per sample, more than any
@@ -659,6 +709,42 @@ def test_non_finite_result_removes_the_directories_it_made(tmp_path, monkeypatch
                             + (["--grid", "10"] if command == "verify" else []))
     assert code == 2 and err.startswith("error: non-finite "), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def remove_deep_tree(top, out):
+    """Remove ``out``, 1 file deep at most, and each parent up to ``top``
+    one level at a time, where ``shutil.rmtree`` would recurse per level."""
+    for path in out.iterdir() if out.is_dir() else ():
+        path.unlink()
+    while out != top:
+        if out.is_dir():
+            out.rmdir()
+        out = out.parent
+
+
+def test_out_path_1200_missing_levels_deep_is_made(tmp_path):
+    # about 2 400 characters, under PATH_MAX: mkdir -p makes it, and so
+    # must the command, without one stack frame per level
+    path, _ = write_config(tmp_path)
+    out = tmp_path.joinpath(*["a"] * 1200)
+    try:
+        code, _, err = run_main(["describe", "--config", str(path), "--out", str(out)])
+        assert code == 0, err
+        assert json.loads((out / "strategy.json").read_text())["config"]["types"] == [1]
+    finally:
+        remove_deep_tree(tmp_path, out)
+
+
+def test_exit_two_removes_an_out_path_1200_levels_deep(tmp_path):
+    # each directory the command made is removed on its own, deepest first
+    path, _ = write_config(tmp_path, types=[1e-300, 1e300], samples=2000, seed=3)
+    out = tmp_path.joinpath(*["a"] * 1200)
+    try:
+        code, _, err = run_main(["metrics", "--config", str(path), "--out", str(out)])
+        assert code == 2 and err.startswith("error: non-finite estimate"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    finally:
+        remove_deep_tree(tmp_path, out)
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
@@ -1051,7 +1137,7 @@ class TestMetrics:
 
     def test_type_sweep_re_comparison(self, tmp_path):
         from creatorsim import make_well_separated_types
-        types = list(make_well_separated_types(8, 0.01))
+        types = list(make_well_separated_types(8, 0.01).types)
         path, _ = write_config(tmp_path, types=types, recommender="all",
                                samples=30000)
         assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 0
@@ -1068,7 +1154,7 @@ class TestMetrics:
     def test_byte_identical_across_thread_counts(self, tmp_path):
         from creatorsim import make_well_separated_types
         from creatorsim.metrics import ROUND_ROWS
-        types = list(make_well_separated_types(4, 0.01))
+        types = list(make_well_separated_types(4, 0.01).types)
         # three shards per recommender, so merging order is exercised
         path, _ = write_config(tmp_path, types=types, recommender="all",
                                samples=2 * ROUND_ROWS + 1)

@@ -361,6 +361,16 @@ class TestSpearman:
         assert spearman_rho(records, "E", ("P",)).rho == pytest.approx(1.0)
         assert spearman_rho(records, "E", ("NP",)).rho == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("feed, genres, message", [
+        ("X", ("P",), "feed must be one of"),
+        ("E", (), "genres must be a nonempty subset"),
+        ("E", ("P", "Q"), "genres must be a nonempty subset"),
+    ])
+    def test_unknown_feed_or_genre_slice_rejected(self, feed, genres, message):
+        records = [rec(a=a, favs=a) for a in range(5)]
+        with pytest.raises(ValueError, match=message):
+            spearman_rho(records, feed, genres)
+
 
 class TestMidranks:
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=300))

@@ -76,7 +76,7 @@ class TestWellSeparatedTypes:
 
     def test_coefficient_ratio_hits_bound(self):
         ts = make_well_separated_types(2, 0.01)
-        a = [1.0 / (1.0 + t) for t in ts]
+        a = [1.0 / (1.0 + t) for t in ts.types]
         assert a[0] / a[1] == pytest.approx(1.5, abs=1e-12)
 
 

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from creatorsim import (
     KMR,
-    Content,
     LinearTwitter,
     MetricEstimate,
     Metric,
@@ -251,7 +250,7 @@ class TestPointMassRounds:
 class TestExpectedCreatorUtility:
     def test_dominant_deviation_wins_always(self):
         inst = linear(1.0)
-        est = expected_creator_utility(inst, Metric.ENGAGEMENT, Content(0.0, 1.0),
+        est = expected_creator_utility(inst, Metric.ENGAGEMENT, (0.0, 1.0),
                                        point_mass(0.0, 0.0), 2, 2000,
                                        np.random.default_rng(0))
         assert est.mean == pytest.approx(1.0)
@@ -259,27 +258,27 @@ class TestExpectedCreatorUtility:
 
     def test_symmetric_tie_splits(self):
         inst = linear(1.0)
-        est = expected_creator_utility(inst, Metric.ENGAGEMENT, Content(0.0, 0.0),
+        est = expected_creator_utility(inst, Metric.ENGAGEMENT, (0.0, 0.0),
                                        point_mass(0.0, 0.0), 2, 2000,
                                        np.random.default_rng(0))
         assert est.mean == pytest.approx(0.5)
 
     def test_ineligible_candidate_earns_nothing(self):
         inst = linear(1.0)
-        est = expected_creator_utility(inst, Metric.ENGAGEMENT, Content(0.0, 1.5),
+        est = expected_creator_utility(inst, Metric.ENGAGEMENT, (0.0, 1.5),
                                        point_mass(0.0, 0.0), 2, 2000,
                                        np.random.default_rng(0))
         assert est.mean == pytest.approx(0.0)
 
     def test_on_support_utility_near_zero(self):
         inst, metric, s, P = EQUILIBRIA["homogeneous_P2"].game()
-        est = expected_creator_utility(inst, metric, Content(0.5, 1.5), s, P, 50000,
+        est = expected_creator_utility(inst, metric, (0.5, 1.5), s, P, 50000,
                                        np.random.default_rng(3))
         assert abs(est.mean) <= 4 * est.stderr + 1e-3
 
     def test_cost_subtracted(self):
         inst = linear(1.0, 0.5)
-        est = expected_creator_utility(inst, Metric.ENGAGEMENT, Content(1.0, 2.0),
+        est = expected_creator_utility(inst, Metric.ENGAGEMENT, (1.0, 2.0),
                                        point_mass(0.0, 0.0), 2, 100,
                                        np.random.default_rng(0))
         # wins always (score 3, eligible u = 0), cost 1 + 0.5 * 2
@@ -418,12 +417,12 @@ class TestOpponentPoolReductions:
 
     @staticmethod
     def check(pool, inst, metric, q, x, ts, contents):
-        points = np.array([w.as_tuple() for w in contents])
+        points = np.array(contents, dtype=float)
         total = np.zeros(len(ts))
         mean, stderr = pool.estimates(points)
         assert mean.shape == stderr.shape == (len(contents),)
         for i, w in enumerate(contents):
-            want = brute_force_payoffs(inst, metric.value, q, x, ts, w.as_tuple())
+            want = brute_force_payoffs(inst, metric.value, q, x, ts, w)
             payoffs = pool.payoffs(points[i:i + 1])
             assert payoffs.tolist() == want
             total += np.array(want)
@@ -448,7 +447,7 @@ class TestOpponentPoolReductions:
 
         q, x = rows(self.q_grid), rows(self.x_grid)
         ts = data.draw(st.lists(st.sampled_from(inst.types), min_size=n, max_size=n))
-        contents = data.draw(st.lists(st.builds(Content, self.q_grid, self.x_grid),
+        contents = data.draw(st.lists(st.tuples(self.q_grid, self.x_grid),
                                       min_size=1, max_size=6))
         pool = OpponentPool.of(inst, metric, np.array(q), np.array(x), np.array(ts))
         self.check(pool, inst, metric, q, x, ts, contents)
@@ -456,11 +455,11 @@ class TestOpponentPoolReductions:
     def test_single_row_has_zero_stderr(self):
         inst = linear(1.0, 0.3, types=(1.0, 2.0))
         q, x, ts = [[1.0, 0.5]], [[0.0, 1.0]], [2.0]
-        contents = [Content(1.0, 0.0), Content(0.0, 0.0), Content(0.0, 4.0)]
+        contents = [(1.0, 0.0), (0.0, 0.0), (0.0, 4.0)]
         for metric in Metric:
             pool = OpponentPool.of(inst, metric, np.array(q), np.array(x), np.array(ts))
             self.check(pool, inst, metric, q, x, ts, contents)
-            points = np.array([w.as_tuple() for w in contents])
+            points = np.array(contents)
             assert pool.estimates(points)[1].tolist() == [0.0] * 3
 
     def test_all_ineligible_rows(self):
@@ -469,7 +468,7 @@ class TestOpponentPoolReductions:
         q, x, ts = [[0.0, 0.5]] * 4, [[3.0, 4.0]] * 4, [0.5, 1.0, 1.0, 0.5]
         for metric in Metric:
             pool = OpponentPool.of(inst, metric, np.array(q), np.array(x), np.array(ts))
-            self.check(pool, inst, metric, q, x, ts, [Content(0.0, 0.0)])
+            self.check(pool, inst, metric, q, x, ts, [(0.0, 0.0)])
             assert pool.payoffs(np.array([[0.0, 0.0]])).tolist() == [1.0] * 4
             # acceptable to type 1 only
             assert pool.payoffs(np.array([[0.0, 1.0]])).tolist() == [0.0, 1.0, 1.0, 0.0]
@@ -674,6 +673,15 @@ class TestOneTieRule:
 def estimate_bits(estimates):
     mean, stderr = estimates
     return [(m.hex(), se.hex()) for m, se in zip(mean.tolist(), stderr.tolist())]
+
+
+@pytest.mark.parametrize("P, n, message", [(2, 0, "n must be >= 1"),
+                                           (2, -1, "n must be >= 1"),
+                                           (1, 10, "P must be >= 2")])
+def test_pool_draw_rejects_empty_pool_or_no_opponent(P, n, message):
+    inst, metric, strategy, _ = EQUILIBRIA["homogeneous_P2"].game()
+    with pytest.raises(ValueError, match=message):
+        OpponentPool.draw(inst, metric, strategy, P, n, np.random.default_rng(0))
 
 
 class TestOpponentPoolOrder:

@@ -56,7 +56,7 @@ MODELS = {
     "kmr_two_type": {"family": "kmr", "W": 1.0, "gamma": 0.0,
                      "types": [1.0, 1.6], "P": 2},
     "well_separated_N4": {"family": "linear", "alpha": 1.0, "gamma": 0.0,
-                          "types": list(make_well_separated_types(4, 0.01)),
+                          "types": list(make_well_separated_types(4, 0.01).types),
                           "P": 2},
 }
 RECOMMENDERS = ("engagement", "investment", "random")

@@ -38,15 +38,13 @@ class TestEstimateContainers:
         with pytest.raises(ValueError):
             MetricEstimate(0.0, 0.0, 0)
 
-    def test_running_moments_merge_matches_direct(self):
+    def test_running_moments_batches_match_direct(self):
         rng = np.random.default_rng(0)
         data = rng.normal(3.0, 2.0, size=997)
-        merged = RunningMoments()
+        total = RunningMoments()
         for chunk in np.array_split(data, 7):
-            part = RunningMoments()
-            part.add_samples(chunk)
-            merged.merge(part)
-        est = merged.estimate()
+            total.add_samples(chunk)
+        est = total.estimate()
         assert est.mean == pytest.approx(data.mean(), abs=1e-12)
         assert est.stderr == pytest.approx(data.std(ddof=1) / math.sqrt(len(data)),
                                            abs=1e-12)
@@ -55,17 +53,15 @@ class TestEstimateContainers:
     @given(batches=st.lists(st.lists(st.floats(-1e6, 1e6), max_size=8),
                             min_size=1, max_size=8),
            data=st.data())
-    def test_running_moments_merge_order_invariant(self, batches, data):
-        def merged(order):
+    def test_running_moments_batch_order_invariant(self, batches, data):
+        def accumulated(order):
             total = RunningMoments()
             for i in order:
-                part = RunningMoments()
-                part.add_samples(np.array(batches[i], dtype=float))
-                total.merge(part)
+                total.add_samples(np.array(batches[i], dtype=float))
             return total
 
-        ref = merged(range(len(batches)))
-        other = merged(data.draw(st.permutations(range(len(batches)))))
+        ref = accumulated(range(len(batches)))
+        other = accumulated(data.draw(st.permutations(range(len(batches)))))
         values = [v for b in batches for v in b]
         scale = max([1.0] + [abs(v) for v in values])
         assert other.n == ref.n == len(values)
@@ -77,10 +73,10 @@ class TestEstimateContainers:
         with np.errstate(invalid="ignore"):
             batch = RunningMoments()
             batch.add_samples(np.array([1.0, np.inf]))
-            merged = RunningMoments()
-            merged.add_samples(np.array([2.0, 3.0]))
-            merged.merge(batch)
-        for moments in (batch, merged):
+            total = RunningMoments()
+            total.add_samples(np.array([2.0, 3.0]))
+            total.add_samples(np.array([1.0, np.inf]))
+        for moments in (batch, total):
             est = moments.estimate()
             assert est.mean == np.inf
             assert math.isnan(est.stderr)
@@ -300,9 +296,7 @@ class TestEstimators:
             batch = simulate_rounds(*game, len(rows), sub)
             for total, values in zip(totals, (batch.quality, batch.engagement,
                                               batch.user_utility)):
-                part = RunningMoments()
-                part.add_samples(values)
-                total.merge(part)
+                total.add_samples(values)
         want = dict(zip(["ucq", "re", "uw"], (t.estimate() for t in totals)))
         assert all(est.n == n for est in want.values())
         assert estimate_round_metrics(*game, n, np.random.default_rng(6)) == want

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
     KMR,
-    Content,
     LinearTwitter,
     ModelInstance,
     TypeSpace,
@@ -18,13 +17,6 @@ from oracles import curve_cost, curve_engagement, grid_min_induced_cost
 
 
 class TestDomainTypes:
-    def test_content_rejects_negative_and_nonfinite(self):
-        Content(0.0, 0.0)
-        with pytest.raises(ValueError):
-            Content(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            Content(0.0, float("inf"))
-
     def test_type_space_validation(self):
         TypeSpace.of([0.5, 1.0])
         with pytest.raises(ValueError):

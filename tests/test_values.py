@@ -7,7 +7,7 @@ import pytest
 from creatorsim._stats import MetricEstimate
 from creatorsim.empirics import SpearmanResult, Survey, TweetRecord
 from creatorsim.game import OpponentPool, simulate_rounds
-from creatorsim.model import KMR, Content, LinearTwitter
+from creatorsim.model import KMR, LinearTwitter
 from creatorsim.verify import best_response_gap
 from catalogue import EQUILIBRIA
 
@@ -25,7 +25,6 @@ VALUES = {
     "TypeSpace": (lambda: TWO.inst.type_space, "types"),
     "LinearTwitter": (lambda: LinearTwitter(0.5, 0.2), "alpha"),
     "KMR": (lambda: KMR(2.0, 0.1), "W"),
-    "Content": (lambda: Content(1.0, 2.0), "w_cheap"),
     "AtomComponent": (lambda: component(EQUILIBRIA["random_P2"].strategy()),
                       "w_costly"),
     "CurveComponent": (lambda: component(ONE.strategy()), "t"),

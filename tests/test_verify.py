@@ -59,7 +59,7 @@ class TestCandidateDeviations:
             return [(q.hex(), x.hex()) for q, x in rows]
 
         assert bits(candidate_deviations(inst, grid_k).tolist()) == \
-            bits(c.as_tuple() for c in loop_candidate_deviations(inst, grid_k))
+            bits(loop_candidate_deviations(inst, grid_k))
 
 
 class TestPositiveCorrelation:
