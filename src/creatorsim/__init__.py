@@ -9,7 +9,6 @@ from .model import (
     KMR,
     LinearTwitter,
     ModelInstance,
-    PreconditionError,
     TypeSpace,
     check_assumptions,
 )
@@ -44,7 +43,7 @@ from .verify import (
 __all__ = [
     "BestResponseReport", "KMR", "LinearTwitter",
     "MetricEstimate", "Metric", "MixedStrategy",
-    "ModelInstance", "PreconditionError", "TypeSpace", "best_response_gap",
+    "ModelInstance", "TypeSpace", "best_response_gap",
     "candidate_deviations", "check_assumptions", "check_positive_correlation",
     "closed_form_ucq_homogeneous", "engagement_eq_homogeneous",
     "engagement_eq_two_types", "engagement_eq_well_separated",

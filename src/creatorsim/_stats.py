@@ -10,8 +10,7 @@ from ._frozen import Frozen
 
 
 class MetricEstimate(Frozen):
-    """Monte Carlo mean with its standard error and sample count; two
-    estimates are equal when all three are."""
+    """Monte Carlo mean with its standard error and sample count."""
 
     def __init__(self, mean: float, stderr: float, n: int) -> None:
         if n < 1:
@@ -19,12 +18,6 @@ class MetricEstimate(Frozen):
         if stderr < 0.0:
             raise ValueError("stderr must be >= 0")
         self.__dict__.update(mean=mean, stderr=stderr, n=n)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not MetricEstimate:
-            return NotImplemented
-        return (self.mean, self.stderr, self.n) == (other.mean, other.stderr,
-                                                    other.n)
 
     @classmethod
     def from_samples(cls, values: np.ndarray) -> "MetricEstimate":

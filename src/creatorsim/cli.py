@@ -38,7 +38,7 @@ import numpy as np
 from . import equilibrium as eq
 from . import metrics as met
 from .game import Metric
-from .model import ModelInstance, PreconditionError, check_assumptions
+from .model import ModelInstance, check_assumptions
 from .verify import COST_CAP, best_response_gap, failure_summary
 
 EXIT_OK = 0
@@ -211,7 +211,7 @@ def resolve_strategy(inst: ModelInstance, P: int, choice: str,
             return eq.investment_eq(inst, P)
         if choice == "random":
             return eq.random_eq(inst, P)
-    except (PreconditionError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"equilibrium '{choice}' not applicable: {exc}")
     except OverflowError:
         # the model's numbers are floats already, so only P can overflow

@@ -74,6 +74,8 @@ class TweetRecord(Frozen):
             raise ValueError(f"angriness must be in 0..4, got {angriness!r}")
         if favorites < 0:
             raise ValueError(f"favorites must be >= 0, got {favorites!r}")
+        if favorites > _INT64_MAX:
+            raise ValueError(f"favorites must be <= {_INT64_MAX}, got {favorites!r}")
         self.__dict__.update(feed=feed, genre=genre, angriness=angriness,
                              favorites=favorites)
 
@@ -116,7 +118,6 @@ def _row_problem(row: list[str]) -> str:
         TweetRecord(row[0].strip(), row[1].strip(), int(row[2]), int(row[3]))
     except ValueError as exc:
         return str(exc)
-    return f"favorites must be <= {_INT64_MAX}, got {int(row[3])!r}"
 
 
 def load_records(path) -> Survey:
@@ -265,17 +266,10 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 
 class SpearmanResult(Frozen):
-    """Rank correlation, its one-sided p-value and the slice size; two
-    results are equal when all three are."""
+    """Rank correlation, its one-sided p-value and the slice size."""
 
     def __init__(self, rho: float, p_value: float, n: int) -> None:
         self.__dict__.update(rho=rho, p_value=p_value, n=n)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SpearmanResult:
-            return NotImplemented
-        return (self.rho, self.p_value, self.n) == (other.rho, other.p_value,
-                                                    other.n)
 
 
 def spearman_rho(data: SurveyData, feed: str,

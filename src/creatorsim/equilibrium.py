@@ -38,7 +38,7 @@ import numpy as np
 
 from ._frozen import Frozen
 from ._piecewise import PiecewiseLinearCdf, clipped_linear_cdf
-from .model import ModelInstance, PreconditionError, TypeSpace
+from .model import ModelInstance, TypeSpace
 
 GOLDEN_RATIO_SPLIT = (5.0 - math.sqrt(5.0)) / 2.0  # two-type case 2/3 boundary
 
@@ -171,7 +171,7 @@ class MixedStrategy(Frozen):
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise PreconditionError(msg)
+        raise ValueError(msg)
 
 
 def engagement_eq_homogeneous(inst: ModelInstance, P: int) -> MixedStrategy:
@@ -239,7 +239,7 @@ def engagement_eq_well_separated(inst: ModelInstance) -> MixedStrategy:
     N = len(inst.type_space)
     for i in range(N - 1):
         if a[i] < (1.0 + 1.0 / N) * a[i + 1] - 1e-9:
-            raise PreconditionError(
+            raise ValueError(
                 f"types {inst.types[i]:g} and {inst.types[i + 1]:g} are not "
                 f"well separated: ratio {a[i] / a[i + 1]:.6f} < 1 + 1/{N}")
     np_ = n_prime(N)

@@ -29,10 +29,6 @@ from ._frozen import Frozen
 ArrayLike = Union[float, np.ndarray]
 
 
-class PreconditionError(ValueError):
-    """An operation's structural preconditions are not met."""
-
-
 class TypeSpace(Frozen):
     """Finite set of user tolerances, drawn uniformly at round time."""
 

@@ -34,18 +34,22 @@ def used_names(paths, attributes_only=False) -> set[str]:
     return names
 
 
-def public_methods() -> list[tuple[str, str]]:
-    """(class, method) for each public method of each class defined in the
-    package's modules."""
+def package_classes() -> list[type]:
+    """Each class defined in the package's modules."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"creatorsim.{path.stem}")
-        for cls_name, cls in inspect.getmembers(module, inspect.isclass):
-            if cls.__module__ != module.__name__:
-                continue
-            out += [(cls_name, name) for name, value in vars(cls).items()
-                    if not name.startswith("_") and callable(getattr(cls, name))]
+        out += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                if cls.__module__ == module.__name__]
     return out
+
+
+def public_methods() -> list[tuple[str, str]]:
+    """(class, method) for each public method of each class defined in the
+    package's modules."""
+    return [(cls.__name__, name) for cls in package_classes()
+            for name in vars(cls)
+            if not name.startswith("_") and callable(getattr(cls, name))]
 
 
 USERS = used_names(SOURCES)
@@ -70,3 +74,12 @@ def test_methods_of_every_class_are_checked():
 def test_public_method_has_a_user(cls, name):
     assert name in ATTRIBUTE_USERS, \
         f"{cls}.{name} is used by no module nor criterion"
+
+
+def test_no_class_compares_by_value():
+    """No CLI path and no acceptance criterion compares two value objects,
+    so no class defines ``__eq__``: a test that wants to compare two
+    results compares their ``vars()``."""
+    classes = package_classes()
+    assert len(classes) > 10
+    assert [cls.__name__ for cls in classes if "__eq__" in vars(cls)] == []

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from creatorsim import (
-    PreconditionError,
     engagement_eq_homogeneous,
     engagement_eq_two_types,
     engagement_eq_well_separated,
@@ -26,7 +25,7 @@ from creatorsim.equilibrium import (
     two_type_case,
     well_separated_weights,
 )
-from creatorsim._piecewise import PiecewiseLinearCdf
+from creatorsim._piecewise import PiecewiseLinearCdf, clipped_linear_cdf
 from creatorsim.metrics import homogeneous_quality_cdf
 from catalogue import EQUILIBRIA, kmr, linear, two_type, well_separated
 from oracles import (cheap_marginal_cdf, curve_engagement, mask_mixture_sample,
@@ -125,7 +124,7 @@ class TestHomogeneous:
         assert points[0] == (0.0, -alpha) and points[-1][1] == 1.0
 
     def test_requires_single_type(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValueError, match="requires exactly one type"):
             engagement_eq_homogeneous(linear(1.0, types=(1.0, 2.0)), 2)
 
 
@@ -225,11 +224,11 @@ class TestTwoTypes:
             assert comp.cheap.xs[0] == pytest.approx(kink, rel=1e-15)
 
     def test_requires_two_types(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValueError, match="requires exactly two types"):
             engagement_eq_two_types(linear(1.0, types=(1.0,)))
 
     def test_requires_costless_gaming(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValueError, match="requires linear induced costs"):
             engagement_eq_two_types(linear(1.0, 0.2, types=(1.0, 2.0)))
 
     def test_kmr_supported(self):
@@ -269,7 +268,7 @@ class TestWellSeparated:
 
     def test_separation_violation_names_pair(self):
         inst = linear(1.0, types=(1.0, 1.05))
-        with pytest.raises(PreconditionError, match="1 and 1.05"):
+        with pytest.raises(ValueError, match="1 and 1.05 are not well separated"):
             engagement_eq_well_separated(inst)
 
     def test_samples_contained(self):
@@ -308,7 +307,7 @@ class TestInvestment:
         assert points[0] == (0.0, -alpha) and points[-1] == (1.0, 1.0)
 
     def test_heterogeneous_requires_free_entry(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValueError, match="require beta_t = 0 for all types"):
             investment_eq(linear(-0.5, types=(1.0, 2.0)), 2)
 
     def test_heterogeneous_free_entry_allowed(self):
@@ -604,6 +603,14 @@ def piecewise_cdfs(draw):
 
 
 class TestPiecewiseLinearCdf:
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_clipped_cdf_starting_at_or_above_one_is_an_atom(self, scale):
+        # the polyline reaches level 1 at its first breakpoint (exactly at
+        # scale 1, past it at scale 2), so all the mass sits there
+        cdf = clipped_linear_cdf([0.5, 1.0], [1.0, 3.0], 1.0, scale, 0.5)
+        assert cdf.breakpoints() == [(0.5, 1.0)] and cdf.exponent == 0.5
+        assert np.all(cdf.ppf(np.array([0.0, 0.3, 1.0])) == 0.5)
+
     @settings(max_examples=500, deadline=None)
     @given(cdf=piecewise_cdfs(), qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
     def test_ppf_is_monotone_generalised_inverse(self, cdf, qs):

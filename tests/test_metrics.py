@@ -31,6 +31,11 @@ from oracles import exact_expected_max, piecewise_cdf
 HOMOGENEOUS = EQUILIBRIA["homogeneous_P2"]
 
 
+def fields(estimates: dict) -> dict:
+    """Each estimate's mean, stderr and n, by metric name."""
+    return {name: vars(est) for name, est in estimates.items()}
+
+
 class TestEstimateContainers:
     def test_metric_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -268,7 +273,7 @@ class TestEstimators:
                     for _ in range(2))
         assert list(one) == ["ucq", "re", "uw"]
         assert all(est.n == n for est in one.values())
-        assert one == two
+        assert fields(one) == fields(two)
 
     def test_round_metrics_match_single_metric_wrappers(self):
         inst = linear(1.0, 0.3)
@@ -277,8 +282,8 @@ class TestEstimators:
                                       np.random.default_rng(11))
         for name, fn in (("ucq", estimate_ucq), ("re", estimate_re),
                          ("uw", estimate_uw)):
-            assert fn(inst, Metric.ENGAGEMENT, s, 2, 5000,
-                      np.random.default_rng(11)) == both[name]
+            assert vars(fn(inst, Metric.ENGAGEMENT, s, 2, 5000,
+                           np.random.default_rng(11))) == vars(both[name])
 
     def test_pass_is_a_loop_over_the_children_of_one_spawn(self, monkeypatch):
         # shards as even as np.array_split makes them, each drawn from the
@@ -299,7 +304,8 @@ class TestEstimators:
                 total.add_samples(values)
         want = dict(zip(["ucq", "re", "uw"], (t.estimate() for t in totals)))
         assert all(est.n == n for est in want.values())
-        assert estimate_round_metrics(*game, n, np.random.default_rng(6)) == want
+        got = estimate_round_metrics(*game, n, np.random.default_rng(6))
+        assert fields(got) == fields(want)
 
     @pytest.mark.parametrize("name,P", [("well_separated_N4", 2), ("investment", 7)])
     def test_memory_does_not_grow_with_round_count(self, name, P):
@@ -429,7 +435,7 @@ class TestKmrScaleInvariance:
                                                np.random.default_rng(2))
                         for e in (entry, entry.on(KMR(W))))
         for key in ("ucq", "re"):
-            assert scaled[key] == base[key], key
+            assert vars(scaled[key]) == vars(base[key]), key
         uw, ref = scaled["uw"], base["uw"]
         assert uw.mean == pytest.approx(W * ref.mean, rel=1e-12, abs=0.0)
         assert uw.stderr == pytest.approx(W * ref.stderr, rel=1e-12, abs=0.0)

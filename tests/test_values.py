@@ -1,5 +1,4 @@
-"""The package's value classes are read-only once built, and
-``MetricEstimate`` compares by value."""
+"""The package's value classes are read-only once built."""
 
 import numpy as np
 import pytest
@@ -61,11 +60,3 @@ def test_fields_cannot_be_set_or_deleted(name):
     assert getattr(value, field) is before
     assert not hasattr(value, "not_a_field")
 
-
-def test_metric_estimate_compares_by_value():
-    a = MetricEstimate(1.0, 0.5, 3)
-    assert a == MetricEstimate(1.0, 0.5, 3)
-    assert a != MetricEstimate(1.0, 0.5, 4)
-    assert a != MetricEstimate(1.0, 0.25, 3)
-    assert a != MetricEstimate(2.0, 0.5, 3)
-    assert a != (1.0, 0.5, 3)
