@@ -19,12 +19,12 @@ count of tied columns and the chosen winner are built from P elementwise
 passes, and the winner's content is taken from the flat draws by one
 gather. Reductions along the short axis would cost far more per row.
 
-A strategy that is one point mass builds no landscape: all P columns hold
-the same content, so wherever the user accepts it they all tie and the
-general kernel's winner is the tie-break index itself. The batch tests
-acceptance once per row and makes the same draws in the same order (a
-point mass draws nothing), so its outputs and the generator's end state
-are those of the general kernel, bit for bit.
+A strategy that is one point mass skips only sampling and the winner
+step: all P columns hold the same content, so wherever the user accepts
+it they all tie and the winner is the tie-break index itself. The batch
+takes the same tie-break draw and shares the general kernel's output
+tail, and a point mass draws nothing, so its outputs and the generator's
+end state are those of the general kernel, bit for bit.
 
 The payoff pool sorts its opponent rows once, so a content wins, ties or
 loses on whole runs of rows between rank cuts. Sums over many contents are
@@ -97,14 +97,18 @@ def _ties(cols: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     return best, tied, k
 
 
+def _tie_break(rng: np.random.Generator, n: int, k) -> np.ndarray:
+    """Uniform index below ``k`` tied columns, per row or for all rows, from
+    one uniform per row, so the stream length is independent of the data."""
+    return np.minimum((rng.random(n) * k).astype(np.int64), k - 1)
+
+
 def _pick_winners(inst: ModelInstance, metric: Metric, q: np.ndarray,
                   x: np.ndarray, ts: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Winner column per row of an (n, P) landscape, -1 when nothing qualifies."""
     best, tied, k = _ties(eligible_scores(inst, metric, q, x, ts[:, None]).T)
-    # uniform choice among tied columns; one uniform per row keeps the
-    # stream length independent of the data
-    r = np.minimum((rng.random(len(ts)) * k).astype(np.int64), k - 1)
+    r = _tie_break(rng, len(ts), k)
     # the winner is the first column whose running tied count reaches r + 1,
     # so its index is the number of columns whose running count is <= r
     seen = np.zeros_like(k)
@@ -120,33 +124,30 @@ def simulate_rounds(inst: ModelInstance, metric: Metric, strategy: MixedStrategy
                     P: int, n: int, rng: np.random.Generator) -> RoundBatch:
     """n independent rounds: P i.i.d. creator draws, one uniform user type.
 
-    A single point mass skips the (n, P) landscape and ``_pick_winners``:
-    every column ties wherever the point is accepted, so the winner is
-    ``min(floor(u * P), P - 1)`` from the same tie-break uniform u."""
+    A single point mass skips only sampling and ``_pick_winners``: every
+    column ties wherever the point is accepted, so the winner is the
+    tie-break index over all P columns. Both paths share the tie-break and
+    the tail that builds the three outputs and zeroes the idle rows."""
     if P < 1:
         raise ValueError("P must be >= 1")
     (_, point), *rest = strategy.components
     if not rest and isinstance(point, AtomComponent):
-        q, x = float(point.w_costly), float(point.w_cheap)
+        q, x = point.w_costly, point.w_cheap
         metric_score(inst, metric, q, x)  # rejects an unknown metric, as below
         ts = inst.type_space.draw(rng, n)
         consumed = inst.family.accepts(q, x, ts)
-        r = np.minimum((rng.random(n) * P).astype(np.int64), P - 1)
-        return RoundBatch(
-            winner=np.where(consumed, r, -1), consumed=consumed,
-            engagement=np.where(consumed, float(inst.engagement(q, x)), 0.0),
-            quality=np.where(consumed, q, 0.0),
-            user_utility=np.where(consumed, inst.utility(q, x, ts), 0.0))
-    draws = strategy.sample(rng, n * P).reshape(n, P, 2)
-    q, x = draws[:, :, 0], draws[:, :, 1]
-    ts = inst.type_space.draw(rng, n)
-    winner = _pick_winners(inst, metric, q, x, ts, rng)
-    consumed = winner >= 0
-    # the winner's content, or column 0's where nothing is consumed, taken
-    # from the flat (n * P, 2) draws
-    won = draws.reshape(n * P, 2).take(
-        np.arange(0, n * P, P) + np.maximum(winner, 0), axis=0)
-    wq, wx = won[:, 0], won[:, 1]
+        winner = np.where(consumed, _tie_break(rng, n, P), -1)
+        wq, wx = np.full(n, q, dtype=float), np.full(n, x, dtype=float)
+    else:
+        draws = strategy.sample(rng, n * P).reshape(n, P, 2)
+        ts = inst.type_space.draw(rng, n)
+        winner = _pick_winners(inst, metric, draws[:, :, 0], draws[:, :, 1], ts, rng)
+        consumed = winner >= 0
+        # the winner's content, or column 0's where nothing is consumed,
+        # taken from the flat (n * P, 2) draws
+        won = draws.reshape(n * P, 2).take(
+            np.arange(0, n * P, P) + np.maximum(winner, 0), axis=0)
+        wq, wx = won[:, 0], won[:, 1]
     engagement = np.asarray(inst.engagement(wq, wx), dtype=float)
     utility = np.asarray(inst.utility(wq, wx, ts), dtype=float)
     quality = wq.copy()

@@ -7,7 +7,7 @@ over simulated rounds estimates all three, on shards of at most
 ``ROUND_ROWS`` rounds run in order, whose boundaries depend only on the
 round count. Each shard is one ``simulate_rounds`` batch (sampling, then
 the column-by-column winner kernel of ``game``; a point-mass strategy skips
-both for one acceptance test per round and the same tie-break draw) reduced
+only those two, and shares the tie-break draw and the output tail) reduced
 into three ``RunningMoments`` before the next starts, so the memory a pass
 holds grows with ``ROUND_ROWS`` and P, not with the round count.
 The homogeneous engagement case additionally has a closed-form route
@@ -54,15 +54,12 @@ def estimate_round_metrics(inst: ModelInstance, metric: Metric,
     shards = (n + ROUND_ROWS - 1) // ROUND_ROWS
     size, extra = divmod(n, shards)
     totals = {name: RunningMoments() for name in ROUND_FIELDS}
-
-    def add_shard(rows: int) -> None:
-        # the batch dies on return, before the next shard draws
-        batch = simulate_rounds(inst, metric, strategy, P, rows, rng.spawn(1)[0])
+    for i in range(shards):
+        batch = simulate_rounds(inst, metric, strategy, P, size + (i < extra),
+                                rng.spawn(1)[0])
         for name, field in ROUND_FIELDS.items():
             totals[name].add_samples(getattr(batch, field))
-
-    for i in range(shards):
-        add_shard(size + (i < extra))
+        del batch  # freed before the next shard draws
     return {name: total.estimate() for name, total in totals.items()}
 
 

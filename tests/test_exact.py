@@ -8,11 +8,27 @@ import math
 import numpy as np
 import pytest
 
+from creatorsim import engagement_eq_homogeneous, random_eq
 from creatorsim._stats import MetricEstimate
-from creatorsim.equilibrium import AtomComponent, MixedStrategy
+from creatorsim.equilibrium import (
+    AtomComponent,
+    MixedStrategy,
+    _linear_coefficients,
+    _two_type_intervals,
+)
 from creatorsim.game import OpponentPool, simulate_rounds
 from creatorsim.verify import candidate_deviations
-from catalogue import EQUILIBRIA
+from catalogue import (
+    EQUILIBRIA,
+    E,
+    R,
+    Equilibrium,
+    _two_type_eq,
+    _well_separated_eq,
+    linear,
+    two_type,
+    well_separated,
+)
 from oracles import exact_payoffs, quantile_grid
 
 N = 20_000      # grid rows per continuous component
@@ -37,9 +53,57 @@ def on_grid_and_candidates(inst, metric, strategy, P):
     return exact[:len(grid)], weight, cands, exact[len(grid):]
 
 
-@pytest.mark.parametrize("name", sorted(EQUILIBRIA))
+def _last_ratio_inside_slack(N):
+    """N well-separated types whose last coefficient ratio is 1 + 1/N
+    shrunk by 5e-10, which the constructor's 1e-9 slack still accepts."""
+    *types, _ = well_separated(N).types
+    return linear(1.0, types=(*types, (1.0 + types[-1]) * (1.0 + 1.0 / N)
+                              * (1.0 - 5e-10) - 1.0))
+
+
+GOLDEN = (5.0 - math.sqrt(5.0)) / 2.0
+# two-type coefficient ratios at the case boundaries, with the case each
+# lands in and how many of its intervals outlast the 1e-14 width filter
+RATIOS = {
+    "1.5": (1.5, 1, 2),
+    "below_1.5": (math.nextafter(1.5, 0.0), 2, 2),
+    "golden": (GOLDEN, 2, 2),
+    "below_golden": (math.nextafter(GOLDEN, 0.0), 3, 2),
+    "above_golden": (math.nextafter(GOLDEN, 2.0), 2, 2),
+}
+# the constructors at the edges of their preconditions, certified by the
+# catalogue's body and bound
+BOUNDARIES = {
+    **{f"two_type_ratio_{key}": Equilibrium(two_type(ratio), E, 2, _two_type_eq)
+       for key, (ratio, _, _) in RATIOS.items()},
+    # 1 + t == 1 for the low type
+    **{f"two_type_low_{t!r}": Equilibrium(linear(1.0, types=(t, 2.0)), E, 2,
+                                          _two_type_eq)
+       for t in (1e-16, 1.1e-16)},
+    "well_separated_N4_slack": Equilibrium(_last_ratio_inside_slack(4), E, 2,
+                                           _well_separated_eq),
+    # the entry point kappa = 1/P, where nobody opts out
+    **{f"random_entry_P{P}": Equilibrium(linear(-1.0 / P), R, P,
+                                         random_eq)
+       for P in (2, 3, 4)},
+    "homogeneous_t7.5e307": Equilibrium(linear(0.5, types=(7.5e307,)), E, 2,
+                                        engagement_eq_homogeneous),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RATIOS))
+def test_boundary_ratios_land_in_their_case(key):
+    ratio, case, kept = RATIOS[key]
+    inst = two_type(ratio)
+    a1, a2 = _linear_coefficients(inst)
+    assert a1 / a2 == ratio
+    got, intervals = _two_type_intervals(inst)
+    assert (got, len(intervals)) == (case, kept)
+
+
+@pytest.mark.parametrize("name", sorted(EQUILIBRIA) + sorted(BOUNDARIES))
 def test_exact_payoffs_certify_the_equilibrium(name):
-    inst, metric, strategy, P = EQUILIBRIA[name].game()
+    inst, metric, strategy, P = {**EQUILIBRIA, **BOUNDARIES}[name].game()
     on, weight, cands, off = on_grid_and_candidates(inst, metric, strategy, P)
     # every on-support content earns the same, and no candidate earns more
     assert on.max() - on.min() <= bound(P)

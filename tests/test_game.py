@@ -157,14 +157,17 @@ class TestPlayRound:
         assert abs(rate - 0.875) <= 3 * math.sqrt(0.875 * 0.125 / 20000)
 
 
-def landscape_rounds(inst, metric, q, x, P, n, rng):
-    """The general round kernel on the explicit (n, P) landscape of the
-    point (q, x): its ``RoundBatch`` fields, by name."""
+def landscape_rounds(inst, metric, strategy, P, n, rng):
+    """The general round kernel on the explicit (n, P) landscape of
+    ``strategy``'s draws, with the consumption gate as masked stores: its
+    ``RoundBatch`` fields, by name."""
+    draws = strategy.sample(rng, n * P).reshape(n, P, 2)
+    q, x = draws[:, :, 0], draws[:, :, 1]
     ts = inst.type_space.draw(rng, n)
-    winner = _pick_winners(inst, metric, np.full((n, P), q), np.full((n, P), x),
-                           ts, rng)
+    winner = _pick_winners(inst, metric, q, x, ts, rng)
     consumed = winner >= 0
-    wq, wx = np.full(n, q), np.full(n, x)
+    rows, cols = np.arange(n), np.maximum(winner, 0)
+    wq, wx = q[rows, cols], x[rows, cols]
     fields = {"winner": winner, "consumed": consumed,
               "engagement": np.asarray(inst.engagement(wq, wx), dtype=float),
               "quality": wq.copy(),
@@ -172,6 +175,16 @@ def landscape_rounds(inst, metric, q, x, P, n, rng):
     for name in ("engagement", "quality", "user_utility"):
         fields[name][~consumed] = 0.0
     return fields
+
+
+def assert_same_rounds(got, want, rng, ref_rng):
+    """The batch ``got`` has the dtype and bytes of every field of
+    ``landscape_rounds``'s ``want``, and both generators end in one state."""
+    for name, value in want.items():
+        field = getattr(got, name)
+        assert field.dtype == value.dtype, name
+        assert field.tobytes() == value.tobytes(), name
+    assert rng.random() == ref_rng.random()
 
 
 class TestPointMassRounds:
@@ -196,12 +209,18 @@ class TestPointMassRounds:
         inst, (q, x) = self.cases[case]
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         got = simulate_rounds(inst, metric, point_mass(q, x), P, n, rng)
-        want = landscape_rounds(inst, metric, q, x, P, n, ref_rng)
-        for name, value in want.items():
-            field = getattr(got, name)
-            assert field.dtype == value.dtype, name
-            assert field.tobytes() == value.tobytes(), name
-        assert rng.random() == ref_rng.random()
+        want = landscape_rounds(inst, metric, point_mass(q, x), P, n, ref_rng)
+        assert_same_rounds(got, want, rng, ref_rng)
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("name", sorted(EQUILIBRIA))
+    def test_catalogue_matches_the_landscape_kernel_bit_for_bit(self, name, n):
+        # the landscape path against the same reference, idle rows included
+        inst, metric, strategy, P = EQUILIBRIA[name].game()
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = simulate_rounds(inst, metric, strategy, P, n, rng)
+        want = landscape_rounds(inst, metric, strategy, P, n, ref_rng)
+        assert_same_rounds(got, want, rng, ref_rng)
 
     def test_cases_cover_every_acceptance_pattern(self):
         accepted = {name: set(inst.family.accepts(q, x, np.asarray(inst.types)))
@@ -224,10 +243,10 @@ class TestPointMassRounds:
         assert inst.utility(q, x, 1.0) < 0.0
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         got = simulate_rounds(inst, Metric.ENGAGEMENT, point_mass(q, x), 3, 1000, rng)
-        want = landscape_rounds(inst, Metric.ENGAGEMENT, q, x, 3, 1000, ref_rng)
+        want = landscape_rounds(inst, Metric.ENGAGEMENT, point_mass(q, x), 3, 1000,
+                                ref_rng)
         assert set(got.consumed.tolist()) == {accepted}
-        for name, value in want.items():
-            assert getattr(got, name).tobytes() == value.tobytes(), name
+        assert_same_rounds(got, want, rng, ref_rng)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
