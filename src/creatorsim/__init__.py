@@ -22,7 +22,7 @@ from .equilibrium import (
     n_prime,
     random_eq,
 )
-from .game import Metric, expected_creator_utility, simulate_rounds
+from .game import Metric, simulate_rounds
 from .metrics import (
     closed_form_ucq_homogeneous,
     estimate_re,
@@ -47,7 +47,7 @@ __all__ = [
     "candidate_deviations", "check_assumptions", "check_positive_correlation",
     "closed_form_ucq_homogeneous", "engagement_eq_homogeneous",
     "engagement_eq_two_types", "engagement_eq_well_separated",
-    "estimate_re", "estimate_ucq", "estimate_uw", "expected_creator_utility",
+    "estimate_re", "estimate_ucq", "estimate_uw",
     "expected_max_from_cdf", "investment_eq",
     "ks_distance", "limit_engagement_cdf", "make_well_separated_types",
     "n_prime", "random_eq", "simulate_rounds",

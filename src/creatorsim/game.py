@@ -44,7 +44,6 @@ import math
 import numpy as np
 
 from ._frozen import Frozen
-from ._stats import MetricEstimate
 from .equilibrium import AtomComponent, MixedStrategy
 from .model import ModelInstance
 
@@ -313,14 +312,3 @@ class OpponentPool(Frozen):
             + (n - counts.sum(axis=1)) * mean ** 2
         stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(len(q))
         return mean - np.asarray(self.inst.cost(q, x), dtype=float), stderr
-
-
-def expected_creator_utility(inst: ModelInstance, metric: Metric,
-                             w: tuple[float, float],
-                             opponent_strategy: MixedStrategy, P: int, n: int,
-                             rng: np.random.Generator) -> MetricEstimate:
-    """Monte Carlo expected payoff of playing content ``w = (q, x)`` against
-    P-1 opponents, on a pool of n fresh opponent and user-type draws."""
-    pool = OpponentPool.draw(inst, metric, opponent_strategy, P, n, rng)
-    return MetricEstimate.from_samples(pool.payoffs(np.array([w], dtype=float)))
-

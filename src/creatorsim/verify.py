@@ -32,8 +32,6 @@ from ._frozen import Frozen
 from ._stats import MetricEstimate
 from .equilibrium import MixedStrategy
 from .game import Metric, OpponentPool
-# not called here, but perfbench/spans.py wraps verify.expected_creator_utility
-from .game import expected_creator_utility  # noqa: F401
 from .model import ModelInstance, zero_cost_extent
 
 COST_CAP = 1.2  # deviation curves truncated where creation cost passes this
@@ -109,6 +107,16 @@ class BestResponseReport(Frozen):
                                 "stderr": self.probe_stderr.tolist()},
             "curves": self.curves(),
         }
+
+
+def expected_creator_utility(inst: ModelInstance, metric: Metric,
+                             w: tuple[float, float],
+                             opponent_strategy: MixedStrategy, P: int, n: int,
+                             rng: np.random.Generator) -> MetricEstimate:
+    """Monte Carlo expected payoff of playing content ``w = (q, x)`` against
+    P-1 opponents, on a pool of n fresh opponent and user-type draws."""
+    pool = OpponentPool.draw(inst, metric, opponent_strategy, P, n, rng)
+    return MetricEstimate.from_samples(pool.payoffs(np.array([w], dtype=float)))
 
 
 def candidate_deviations(inst: ModelInstance, grid_k: int) -> np.ndarray:

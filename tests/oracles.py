@@ -430,3 +430,41 @@ def exact_payoffs(inst, metric, strategy, P, contents, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         share = np.where(a > 0.0, ((a + b) ** P - b ** P) / (P * a), b ** (P - 1))
     return share.mean(axis=1) - np.asarray(inst.cost(q, x), dtype=float)
+
+
+def exact_round_metrics(inst, metric, strategy, P, n):
+    """UCQ, RE and UW of one round, keyed by those names, when P i.i.d.
+    creators play ``quantile_grid(strategy, n)``, with no sampling.
+
+    Per type, the grid rows are scored by ``game.eligible_scores``, so the
+    package's acceptance rule decides, and sorted stably into groups of
+    equal score. A group of weight m, with weight b scoring below it
+    (rejected rows included), holds the round's winner with probability
+    (b + m)^P - b^P, and the uniform tie-break makes the winner a
+    weight-proportional draw from the group. So each group adds that
+    probability times its weight-mean quality, engagement and utility to
+    the type; the rejected group holds a winner with probability 0. The
+    metrics are the mean over the types, which the user draws uniformly.
+    """
+    import numpy as np
+    from creatorsim.game import eligible_scores
+
+    grid, weight = quantile_grid(strategy, n)
+    q, x = grid.T
+    engagement = np.asarray(inst.engagement(q, x), dtype=float)
+    totals = dict.fromkeys(("ucq", "re", "uw"), 0.0)
+    for t in inst.types:
+        score = eligible_scores(inst, metric, q, x, t)
+        order = np.argsort(score, kind="stable")
+        s, w = score[order], weight[order]
+        cum = np.concatenate([[0.0], np.cumsum(w)])
+        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+        ends = np.r_[starts[1:], len(s)]
+        held = s[starts] > -np.inf
+        b, m = cum[starts][held], (cum[ends] - cum[starts])[held]
+        win = (b + m) ** P - b ** P
+        utility = np.asarray(inst.utility(q, x, t), dtype=float)
+        for name, value in (("ucq", q), ("re", engagement), ("uw", utility)):
+            sums = np.add.reduceat(w * value[order], starts)[held]
+            totals[name] += float(win @ (sums / m)) / len(inst.types)
+    return totals

@@ -17,9 +17,9 @@ SOURCES = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + [ACCEPT
 
 
 def used_names(paths, attributes_only=False) -> set[str]:
-    """Every name the code in ``paths`` reads, imports or looks up as an
-    attribute, or only the attribute look-ups; definitions, strings and
-    comments are not uses."""
+    """Every name the code in ``paths`` reads or looks up as an attribute,
+    or only the attribute look-ups; imports, definitions, strings and
+    comments are not uses, so a re-import keeps no name alive."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -29,8 +29,6 @@ def used_names(paths, attributes_only=False) -> set[str]:
                 continue
             elif isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
     return names
 
 

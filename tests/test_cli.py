@@ -26,10 +26,11 @@ from creatorsim.verify import (BestResponseReport, best_response_gap,
 from creatorsim.model import ModelInstance
 
 
+VALID = {"family": "linear", "alpha": 1, "gamma": 0, "types": [1], "P": 2, "seed": 0}
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
-    cfg = {"family": "linear", "alpha": 1, "gamma": 0, "types": [1],
-           "P": 2, "seed": 0}
-    cfg.update(overrides)
+    cfg = {**VALID, **overrides}
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path, cfg
@@ -178,25 +179,6 @@ class TestCheckModel:
         payload = json.loads((tmp_path / "check_model.json").read_text())
         assert payload["report"]["all_passed"] is True
 
-    def test_gamma_one_rejected(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, gamma=1.0)
-        assert main(["check-model", "--config", str(path),
-                     "--out", str(tmp_path)]) == 2
-        assert "gamma" in capsys.readouterr().err
-
-    def test_missing_types_diagnostic(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"family": "linear", "alpha": 1}))
-        assert main(["check-model", "--config", str(path),
-                     "--out", str(tmp_path)]) == 2
-        assert "types" in capsys.readouterr().err
-
-    def test_unparseable_json(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text("{not json")
-        assert main(["check-model", "--config", str(path),
-                     "--out", str(tmp_path)]) == 2
-
 
 class TestSample:
     def test_homogeneous_samples_on_curve(self, tmp_path):
@@ -281,28 +263,6 @@ class TestVerify:
         path, _ = write_config(tmp_path, alpha=1e11, samples=15000, seed=seed)
         assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
 
-    def test_incompatible_equilibrium_is_config_error(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, types=[1, 2],
-                               equilibrium="homogeneous")
-        assert main(["verify", "--config", str(path),
-                     "--out", str(tmp_path)]) == 2
-
-    def test_bad_config_exits_two(self, tmp_path):
-        path, _ = write_config(tmp_path, P=1)
-        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
-
-    def test_grid_below_two_exits_two(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, samples=100)
-        assert main(["verify", "--config", str(path), "--grid", "1",
-                     "--out", str(tmp_path)]) == 2
-        assert "--grid" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["verify", "metrics"])
-    def test_zero_samples_exits_two(self, tmp_path, capsys, command):
-        path, _ = write_config(tmp_path, samples=0)
-        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "samples" in capsys.readouterr().err
-
     def test_non_finite_report_exits_two_and_writes_nothing(self, tmp_path,
                                                             monkeypatch, capsys):
         def nan_report(*args, **kwargs):
@@ -320,13 +280,6 @@ class TestVerify:
             "error: non-finite value at report.candidate_utilities.mean[3]: "
             "verify.json not written"]
         assert not out.exists()
-
-    def test_types_string_exits_two(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, types="12", samples=100)
-        assert main(["verify", "--config", str(path), "--grid", "5",
-                     "--out", str(tmp_path)]) == 2
-        assert "types" in capsys.readouterr().err
-        assert not (tmp_path / "verify.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -389,24 +342,6 @@ def test_verify_grid_past_its_cap_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["describe", "metrics", "verify"])
-@pytest.mark.parametrize("types, equilibrium", [
-    ([1.0, 1.9], "auto"), ([1.0, 1.9], "two_type"),
-    (list(make_well_separated_types(3, 0.01).types), "auto"),
-    (list(make_well_separated_types(3, 0.01).types), "well_separated"),
-])
-def test_two_creator_construction_at_other_P_exits_two(tmp_path, capsys, command,
-                                                       types, equilibrium):
-    path, _ = write_config(tmp_path, types=types, P=3, equilibrium=equilibrium,
-                           samples=100)
-    out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert "not applicable" in err[0] and "P = 2 creators, not P = 3" in err[0]
-    assert not out.exists()
-
-
 # the benchmark's two certify cases, with their candidate plus probe counts
 # at grid 200 and 32 probes
 CERTIFY_CASES = {
@@ -438,52 +373,6 @@ def test_verify_json_is_one_deterministic_finite_line(tmp_path, case):
     assert [c["t"] for c in report["curves"]] == overrides["types"]
 
 
-@pytest.mark.parametrize("command", ["verify", "describe"])
-@pytest.mark.parametrize("overrides, message", [
-    ({"alpha": float("inf")}, "alpha must be finite"),
-    ({"family": "kmr", "W": float("inf")}, "W must be finite"),
-    ({"alpha": True}, "'alpha' must be a number"),
-    ({"family": "kmr", "W": True}, "'W' must be a number"),
-    ({"gamma": False}, "'gamma' must be a number"),
-    ({"types": [0.5, True]}, "'types' entry must be a number"),
-    # float() reads these strings; on null, a list or an object its message
-    # names no field
-    ({"alpha": "1_0"}, "'alpha' must be a number"),
-    ({"gamma": " 0.5 "}, "'gamma' must be a number"),
-    ({"types": ["1", "\u0662"]}, "'types' entry must be a number"),
-    ({"family": "kmr", "W": "2"}, "'W' must be a number"),
-    ({"alpha": None}, "'alpha' must be a number"),
-    ({"gamma": [0.5]}, "'gamma' must be a number"),
-    ({"types": [{"t": 1}]}, "'types' entry must be a number"),
-])
-def test_non_finite_or_boolean_model_parameter_exits_two(tmp_path, capsys, command,
-                                                         overrides, message):
-    # json.dumps writes inf as the non-standard Infinity, which json.load reads
-    path, _ = write_config(tmp_path, samples=100, **overrides)
-    argv = [command, "--config", str(path), "--out", str(tmp_path)]
-    if command == "verify":
-        argv += ["--grid", "5"]
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
-    assert list(tmp_path.glob("*.json")) == [path]
-
-
-@pytest.mark.parametrize("command", ["verify", "describe"])
-@pytest.mark.parametrize("note, where", [
-    (float("inf"), "note"),
-    ({"runs": [1.0, float("nan")]}, "note.runs[1]"),
-])
-def test_non_finite_config_value_exits_two(tmp_path, capsys, command, note, where):
-    # an unknown key is echoed into every artifact, which must stay standard JSON
-    path, _ = write_config(tmp_path, samples=100, note=note)
-    argv = [command, "--config", str(path), "--out", str(tmp_path)]
-    if command == "verify":
-        argv += ["--grid", "5"]
-    assert main(argv) == 2
-    assert f"{where} must be finite" in capsys.readouterr().err
-    assert list(tmp_path.glob("*.json")) == [path]
-
-
 @pytest.mark.parametrize("command", ["check-model", "sample", "describe",
                                      "verify", "metrics"])
 @pytest.mark.parametrize("output", [5, True])
@@ -496,32 +385,6 @@ def test_non_string_output_exits_two(tmp_path, monkeypatch, capsys, command, out
 
 
 CONFIG_COMMANDS = ["check-model", "sample", "describe", "verify", "metrics"]
-
-
-@pytest.mark.parametrize("command", CONFIG_COMMANDS)
-def test_empty_type_list_exits_two(tmp_path, capsys, command):
-    path, _ = write_config(tmp_path, types=[], samples=10)
-    out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: type space must be nonempty\n"
-    assert not out.exists()
-
-
-BAD_CONFIGS = {"alpha-2": {"alpha": -2}, "family-nope": {"family": "nope"},
-               # check-model builds no strategy, so it takes any P
-               "two_type-P3": {"types": [1.0, 1.9], "P": 3,
-                               "equilibrium": "two_type"}}
-
-
-@pytest.mark.parametrize("command, bad", [
-    (c, bad) for bad in BAD_CONFIGS for c in CONFIG_COMMANDS
-    if not (c == "check-model" and bad == "two_type-P3")])
-def test_bad_config_makes_no_output_directory(tmp_path, capsys, command, bad):
-    path, _ = write_config(tmp_path, samples=10, **BAD_CONFIGS[bad])
-    out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
-    assert not out.exists()
 
 
 ARTIFACTS = {"check-model": "check_model.json", "sample": "samples.csv",
@@ -648,32 +511,6 @@ def test_config_depth_bound_is_one_hundred_levels(tmp_path, levels, code):
     assert (out / "strategy.json").exists() == (code == 0)
 
 
-@pytest.mark.parametrize("command", ["sample", "verify", "metrics", "describe"])
-def test_P_past_every_array_and_float_exits_two_naming_P(tmp_path, command):
-    # sample, verify and metrics hold 3 * P draws per sample, more than any
-    # array; describe draws none, but each construction divides by P
-    path, _ = write_config(tmp_path, alpha=-0.5, gamma=0.3, types=[2.0],
-                           P=10**400)
-    out = tmp_path / "out"
-    code, _, err = run_main([command, "--config", str(path), "--out", str(out)])
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert " P " in err
-    assert not (out / ARTIFACTS[command]).exists()
-
-
-@pytest.mark.parametrize("recommender", ["engagement", "investment", "random"])
-def test_describe_with_P_past_the_largest_float_exits_two(tmp_path, recommender):
-    # each construction divides by P or P - 1
-    path, _ = write_config(tmp_path, alpha=-0.5, gamma=0.3, types=[2.0],
-                           P=10**400, recommender=recommender)
-    code, _, err = run_main(["describe", "--config", str(path),
-                             "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert err.startswith("error: equilibrium ") and "not applicable" in err
-    assert err.count("\n") == 1
-
-
 @pytest.mark.parametrize("model", [
     {"family": "linear", "alpha": 1.0, "types": [1e-300, 1e300]},
     {"family": "kmr", "W": 1e300, "types": [1e-3, 1e3]},
@@ -745,37 +582,6 @@ def test_exit_two_removes_an_out_path_1200_levels_deep(tmp_path):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
     finally:
         remove_deep_tree(tmp_path, out)
-
-
-@pytest.mark.parametrize("command", CONFIG_COMMANDS)
-def test_subnormal_type_exits_two_naming_types(tmp_path, command):
-    # below the smallest normal float 1 / t overflows; verify used to run
-    # and exit 3, with a gap 16 times its stderr on the subnormal type
-    path, _ = write_config(tmp_path, types=[5e-324, 2.0], samples=2000, seed=3)
-    out = tmp_path / "out"
-    code, _, err = run_main([command, "--config", str(path), "--out", str(out)]
-                            + (["--grid", "10"] if command == "verify" else []))
-    assert (code, err) == (2, "error: types must be normal floats, at least "
-                              "2.2250738585072014e-308\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", CONFIG_COMMANDS)
-@pytest.mark.parametrize("model", [
-    {"family": "kmr", "W": 1.0, "types": [2.0 ** 1023]},
-    {"family": "linear", "alpha": 1e308, "types": [1.0, 1.9]},
-], ids=["kmr_type_2**1023", "linear_alpha_1e308"])
-def test_curve_past_the_largest_float_exits_two(tmp_path, command, model):
-    # the curve reaches the deviation grid's cost cap 1.2 at gaming 2.2 t
-    # on KMR, or t * (alpha + 1.2) on the linear family, past the largest
-    # float, so no strategy or grid on it has finite breakpoints
-    path, _ = write_config(tmp_path, samples=200, **model)
-    out = tmp_path / "out"
-    argv = [command, "--config", str(path), "--out", str(out)]
-    code, _, err = run_main(argv + (["--grid", "10"] if command == "verify" else []))
-    assert (code, err) == (2, "error: a type's curve passes the largest float "
-                              "below cost 1.2\n")
-    assert not out.exists()
 
 
 # ROADMAP item 7: a valid config with one field mutated, run in-process.
@@ -893,40 +699,144 @@ def test_unreadable_config_exits_two(tmp_path, monkeypatch, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
-LINEAR = '"family": "linear", "alpha": 1, "types": [1]'
+def config_error(config, message, commands=CONFIG_COMMANDS, argv=()):
+    """A ``CONFIG_ERRORS`` row: ``config`` is JSON text or overrides of
+    ``VALID``, run with ``argv`` on each command in ``commands``. A
+    ``message`` that starts with ``error: `` is the whole stderr line."""
+    return config, argv, commands, message
+
+
+# check-model builds no strategy, so a construction that does not fit the
+# config is no error to it
+BUILDERS = ["sample", "describe", "verify", "metrics"]
+WELL_SEPARATED_3 = list(make_well_separated_types(3, 0.01).types)
+# sample, verify and metrics hold 3 * P draws per sample, more than any
+# array; describe draws none, but each construction divides by P or P - 1
+HUGE_P = {"alpha": -0.5, "gamma": 0.3, "types": [2.0], "P": 10**400}
 CONFIG_ERRORS = {
-    "not_an_object": ('[{"family": "linear"}]', "config must be a JSON object"),
-    "unknown_recommender": (f'{{{LINEAR}, "recommender": "clicks"}}',
-                            "recommender must be one of ('engagement', "),
-    "unknown_equilibrium": (f'{{{LINEAR}, "equilibrium": "nash"}}',
-                            "equilibrium must be one of ('auto', "),
-    "linear_without_alpha": ('{"family": "linear", "types": [1]}',
-                             "linear family requires 'alpha'"),
-    "kmr_without_W": ('{"family": "kmr", "types": [1]}', "kmr family requires 'W'"),
-    "kmr_gamma_one": ('{"family": "kmr", "W": 1, "gamma": 1.0, "types": [1]}',
-                      "gamma must be in [0, 1), got 1.0"),
-    "kmr_gamma_negative": ('{"family": "kmr", "W": 1, "gamma": -0.5, "types": [1]}',
-                           "gamma must be in [0, 1), got -0.5"),
+    "not_an_object": config_error('[{"family": "linear"}]',
+                                  "config must be a JSON object"),
+    "unparseable_json": config_error("{not json", "config is not valid JSON: "),
+    "unknown_recommender": config_error({"recommender": "clicks"},
+                                        "recommender must be one of ('engagement', "),
+    "unknown_equilibrium": config_error({"equilibrium": "nash"},
+                                        "equilibrium must be one of ('auto', "),
+    "unknown_family": config_error({"family": "nope"}, "unknown family 'nope'"),
+    "missing_types": config_error('{"family": "linear", "alpha": 1}',
+                                  "model config missing 'types'"),
+    "types_a_string": config_error({"types": "12"},
+                                   "'types' must be a list of numbers"),
+    "empty_types": config_error({"types": []},
+                                "error: type space must be nonempty"),
+    # below the smallest normal float 1 / t overflows, and verify cannot
+    # certify the type's curve
+    "subnormal_type": config_error({"types": [5e-324, 2.0]},
+                                   "error: types must be normal floats, at least "
+                                   "2.2250738585072014e-308"),
+    "linear_without_alpha": config_error('{"family": "linear", "types": [1]}',
+                                         "linear family requires 'alpha'"),
+    "kmr_without_W": config_error({"family": "kmr"}, "kmr family requires 'W'"),
+    "alpha_-2": config_error({"alpha": -2}, "alpha must be finite and > -1, got -2.0"),
+    "linear_gamma_one": config_error({"gamma": 1.0},
+                                     "gamma must be in [0, 1), got 1.0"),
+    "kmr_gamma_one": config_error({"family": "kmr", "W": 1, "gamma": 1.0},
+                                  "gamma must be in [0, 1), got 1.0"),
+    "kmr_gamma_negative": config_error({"family": "kmr", "W": 1, "gamma": -0.5},
+                                       "gamma must be in [0, 1), got -0.5"),
+    # the curve reaches the deviation grid's cost cap 1.2 at gaming 2.2 t
+    # on KMR, or t * (alpha + 1.2) on the linear family, past the largest
+    # float, so no strategy or grid on it has finite breakpoints
+    **{name: config_error(model, "error: a type's curve passes the largest float "
+                                 "below cost 1.2")
+       for name, model in [
+           ("kmr_type_2**1023", {"family": "kmr", "W": 1.0, "types": [2.0 ** 1023]}),
+           ("linear_alpha_1e308", {"alpha": 1e308, "types": [1.0, 1.9]})]},
+    # json.dumps writes inf as the non-standard Infinity, which json.load reads
+    "alpha_inf": config_error({"alpha": float("inf")}, "alpha must be finite"),
+    "W_inf": config_error({"family": "kmr", "W": float("inf")}, "W must be finite"),
+    "alpha_true": config_error({"alpha": True}, "'alpha' must be a number"),
+    "W_true": config_error({"family": "kmr", "W": True}, "'W' must be a number"),
+    "gamma_false": config_error({"gamma": False}, "'gamma' must be a number"),
+    "types_entry_true": config_error({"types": [0.5, True]},
+                                     "'types' entry must be a number"),
+    # float() reads these strings; on null, a list or an object its message
+    # names no field
+    "alpha_underscored": config_error({"alpha": "1_0"}, "'alpha' must be a number"),
+    "gamma_padded": config_error({"gamma": " 0.5 "}, "'gamma' must be a number"),
+    "types_digit_strings": config_error({"types": ["1", "\u0662"]},
+                                        "'types' entry must be a number"),
+    "W_string": config_error({"family": "kmr", "W": "2"}, "'W' must be a number"),
+    "alpha_null": config_error({"alpha": None}, "'alpha' must be a number"),
+    "gamma_list": config_error({"gamma": [0.5]}, "'gamma' must be a number"),
+    "types_entry_object": config_error({"types": [{"t": 1}]},
+                                       "'types' entry must be a number"),
+    # an unknown key is echoed into every artifact, which must stay standard JSON
+    "note_inf": config_error({"note": float("inf")}, "note must be finite"),
+    "note_nan": config_error({"note": {"runs": [1.0, float("nan")]}},
+                             "note.runs[1] must be finite"),
+    "P_one": config_error({"P": 1}, "P must be an integer >= 2"),
+    "P_true": config_error({"P": True}, "P must be an integer >= 2"),
+    "seed_true": config_error({"seed": True}, "seed must be a nonnegative integer"),
+    "samples_true": config_error({"samples": True}, "samples must be an integer >= "),
+    # sample writes a header alone for zero samples; these two need one
+    "zero_samples": config_error({"samples": 0}, "samples must be an integer >= 1",
+                                 ["verify", "metrics"]),
+    "P_past_every_array": config_error(HUGE_P, "P must be at most",
+                                       ["sample", "verify", "metrics"]),
+    **{f"P_past_every_float_{rec}": config_error(
+        {**HUGE_P, "recommender": rec},
+        f"error: equilibrium '{construction}' not applicable: P is too large: "
+        "it must fit in a float", ["describe"])
+       for rec, construction in [("engagement", "homogeneous"),
+                                 ("investment", "investment"), ("random", "random")]},
+    "homogeneous_two_types": config_error(
+        {"types": [1, 2], "equilibrium": "homogeneous"},
+        "not applicable: homogeneous construction requires exactly one type", BUILDERS),
+    **{name: config_error({"types": types, "P": 3, "equilibrium": equilibrium},
+                          "not applicable: it is constructed for P = 2 creators, "
+                          "not P = 3", BUILDERS)
+       for name, types, equilibrium in [
+           ("two_type_auto_P3", [1.0, 1.9], "auto"),
+           ("two_type_P3", [1.0, 1.9], "two_type"),
+           ("well_separated_auto_P3", WELL_SEPARATED_3, "auto"),
+           ("well_separated_P3", WELL_SEPARATED_3, "well_separated")]},
     # the other commands read "all" as every recommender, or as engagement
-    "verify_all_recommenders": (f'{{{LINEAR}, "recommender": "all"}}',
-                                "verify requires a single recommender"),
+    "verify_all_recommenders": config_error({"recommender": "all"},
+                                            "verify requires a single recommender",
+                                            ["verify"]),
+    "grid_one": config_error({}, "--grid must be >= 2", ["verify"], ["--grid", "1"]),
+    **{f"threads_{n}": config_error({}, "--threads must be >= 1", ["metrics"],
+                                    ["--threads", n]) for n in ("0", "-5")},
 }
 
 
 @pytest.mark.parametrize("command, case", [
-    *((c, case) for c in CONFIG_COMMANDS for case in CONFIG_ERRORS
-      if case != "verify_all_recommenders"),
-    ("verify", "verify_all_recommenders")])
-def test_config_error_exits_two_with_its_message(tmp_path, command, case):
-    config, message = CONFIG_ERRORS[case]
+    (command, case) for case, (_, _, commands, _) in CONFIG_ERRORS.items()
+    for command in commands])
+def test_config_error_exits_two_with_its_message(tmp_path, monkeypatch, command,
+                                                 case):
+    # exit 2 with one line, and no traceback, output or directory. The
+    # error comes before the command asks for its output directory: main
+    # removes a directory made too early, which would leave no trace here.
+    def out_dir(*args):
+        raise AssertionError("output directory asked for before the error")
+
+    monkeypatch.setattr(cli, "_out_dir", out_dir)
+    config, argv, _, message = CONFIG_ERRORS[case]
     path = tmp_path / "cfg.json"
-    path.write_text(config)
-    out = tmp_path / "out"
-    code, _, err = run_main([command, "--config", str(path), "--out", str(out)])
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
-    assert not (out / ARTIFACTS[command]).exists()
+    path.write_text(config if isinstance(config, str)
+                    else json.dumps({**VALID, "samples": 10, **config}))
+    out = tmp_path / "out" / "deeper"
+    code, stdout, err = run_main([command, "--config", str(path), "--out", str(out),
+                                  *argv])
+    assert (code, stdout) == (2, ""), err
+    assert err.startswith("error: ") and err.endswith("\n"), err
+    assert err.count("\n") == 1, err
+    if message.startswith("error: "):
+        assert err == message + "\n"
+    else:
+        assert message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command, where", [
@@ -1228,21 +1138,6 @@ class TestMetrics:
             cli._hold_heap.cache_clear()
         assert (tmp_path / "b" / "metrics.csv").read_bytes() \
             == (tmp_path / "a" / "metrics.csv").read_bytes()
-
-    @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_nonpositive_threads_exits_two(self, tmp_path, capsys, threads):
-        path, _ = write_config(tmp_path, samples=100)
-        assert main(["metrics", "--config", str(path), "--threads", threads,
-                     "--out", str(tmp_path)]) == 2
-        assert "--threads" in capsys.readouterr().err
-        assert not (tmp_path / "metrics.csv").exists()
-
-    @pytest.mark.parametrize("key", ["P", "seed", "samples"])
-    def test_boolean_integer_field_exits_two(self, tmp_path, capsys, key):
-        path, _ = write_config(tmp_path, **{"samples": 100, key: True})
-        assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert f"{key} must be" in capsys.readouterr().err
-        assert not (tmp_path / "metrics.csv").exists()
 
     def test_shard_memory_error_exits_two_with_one_line(self, tmp_path,
                                                         monkeypatch, capsys):

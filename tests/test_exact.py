@@ -1,6 +1,7 @@
-"""Exact payoffs on a weighted quantile grid (``oracles.exact_payoffs``)
-against the Monte Carlo payoff pool, and one identity that ties the pool
-to the round kernel, on every catalogue equilibrium."""
+"""Exact payoffs and round metrics on a weighted quantile grid
+(``oracles.exact_payoffs``, ``oracles.exact_round_metrics``) against the
+Monte Carlo payoff pool and round estimates, and one identity that ties
+the pool to the round kernel, on every catalogue equilibrium."""
 
 import itertools
 import math
@@ -17,6 +18,7 @@ from creatorsim.equilibrium import (
     _two_type_intervals,
 )
 from creatorsim.game import OpponentPool, simulate_rounds
+from creatorsim.metrics import estimate_round_metrics
 from creatorsim.verify import candidate_deviations
 from catalogue import (
     EQUILIBRIA,
@@ -29,7 +31,7 @@ from catalogue import (
     two_type,
     well_separated,
 )
-from oracles import exact_payoffs, quantile_grid
+from oracles import exact_payoffs, exact_round_metrics, quantile_grid
 
 N = 20_000      # grid rows per continuous component
 GRID_K = 20     # candidate points per type curve
@@ -189,3 +191,32 @@ def test_one_game_two_kernels_one_identity(name):
     # and the pool's side is the probes' exact payoff
     exact = exact_payoffs(inst, metric, strategy, P, probes, N).mean()
     assert abs(played.mean - exact) <= 4 * played.stderr + bound(P)
+
+
+METRIC_ROUNDS = 100_000
+
+
+def round_metrics_miss(name, played_P):
+    """How far ``estimate_round_metrics`` misses the exact UCQ, RE and UW of
+    a catalogue entry beyond 4 se + 1e-4, by metric, when ``played_P``
+    creators play the entry's strategy for ``METRIC_ROUNDS`` rounds. The
+    1e-4 covers the grid, which moves no catalogue metric by more than
+    6e-6 from n = 2e4 to 2e5, and the rounding of metrics that are zero."""
+    inst, metric, strategy, P = EQUILIBRIA[name].game()
+    exact = exact_round_metrics(inst, metric, strategy, P, N)
+    mc = estimate_round_metrics(inst, metric, strategy, played_P, METRIC_ROUNDS,
+                                np.random.default_rng(5))
+    return {key: abs(mc[key].mean - value) - (4 * mc[key].stderr + 1e-4)
+            for key, value in exact.items()}
+
+
+@pytest.mark.parametrize("name", sorted(EQUILIBRIA))
+def test_round_metrics_match_the_exact_oracle(name):
+    miss = round_metrics_miss(name, EQUILIBRIA[name].P)
+    assert max(miss.values()) <= 0.0, miss
+
+
+@pytest.mark.parametrize("name", ["homogeneous_atom_P3", "random_ties"])
+def test_P3_strategy_played_at_P2_misses_the_oracle(name):
+    miss = round_metrics_miss(name, 2)
+    assert miss["ucq"] > 0.0 and miss["re"] > 0.0, miss

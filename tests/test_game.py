@@ -9,7 +9,6 @@ from creatorsim import (
     LinearTwitter,
     MetricEstimate,
     Metric,
-    expected_creator_utility,
     simulate_rounds,
 )
 from creatorsim.equilibrium import AtomComponent, MixedStrategy
@@ -18,6 +17,7 @@ from creatorsim.game import (
     _pick_winners,
     metric_score,
 )
+from creatorsim.verify import expected_creator_utility
 from catalogue import EQUILIBRIA, instance, kmr, linear
 from oracles import (
     brute_force_accepts,
