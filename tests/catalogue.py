@@ -96,6 +96,10 @@ EQUILIBRIA = {
                                        engagement_eq_homogeneous),
     "homogeneous_atom_P4": Equilibrium(linear(-0.3, 0.1, (1.5,)), E, 4,
                                        engagement_eq_homogeneous),
+    # criterion 3: consumed quality falls as gaming gets costlier, at P = 2, 3
+    **{f"homogeneous_a0.5_g{g}_P{P}": Equilibrium(linear(0.5, g), E, P,
+                                                  engagement_eq_homogeneous)
+       for g in (0.2, 0.8) for P in (2, 3)},
     # the paper's three two-type cases by coefficient ratio (case 2 is the
     # other certify case), and two KMR pairs; on the wide one, t = 0.01 users
     # reject about half of the draws by a slack down to -63
@@ -103,8 +107,12 @@ EQUILIBRIA = {
        for r in (2.0, 1.45, 1.2)},
     "kmr_two_type": Equilibrium(kmr(types=(1.0, 1.6)), E, 2, _two_type_eq),
     "kmr_two_type_wide": Equilibrium(two_type(1.5, "kmr"), E, 2, _two_type_eq),
+    # criterion 6: user welfare against random reverses from c = 1.2 to 2.0
+    **{f"kmr_two_type_c{c}": Equilibrium(two_type(c, "kmr"), E, 2, _two_type_eq)
+       for c in (1.2, 2.0)},
+    # N = 8 backs criteria 2 (UCQ <= 1/N) and 5 (RE below investment's)
     **{f"well_separated_N{N}": Equilibrium(well_separated(N), E, 2, _well_separated_eq)
-       for N in (2, 3, 4, 5)},
+       for N in (2, 3, 4, 5, 8)},
     # the baselines: pure quality, and opt-out/entry atoms under random
     "investment_P2": Equilibrium(linear(1.0), I, 2, investment_eq),
     "investment_atom": Equilibrium(linear(-0.5), I, 2, investment_eq),

@@ -433,7 +433,8 @@ def exact_payoffs(inst, metric, strategy, P, contents, n):
 
 
 def exact_round_metrics(inst, metric, strategy, P, n):
-    """UCQ, RE and UW of one round, keyed by those names, when P i.i.d.
+    """UCQ, RE, UW and the consumption rate of one round, keyed by
+    ``ucq``, ``re``, ``uw`` and ``consumption``, when P i.i.d.
     creators play ``quantile_grid(strategy, n)``, with no sampling.
 
     Per type, the grid rows are scored by ``game.eligible_scores``, so the
@@ -444,7 +445,9 @@ def exact_round_metrics(inst, metric, strategy, P, n):
     weight-proportional draw from the group. So each group adds that
     probability times its weight-mean quality, engagement and utility to
     the type; the rejected group holds a winner with probability 0. The
-    metrics are the mean over the types, which the user draws uniformly.
+    metrics are the mean over the types, which the user draws uniformly,
+    and so is ``consumption``, the sum of the groups' win probabilities:
+    the chance that the round's user consumes something.
     """
     import numpy as np
     from creatorsim.game import eligible_scores
@@ -452,7 +455,7 @@ def exact_round_metrics(inst, metric, strategy, P, n):
     grid, weight = quantile_grid(strategy, n)
     q, x = grid.T
     engagement = np.asarray(inst.engagement(q, x), dtype=float)
-    totals = dict.fromkeys(("ucq", "re", "uw"), 0.0)
+    totals = dict.fromkeys(("ucq", "re", "uw", "consumption"), 0.0)
     for t in inst.types:
         score = eligible_scores(inst, metric, q, x, t)
         order = np.argsort(score, kind="stable")
@@ -467,4 +470,57 @@ def exact_round_metrics(inst, metric, strategy, P, n):
         for name, value in (("ucq", q), ("re", engagement), ("uw", utility)):
             sums = np.add.reduceat(w * value[order], starts)[held]
             totals[name] += float(win @ (sums / m)) / len(inst.types)
+        totals["consumption"] += float(win.sum()) / len(inst.types)
     return totals
+
+
+def _two_type_uw_quadrature(c, eps, W=1.0):
+    """Analytic user welfare of the two-type engagement equilibrium (KMR).
+
+    Only a high-tolerance user consuming low-type-targeted content earns
+    positive utility, worth W * (c - 1) * v at reparameterized engagement v.
+    Integrates that against the density of the max of two draws from the
+    piecewise-constant (V, T) density, taking the winner's type share per
+    interval. Intervals follow the case-3/case-2/case-1 tables.
+    """
+    import numpy as np
+
+    a1 = 1.0 / (1.0 + eps)
+    a2 = 1.0 / (c * (1.0 + eps))
+    r = a1 / a2
+    if r >= 1.5:
+        intervals = [(1 / a1, 1.5 / a1, a1, 1.0), (1 / a2, 1.25 / a2, 2 * a2, 0.0)]
+    elif r >= (5 - math.sqrt(5)) / 2:
+        mid = 1 / (2 * a2 * (r - 1))
+        intervals = [(1 / a1, 1 / a2, a1, 1.0), (1 / a2, mid, 2 * a2, r - 1),
+                     (mid, (2 - r / 2) / a2, 2 * a2, 0.0)]
+    else:
+        mid = (3 - r) / (2 * a2 * (2 - r))
+        top = 1 / a1 + (1 / a1 - 1 / (2 * a2)) * (3 - r) / (2 - r)
+        intervals = [(1 / a1, 1 / a2, a1, 1.0), (1 / a2, mid, 2 * a2, r - 1),
+                     (mid, top, a1, 1.0)]
+
+    def g(v):
+        for lo, hi, d, _ in intervals:
+            if lo <= v <= hi:
+                return d
+        return 0.0
+
+    def G(v):
+        acc = 0.0
+        for lo, hi, d, _ in intervals:
+            acc += d * max(0.0, min(v, hi) - lo)
+        return min(1.0, acc)
+
+    def p_low(v):
+        for lo, hi, _, p in intervals:
+            if lo <= v <= hi:
+                return p
+        return 0.0
+
+    total = 0.0
+    for lo, hi, _, _ in intervals:
+        xs = np.linspace(lo, hi, 20001)
+        ys = np.array([2.0 * g(v) * G(v) * p_low(v) * v for v in xs])
+        total += np.trapezoid(ys, xs)
+    return 0.5 * W * (c - 1.0) * total

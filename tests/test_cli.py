@@ -1028,32 +1028,6 @@ class TestParser:
 
 
 class TestMetrics:
-    def test_all_recommenders_welfare_pattern(self, tmp_path):
-        path, _ = write_config(tmp_path, recommender="all", samples=20000)
-        assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 0
-        vals = read_metrics(tmp_path / "metrics.csv")
-        assert abs(vals[("uw", "engagement")]) <= 1e-9
-        assert vals[("uw", "random")] == 1.0
-
-    def test_gamma_sweep_ucq_decreasing(self, tmp_path):
-        means = []
-        for gamma in (0.0, 0.2, 0.4):
-            sub = tmp_path / f"g{gamma}"
-            sub.mkdir()
-            path, _ = write_config(sub, gamma=gamma, samples=30000, seed=7)
-            assert main(["metrics", "--config", str(path), "--out", str(sub)]) == 0
-            means.append(read_metrics(sub / "metrics.csv")[("ucq", "engagement")])
-        assert means[0] > means[1] > means[2]
-
-    def test_type_sweep_re_comparison(self, tmp_path):
-        from creatorsim import make_well_separated_types
-        types = list(make_well_separated_types(8, 0.01).types)
-        path, _ = write_config(tmp_path, types=types, recommender="all",
-                               samples=30000)
-        assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 0
-        vals = read_metrics(tmp_path / "metrics.csv")
-        assert vals[("re", "engagement")] < vals[("re", "investment")]
-
     def test_byte_identical_reruns(self, tmp_path):
         path, _ = write_config(tmp_path, recommender="all", samples=5000)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

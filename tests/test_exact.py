@@ -1,15 +1,18 @@
 """Exact payoffs and round metrics on a weighted quantile grid
 (``oracles.exact_payoffs``, ``oracles.exact_round_metrics``) against the
-Monte Carlo payoff pool and round estimates, and one identity that ties
-the pool to the round kernel, on every catalogue equilibrium."""
+Monte Carlo payoff pool and round estimates, one identity that ties
+the pool to the round kernel, on every catalogue equilibrium, and the
+paper's downstream claims stated on the exact metrics (``CLAIMS``)."""
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
 
-from creatorsim import engagement_eq_homogeneous, random_eq
+from creatorsim import (closed_form_ucq_homogeneous, engagement_eq_homogeneous,
+                        investment_eq, random_eq)
 from creatorsim._stats import MetricEstimate
 from creatorsim.equilibrium import (
     AtomComponent,
@@ -23,6 +26,7 @@ from creatorsim.verify import candidate_deviations
 from catalogue import (
     EQUILIBRIA,
     E,
+    I,
     R,
     Equilibrium,
     _two_type_eq,
@@ -31,7 +35,8 @@ from catalogue import (
     two_type,
     well_separated,
 )
-from oracles import exact_payoffs, exact_round_metrics, quantile_grid
+from oracles import (_two_type_uw_quadrature, exact_payoffs, exact_round_metrics,
+                     quantile_grid)
 
 N = 20_000      # grid rows per continuous component
 GRID_K = 20     # candidate points per type curve
@@ -110,6 +115,12 @@ def test_exact_payoffs_certify_the_equilibrium(name):
     # every on-support content earns the same, and no candidate earns more
     assert on.max() - on.min() <= bound(P)
     assert off.max() - weight @ on <= bound(P)
+    # and the grid earns the exact consumption rate / P minus its mean cost,
+    # test_one_game_two_kernels_one_identity with both sides exact
+    grid, _ = quantile_grid(strategy, N)
+    cost = weight @ np.asarray(inst.cost(*grid.T), dtype=float)
+    rate = exact_round_metrics(inst, metric, strategy, P, N)["consumption"]
+    assert abs(weight @ on - (rate / P - cost)) <= 1e-10
     # the pool's counted estimates agree at every candidate
     pool = OpponentPool.draw(inst, metric, strategy, P, SAMPLES,
                              np.random.default_rng(1))
@@ -188,9 +199,111 @@ def test_one_game_two_kernels_one_identity(name):
     else:
         se = math.sqrt(won.stderr ** 2 + cost.stderr ** 2 + played.stderr ** 2)
         assert abs(rounds - played.mean) <= 4 * se
-    # and the pool's side is the probes' exact payoff
+    # and the pool's side is the probes' exact payoff, the rounds' share of
+    # consumed rounds the exact consumption rate
     exact = exact_payoffs(inst, metric, strategy, P, probes, N).mean()
     assert abs(played.mean - exact) <= 4 * played.stderr + bound(P)
+    rate = exact_round_metrics(inst, metric, strategy, P, N)["consumption"]
+    assert abs(batch.consumed.mean() - rate) <= 4 * P * won.stderr + 1e-4
+
+
+# the catalogue and the games that only claims compare; ``unit`` and
+# ``under`` add the rest
+GAMES = {**EQUILIBRIA,
+         "well_separated_N64": Equilibrium(well_separated(64), E, 2, _well_separated_eq),
+         "kmr_two_type_c1.45": Equilibrium(two_type(1.45, "kmr"), E, 2, _two_type_eq)}
+
+
+def unit(a, g=0.0, P=2):
+    """The engagement game on ``linear(a, g)`` in ``GAMES``, named as the
+    catalogue names its own."""
+    name = "homogeneous_P2" if (a, g, P) == (1, 0, 2) else f"homogeneous_a{a}_g{g}_P{P}"
+    GAMES.setdefault(name, Equilibrium(linear(a, g), E, P, engagement_eq_homogeneous))
+    return name
+
+
+def under(metric, name):
+    """The game ``name`` in ``GAMES`` played under a baseline ``metric``,
+    named as the catalogue names ``investment_P2`` and ``random_P2``."""
+    baseline = f"{metric.value}_{name.removeprefix('homogeneous_')}"
+    construct = {I: investment_eq, R: random_eq}[metric]
+    GAMES.setdefault(baseline, GAMES[name]._replace(metric=metric, construct=construct))
+    return baseline
+
+
+def chain(key, op):
+    """``op`` holds between each game's ``key`` metric and the next one's."""
+    return lambda ms: all(op(a[key], b[key]) for a, b in zip(ms, ms[1:]))
+
+
+def near(key, *values, tol=1e-8):
+    """Each game's ``key`` metric is within ``tol`` of its value."""
+    return lambda ms: all(abs(m[key] - v) <= tol for m, v in zip(ms, values))
+
+
+GAMMAS = (0.0, 0.2, 0.4, 0.6, 0.8)
+GRID = [(a, g) for a in (-0.5, 0.0, 1.0) for g in (0.0, 0.3, 0.6)]
+# the paper's claims (1: consumed quality falls as gaming gets costlier; 2:
+# welfare can be below random's; 3: engagement is below quality
+# optimisation's) and criteria 2-6. A row holds its claim, the names in
+# GAMES it compares and what holds on their exact metrics, in that order;
+# a metric is engagement's unless the row names a baseline
+CLAIMS = {
+    "c2_investment_ucq": ("criterion 2: UCQ under investment is 2/3",
+                          (under(I, unit(1.0)),), near("ucq", 2 / 3)),
+    **{f"c2_engagement_ucq_N{k}": (
+        "criterion 2: UCQ is at most 1/N on N well-separated types",
+        (f"well_separated_N{k}",), lambda ms, k=k: ms[0]["ucq"] <= 1 / k)
+       for k in (2, 4, 8, 64)},
+    **{f"c3_ucq_falls_in_gamma_a{a}_P{P}": (
+        "claim 1, criterion 3: UCQ falls as gamma rises",
+        tuple(unit(a, g, P) for g in GAMMAS), chain("ucq", operator.gt))
+       for a in (1.0, 0.5) for P in (2, 3)},
+    **{f"c3_closed_form_a{a}_g{g}": (
+        "criterion 3: UCQ is closed_form_ucq_homogeneous",
+        (unit(a, g),), near("ucq", closed_form_ucq_homogeneous(a, g, 1.0, 2)))
+       for a, g in [*GRID, (-0.9, 0.0)]},
+    "c4_uw_alpha1": ("criterion 4: at alpha = 1, UW is 0, and 1 under random",
+                     (unit(1.0), under(R, unit(1.0))), near("uw", 0.0, 1.0, tol=1e-12)),
+    **{f"c4_uw_below_random_{name}": (
+        "claim 2, criterion 4: UW is below UW under random",
+        (name, under(R, name)), chain("uw", operator.lt))
+       for name in (unit(0.5, 0.2), unit(1.0, 0.2), "well_separated_N8")},
+    **{f"c5_re_below_investment_N{k}": (
+        "claim 3, criterion 5: RE is below RE under investment",
+        (f"well_separated_N{k}", under(I, f"well_separated_N{k}")),
+        chain("re", operator.lt)) for k in (8, 64)},
+    **{f"c5_re_homogeneous_a{a}_g{g}": (
+        "criterion 5: on one type, RE is at least RE under investment",
+        (unit(a, g), under(I, unit(a, g))), chain("re", operator.ge)) for a, g in GRID},
+    "c5_re_values": ("criterion 5: at alpha = 1, RE is 7/3, and 2/3 under investment",
+                     (unit(1.0), under(I, unit(1.0))), near("re", 7 / 3, 2 / 3)),
+    **{f"c6_uw_{word}_random_c{c}": (
+        f"criterion 6: on KMR two types at c = {c}, UW is {word} UW under random, "
+        "which is the mean tolerance (W = 1, every creator at the origin)",
+        (f"kmr_two_type_c{c}", under(R, f"kmr_two_type_c{c}")),
+        lambda ms, op=op, t=np.mean(two_type(c, "kmr").types): (
+            op(ms[0]["uw"], ms[1]["uw"]) and abs(ms[1]["uw"] - t) <= 1e-12))
+       for c, word, op in ((1.2, "above", operator.gt), (2.0, "below", operator.lt))},
+    **{f"c6_uw_quadrature_c{c}": (
+        "criterion 6: on KMR two types, UW is the density integral",
+        (f"kmr_two_type_c{c}",),
+        lambda ms, c=c: abs(ms[0]["uw"] - _two_type_uw_quadrature(c, 0.01)) <= 1e-5)
+       for c in (1.2, 1.45, 2.0)},
+}
+# grid rows on 64 types, whose 41 components would hold 820 000 at N
+SPARSE = dict.fromkeys(("well_separated_N64", "investment_well_separated_N64"), 2_000)
+
+
+@pytest.mark.parametrize("key", sorted(CLAIMS))
+def test_claim(key):
+    claim, games, holds = CLAIMS[key]
+    metrics = [exact_round_metrics(*GAMES[name].game(), SPARSE.get(name, N))
+               for name in games]
+    print(claim)
+    for name, m in zip(games, metrics):
+        print(f"    {name}: " + ", ".join(f"{k} {v:.6g}" for k, v in m.items()))
+    assert holds(metrics)
 
 
 METRIC_ROUNDS = 100_000
@@ -198,21 +311,22 @@ METRIC_ROUNDS = 100_000
 
 def round_metrics_miss(name, played_P):
     """How far ``estimate_round_metrics`` misses the exact UCQ, RE and UW of
-    a catalogue entry beyond 4 se + 1e-4, by metric, when ``played_P``
-    creators play the entry's strategy for ``METRIC_ROUNDS`` rounds. The
+    a game in ``GAMES`` beyond 4 se + 1e-4, by metric, when ``played_P``
+    creators play the game's strategy for ``METRIC_ROUNDS`` rounds. The
     1e-4 covers the grid, which moves no catalogue metric by more than
     6e-6 from n = 2e4 to 2e5, and the rounding of metrics that are zero."""
-    inst, metric, strategy, P = EQUILIBRIA[name].game()
+    inst, metric, strategy, P = GAMES[name].game()
     exact = exact_round_metrics(inst, metric, strategy, P, N)
     mc = estimate_round_metrics(inst, metric, strategy, played_P, METRIC_ROUNDS,
                                 np.random.default_rng(5))
-    return {key: abs(mc[key].mean - value) - (4 * mc[key].stderr + 1e-4)
-            for key, value in exact.items()}
+    return {key: abs(mc[key].mean - exact[key]) - (4 * mc[key].stderr + 1e-4)
+            for key in mc}
 
 
-@pytest.mark.parametrize("name", sorted(EQUILIBRIA))
+@pytest.mark.parametrize("name", sorted(EQUILIBRIA)
+                         + sorted(set(GAMES) - set(EQUILIBRIA) - set(SPARSE)))
 def test_round_metrics_match_the_exact_oracle(name):
-    miss = round_metrics_miss(name, EQUILIBRIA[name].P)
+    miss = round_metrics_miss(name, GAMES[name].P)
     assert max(miss.values()) <= 0.0, miss
 
 

@@ -10,12 +10,10 @@ from creatorsim import (
     MetricEstimate,
     closed_form_ucq_homogeneous,
     engagement_eq_homogeneous,
-    engagement_eq_two_types,
     estimate_re,
     estimate_ucq,
     estimate_uw,
     expected_max_from_cdf,
-    investment_eq,
     ks_distance,
     limit_engagement_cdf,
     random_eq,
@@ -24,7 +22,7 @@ from creatorsim._piecewise import PiecewiseLinearCdf
 from creatorsim._stats import RunningMoments
 from creatorsim.metrics import (E_LIMIT_TOP, ROUND_ROWS, estimate_round_metrics,
                                 homogeneous_quality_cdf)
-from catalogue import EQUILIBRIA, kmr, linear, two_type
+from catalogue import EQUILIBRIA, kmr, linear
 from oracles import exact_expected_max, piecewise_cdf
 
 # the unit baseline's engagement equilibrium
@@ -192,14 +190,6 @@ class TestClosedFormUcq:
             else:
                 assert e < inv
 
-    def test_cross_validated_against_monte_carlo(self):
-        inst = linear(-0.9, 0.0)
-        s = engagement_eq_homogeneous(inst, 2)
-        est = estimate_ucq(inst, Metric.ENGAGEMENT, s, 2, 40000,
-                           np.random.default_rng(0))
-        exact = closed_form_ucq_homogeneous(-0.9, 0.0, 1.0, 2)
-        assert abs(est.mean - exact) <= 3 * est.stderr
-
 
 class TestEstimators:
     def test_random_rec_trivial_values(self):
@@ -209,55 +199,9 @@ class TestEstimators:
         assert estimate_re(*game, 5000, rng).mean == 0.0
         assert estimate_uw(*game, 5000, rng).mean == 1.0
 
-    def test_investment_re_is_expected_max_uniform(self):
-        est = estimate_re(*EQUILIBRIA["investment_P2"].game(), 100000,
-                          np.random.default_rng(2))
-        assert abs(est.mean - 2.0 / 3.0) <= 0.01
-
-    def test_engagement_re_homogeneous(self):
-        # engagement on the support is 2 * gaming - 1, uniform on [1, 3]
-        est = estimate_re(*HOMOGENEOUS.game(), 100000, np.random.default_rng(3))
-        assert abs(est.mean - 7.0 / 3.0) <= 0.02
-
     def test_uw_zero_on_zero_utility_support(self):
         est = estimate_uw(*HOMOGENEOUS.game(), 20000, np.random.default_rng(4))
         assert abs(est.mean) <= 1e-9
-
-    def test_mc_matches_closed_form_over_grid(self):
-        for alpha in (-0.5, 0.0, 1.0):
-            for gamma in (0.0, 0.3, 0.6):
-                inst = linear(alpha, gamma)
-                s = engagement_eq_homogeneous(inst, 2)
-                seed = int(1000 + alpha * 10 + gamma * 100)
-                est = estimate_ucq(inst, Metric.ENGAGEMENT, s, 2, 30000,
-                                   np.random.default_rng(seed))
-                exact = closed_form_ucq_homogeneous(alpha, gamma, 1.0, 2)
-                assert abs(est.mean - exact) <= 3 * max(est.stderr, 1e-4), \
-                    (alpha, gamma)
-
-    def test_re_engagement_at_least_investment_homogeneous(self):
-        for alpha in (-0.5, 0.0, 1.0):
-            for gamma in (0.0, 0.3, 0.6):
-                inst = linear(alpha, gamma)
-                seed = int(2000 + alpha * 10 + gamma * 100)
-                re_e = estimate_re(inst, Metric.ENGAGEMENT,
-                                   engagement_eq_homogeneous(inst, 2), 2, 30000,
-                                   np.random.default_rng(seed))
-                re_i = estimate_re(inst, Metric.INVESTMENT,
-                                   investment_eq(inst, 2), 2, 30000,
-                                   np.random.default_rng(seed + 1))
-                slack = 3 * (re_e.stderr + re_i.stderr)
-                assert re_e.mean >= re_i.mean - slack, (alpha, gamma)
-
-    def test_uw_engagement_below_random_for_positive_baseline(self):
-        for alpha in (0.5, 1.0):
-            inst = linear(alpha, 0.2)
-            uw_e = estimate_uw(inst, Metric.ENGAGEMENT,
-                               engagement_eq_homogeneous(inst, 2), 2, 20000,
-                               np.random.default_rng(5))
-            uw_r = estimate_uw(inst, Metric.RANDOM, random_eq(inst, 2), 2, 20000,
-                               np.random.default_rng(6))
-            assert uw_e.mean < uw_r.mean - 3 * (uw_e.stderr + uw_r.stderr)
 
     def test_kmr_engagement_keeps_unit_offset(self):
         # watch-time engagement includes the +1 shift; estimators never renormalize
@@ -480,64 +424,3 @@ class TestWelfareZeroCases:
         est = estimate_uw(inst, Metric.ENGAGEMENT, s, 2, 20000,
                           np.random.default_rng(20))
         assert abs(est.mean) <= 1e-9
-
-
-def _two_type_uw_quadrature(c, eps, W=1.0):
-    """Analytic user welfare of the two-type engagement equilibrium (KMR).
-
-    Only a high-tolerance user consuming low-type-targeted content earns
-    positive utility, worth W * (c - 1) * v at reparameterized engagement v.
-    Integrates that against the density of the max of two draws from the
-    piecewise-constant (V, T) density, taking the winner's type share per
-    interval. Intervals follow the case-3/case-2/case-1 tables.
-    """
-    a1 = 1.0 / (1.0 + eps)
-    a2 = 1.0 / (c * (1.0 + eps))
-    r = a1 / a2
-    if r >= 1.5:
-        intervals = [(1 / a1, 1.5 / a1, a1, 1.0), (1 / a2, 1.25 / a2, 2 * a2, 0.0)]
-    elif r >= (5 - math.sqrt(5)) / 2:
-        mid = 1 / (2 * a2 * (r - 1))
-        intervals = [(1 / a1, 1 / a2, a1, 1.0), (1 / a2, mid, 2 * a2, r - 1),
-                     (mid, (2 - r / 2) / a2, 2 * a2, 0.0)]
-    else:
-        mid = (3 - r) / (2 * a2 * (2 - r))
-        top = 1 / a1 + (1 / a1 - 1 / (2 * a2)) * (3 - r) / (2 - r)
-        intervals = [(1 / a1, 1 / a2, a1, 1.0), (1 / a2, mid, 2 * a2, r - 1),
-                     (mid, top, a1, 1.0)]
-
-    def g(v):
-        for lo, hi, d, _ in intervals:
-            if lo <= v <= hi:
-                return d
-        return 0.0
-
-    def G(v):
-        acc = 0.0
-        for lo, hi, d, _ in intervals:
-            acc += d * max(0.0, min(v, hi) - lo)
-        return min(1.0, acc)
-
-    def p_low(v):
-        for lo, hi, _, p in intervals:
-            if lo <= v <= hi:
-                return p
-        return 0.0
-
-    total = 0.0
-    for lo, hi, _, _ in intervals:
-        xs = np.linspace(lo, hi, 20001)
-        ys = np.array([2.0 * g(v) * G(v) * p_low(v) * v for v in xs])
-        total += np.trapezoid(ys, xs)
-    return 0.5 * W * (c - 1.0) * total
-
-
-class TestTwoTypeWelfareQuadrature:
-    @pytest.mark.parametrize("c", [1.2, 1.45, 2.0])
-    def test_simulation_matches_density_integral(self, c):
-        inst = two_type(c, "kmr")
-        s = engagement_eq_two_types(inst)
-        est = estimate_uw(inst, Metric.ENGAGEMENT, s, 2, 60000,
-                          np.random.default_rng(int(c * 100)))
-        exact = _two_type_uw_quadrature(c, 0.01)
-        assert abs(est.mean - exact) <= 3 * est.stderr + 1e-4, (c, est.mean, exact)
