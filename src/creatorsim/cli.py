@@ -39,7 +39,7 @@ from . import equilibrium as eq
 from . import metrics as met
 from .game import Metric
 from .model import ModelInstance, check_assumptions
-from .verify import COST_CAP, best_response_gap, failure_summary
+from .verify import best_response_gap, failure_summary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -173,14 +173,9 @@ def resolve_config(cfg: dict, args: argparse.Namespace,
 
 def build_instance(cfg: dict) -> ModelInstance:
     try:
-        inst = ModelInstance.from_config(cfg)
+        return ModelInstance.from_config(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
-    with np.errstate(all="ignore"):  # an overflow is refused just below
-        ends = [inst.curve_x_for_cost(t, COST_CAP) for t in inst.types]
-    if not all(math.isfinite(x) for x in ends):
-        raise ConfigError(f"a type's curve passes the largest float below cost {COST_CAP}")
-    return inst
 
 
 def resolve_strategy(inst: ModelInstance, P: int, choice: str,
@@ -300,7 +295,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = resolve_config(load_config(args.config), args, min_samples=1)
+    # one sample has no paired stderr, so the gate would shrink to GAP_ABS_TOL
+    cfg = resolve_config(load_config(args.config), args, min_samples=2)
     inst = build_instance(cfg)
     # a column per type or win share for each grid point of the T curves
     T = len(inst.types)

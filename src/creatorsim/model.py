@@ -27,6 +27,7 @@ import numpy as np
 from ._frozen import Frozen
 
 ArrayLike = Union[float, np.ndarray]
+COST_CAP = 1.2  # past this cost every payoff is below zero, so each curve ends there
 
 
 class TypeSpace(Frozen):
@@ -150,10 +151,14 @@ Family = Union[LinearTwitter, KMR]
 
 
 class ModelInstance(Frozen):
-    """A model family together with its finite type space."""
+    """A model family and its type space, every curve finite up to cost ``COST_CAP``."""
 
     def __init__(self, family: Family, type_space: TypeSpace) -> None:
         self.__dict__.update(family=family, type_space=type_space)
+        with np.errstate(all="ignore"):  # an overflow is refused just below
+            ends = [self.curve_x_for_cost(t, COST_CAP) for t in self.types]
+        if not all(math.isfinite(x) for x in ends):
+            raise ValueError(f"a type's curve passes the largest float below cost {COST_CAP}")
 
     @property
     def types(self) -> tuple[float, ...]:

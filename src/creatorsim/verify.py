@@ -32,9 +32,8 @@ from ._frozen import Frozen
 from ._stats import MetricEstimate
 from .equilibrium import MixedStrategy
 from .game import Metric, OpponentPool
-from .model import ModelInstance, zero_cost_extent
+from .model import COST_CAP, ModelInstance, zero_cost_extent
 
-COST_CAP = 1.2  # deviation curves truncated where creation cost passes this
 GAP_ABS_TOL = 0.02
 GAP_SE_MULT = 4.0
 N_PROBES = 32  # on-support probe draws averaged into the equilibrium utility

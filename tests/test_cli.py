@@ -596,6 +596,7 @@ HOSTILE_BASES = {
 HOSTILE_ARGS = {"describe": [], "check-model": [], "sample": [],
                 "verify": ["--grid", "10"], "metrics": ["--threads", "1"]}
 MISSING = "<missing>"  # the mutation that deletes the field
+LEAST_SAMPLES = {"verify": 2, "metrics": 1}  # 0 elsewhere
 
 
 def json_values(leaf):
@@ -650,7 +651,10 @@ def refuse_constant(name):
 @example(command="sample", base="kmr", mutation=("types", [2.0 ** 1023]))
 @example(command="verify", base="linear", mutation=("alpha", 9.5e307))
 @example(command="metrics", base="kmr", mutation=("W", 9.5e307))
+@example(command="verify", base="linear", mutation=("samples", 1))
 def test_hostile_config_exits_zero_two_or_three(command, base, mutation):
+    # only verify has an exit 3, a failed certification; a sample count
+    # below the command's least exits 2
     field, value = mutation
     cfg = dict(HOSTILE_BASES[base])
     if value == MISSING:
@@ -662,7 +666,10 @@ def test_hostile_config_exits_zero_two_or_three(command, base, mutation):
         path.write_text(json.dumps(cfg))
         code, _, err = run_main([command, "--config", str(path), "--out", str(out),
                                  *HOSTILE_ARGS[command]])
-        assert code in (0, 2, 3), err
+        assert code in ((0, 2, 3) if command == "verify" else (0, 2)), err
+        least = LEAST_SAMPLES.get(command, 0)
+        if field == "samples" and type(value) is int and value < least:
+            assert code == 2, err
         assert "Traceback" not in err
         written = sorted(out.iterdir()) if out.exists() else []
         if code == 2:
@@ -778,9 +785,12 @@ CONFIG_ERRORS = {
     "P_true": config_error({"P": True}, "P must be an integer >= 2"),
     "seed_true": config_error({"seed": True}, "seed must be a nonnegative integer"),
     "samples_true": config_error({"samples": True}, "samples must be an integer >= "),
-    # sample writes a header alone for zero samples; these two need one
+    # sample writes a header alone for zero samples; metrics needs one, and
+    # verify two, since one sample has no stderr to widen its gate
     "zero_samples": config_error({"samples": 0}, "samples must be an integer >= 1",
-                                 ["verify", "metrics"]),
+                                 ["metrics"]),
+    "one_sample_verify": config_error({"samples": 1}, "samples must be an integer >= 2",
+                                      ["verify"]),
     "P_past_every_array": config_error(HUGE_P, "P must be at most",
                                        ["sample", "verify", "metrics"]),
     **{f"P_past_every_float_{rec}": config_error(

@@ -22,7 +22,7 @@ from creatorsim.metrics import (
     ks_distance,
     limit_engagement_cdf,
 )
-from creatorsim.model import ModelInstance
+from creatorsim.model import KMR, ModelInstance, TypeSpace
 from creatorsim.verify import (
     candidate_deviations,
     check_positive_correlation,
@@ -85,6 +85,10 @@ CHECKS = {
                  "samples must be nonempty"),
     "config_object": (lambda: ModelInstance.from_config([]), ValueError,
                       "model config must be a JSON object"),
+    # the curve reaches cost 1.2 at gaming 2.2 t, past the largest float
+    "curve_overflow": (lambda: ModelInstance(KMR(1.0), TypeSpace((2.0 ** 1023,))),
+                       ValueError,
+                       "a type's curve passes the largest float below cost 1.2"),
     "grid_k": (lambda: candidate_deviations(ONE, 1), ValueError,
                "grid_k must be >= 2"),
     "correlation_shape": (lambda: check_positive_correlation(np.zeros(3), 0.0),

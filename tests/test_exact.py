@@ -1,20 +1,25 @@
 """Exact payoffs and round metrics on a weighted quantile grid
 (``oracles.exact_payoffs``, ``oracles.exact_round_metrics``) against the
 Monte Carlo payoff pool and round estimates, one identity that ties
-the pool to the round kernel, on every catalogue equilibrium, and the
+the pool to the round kernel, on every catalogue equilibrium, each
+constructor certified over its whole precondition domain, and the
 paper's downstream claims stated on the exact metrics (``CLAIMS``)."""
 
 import itertools
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from creatorsim import (closed_form_ucq_homogeneous, engagement_eq_homogeneous,
-                        investment_eq, random_eq)
+from creatorsim import (KMR, LinearTwitter, closed_form_ucq_homogeneous,
+                        engagement_eq_homogeneous, investment_eq,
+                        make_well_separated_types, random_eq)
 from creatorsim._stats import MetricEstimate
 from creatorsim.equilibrium import (
+    GOLDEN_RATIO_SPLIT,
     AtomComponent,
     MixedStrategy,
     _linear_coefficients,
@@ -31,6 +36,7 @@ from catalogue import (
     Equilibrium,
     _two_type_eq,
     _well_separated_eq,
+    instance,
     linear,
     two_type,
     well_separated,
@@ -43,20 +49,20 @@ GRID_K = 20     # candidate points per type curve
 SAMPLES = 20_000  # Monte Carlo pool rows
 
 
-def bound(P):
-    """How far the grid may move an exact payoff: of order (P - 1) / N.
-    On the catalogue, the on-support spread and the best deviation's gain
-    read at most about half of it."""
-    return (P - 1) / N
+def bound(P, n=N):
+    """How far a grid of n rows per component may move an exact payoff: of
+    order (P - 1) / n. On the catalogue, the on-support spread and the best
+    deviation's gain read at most about half of it."""
+    return (P - 1) / n
 
 
-def on_grid_and_candidates(inst, metric, strategy, P):
+def on_grid_and_candidates(inst, metric, strategy, P, n=N):
     """Exact payoffs of the strategy's own grid rows, with their weights,
     and of ``verify``'s candidate deviations, all against the strategy."""
-    grid, weight = quantile_grid(strategy, N)
+    grid, weight = quantile_grid(strategy, n)
     cands = candidate_deviations(inst, GRID_K)
     exact = exact_payoffs(inst, metric, strategy, P,
-                          np.concatenate([grid, cands]), N)
+                          np.concatenate([grid, cands]), n)
     return exact[:len(grid)], weight, cands, exact[len(grid):]
 
 
@@ -68,15 +74,14 @@ def _last_ratio_inside_slack(N):
                               * (1.0 - 5e-10) - 1.0))
 
 
-GOLDEN = (5.0 - math.sqrt(5.0)) / 2.0
 # two-type coefficient ratios at the case boundaries, with the case each
 # lands in and how many of its intervals outlast the 1e-14 width filter
 RATIOS = {
     "1.5": (1.5, 1, 2),
     "below_1.5": (math.nextafter(1.5, 0.0), 2, 2),
-    "golden": (GOLDEN, 2, 2),
-    "below_golden": (math.nextafter(GOLDEN, 0.0), 3, 2),
-    "above_golden": (math.nextafter(GOLDEN, 2.0), 2, 2),
+    "golden": (GOLDEN_RATIO_SPLIT, 2, 2),
+    "below_golden": (math.nextafter(GOLDEN_RATIO_SPLIT, 0.0), 3, 2),
+    "above_golden": (math.nextafter(GOLDEN_RATIO_SPLIT, 2.0), 2, 2),
 }
 # the constructors at the edges of their preconditions, certified by the
 # catalogue's body and bound
@@ -141,6 +146,73 @@ def test_two_percent_at_the_origin_is_no_equilibrium(name):
         assert gap == 0.0
     else:
         assert gap > 20 * bound(P)
+
+
+SWEEP_N = 2_000  # grid rows per component in the domain sweeps
+REFUSED = "a type's curve passes the largest float below cost 1.2"
+# every positive normal float: TypeSpace refuses the subnormal ones
+TYPES = st.floats(sys.float_info.min, sys.float_info.max)
+
+
+def families(alphas=st.floats(-1.0, 1e11, exclude_min=True)):
+    """Both families, gamma in [0, 1): linear over ``alphas``, KMR over W
+    in [1e-12, 1e12]."""
+    gammas = st.floats(0.0, 1.0, exclude_max=True)
+    return st.one_of(st.builds(LinearTwitter, alphas, gammas),
+                     st.builds(KMR, st.floats(1e-12, 1e12), gammas))
+
+
+def certified_or_refused(build, metric, construct, P):
+    """The instance that ``build`` makes, with the strategy ``construct``
+    makes on it, is certified by the catalogue's body at ``SWEEP_N``, or the
+    model refuses the instance with its one message."""
+    try:
+        inst = build()
+    except ValueError as exc:
+        assert str(exc) == REFUSED
+        return
+    on, weight, _, off = on_grid_and_candidates(inst, metric, construct(inst, P), P,
+                                                SWEEP_N)
+    assert on.max() - on.min() <= bound(P, SWEEP_N)
+    assert off.max() - weight @ on <= bound(P, SWEEP_N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=families(), t=TYPES, P=st.integers(2, 8),
+       game=st.sampled_from([(E, engagement_eq_homogeneous), (I, investment_eq),
+                             (R, random_eq)]))
+def test_homogeneous_constructions_certify_on_their_whole_domain(family, t, P, game):
+    certified_or_refused(lambda: instance(family, (t,)), *game, P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=families(st.floats(0.0, 1e11)),
+       types=st.lists(TYPES, min_size=1, max_size=4, unique=True).map(sorted),
+       P=st.integers(2, 8), game=st.sampled_from([(I, investment_eq), (R, random_eq)]))
+def test_baselines_certify_on_every_type_space_with_free_entry(family, types, P, game):
+    # alpha >= 0 on the linear family, and always on KMR: every beta_t is 0
+    certified_or_refused(lambda: instance(family, types), *game, P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratio=st.floats(1.0, 6.0, exclude_min=True),
+       family=st.sampled_from(["linear", "kmr"]))
+@example(ratio=1.5, family="linear")
+@example(ratio=math.nextafter(1.5, 0.0), family="linear")
+@example(ratio=math.nextafter(1.5, 2.0), family="linear")
+@example(ratio=GOLDEN_RATIO_SPLIT, family="linear")
+@example(ratio=math.nextafter(GOLDEN_RATIO_SPLIT, 0.0), family="linear")
+@example(ratio=math.nextafter(GOLDEN_RATIO_SPLIT, 2.0), family="linear")
+def test_two_type_certifies_at_every_coefficient_ratio(ratio, family):
+    certified_or_refused(lambda: two_type(ratio, family), E, _two_type_eq, 2)
+
+
+@settings(max_examples=40, deadline=None)  # N = 16 takes about 0.2 s
+@given(N=st.integers(1, 16), eps=st.floats(1e-9, 100.0),
+       family=st.sampled_from([LinearTwitter(1.0), KMR(1.0)]))
+def test_well_separated_certifies_at_every_N_and_eps(N, eps, family):
+    types = make_well_separated_types(N, eps).types
+    certified_or_refused(lambda: instance(family, types), E, _well_separated_eq, 2)
 
 
 TICKETS = 40
