@@ -107,12 +107,14 @@ EQUILIBRIA = {
        for r in (2.0, 1.45, 1.2)},
     "kmr_two_type": Equilibrium(kmr(types=(1.0, 1.6)), E, 2, _two_type_eq),
     "kmr_two_type_wide": Equilibrium(two_type(1.5, "kmr"), E, 2, _two_type_eq),
-    # criterion 6: user welfare against random reverses from c = 1.2 to 2.0
+    # criterion 6: user welfare against random reverses from c = 1.2 to 2.0,
+    # and at c = 1.45 too it is the density integral (its quadrature row)
     **{f"kmr_two_type_c{c}": Equilibrium(two_type(c, "kmr"), E, 2, _two_type_eq)
-       for c in (1.2, 2.0)},
-    # N = 8 backs criteria 2 (UCQ <= 1/N) and 5 (RE below investment's)
+       for c in (1.2, 1.45, 2.0)},
+    # N = 8 and 64 back criteria 2 (UCQ <= 1/N) and 5 (RE below investment's);
+    # the exact tests grid N = 64's 41 components at 2 000 rows each
     **{f"well_separated_N{N}": Equilibrium(well_separated(N), E, 2, _well_separated_eq)
-       for N in (2, 3, 4, 5, 8)},
+       for N in (2, 3, 4, 5, 8, 64)},
     # the baselines: pure quality, and opt-out/entry atoms under random
     "investment_P2": Equilibrium(linear(1.0), I, 2, investment_eq),
     "investment_atom": Equilibrium(linear(-0.5), I, 2, investment_eq),

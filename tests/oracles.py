@@ -281,20 +281,6 @@ def lexsort_pool(inst, metric, q, x, ts):
                         tied[order], type_start)
 
 
-def scatter_payoffs(pool, w, tied):
-    """Per-sample payoff of content ``w = (q, x)`` on ``pool``, from its own
-    rank cuts, scattered to the pool's rows by ``order`` one type at a time;
-    ``tied`` is ``tie_counts`` of the pool's opponents, in their row order."""
-    import numpy as np
-
-    start, lo, hi = pool._cuts(np.array([w[0]]), np.array([w[1]]))
-    share = np.zeros(len(pool.order))
-    for a, l, h in zip(start[0], lo[0], hi[0]):
-        share[pool.order[a:l]] = 1.0
-        share[pool.order[l:h]] = 1.0 / (1.0 + tied[pool.order[l:h]])
-    return share - float(pool.inst.cost(*w))
-
-
 def row_loop_payoffs(pool, contents, tied):
     """``pool.payoffs(contents)`` built one content at a time: each
     content's share vector is filled over all n rows in ``order``, minus its
@@ -339,8 +325,8 @@ def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
                            rng, n_probes=32):
     """``best_response_gap`` on the same draws, with the candidates built by
     ``loop_candidate_deviations``, the pool by ``lexsort_pool``, and each
-    probe scored per sample by ``scatter_payoffs``: the probe vectors are
-    added up one by one and each probe's estimate is taken from its
+    probe scored per sample by ``row_loop_payoffs`` alone: the probe vectors
+    are added up one by one and each probe's estimate is taken from its
     vector."""
     import numpy as np
     from creatorsim._stats import MetricEstimate
@@ -359,14 +345,14 @@ def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
     probe_sum = np.zeros(n)
     probe_utils = []
     for c in probes:
-        payoffs = scatter_payoffs(pool, c, tied)
+        payoffs = row_loop_payoffs(pool, np.array([c]), tied)
         probe_sum += payoffs
         probe_utils.append(MetricEstimate.from_samples(payoffs))
     eq_samples = probe_sum / len(probes)
     eq = MetricEstimate.from_samples(eq_samples)
 
     best_i = int(np.argmax(cand_mean))
-    best_payoffs = scatter_payoffs(pool, candidates[best_i], tied)
+    best_payoffs = row_loop_payoffs(pool, np.array([candidates[best_i]]), tied)
     best = MetricEstimate.from_samples(best_payoffs)
     cand_mean[best_i], cand_stderr[best_i] = best.mean, best.stderr
     paired = MetricEstimate.from_samples(best_payoffs - eq_samples)
@@ -400,36 +386,52 @@ def quantile_grid(strategy, n):
     return np.concatenate(rows), np.concatenate(weights)
 
 
+def score_table(inst, metric, grid, weight, t):
+    """The rows of a ``quantile_grid`` ``(grid, weight)`` as a type-t user
+    sees them: scored by ``game.eligible_scores``, so the package's
+    acceptance rule decides (-inf where the user rejects a row), and sorted
+    stably. Returns the sorted scores, the sort order and the cumulative
+    weights in that order from 0, so ``cum[i]`` is the weight of the first
+    i rows."""
+    import numpy as np
+    from creatorsim.game import eligible_scores
+
+    score = eligible_scores(inst, metric, grid[:, 0], grid[:, 1], t)
+    order = np.argsort(score, kind="stable")
+    return score[order], order, np.concatenate([[0.0], np.cumsum(weight[order])])
+
+
 def exact_payoffs(inst, metric, strategy, P, contents, n):
     """Payoff of each ``(q, x)`` row of ``contents`` against P - 1 i.i.d.
     opponents playing ``quantile_grid(strategy, n)``, with no sampling.
 
-    The pool is one opponent column: the grid, repeated once per type, so
-    ``OpponentPool.of`` and ``_cuts`` apply the package's own acceptance and
-    tie rules. Per type, b is the grid weight scoring strictly below the
-    content (rejected rows included) and a the weight tying with it. Against
-    P - 1 opponents the content's expected share is then
-    ((a + b)^P - b^P) / (P a), or b^(P - 1) where a = 0; a type that rejects
-    the content has a = b = 0, and so share 0. The payoff is the mean share
-    over the types minus the content's cost. On a continuous component the
-    grid moves the weight below any score by at most 1 / n, so a payoff
-    moves by O((P - 1) / n); on atoms the grid is the strategy itself.
+    Per type, the grid's ``score_table`` gives b, the grid weight scoring
+    strictly below the content (rejected rows included), and a, the weight
+    tying with it, by two ``searchsorted`` calls on its sorted scores.
+    Against P - 1 opponents the content's expected share is then
+    ((a + b)^P - b^P) / (P a), or b^(P - 1) where a = 0; a type that
+    rejects the content gives it share 0. The payoff is the mean share over
+    the types minus the content's cost. On a continuous component the grid
+    moves the weight below any score by at most 1 / n, so a payoff moves by
+    O((P - 1) / n); on atoms the grid is the strategy itself. Each type's
+    table holds the grid's rows once, so memory does not grow with the
+    number of types.
     """
     import numpy as np
-    from creatorsim.game import OpponentPool
+    from creatorsim.game import metric_score
 
     grid, weight = quantile_grid(strategy, n)
-    T = len(inst.types)
-    opp = np.tile(grid, (T, 1))
-    pool = OpponentPool.of(inst, metric, opp[:, :1], opp[:, 1:],
-                           np.repeat(inst.types, len(grid)))
-    cum = np.concatenate([[0.0], np.cumsum(np.tile(weight, T)[pool.order])])
     q, x = np.asarray(contents, dtype=float).T
-    start, lo, hi = pool._cuts(q, x)
-    b, a = cum[lo] - cum[start], cum[hi] - cum[lo]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = np.where(a > 0.0, ((a + b) ** P - b ** P) / (P * a), b ** (P - 1))
-    return share.mean(axis=1) - np.asarray(inst.cost(q, x), dtype=float)
+    s0 = np.asarray(metric_score(inst, metric, q, x), dtype=float)
+    share = np.zeros(len(q))
+    for t in inst.types:
+        score, _, cum = score_table(inst, metric, grid, weight, t)
+        b = cum[np.searchsorted(score, s0, side="left")]
+        a = cum[np.searchsorted(score, s0, side="right")] - b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            won = np.where(a > 0.0, ((a + b) ** P - b ** P) / (P * a), b ** (P - 1))
+        share += np.where(inst.family.accepts(q, x, t), won, 0.0)
+    return share / len(inst.types) - np.asarray(inst.cost(q, x), dtype=float)
 
 
 def exact_round_metrics(inst, metric, strategy, P, n):
@@ -437,30 +439,25 @@ def exact_round_metrics(inst, metric, strategy, P, n):
     ``ucq``, ``re``, ``uw`` and ``consumption``, when P i.i.d.
     creators play ``quantile_grid(strategy, n)``, with no sampling.
 
-    Per type, the grid rows are scored by ``game.eligible_scores``, so the
-    package's acceptance rule decides, and sorted stably into groups of
-    equal score. A group of weight m, with weight b scoring below it
-    (rejected rows included), holds the round's winner with probability
-    (b + m)^P - b^P, and the uniform tie-break makes the winner a
-    weight-proportional draw from the group. So each group adds that
-    probability times its weight-mean quality, engagement and utility to
-    the type; the rejected group holds a winner with probability 0. The
-    metrics are the mean over the types, which the user draws uniformly,
-    and so is ``consumption``, the sum of the groups' win probabilities:
-    the chance that the round's user consumes something.
+    Per type, the grid's ``score_table`` falls into groups of equal score.
+    A group of weight m, with weight b scoring below it (rejected rows
+    included), holds the round's winner with probability (b + m)^P - b^P,
+    and the uniform tie-break makes the winner a weight-proportional draw
+    from the group. So each group adds that probability times its
+    weight-mean quality, engagement and utility to the type; the rejected
+    group holds a winner with probability 0. The metrics are the mean over
+    the types, which the user draws uniformly, and so is ``consumption``,
+    the sum of the groups' win probabilities: the chance that the round's
+    user consumes something.
     """
     import numpy as np
-    from creatorsim.game import eligible_scores
 
     grid, weight = quantile_grid(strategy, n)
     q, x = grid.T
     engagement = np.asarray(inst.engagement(q, x), dtype=float)
     totals = dict.fromkeys(("ucq", "re", "uw", "consumption"), 0.0)
     for t in inst.types:
-        score = eligible_scores(inst, metric, q, x, t)
-        order = np.argsort(score, kind="stable")
-        s, w = score[order], weight[order]
-        cum = np.concatenate([[0.0], np.cumsum(w)])
+        s, order, cum = score_table(inst, metric, grid, weight, t)
         starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
         ends = np.r_[starts[1:], len(s)]
         held = s[starts] > -np.inf
@@ -468,7 +465,7 @@ def exact_round_metrics(inst, metric, strategy, P, n):
         win = (b + m) ** P - b ** P
         utility = np.asarray(inst.utility(q, x, t), dtype=float)
         for name, value in (("ucq", q), ("re", engagement), ("uw", utility)):
-            sums = np.add.reduceat(w * value[order], starts)[held]
+            sums = np.add.reduceat(weight[order] * value[order], starts)[held]
             totals[name] += float(win @ (sums / m)) / len(inst.types)
         totals["consumption"] += float(win.sum()) / len(inst.types)
     return totals

@@ -458,11 +458,13 @@ def run_main_on_fresh_stack(argv):
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
 @pytest.mark.parametrize("bottom", ["plain", "NaN"])
 @pytest.mark.parametrize("depth", [*range(980, 1001), 100_000])
-def test_deeply_nested_config_exits_zero_or_two(tmp_path, command, bottom, depth):
+def test_deeply_nested_config_exits_two(tmp_path, command, bottom, depth):
     # json.load and every later walk of the config take one frame per
-    # level; a note nested near the recursion limit runs or is a config
-    # error, never a RecursionError. A NaN at the bottom is found by the
-    # check for non-finite values, which walks down to it.
+    # level; a note nested near the recursion limit is past the depth bound
+    # too, so it is a config error, never a RecursionError: json.load gives
+    # up at the recursion limit, or the bound refuses what it loaded. A NaN
+    # at the bottom changes nothing: the check for non-finite values, which
+    # would walk down to it, runs only on configs inside the bound.
     cfg = {"family": "linear", "alpha": -0.5, "gamma": 0.3, "types": [2.0],
            "P": 3, "seed": 0, "samples": 200, "note": "DEEP"}
     note = "[" * depth + ("NaN" if bottom == "NaN" else "") + "]" * depth
@@ -472,11 +474,11 @@ def test_deeply_nested_config_exits_zero_or_two(tmp_path, command, bottom, depth
     argv = [command, "--config", str(path), "--out", str(out)]
     argv += ["--grid", "5"] if command == "verify" else []
     code, _, err = run_main_on_fresh_stack(argv)
-    assert code in (0, 2), err
-    assert "Traceback" not in err
-    if code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (out / ARTIFACTS[command]).exists()
+    assert code == 2, err
+    assert err.count("\n") == 1, err
+    assert (err.startswith("error: config is not valid JSON: ")
+            or err == "error: config nests deeper than 100 levels\n"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
