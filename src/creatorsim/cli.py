@@ -14,9 +14,10 @@ and gives all help and error text.
 Exit codes: 0 success, 2 configuration or validation error (including a
 non-finite ``metrics`` estimate or ``verify`` report, which is never
 written, and a failed allocation), 3 verification failure. An error that
-exits 2 leaves no output directory that the command made. Identical
-config and seed give byte-identical outputs. ``metrics`` accepts
-``--threads`` and ignores it: its shards run in order on one thread.
+exits 2 leaves no output directory that the command made and no file that
+it wrote. Identical config and seed give byte-identical outputs.
+``metrics`` accepts ``--threads`` and ignores it: its shards run in order
+on one thread.
 """
 
 from __future__ import annotations
@@ -222,8 +223,9 @@ def _out_dir(args, cfg: dict | None = None) -> Path:
     """The output directory, created if missing. The config commands call it
     once their model and strategies are built, so a bad config makes no
     directory and an unusable path exits before any Monte Carlo runs. The
-    directories it makes go into ``args.made``, which ``main`` removes if
-    the command exits 2 with an error."""
+    directories it makes go into ``args.made``, as do the files ``_write``
+    writes, and ``main`` removes them all if the command exits 2 with an
+    error."""
     out = Path(getattr(args, "out", None)
                or (cfg or {}).get("output")
                or ".")
@@ -255,12 +257,15 @@ def _make_dir(path: Path, made: list[Path]) -> None:
             made.insert(0, step)
 
 
-def _write(path: Path, text: str) -> None:
-    """Write one artifact; a path that cannot take a file is a config error."""
+def _write(path: Path, text: str, made: list[Path]) -> None:
+    """Write one artifact, putting it at the front of ``made`` once it is
+    opened; a path that cannot take a file is a config error."""
     try:
         # surrogateescape gives back the bytes of a path argument that the
         # locale could not decode, as in the ``# data:`` line
-        path.write_text(text, encoding="utf-8", errors="surrogateescape")
+        with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
+            made.insert(0, path)
+            fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}")
 
@@ -271,7 +276,7 @@ def cmd_check_model(args) -> int:
     out = _out_dir(args, cfg)
     report = check_assumptions(inst)
     text = json.dumps({"config": cfg, "report": report}, indent=2, sort_keys=True)
-    _write(out / "check_model.json", text + "\n")
+    _write(out / "check_model.json", text + "\n", args.made)
     print(text)
     return EXIT_OK if report["all_passed"] else EXIT_CONFIG
 
@@ -289,7 +294,7 @@ def cmd_sample(args) -> int:
     lines = [f"# config: {_config_echo(cfg)}", "w_costly,w_cheap"]
     lines += [f"{q!r},{x!r}" for q, x in draws.tolist()]
     path = out / "samples.csv"
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n", args.made)
     print(f"wrote {n} samples to {path}")
     return EXIT_OK
 
@@ -320,7 +325,7 @@ def cmd_verify(args) -> int:
     except ValueError:
         raise ConfigError(f"non-finite value at {_non_finite_key(payload)}: "
                           "verify.json not written")
-    _write(out / "verify.json", text + "\n")
+    _write(out / "verify.json", text + "\n", args.made)
     print(f"gap={report.gap:.6f} stderr={report.combined_stderr:.6f} "
           f"passes={report.passes()}")
     if not report.passes():
@@ -359,7 +364,7 @@ def cmd_metrics(args) -> int:
         writer.writerow([name, rec, params, repr(est.mean), repr(est.stderr),
                          est.n])
     path = out / "metrics.csv"
-    _write(path, buf.getvalue())
+    _write(path, buf.getvalue(), args.made)
     print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
 
@@ -374,7 +379,7 @@ def cmd_describe(args) -> int:
     out = _out_dir(args, cfg)
     payload = {"config": cfg, "strategy": strategy.to_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True)
-    _write(out / "strategy.json", text + "\n")
+    _write(out / "strategy.json", text + "\n", args.made)
     print(text)
     return EXIT_OK
 
@@ -410,7 +415,7 @@ def cmd_empirics(args) -> int:
                 cells += ["", ""]
         lines.append(f"{feed}," + ",".join(cells))
     table_path = out / "table1.csv"
-    _write(table_path, "\n".join(lines) + "\n")
+    _write(table_path, "\n".join(lines) + "\n", args.made)
 
     n_files = 0
     for feed in emp.FEEDS:
@@ -424,7 +429,7 @@ def cmd_empirics(args) -> int:
                 body += [f"{x!r},{y!r}"
                          for x, y in zip(xs.tolist(), ys.tolist())]
                 _write(out / f"ecdf_f{feed}_G{label}_a{a}.csv",
-                       "\n".join(body) + "\n")
+                       "\n".join(body) + "\n", args.made)
                 n_files += 1
     print(f"wrote {table_path} and {n_files} ecdf files")
     return EXIT_OK
@@ -533,7 +538,7 @@ def _hold_heap() -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = read_plain(argv) or make_parser().parse_args(argv)
-    args.made = []  # the directories ``_out_dir`` makes, deepest first
+    args.made = []  # the directories made and files written, newest first
     _hold_heap()
     try:
         return globals()[HANDLERS[args.command]](args)
@@ -542,8 +547,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         message = f"not enough memory: {exc}"
     print(f"error: {message}", file=sys.stderr)
-    for made in args.made:  # each holds only what the command wrote there
-        shutil.rmtree(made, ignore_errors=True)
+    for made in args.made:  # each directory holds only what the command wrote
+        if made.is_dir():
+            shutil.rmtree(made, ignore_errors=True)
+        else:
+            made.unlink(missing_ok=True)
     return EXIT_CONFIG
 
 

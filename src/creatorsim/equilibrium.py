@@ -372,11 +372,17 @@ def investment_eq(inst: ModelInstance, P: int) -> MixedStrategy:
 
 
 def stay_in_probability(kappa: float, P: int) -> float:
-    """1 - nu, to a relative 1e-12, where the opt-out probability nu is the
-    root of sum(nu^i, i=0..P-1) = P * kappa on [0, 1]; 1 when kappa <= 1/P.
+    """1 - nu, where the opt-out probability nu is the root of
+    sum(nu^i, i=0..P-1) = P * kappa on [0, 1]; 1 when kappa <= 1/P.
 
     Solved for y = 1 - nu directly: near nu = 1 (large P, kappa near 1) an
-    absolute stop on nu would leave y with few correct digits.
+    absolute stop on nu would leave y with few correct digits. The
+    bisection stops at a relative 1e-12 or at adjacent doubles, but the
+    excess it bisects cancels P * kappa against a sum near P, so its
+    relative error grows like about 1e-16 / (1 - kappa). Against a 600-bit
+    bisection: 3.6e-13 at P = 1e9, kappa = 0.999; 5.3e-11 at P = 1e9,
+    kappa = 1 - 1e-6; 1.65e-9 at P = 1e6, kappa = 1 - 1e-7; and at P = 2,
+    kappa = 1 - 2**-53 it gives 7.85e-17 for 2.22e-16.
     """
     if P < 2:
         raise ValueError("P must be >= 2")

@@ -21,6 +21,7 @@ import creatorsim.cli as cli
 from creatorsim.cli import (EQUILIBRIUM_CHOICES, RECOMMENDER_CHOICES,
                            ConfigError, main, resolve_config)
 from creatorsim.equilibrium import make_well_separated_types
+from creatorsim.metrics import ROUND_ROWS
 from creatorsim.verify import (BestResponseReport, best_response_gap,
                                support_containment)
 from creatorsim.model import ModelInstance
@@ -43,58 +44,18 @@ def read_metrics(path):
             for r in csv.DictReader(lines)}
 
 
-def test_cli_import_loads_numpy_random_but_no_scipy():
-    # a fresh interpreter: this test process has scipy loaded already
-    src = str(Path(creatorsim.__file__).resolve().parents[1])
-    probe = ("import sys, creatorsim.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-             "print('numpy.random' in sys.modules); "
-             "print('numpy.polynomial' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    # numpy.polynomial (about 3 ms) is imported by expected_max_from_cdf only
-    assert out.splitlines() == ["[]", "True", "False"]
-
-
-def test_verify_and_metrics_import_nothing_mid_command(tmp_path):
-    # a fresh interpreter runs the benchmark's verify and metrics commands
-    # at its sizes; a module first imported inside a command costs every
-    # run (np.unique's first call imports numpy.ma, 11-14 ms on a 2-vCPU
-    # VM). These argvs are plain, so no parser is built and argparse's
-    # gettext never loads locale.
-    src = str(Path(creatorsim.__file__).resolve().parents[1])
-    two, _ = write_config(tmp_path, "two.json", types=[1.0, 1.9],
-                          equilibrium="two_type", samples=15000, seed=1)
-    hom, _ = write_config(tmp_path, "hom.json", alpha=-0.5, gamma=0.3,
-                          types=[2.0], P=3, equilibrium="homogeneous",
-                          samples=15000, seed=2)
-    met, _ = write_config(tmp_path, "met.json",
-                          types=list(make_well_separated_types(4, 0.01).types),
-                          recommender="all", samples=300000, seed=3)
-    probe = ("import json, sys, creatorsim.cli as cli; "
-             "two, hom, met, out = sys.argv[1:]; "
-             "before = set(sys.modules); "
-             "codes = [cli.main(['verify', '--config', c, '--grid', '200', "
-             "'--out', out]) for c in (two, hom)]; "
-             "codes += [cli.main(['metrics', '--config', met, '--threads', t, "
-             "'--out', out]) for t in ('2', '1')]; "
-             "print(json.dumps([codes, sorted(set(sys.modules) - before)]), "
-             "file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", probe, str(two), str(hom),
-                           str(met), str(tmp_path / "out")], cwd=src,
-                          check=True, capture_output=True, text=True, timeout=300)
-    codes, loaded = json.loads(proc.stderr.splitlines()[-1])
-    assert codes == [0, 0, 0, 0]
-    assert loaded == []
-
-
-def test_cli_start_up_generates_no_code_and_leaves_no_old_collection(tmp_path):
-    # a fresh interpreter imports the CLI, then runs the benchmark's verify
-    # and metrics commands at its sizes. Frozen dataclasses would generate
-    # their methods with exec at import, and concurrent.futures brings in
-    # logging and queue. Collecting the import's young objects at its end
-    # keeps a generation-1 or -2 collection, which would scan them all, out
-    # of these commands.
+def test_fresh_interpreter_imports_and_collects_nothing_mid_command(tmp_path):
+    # a fresh interpreter, since this test process has scipy loaded already,
+    # imports the CLI, then runs the benchmark's verify and metrics commands
+    # at its sizes. The import loads numpy.random, but no scipy and not
+    # numpy.polynomial (about 3 ms, imported by expected_max_from_cdf only);
+    # no frozen dataclasses, which would generate their methods with exec;
+    # and no concurrent.futures, which brings in logging and queue. The
+    # commands import no module (np.unique's first call imports numpy.ma,
+    # 11-14 ms on a 2-vCPU VM), and start no generation-1 or -2 collection,
+    # which would scan all the import's young objects: the import collects
+    # them at its end. These argvs are plain, so no parser is built and
+    # argparse's gettext never loads locale.
     src = str(Path(creatorsim.__file__).resolve().parents[1])
     two, _ = write_config(tmp_path, "two.json", types=[1.0, 1.9],
                           equilibrium="two_type", samples=15000, seed=1)
@@ -107,25 +68,30 @@ def test_cli_start_up_generates_no_code_and_leaves_no_old_collection(tmp_path):
     probe = """if True:
         import gc, json, sys
         import creatorsim.cli as cli
-        loaded = [m for m in ("dataclasses", "concurrent.futures", "logging",
-                              "queue") if m in sys.modules]
+        watched = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                         or m in ("numpy.random", "numpy.polynomial",
+                                  "dataclasses", "concurrent.futures",
+                                  "logging", "queue"))
         two, hom, met, out = sys.argv[1:]
         old = []
         gc.callbacks.append(lambda phase, info: phase == "start"
                             and info["generation"] > 0
                             and old.append(info["generation"]))
+        before = set(sys.modules)
         codes = [cli.main(["verify", "--config", c, "--grid", "200",
                            "--out", out]) for c in (two, hom)]
         codes += [cli.main(["metrics", "--config", met, "--threads", t,
                             "--out", out]) for t in ("2", "1")]
-        print(json.dumps([loaded, codes, old]), file=sys.stderr)
+        print(json.dumps([watched, codes, sorted(set(sys.modules) - before),
+                          old]), file=sys.stderr)
     """
     proc = subprocess.run([sys.executable, "-c", probe, str(two), str(hom),
                            str(met), str(tmp_path / "out")], cwd=src,
                           check=True, capture_output=True, text=True, timeout=300)
-    loaded, codes, old = json.loads(proc.stderr.splitlines()[-1])
-    assert loaded == []
+    watched, codes, imported, old = json.loads(proc.stderr.splitlines()[-1])
+    assert watched == ["numpy.random"]
     assert codes == [0, 0, 0, 0]
+    assert imported == []
     assert old == []
 
 
@@ -263,62 +229,6 @@ class TestVerify:
         path, _ = write_config(tmp_path, alpha=1e11, samples=15000, seed=seed)
         assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
 
-    def test_non_finite_report_exits_two_and_writes_nothing(self, tmp_path,
-                                                            monkeypatch, capsys):
-        def nan_report(*args, **kwargs):
-            report = best_response_gap(*args, **kwargs)
-            mean = report.candidate_mean.copy()
-            mean[3] = np.nan
-            return BestResponseReport(**{**vars(report), "candidate_mean": mean})
-
-        monkeypatch.setattr("creatorsim.cli.best_response_gap", nan_report)
-        path, _ = write_config(tmp_path, samples=500)
-        out = tmp_path / "out"
-        assert main(["verify", "--config", str(path), "--grid", "5",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: non-finite value at report.candidate_utilities.mean[3]: "
-            "verify.json not written"]
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "--samples", "10000000000000"],
-    ["verify", "--grid", "10000000000000"],
-    ["sample", "--samples", "10000000000000"],
-])
-def test_allocation_failure_exits_two_with_one_line(tmp_path, capsys, argv):
-    # each run asks numpy for one array of over 2**47 bytes, which fails at
-    # once under any overcommit setting
-    path, _ = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: not enough memory: Unable to allocate")
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv, config", [
-    (["verify", "--samples", str(2**62)], {}),
-    (["verify", "--grid", str(2**62)], {}),
-    (["sample", "--samples", str(2**62)], {}),
-    (["verify"], {"samples": 2**62}),
-    (["sample"], {"samples": 2**62}),
-])
-def test_size_numpy_cannot_hold_exits_two_with_one_line(tmp_path, capsys, argv,
-                                                        config):
-    # past np.intp's largest byte count numpy raises ValueError rather than
-    # MemoryError; the size is rejected with the config, before the output
-    # directory is made or anything is allocated
-    path, _ = write_config(tmp_path, **config)
-    out = tmp_path / "out"
-    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert err.endswith("numpy cannot hold larger arrays\n")
-    assert not out.exists()
-
 
 @pytest.mark.parametrize("command", ["describe", "check-model"])
 def test_commands_without_grid_are_not_held_to_its_cap(tmp_path, command):
@@ -329,17 +239,6 @@ def test_commands_without_grid_are_not_held_to_its_cap(tmp_path, command):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
     assert len(list(out.iterdir())) == 1
-
-
-def test_verify_grid_past_its_cap_exits_two(tmp_path, capsys):
-    path, _ = write_config(tmp_path)
-    cap = np.iinfo(np.intp).max // 8 // 2 - 1  # P = 2 creators, one type
-    out = tmp_path / "out"
-    assert main(["verify", "--config", str(path), "--grid", str(cap + 1),
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"error: --grid must be at most {cap} for this "
-                                       "config: numpy cannot hold larger arrays\n")
-    assert not out.exists()
 
 
 # the benchmark's two certify cases, with their candidate plus probe counts
@@ -371,17 +270,6 @@ def test_verify_json_is_one_deterministic_finite_line(tmp_path, case):
         assert len(report["candidate_utilities"][column]) == len(report["candidates"])
         assert len(report["probe_utilities"][column]) == len(report["probes"])
     assert [c["t"] for c in report["curves"]] == overrides["types"]
-
-
-@pytest.mark.parametrize("command", ["check-model", "sample", "describe",
-                                     "verify", "metrics"])
-@pytest.mark.parametrize("output", [5, True])
-def test_non_string_output_exits_two(tmp_path, monkeypatch, capsys, command, output):
-    monkeypatch.chdir(tmp_path)
-    path, _ = write_config(tmp_path, samples=10, output=output)
-    assert main([command, "--config", str(path)]) == 2
-    assert "output must be a string" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 CONFIG_COMMANDS = ["check-model", "sample", "describe", "verify", "metrics"]
@@ -481,38 +369,6 @@ def test_deeply_nested_config_exits_two(tmp_path, command, bottom, depth):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", CONFIG_COMMANDS)
-@pytest.mark.parametrize("bottom", ["plain", "NaN"])
-def test_config_nested_past_the_depth_bound_exits_two(tmp_path, command, bottom):
-    # 150 levels load on every Python, but json.dumps with an indent recurses
-    # once per level and some Pythons load far deeper: the bound refuses such
-    # a config as it loads, before any walk of it
-    cfg = {"family": "linear", "alpha": -0.5, "gamma": 0.3, "types": [2.0],
-           "P": 3, "seed": 0, "samples": 200, "note": "DEEP"}
-    depth = 149  # inside the config object, so 150 levels in all
-    note = "[" * depth + ("NaN" if bottom == "NaN" else "") + "]" * depth
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg).replace('"DEEP"', note))
-    out = tmp_path / "out"
-    argv = [command, "--config", str(path), "--out", str(out)]
-    argv += ["--grid", "5"] if command == "verify" else []
-    code, _, err = run_main(argv)
-    assert code == 2, err
-    assert err == "error: config nests deeper than 100 levels\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("levels, code", [(100, 0), (101, 2)])
-def test_config_depth_bound_is_one_hundred_levels(tmp_path, levels, code):
-    path = tmp_path / "cfg.json"
-    note = "[" * (levels - 1) + "]" * (levels - 1)
-    path.write_text(json.dumps({"family": "linear", "alpha": 1, "types": [1],
-                                "note": "DEEP"}).replace('"DEEP"', note))
-    out = tmp_path / "out"
-    assert run_main(["describe", "--config", str(path), "--out", str(out)])[0] == code
-    assert (out / "strategy.json").exists() == (code == 0)
-
-
 @pytest.mark.parametrize("model", [
     {"family": "linear", "alpha": 1.0, "types": [1e-300, 1e300]},
     {"family": "kmr", "W": 1e300, "types": [1e-3, 1e3]},
@@ -529,25 +385,6 @@ def test_overflow_at_extreme_scales_is_no_error(tmp_path, model):
     code, _, err = run_main(["metrics", "--config", str(path), "--out", str(out)])
     assert code == 2 and err.startswith("error: non-finite estimate for "), err
     assert not (out / "metrics.csv").exists()
-
-
-@pytest.mark.parametrize("command", ["verify", "metrics"])
-def test_non_finite_result_removes_the_directories_it_made(tmp_path, monkeypatch,
-                                                           command):
-    # the output directory is made before the Monte Carlo runs; a result
-    # that cannot be written takes it away again, with every parent the
-    # command made, and leaves the directory that was there before
-    def nan_gap(*args, **kwargs):  # verify certifies this config
-        report = best_response_gap(*args, **kwargs)
-        return BestResponseReport(**{**vars(report), "gap": math.nan})
-
-    monkeypatch.setattr("creatorsim.cli.best_response_gap", nan_gap)
-    path, _ = write_config(tmp_path, types=[1e-300, 1e300], samples=2000, seed=3)
-    out = tmp_path / "eo" / "deeper"
-    code, _, err = run_main([command, "--config", str(path), "--out", str(out)]
-                            + (["--grid", "10"] if command == "verify" else []))
-    assert code == 2 and err.startswith("error: non-finite "), err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def remove_deep_tree(top, out):
@@ -692,27 +529,56 @@ def test_hostile_config_exits_zero_two_or_three(command, base, mutation):
                     assert math.isfinite(number), (artifact.name, row)
 
 
-@pytest.mark.parametrize("command", CONFIG_COMMANDS)
-@pytest.mark.parametrize("config, message", [
-    (".", "cannot read config file .: Is a directory"),
-    ("latin1.json", "is not UTF-8"),
-    ("missing.json", "config file not found: missing.json"),
-])
-def test_unreadable_config_exits_two(tmp_path, monkeypatch, capsys, command,
-                                     config, message):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "latin1.json").write_bytes(b'{"note": "caf\xe9"}')
-    assert main([command, "--config", config, "--out", "out"]) == 2
-    err = capsys.readouterr().err
-    assert message in err and len(err.splitlines()) == 1
-    assert not (tmp_path / "out").exists()
+# the input of a row: a directory in its place
+DIRECTORY = object()
+SURVEY = b"feed,genre,angriness,favorites\n" + b"".join(
+    b"E,P,%d,%d\n" % (a, a) for a in range(5))
+
+
+def write_input(command, config):
+    """Put a row's input in the working directory, and give the flag and
+    name that pass it to ``command``: ``records.csv`` through ``--data`` for
+    empirics, else ``cfg.json`` through ``--config``. ``config`` is the
+    file's text or bytes, overrides of ``VALID`` (the valid ``SURVEY`` for
+    empirics, which takes no config), ``DIRECTORY``, or None for no file."""
+    flag, name = (("--data", "records.csv") if command == "empirics"
+                  else ("--config", "cfg.json"))
+    if isinstance(config, dict):
+        config = (SURVEY if command == "empirics"
+                  else json.dumps({**VALID, "samples": 10, **config}))
+    if config is DIRECTORY:
+        os.mkdir(name)
+    elif config is not None:
+        Path(name).write_bytes(config if isinstance(config, bytes)
+                               else config.encode())
+    return flag, name
+
+
+def assert_exits_two(argv, message):
+    """``main(argv)`` exits 2 with nothing on stdout and one ``error:`` line
+    holding ``message``; a ``message`` that starts with ``error: `` is the
+    whole line."""
+    code, stdout, err = run_main(argv)
+    assert (code, stdout) == (2, ""), err
+    assert err.startswith("error: ") and err.endswith("\n"), err
+    assert err.count("\n") == 1, err
+    if message.startswith("error: "):
+        assert err == message + "\n"
+    else:
+        assert message in err, err
 
 
 def config_error(config, message, commands=CONFIG_COMMANDS, argv=()):
-    """A ``CONFIG_ERRORS`` row: ``config`` is JSON text or overrides of
-    ``VALID``, run with ``argv`` on each command in ``commands``. A
-    ``message`` that starts with ``error: `` is the whole stderr line."""
+    """A ``CONFIG_ERRORS`` row: the input ``config`` (see ``write_input``),
+    run with ``argv`` on each command in ``commands``, exits 2 with
+    ``message``."""
     return config, argv, commands, message
+
+
+def nested(levels, bottom=""):
+    """A config text whose ``note`` nests it ``levels`` deep in all."""
+    note = "[" * (levels - 1) + bottom + "]" * (levels - 1)
+    return json.dumps({**VALID, "samples": 10, "note": "DEEP"}).replace('"DEEP"', note)
 
 
 # check-model builds no strategy, so a construction that does not fit the
@@ -722,7 +588,41 @@ WELL_SEPARATED_3 = list(make_well_separated_types(3, 0.01).types)
 # sample, verify and metrics hold 3 * P draws per sample, more than any
 # array; describe draws none, but each construction divides by P or P - 1
 HUGE_P = {"alpha": -0.5, "gamma": 0.3, "types": [2.0], "P": 10**400}
+# past np.intp's largest byte count numpy raises ValueError rather than
+# MemoryError, so a size that needs such an array is refused with the
+# config. Its widest arrays hold 3 draws per creator per sample, and a
+# column per grid point and creator (P = 2, one type here).
+MAX_ENTRIES = np.iinfo(np.intp).max // 8
+TOO_BIG = "for this config: numpy cannot hold larger arrays"
+GRID_CAP = MAX_ENTRIES // 2 - 1
 CONFIG_ERRORS = {
+    "config_missing": config_error(None, "error: config file not found: cfg.json"),
+    "config_a_directory": config_error(
+        DIRECTORY, "error: cannot read config file cfg.json: Is a directory"),
+    "config_not_utf8": config_error(b'{"note": "caf\xe9"}',
+                                    "config file cfg.json is not UTF-8: "),
+    # empirics reads the row's input as its survey
+    "data_missing": config_error(None, "error: data file not found: records.csv",
+                                 ["empirics"]),
+    "data_a_directory": config_error(
+        DIRECTORY, "error: cannot read data file records.csv: Is a directory",
+        ["empirics"]),
+    "data_not_utf8": config_error(SURVEY + b"E,P,1,\xff\n",
+                                  "data file records.csv is not UTF-8: ", ["empirics"]),
+    "data_field_past_csv_limit": config_error(
+        SURVEY + b"E,P,1," + b"1" * 200_000 + b"\n",
+        "data file records.csv is not readable CSV: field larger than field limit",
+        ["empirics"]),
+    "data_malformed_row": config_error(
+        SURVEY + b"E,P,9,1\n",
+        "error: malformed rows: line 7: angriness must be in 0..4, got 9", ["empirics"]),
+    # 150 levels load on every Python, but json.dumps with an indent recurses
+    # once per level and some Pythons load far deeper: the bound refuses such
+    # a config as it loads, before any walk of it
+    **{name: config_error(nested(levels, bottom),
+                          "error: config nests deeper than 100 levels")
+       for name, levels, bottom in [("nested_101", 101, ""), ("nested_150", 150, ""),
+                                    ("nested_150_NaN", 150, "NaN")]},
     "not_an_object": config_error('[{"family": "linear"}]',
                                   "config must be a JSON object"),
     "unparseable_json": config_error("{not json", "config is not valid JSON: "),
@@ -819,61 +719,155 @@ CONFIG_ERRORS = {
     "grid_one": config_error({}, "--grid must be >= 2", ["verify"], ["--grid", "1"]),
     **{f"threads_{n}": config_error({}, "--threads must be >= 1", ["metrics"],
                                     ["--threads", n]) for n in ("0", "-5")},
+    **{f"output_{value}": config_error(
+        {"output": value}, "error: output must be a string (a directory path)")
+       for value in (5, True)},
+    **{name: config_error(config, f"error: samples must be at most {MAX_ENTRIES // 6} "
+                                  f"{TOO_BIG}", ["sample", "verify", "metrics"], argv)
+       for name, config, argv in [("samples_2**62", {"samples": 2**62}, ()),
+                                  ("samples_flag_2**62", {}, ["--samples", str(2**62)])]},
+    **{f"grid_{name}": config_error({}, f"error: --grid must be at most {GRID_CAP} "
+                                        f"{TOO_BIG}", ["verify"], ["--grid", str(grid)])
+       for name, grid in [("2**62", 2**62), ("past_its_cap", GRID_CAP + 1)]},
 }
 
 
-@pytest.mark.parametrize("command, case", [
-    (command, case) for case, (_, _, commands, _) in CONFIG_ERRORS.items()
-    for command in commands])
+def cases(table):
+    """(command, case) for each row of ``table`` and each command it names."""
+    return [(command, case) for case, row in table.items() for command in row[2]]
+
+
+@pytest.mark.parametrize("command, case", cases(CONFIG_ERRORS))
 def test_config_error_exits_two_with_its_message(tmp_path, monkeypatch, command,
                                                  case):
-    # exit 2 with one line, and no traceback, output or directory. The
-    # error comes before the command asks for its output directory: main
-    # removes a directory made too early, which would leave no trace here.
+    # no traceback, output or directory. The error comes before the command
+    # asks for its output directory: main removes a directory made too
+    # early, which would leave no trace here.
     def out_dir(*args):
         raise AssertionError("output directory asked for before the error")
 
     monkeypatch.setattr(cli, "_out_dir", out_dir)
+    monkeypatch.chdir(tmp_path)
     config, argv, _, message = CONFIG_ERRORS[case]
+    flag, name = write_input(command, config)
+    assert_exits_two([command, flag, name, "--out", "out/deeper", *argv], message)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else [name])
+
+
+@pytest.mark.parametrize("levels, code", [(100, 0)])  # 101: nested_101
+def test_config_depth_bound_is_one_hundred_levels(tmp_path, levels, code):
     path = tmp_path / "cfg.json"
-    path.write_text(config if isinstance(config, str)
-                    else json.dumps({**VALID, "samples": 10, **config}))
-    out = tmp_path / "out" / "deeper"
-    code, stdout, err = run_main([command, "--config", str(path), "--out", str(out),
-                                  *argv])
-    assert (code, stdout) == (2, ""), err
-    assert err.startswith("error: ") and err.endswith("\n"), err
-    assert err.count("\n") == 1, err
-    if message.startswith("error: "):
-        assert err == message + "\n"
-    else:
-        assert message in err
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    path.write_text(nested(levels))
+    out = tmp_path / "out"
+    assert run_main(["describe", "--config", str(path), "--out", str(out)])[0] == code
+    assert (out / "strategy.json").exists()
 
 
-@pytest.mark.parametrize("command, where", [
-    *((c, w) for c in CONFIG_COMMANDS for w in ("--out", "below", "output")),
-    ("empirics", "--out"), ("empirics", "below")])
-def test_output_path_not_a_directory_exits_two(tmp_path, capsys, command, where):
-    # "below" asks for a directory inside the file; "output" names the
-    # file in the config instead of on the command line
-    (tmp_path / "taken").write_text("a file")
-    out = tmp_path / "taken" / ("sub" if where == "below" else "")
-    if command == "empirics":
-        data = tmp_path / "records.csv"
-        data.write_text("feed,genre,angriness,favorites\n"
-                        + "".join(f"E,P,{a},{a}\n" for a in range(5)))
-        argv = [command, "--data", str(data)]
-    else:
-        extra = {"output": str(out)} if where == "output" else {}
-        path, _ = write_config(tmp_path, samples=10, **extra)
-        argv = [command, "--config", str(path)]
-        argv += ["--grid", "3"] if command == "verify" else []
-    argv += [] if where == "output" else ["--out", str(out)]
-    assert main(argv) == 2
-    assert (f"cannot use {out} as the output directory"
-            in capsys.readouterr().err)
-    assert (tmp_path / "taken").read_text() == "a file"
+def late_error(message, commands, setup=(), patch=None, out="out", argv=(),
+               **config):
+    """A ``LATE_ERRORS`` row: ``setup`` makes its paths in the working
+    directory (a file, or a directory where the path ends in ``/``),
+    ``patch`` sets an attribute, named as ``monkeypatch.setattr`` takes it,
+    to a callable, and each command in ``commands`` runs on ``config`` (see
+    ``write_input``) with ``--out out`` (none if ``out`` is None) and
+    ``argv``, and exits 2 with ``message``."""
+    return config, argv, commands, message, setup, patch, out
+
+
+def nan_candidate_mean(*args, **kwargs):
+    report = best_response_gap(*args, **kwargs)
+    mean = report.candidate_mean.copy()
+    mean[3] = np.nan
+    return BestResponseReport(**{**vars(report), "candidate_mean": mean})
+
+
+def nan_gap(*args, **kwargs):
+    report = best_response_gap(*args, **kwargs)
+    return BestResponseReport(**{**vars(report), "gap": math.nan})
+
+
+def no_memory(*args):
+    raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+
+# x / t passes the largest float: verify certifies these types, and metrics
+# gets a non-finite estimate
+EXTREME_TYPES = {"types": [1e-300, 1e300], "samples": 2000, "seed": 3}
+ALL_COMMANDS = [*CONFIG_COMMANDS, "empirics"]
+LATE_ERRORS = {
+    # each run asks numpy for one array of over 2**47 bytes, which fails at
+    # once under any overcommit setting
+    "allocation_samples": late_error("not enough memory: Unable to allocate",
+                                     ["sample", "verify"],
+                                     argv=["--samples", "10000000000000"]),
+    "allocation_grid": late_error("not enough memory: Unable to allocate", ["verify"],
+                                  argv=["--grid", "10000000000000"]),
+    "shard_memory_error": late_error(
+        "error: not enough memory: Unable to allocate 1.00 TiB for an array",
+        ["metrics"], patch=("creatorsim.metrics.simulate_rounds", no_memory),
+        argv=["--threads", "2"], samples=3 * ROUND_ROWS),
+    "nan_candidate_mean": late_error(
+        "error: non-finite value at report.candidate_utilities.mean[3]: "
+        "verify.json not written", ["verify"],
+        patch=("creatorsim.cli.best_response_gap", nan_candidate_mean),
+        argv=["--grid", "5"], samples=500),
+    # the output directory goes, with every parent the command made
+    "nan_gap": late_error("error: non-finite value at report.gap: verify.json not "
+                          "written", ["verify"],
+                          patch=("creatorsim.cli.best_response_gap", nan_gap),
+                          out="eo/deeper", argv=["--grid", "10"], **EXTREME_TYPES),
+    "non_finite_estimate": late_error("non-finite estimate for ", ["metrics"],
+                                      out="eo/deeper", **EXTREME_TYPES),
+    # utilities of W = 1e308 overflow to inf, silently: the estimate reports
+    # it, and the --out directory that was there before stays
+    "kmr_W_1e308": late_error("non-finite estimate for uw,investment", ["metrics"],
+                              setup=["out/"], family="kmr", W=1e308,
+                              recommender="all", samples=2000),
+    # a file in the output directory's place, named by --out or by output,
+    # or above it
+    "out_a_file": late_error("error: cannot use taken as the output directory: "
+                             "File exists", ALL_COMMANDS, setup=["taken"], out="taken"),
+    "out_below_a_file": late_error("error: cannot use taken/sub as the output "
+                                   "directory: Not a directory", ALL_COMMANDS,
+                                   setup=["taken"], out="taken/sub"),
+    "output_a_file": late_error("error: cannot use taken as the output directory: "
+                                "File exists", CONFIG_COMMANDS, setup=["taken"],
+                                out=None, output="taken"),
+    # a directory in an artifact's place; empirics writes table1.csv before
+    # the ECDF files, and removes it again
+    **{f"artifact_{artifact}": late_error(
+        f"error: cannot write out/{artifact}: Is a directory", [command],
+        setup=[f"out/{artifact}/"])
+       for command, artifact in [*ARTIFACTS.items(), ("empirics", "table1.csv"),
+                                 ("empirics", "ecdf_fE_Gall_a0.csv")]},
+}
+
+
+def tree(top):
+    """Each path under ``top``, with its bytes, or None for a directory."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in top.rglob("*")}
+
+
+@pytest.mark.parametrize("command, case", cases(LATE_ERRORS))
+def test_late_error_exits_two_and_leaves_only_what_was_there(tmp_path, monkeypatch,
+                                                            command, case):
+    # the error comes once the command has asked for its output directory:
+    # every directory it made and every file it wrote go, and what the row
+    # set up stays as it was
+    config, argv, _, message, setup, patch, out = LATE_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    flag, name = write_input(command, config)
+    for path in setup:
+        if path.endswith("/"):
+            os.makedirs(path)
+        else:
+            Path(path).write_text("a file")
+    if patch:
+        monkeypatch.setattr(*patch)
+    before = tree(tmp_path)
+    assert_exits_two([command, flag, name, *(["--out", out] if out else []), *argv],
+                     message)
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["verify", "metrics"])
@@ -889,30 +883,6 @@ def test_unusable_out_exits_before_monte_carlo(tmp_path, monkeypatch, capsys,
     assert main([command, "--config", str(path), "--out",
                  str(tmp_path / "taken")]) == 2
     assert "as the output directory" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command, artifact", [
-    ("check-model", "check_model.json"), ("sample", "samples.csv"),
-    ("describe", "strategy.json"), ("verify", "verify.json"),
-    ("metrics", "metrics.csv"), ("empirics", "table1.csv"),
-    ("empirics", "ecdf_fE_Gall_a0.csv")])
-def test_directory_in_artifact_place_exits_two(tmp_path, capsys, command,
-                                               artifact):
-    out = tmp_path / "out"
-    (out / artifact).mkdir(parents=True)
-    if command == "empirics":
-        data = tmp_path / "records.csv"
-        data.write_text("feed,genre,angriness,favorites\n"
-                        + "".join(f"E,P,{a},{a}\n" for a in range(5)))
-        argv = [command, "--data", str(data)]
-    else:
-        path, _ = write_config(tmp_path, samples=10)
-        argv = [command, "--config", str(path)]
-        argv += ["--grid", "3"] if command == "verify" else []
-    assert main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"cannot write {out / artifact}: Is a directory" in err
-    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -1125,31 +1095,6 @@ class TestMetrics:
         assert (tmp_path / "b" / "metrics.csv").read_bytes() \
             == (tmp_path / "a" / "metrics.csv").read_bytes()
 
-    def test_shard_memory_error_exits_two_with_one_line(self, tmp_path,
-                                                        monkeypatch, capsys):
-        import creatorsim.metrics as met
-
-        def no_memory(*args):
-            raise MemoryError("Unable to allocate 1.00 TiB for an array")
-
-        monkeypatch.setattr(met, "simulate_rounds", no_memory)
-        path, _ = write_config(tmp_path, samples=3 * met.ROUND_ROWS)
-        out = tmp_path / "out"
-        assert main(["metrics", "--config", str(path), "--threads", "2",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: not enough memory: Unable to allocate 1.00 TiB for an array"]
-        assert not out.exists()
-
-    # utilities of W = 1e308 overflow to inf, silently: the estimate reports it
-    def test_non_finite_estimate_exits_two(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, family="kmr", W=1e308,
-                               recommender="all", samples=2000)
-        assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "non-finite estimate for uw,investment" in capsys.readouterr().err
-        assert not (tmp_path / "metrics.csv").exists()
-
-
 class TestEmpirics:
     def make_data(self, tmp_path, rows):
         path = tmp_path / "records.csv"
@@ -1182,28 +1127,6 @@ class TestEmpirics:
         p = float(table["E"]["p_P"])
         assert abs(rho) < 0.05
         assert p > 0.01
-
-    def test_missing_file_exits_two(self, tmp_path):
-        assert main(["empirics", "--data", str(tmp_path / "nope.csv"),
-                     "--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("data, message", [
-        (None, "cannot read data file"),  # a directory
-        (b"feed,genre,angriness,favorites\nE,P,1,\xff\n", "is not UTF-8"),
-        (b"feed,genre,angriness,favorites\nE,P,1," + b"1" * 200_000 + b"\n",
-         "is not readable CSV: field larger than field limit"),
-    ])
-    def test_unreadable_data_exits_two(self, tmp_path, capsys, data, message):
-        path = tmp_path / "records.csv"
-        if data is None:
-            path.mkdir()
-        else:
-            path.write_bytes(data)
-        assert main(["empirics", "--data", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert message in err and len(err.splitlines()) == 1
-        assert not (tmp_path / "out").exists()
 
     def test_crlf_survey_piped_through_stdin(self, tmp_path):
         # the scan declines CRLF, so the row loop parses it; a pipe can be
@@ -1266,12 +1189,6 @@ class TestEmpirics:
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         table = (tmp_path / "out" / "table1.csv").read_bytes()
         assert table.splitlines()[0] == b"# data: " + os.fsencode(data)
-
-    def test_malformed_rows_exit_two(self, tmp_path, capsys):
-        path = self.make_data(tmp_path, ["E,P,9,1"])
-        assert main(["empirics", "--data", str(path), "--out", str(tmp_path)]) == 2
-        assert "line 2" in capsys.readouterr().err
-
 
 class TestDescribe:
     def test_strategy_json_carries_breakpoints(self, tmp_path):

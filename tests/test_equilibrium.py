@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -349,6 +350,13 @@ class TestRandom:
         assert excess(y * (1.0 - 1e-12)) > 0.0 > excess(y * (1.0 + 1e-12))
         weights = {comp.w_costly: w for w, comp in random_eq(linear(-kappa), P).components}
         assert weights == {0.0: 1.0 - y, kappa: y}
+
+    def test_bisection_stops_at_adjacent_doubles(self):
+        # the root is subnormal, where the doubles are spaced 5e-324 apart,
+        # far wider than a relative 1e-12: only the adjacent-doubles check
+        # ends the loop
+        y = stay_in_probability(1.0 - 2.0**-53, 10**300)
+        assert 0.0 < y < sys.float_info.min
 
     def test_opt_out_probability_matches_the_sum_of_powers(self):
         for P in (2, 3, 7, 40):
