@@ -108,6 +108,34 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert out.splitlines() == ["ok"]
 
 
+def test_module_entry_gives_the_shell_each_exit_code(tmp_path):
+    # `python -m creatorsim.cli` runs the module's `__main__` exit, which no
+    # in-process call reaches: 0 writes the artifact, 2 prints one error
+    # line and makes no directory, 3 prints verify's failure line
+    root = Path(creatorsim.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def run(name, command, *argv, **overrides):
+        path, _ = write_config(tmp_path, f"{name}.json", **overrides)
+        return subprocess.run(
+            [sys.executable, "-m", "creatorsim.cli", command, "--config",
+             str(path), "--out", str(tmp_path / name), *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+    done = run("done", "describe")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "done" / "strategy.json").is_file()
+    bad = run("bad", "describe", alpha=-2)
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == "error: alpha must be finite and > -1, got -2.0\n"
+    assert not (tmp_path / "bad").exists()
+    failed = run("failed", "verify", "--grid", "12", equilibrium="investment",
+                 recommender="engagement", samples=2000)
+    assert failed.returncode == 3, failed.stderr
+    assert failed.stderr.startswith("verify failed: deviation ")
+    assert failed.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("grid", 1, "--grid must be >= 2"),
     ("threads", 0, "--threads must be >= 1"),
@@ -950,10 +978,10 @@ class TestParser:
         cli.make_parser.cache_clear()
         path, _ = write_config(tmp_path, samples=50)
         plain = ["verify", "--config", str(path), "--grid", "3",
-                 "--out", str(tmp_path)]
+                 "--out", str(tmp_path / "plain")]
         # an abbreviated flag is not plain: argparse reads it
         other = ["verify", "--conf", str(path), "--grid", "3",
-                 "--out", str(tmp_path)]
+                 "--out", str(tmp_path / "argparse")]
         try:
             assert main(plain) == 0
             assert built == []
@@ -965,6 +993,9 @@ class TestParser:
         # the top-level parser and every subparser, once
         assert first == ["creatorsim", *(f"creatorsim {c}" for c in cli.HANDLERS)]
         assert built == first
+        # and both readers run the same command
+        assert (tmp_path / "plain" / "verify.json").read_bytes() == \
+            (tmp_path / "argparse" / "verify.json").read_bytes()
 
     # every flag and some near misses, and values that int() or argparse
     # read in their own ways; a command, a required flag and up to three
@@ -1204,6 +1235,14 @@ class TestDescribe:
         path, _ = write_config(tmp_path, samples=5, output=str(out))
         assert main(["sample", "--config", str(path)]) == 0
         assert (out / "samples.csv").exists()
+
+    def test_output_dir_defaults_to_working_directory(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path, _ = write_config(tmp_path)
+        assert main(["describe", "--config", path.name]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                              "strategy.json"]
 
 
 class TestAutoResolution:
