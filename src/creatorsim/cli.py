@@ -403,7 +403,9 @@ def cmd_empirics(args) -> int:
     out = _out_dir(args)
     genre_slices = {"all": ("P", "NP"), "P": ("P",), "NP": ("NP",)}
 
-    lines = [f"# data: {args.data}",
+    # a line break in the path would split the comment line
+    data = args.data.replace("\r", "\\r").replace("\n", "\\n")
+    lines = [f"# data: {data}",
              "feed," + ",".join(f"rho_{g},p_{g}" for g in genre_slices)]
     for feed in emp.FEEDS:
         cells = []

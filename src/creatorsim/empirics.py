@@ -70,6 +70,10 @@ class TweetRecord(Frozen):
             raise ValueError(f"feed must be one of {FEEDS}, got {feed!r}")
         if genre not in GENRES:
             raise ValueError(f"genre must be one of {GENRES}, got {genre!r}")
+        for name, count in (("angriness", angriness), ("favorites", favorites)):
+            # the analyses' int64 columns would truncate a float silently
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {count!r}")
         if angriness not in ANGRINESS_LEVELS:
             raise ValueError(f"angriness must be in 0..4, got {angriness!r}")
         if favorites < 0:

@@ -27,13 +27,13 @@ tail, and a point mass draws nothing, so its outputs and the generator's
 end state are those of the general kernel, bit for bit.
 
 The payoff pool sorts its opponent rows once, so a content wins, ties or
-loses on whole runs of rows between rank cuts. Sums over many contents are
-built once per run between all their cuts and expanded, and only rows
-whose top equals a content's score, where the share varies from row to
-row, are visited one by one. Under exact ties the opponents at a row's top
-are a fixed property of the row, so the pool counts them when it is built,
-by the round kernel's own tie step, and keeps that count instead of the
-scores.
+loses on whole runs of rows between rank cuts. A sum over many contents
+counts, per run between all their cuts, the contents that win outright and
+those that tie, and one formula per row turns the two counts, the summed
+costs and the row's tied share into the row's sum. Under exact ties the
+opponents at a row's top are a fixed property of the row, so the pool
+counts them when it is built, by the round kernel's own tie step, and
+keeps that count instead of the scores.
 """
 
 from __future__ import annotations
@@ -175,10 +175,11 @@ class OpponentPool(Frozen):
     numbers). Contents come in as an (m, 2) array of (q, x) rows, and
     ``estimates`` answers with mean and stderr arrays over the pool's n
     samples, so scoring a grid builds no per-content object; ``payoffs``
-    answers with the per-sample sum over the contents, built per segment
-    between their cuts. The scores are not kept: a tied content's share of
-    a row is 1 / (1 + the opponents at the row's top), and that count is
-    kept per row, so the pool holds O(n) numbers and never changes.
+    answers with the per-sample sum over the contents, from counts of wins
+    and ties per segment between their cuts. The scores are not kept: a
+    tied content's share of a row is 1 / (1 + the opponents at the row's
+    top), and that count is kept per row, so the pool holds O(n) numbers
+    and never changes.
     """
 
     def __init__(self, inst: ModelInstance, metric: Metric, P: int,
@@ -248,14 +249,13 @@ class OpponentPool(Frozen):
         never wins; ties among eligible argmax contents contribute their
         exact uniform share. The type starts and every content's cuts split
         ``order`` into elementary segments, on each of which every content
-        wins outright, ties or loses throughout. Outside its ties a
-        content's share is 1 or 0 on the whole segment, so each segment's
-        sum is built once, content by content, and ``np.repeat`` expands
-        it. Only segments where some content ties are summed row by row,
-        from one tied share ``1 / (1 + tied)`` per segment, which every
-        content tying there shares. Either way every sample sums the same
-        terms in the same order as adding the contents' vectors one by one;
-        one permutation at the end restores the pool's row order. Memory is
+        wins outright, ties or loses throughout. So each segment has a count
+        of outright wins and a count of ties, and a row's sum is
+        ``(wins - C) + ties / (1 + tied)``, with ``C`` numpy's sum of the
+        contents' costs: ``np.repeat`` expands each count over its segment,
+        and the tie term is left out when no row ties, since it would add an
+        exact ``+0.0``. One content's payoff is ``share - cost`` to the bit.
+        One permutation at the end restores the pool's row order. Memory is
         O(n + m * segments).
         """
         q, x = np.asarray(contents, dtype=float).T
@@ -266,24 +266,11 @@ class OpponentPool(Frozen):
         kind = np.minimum(np.searchsorted(self.type_start, begin, side="right") - 1,
                           len(self.type_start) - 2)
         seg_lo, seg_hi = lo[:, kind], hi[:, kind]
-        value = (begin < seg_lo) - cost[:, None]  # share 1 or 0, minus the cost
-        total = np.zeros(len(begin))
-        for row in value:
-            total += row
-        sums = np.repeat(total, length)
-        band = (seg_lo <= begin) & (begin < seg_hi)
-        for seg in np.flatnonzero(band.any(axis=0) & (length > 0)):
-            a, b = int(begin[seg]), int(cuts[seg + 1])
-            share = 1.0 / (1.0 + self.tied[a:b])
-            acc = sums[a:b]
-            acc.fill(0.0)
-            term = np.empty_like(acc)
-            for i in range(len(q)):
-                if band[i, seg]:
-                    np.subtract(share, cost[i], out=term)
-                    acc += term
-                else:
-                    acc += value[i, seg]
+        wins = (begin < seg_lo).sum(axis=0)
+        ties = ((seg_lo <= begin) & (begin < seg_hi)).sum(axis=0)
+        sums = np.repeat(wins - cost.sum(), length)
+        if ties.any():
+            sums += np.repeat(ties, length) / (1 + self.tied)
         out = np.empty_like(sums)
         out[self.order] = sums
         return out

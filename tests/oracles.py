@@ -110,22 +110,27 @@ def brute_force_winners(inst, metric, q, x, ts, uniforms) -> list[int]:
     return winners
 
 
-def brute_force_payoffs(inst, metric, q, x, ts, w) -> list[float]:
-    """Payoff of content ``w = (q0, x0)`` in each row: its exact share of
-    the win as column 0 under ``brute_force_winners``' rule, minus its
-    creation cost.
+def brute_force_shares(inst, metric, q, x, ts, w) -> list[float]:
+    """Share of the win of content ``w = (q0, x0)`` in each row, as column 0
+    under ``brute_force_winners``' rule.
 
     Row i pits ``w`` against opponents ``(q[i][j], x[i][j])`` for a user of
     type ``ts[i]``. With k columns tied for the win, ``w`` wins ``1 / k``
     when it is one of them and nothing otherwise.
     """
     q0, x0 = w
-    cost = float(inst.cost(q0, x0))
     out = []
     for row_q, row_x, t in zip(q, x, ts):
         tied = _brute_force_tied(inst, metric, [q0, *row_q], [x0, *row_x], t)
-        out.append((1.0 / len(tied) if 0 in tied else 0.0) - cost)
+        out.append(1.0 / len(tied) if 0 in tied else 0.0)
     return out
+
+
+def brute_force_payoffs(inst, metric, q, x, ts, w) -> list[float]:
+    """Payoff of content ``w`` in each row: its ``brute_force_shares``
+    minus its creation cost."""
+    cost = float(inst.cost(*w))
+    return [share - cost for share in brute_force_shares(inst, metric, q, x, ts, w)]
 
 
 def exact_expected_max(cdf, P) -> float:
@@ -282,27 +287,27 @@ def lexsort_pool(inst, metric, q, x, ts):
 
 
 def row_loop_payoffs(pool, contents, tied):
-    """``pool.payoffs(contents)`` built one content at a time: each
-    content's share vector is filled over all n rows in ``order``, minus its
-    cost, and added to a running total, which one permutation puts back in
-    the pool's row order; ``tied`` is ``tie_counts`` of the pool's
-    opponents, in their row order."""
+    """``pool.payoffs(contents)`` from per-row counts: each content's cuts
+    add one to its outright-win rows and one to its tied rows in ``order``,
+    and each row's sum is ``(wins - C) + ties / (1 + tied)``, with ``C``
+    numpy's sum of the costs; one permutation puts the sums back in the
+    pool's row order. ``tied`` is ``tie_counts`` of the pool's opponents,
+    in their row order."""
     import numpy as np
 
     q, x = np.asarray(contents, dtype=float).T
     start, lo, hi = pool._cuts(q, x)
     cost = np.asarray(pool.inst.cost(q, x), dtype=float)
-    total = np.zeros(len(pool.order))
-    share = np.empty_like(total)
+    wins = np.zeros(len(pool.order), dtype=int)
+    ties = np.zeros_like(wins)
     for i in range(len(q)):
-        share.fill(0.0)
         for a, l, h in zip(start[i], lo[i], hi[i]):
-            share[a:l] = 1.0
-            share[l:h] = 1.0 / (1.0 + tied[pool.order[l:h]])
-        share -= cost[i]
-        total += share
-    share[pool.order] = total
-    return share
+            wins[a:l] += 1
+            ties[l:h] += 1
+    total = (wins - cost.sum()) + ties / (1 + tied[pool.order])
+    out = np.empty_like(total)
+    out[pool.order] = total
+    return out
 
 
 def loop_candidate_deviations(inst, grid_k):
@@ -324,10 +329,10 @@ def loop_candidate_deviations(inst, grid_k):
 def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
                            rng, n_probes=32):
     """``best_response_gap`` on the same draws, with the candidates built by
-    ``loop_candidate_deviations``, the pool by ``lexsort_pool``, and each
-    probe scored per sample by ``row_loop_payoffs`` alone: the probe vectors
-    are added up one by one and each probe's estimate is taken from its
-    vector."""
+    ``loop_candidate_deviations``, the pool by ``lexsort_pool``, and every
+    per-sample vector by ``row_loop_payoffs``: the probe sum is its per-row
+    formula over all probes, and each probe's estimate is taken from that
+    probe's own vector."""
     import numpy as np
     from creatorsim._stats import MetricEstimate
     from creatorsim.verify import BestResponseReport
@@ -342,13 +347,9 @@ def loop_best_response_gap(inst, metric, strategy, P, grid_k, n_per_candidate,
 
     cand_points = np.array(candidates)
     cand_mean, cand_stderr = pool.estimates(cand_points)
-    probe_sum = np.zeros(n)
-    probe_utils = []
-    for c in probes:
-        payoffs = row_loop_payoffs(pool, np.array([c]), tied)
-        probe_sum += payoffs
-        probe_utils.append(MetricEstimate.from_samples(payoffs))
-    eq_samples = probe_sum / len(probes)
+    probe_utils = [MetricEstimate.from_samples(
+        row_loop_payoffs(pool, np.array([c]), tied)) for c in probes]
+    eq_samples = row_loop_payoffs(pool, np.array(probes), tied) / len(probes)
     eq = MetricEstimate.from_samples(eq_samples)
 
     best_i = int(np.argmax(cand_mean))

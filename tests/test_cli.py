@@ -1221,6 +1221,21 @@ class TestEmpirics:
         table = (tmp_path / "out" / "table1.csv").read_bytes()
         assert table.splitlines()[0] == b"# data: " + os.fsencode(data)
 
+    @pytest.mark.parametrize("name", ["a\nb.csv", "a\rb.csv", "a\r\nb.csv",
+                                      "a\\nb.csv"])
+    def test_line_break_in_data_path_stays_on_the_comment_line(self, tmp_path,
+                                                               name):
+        # "\n" and "\r" are escaped; every other character, a backslash
+        # included, is echoed as it is
+        rows = [f"{f},P,{a},{a}" for f in ("E", "C") for a in range(5)]
+        data = self.make_data(tmp_path, rows).rename(tmp_path / name)
+        assert main(["empirics", "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "table1.csv").read_bytes().split(b"\n")
+        echo = str(data).replace("\r", "\\r").replace("\n", "\\n")
+        assert lines[0] == f"# data: {echo}".encode()
+        assert lines[1].startswith(b"feed,rho_all,")
+
 class TestDescribe:
     def test_strategy_json_carries_breakpoints(self, tmp_path):
         path, _ = write_config(tmp_path, gamma=0.1)

@@ -94,6 +94,21 @@ class TestLoadRecords:
         records = [rec(a=a, favs=2 ** 63 - 5 + a) for a in range(5)]
         assert spearman_rho(records, "E", ("P",)).rho == 1.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("angriness", 1.0), ("angriness", True), ("angriness", np.float64(2.0)),
+        ("favorites", 2.5), ("favorites", False), ("favorites", np.bool_(True)),
+    ])
+    def test_record_counts_must_be_integers(self, field, value):
+        # the analyses would truncate 2.5 favorites to 2 without a word
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            rec(**{"a" if field == "angriness" else "favs": value})
+
+    def test_record_takes_numpy_integers(self):
+        record = rec(a=np.int8(3), favs=np.uint64(7))
+        survey = Survey.from_records([record])
+        assert survey.angriness.tolist() == [3]
+        assert survey.favorites.tolist() == [7]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_records(tmp_path / "nope.csv")

@@ -22,6 +22,7 @@ from catalogue import EQUILIBRIA, instance, kmr, linear
 from oracles import (
     brute_force_accepts,
     brute_force_payoffs,
+    brute_force_shares,
     brute_force_winners,
     lexsort_pool,
     row_loop_payoffs,
@@ -437,19 +438,25 @@ class TestOpponentPoolReductions:
     @staticmethod
     def check(pool, inst, metric, q, x, ts, contents):
         points = np.array(contents, dtype=float)
-        total = np.zeros(len(ts))
+        wins, ties = np.zeros(len(ts), dtype=int), np.zeros(len(ts), dtype=int)
         mean, stderr = pool.estimates(points)
         assert mean.shape == stderr.shape == (len(contents),)
         for i, w in enumerate(contents):
             want = brute_force_payoffs(inst, metric.value, q, x, ts, w)
             payoffs = pool.payoffs(points[i:i + 1])
             assert payoffs.tolist() == want
-            total += np.array(want)
+            shares = np.array(brute_force_shares(inst, metric.value, q, x, ts, w))
+            wins += shares == 1.0
+            ties += (0.0 < shares) & (shares < 1.0)
             ref = MetricEstimate.from_samples(payoffs)
             assert len(pool.order) == ref.n == len(ts)
             assert abs(mean[i] - ref.mean) <= 1e-12
             assert abs(stderr[i] - ref.stderr) <= 1e-12
-        # several contents at once: the per-sample sum, in the same order
+        # several contents at once: per row, the outright wins minus the
+        # summed costs, plus each tie's share of the row's top
+        cost = np.array([float(inst.cost(*w)) for w in contents]).sum()
+        tied = tie_counts(inst, metric, np.array(q), np.array(x), np.array(ts))
+        total = (wins - cost) + ties / (1 + tied)
         assert pool.payoffs(points).tolist() == total.tolist()
 
     @settings(max_examples=300, deadline=None)
@@ -494,8 +501,8 @@ class TestOpponentPoolReductions:
 
 
 class TestPayoffsBySegment:
-    # payoffs sums whole segments between cuts and walks rows only in tie
-    # bands; the row-by-row loop it replaced must agree bit for bit
+    # payoffs counts wins and ties once per segment between cuts; the same
+    # formula on counts made row by row must agree bit for bit
 
     @staticmethod
     def contents(strategy, m, seed):

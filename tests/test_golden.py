@@ -11,7 +11,10 @@ A change that moves outputs on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists each moved hash in CHANGES.md.
+and lists each moved hash in CHANGES.md. The rewrite prints a ``moved:``
+line for each run whose exit code or hashes differ from the file it
+replaces, naming the files that moved, and a ``new:`` or ``gone:`` line
+for each run it adds or drops.
 """
 
 from __future__ import annotations
@@ -153,6 +156,19 @@ if __name__ == "__main__":
             workdir = Path(tmp) / str(i)
             workdir.mkdir()
             results[name] = run(name, workdir)
+    old = load_golden()["runs"]
+    for name, new in results.items():
+        was = old.get(name)
+        if was is None:
+            print(f"new: {name}")
+        elif new != was:
+            files = sorted(f for f in {*was["sha256"], *new["sha256"]}
+                           if was["sha256"].get(f) != new["sha256"].get(f))
+            exits = "" if was["exit"] == new["exit"] else \
+                f" exit {was['exit']} -> {new['exit']}"
+            print(f"moved: {name}:{exits} {' '.join(files)}".rstrip())
+    for name in sorted(set(old) - set(results)):
+        print(f"gone: {name}")
     GOLDEN.write_text(json.dumps({"versions": VERSIONS, "runs": results},
                                  indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
